@@ -83,9 +83,9 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"grid {text!r} has non-numeric parts") from exc
-    if hi < lo:
-        raise UsageError(f"grid max {hi} below min {lo}")
-    if hi > lo and step <= 0:
+    if not 0 <= lo <= hi < 1:
+        raise UsageError(f"grid must satisfy 0 <= min <= max < 1, got {text!r}")
+    if hi > lo and not step > 0:
         raise UsageError(f"grid step must be positive, got {step}")
     return lo, hi, step
 
@@ -365,14 +365,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Reject out-of-range option values before any work starts."""
+    r = getattr(args, "r", 0.0)
+    if not (math.isfinite(r) and r >= 0):
+        raise UsageError(f"--r must be finite and >= 0, got {r}")
+    if not 0 < args.cutoff_tol < 1:
+        raise UsageError(f"--cutoff-tol must lie in (0, 1), got {args.cutoff_tol}")
+    for name, minimum in (("n_max", 0), ("samples", 1), ("seed", 0), ("points", 1)):
+        value = getattr(args, name, minimum)
+        if value < minimum:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "samples", 1) < 1:
-        parser.exit(2, "error: --samples must be >= 1\n")
-    if getattr(args, "r", 0.0) < 0:
-        parser.exit(2, "error: --r must be >= 0\n")
+    args = _build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,13 @@ the eight uniform doubles at stream offset 8k, so any chunked or parallel
 schedule reproduces identical values), and exactly, by evaluating the
 protocol channel on the four matrix units and contracting with the Haar
 second moment  integral P (x) P dmu = (I + SWAP)/6.
+
+Both averages read the receiver's output on Fock levels {0, 1} only.  Each
+receiver operation is B (+) 1, so that block depends only on the levels
+{0, 1} block of the shared state, to which only the terms |v_0> and |v_1>
+contribute.  The averages therefore contract a 4x4 block instead of the
+full state, and their cost does not grow with the cutoff beyond the
+O(n_max) truncation check on the shared state.
 """
 
 from __future__ import annotations
@@ -27,7 +34,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import FockCutoff, _as_cutoff, _as_xi, entangled_state
+from .channel import (
+    FockCutoff,
+    _as_accel,
+    _as_cutoff,
+    _as_xi,
+    _assemble_shared,
+    _shared_terms,
+    entangled_state,
+)
 from .linalg import DenseOperator
 
 _SQRT2 = math.sqrt(2.0)
@@ -118,6 +133,10 @@ def build_protocol(schmidt: SchmidtDecomposition, cutoff: FockCutoff) -> Protoco
     sum_i Pi^i = 1_4 exact; each receiver operation acts as a unitary on
     Fock levels {0, 1} and as the identity above.
     """
+    return _protocol_kit(schmidt, cutoff.levels)
+
+
+def _protocol_kit(schmidt: SchmidtDecomposition, levels: int) -> ProtocolKit:
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
     a0, a1 = schmidt.alice_basis[:, 0], schmidt.alice_basis[:, 1]
@@ -135,13 +154,12 @@ def build_protocol(schmidt: SchmidtDecomposition, cutoff: FockCutoff) -> Protoco
         np.outer(e1, t0.conj()) + np.outer(e0, t1.conj()),
         np.outer(e1, t0.conj()) - np.outer(e0, t1.conj()),
     )
-    nlev = cutoff.levels
     ops = []
     for b in small:
-        big = np.eye(nlev, dtype=complex)
+        big = np.eye(levels, dtype=complex)
         big[:2, :2] = b
         ops.append(big)
-    return ProtocolKit(povms, tuple(ops), schmidt, nlev)
+    return ProtocolKit(povms, tuple(ops), schmidt, levels)
 
 
 def apply_protocol(kit: ProtocolKit, shared: DenseOperator, input_op: np.ndarray) -> np.ndarray:
@@ -182,15 +200,24 @@ def run_protocol(input_state: Sequence[complex], xi, r, cutoff: FockCutoff | Non
 
 
 def _channel_blocks(xi, r, cutoff: FockCutoff) -> np.ndarray:
-    """E[i, j] = top-left 2x2 block of the protocol channel on |i><j|."""
-    kit = build_protocol(schmidt_decompose(xi), cutoff)
-    shared = entangled_state(xi, r, cutoff)
+    """E[i, j] = top-left 2x2 block of the protocol channel on |i><j|.
+
+    Only Fock levels {0, 1} of the output are read, and the receiver
+    operations act as the identity above them, so the protocol is applied
+    to the levels {0, 1} block of the shared state alone.  That block is
+    assembled from |v_0> and |v_1> on levels 0..2 and cut to levels {0, 1};
+    the truncation check still covers every term up to the cutoff.
+    """
+    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff)
+    low = _assemble_shared(amps[:, :2], weights[:2], 3).reshape(2, 3, 2, 3)[:, :2, :, :2]
+    shared = DenseOperator(low.reshape(4, 4), (2, 2))
+    kit = _protocol_kit(schmidt_decompose(xi), 2)
     blocks = np.zeros((2, 2, 2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             unit = np.zeros((2, 2), dtype=complex)
             unit[i, j] = 1.0
-            blocks[i, j] = apply_protocol(kit, shared, unit)[:2, :2]
+            blocks[i, j] = apply_protocol(kit, shared, unit)
     return blocks
 
 

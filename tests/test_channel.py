@@ -86,6 +86,8 @@ def test_insufficient_cutoff_raises():
         unruh_vacuum_amplitudes(0.85, FockCutoff(4))
     with pytest.raises(TruncationError):
         effective_qubit((0, 0, 1), 0.9, FockCutoff(8))
+    with pytest.raises(TruncationError, match="shared-state trace deficit"):
+        entangled_state(0.3, 0.9, FockCutoff(8))
 
 
 def test_minkowski_qubit_cases():
@@ -153,6 +155,34 @@ def test_channel_linearity():
         mixed = effective_qubit(w * n1 + (1 - w) * n2, r, cut).entries
         parts = w * effective_qubit(n1, r, cut).entries + (1 - w) * effective_qubit(n2, r, cut).entries
         np.testing.assert_allclose(mixed, parts, atol=1e-10)
+
+
+def dense_entangled_state(xi, r, cut):
+    """Reference builder: one dense rank-one update per term |v_n>."""
+    ox, a = OrthogonalityParam(xi), AccelerationParam(r)
+    nlev = cut.levels
+    epm, emm = ox.eta(+1, -1), ox.eta(-1, -1)
+    emp, epp = ox.eta(-1, +1), ox.eta(+1, +1)
+    rho = np.zeros((2 * nlev, 2 * nlev), dtype=complex)
+    for n in range(cut.n_max + 1):
+        v = np.zeros(2 * nlev, dtype=complex)
+        v[n] = epm
+        v[nlev + n] = emm
+        s = math.sqrt(n + 1.0) / a.C
+        v[n + 1] += emp * s
+        v[nlev + n + 1] += epp * s
+        rho += a.T ** (2 * n) * np.outer(v, v.conj())
+    return rho / (8.0 * a.C**2)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("r", [0.0, 0.6, 1.5])
+def test_entangled_state_matches_dense_oracle(xi, r):
+    base = FockCutoff.for_acceleration(r)
+    for cut in (base, base.doubled()):
+        rho = entangled_state(xi, r, cut)
+        assert rho.space_tag == (2, cut.levels)
+        np.testing.assert_allclose(rho.entries, dense_entangled_state(xi, r, cut), rtol=0, atol=1e-15)
 
 
 def test_entangled_state_bell_limit():

@@ -60,6 +60,15 @@ def test_fig2_columns(tmp_path):
         assert abs(mc - exact) < 5 * se
 
 
+def test_fig2_reaches_large_r(tmp_path):
+    out = tmp_path / "fig2.csv"
+    assert run_cli(["fig2", "--r", "3", "--xi", "0.4:0.4:0", "--samples", "2000", "-o", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header["n_max"] == "3136"
+    (xi, mc, se, exact), = rows
+    assert abs(mc - exact) <= 5 * se
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["fig2", "--r", "0.2", "--xi", "0:0.02:0.02", "--samples", "2000", "--seed", "7"]
@@ -122,9 +131,26 @@ def test_validate_command(tmp_path, capsys):
     assert stdout.count("PASS") == 8 and "FAIL" not in stdout
 
 
-def test_invalid_grid_exits_2(capsys):
-    assert run_cli(["fig1", "--xi", "0:0.5:-0.1"]) == 2
-    assert run_cli(["fig1", "--xi", "nonsense"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--xi", "0:0.5:-0.1"],
+        ["fig1", "--xi", "nonsense"],
+        ["fig1", "--xi", "0:1:0.5"],
+        ["fig1", "--r", "nan"],
+        ["fig1", "--r", "inf"],
+        ["fig1", "--n-max", "-3"],
+        ["fig1", "--cutoff-tol", "0"],
+        ["fig2", "--seed", "-1"],
+        ["metric", "--points", "-1"],
+    ],
+    ids=["grid-step", "grid-syntax", "grid-xi-one", "r-nan", "r-inf", "n-max-negative",
+         "cutoff-tol-zero", "seed-negative", "points-negative"],
+)
+def test_invalid_input_exits_2(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_command_exits_2():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from rqit.channel import FockCutoff, entangled_state
+from rqit.errors import TruncationError
 from rqit.teleportation import (
     SchmidtDecomposition,
+    _channel_blocks,
     apply_protocol,
     average_fidelity_exact,
     average_fidelity_mc,
@@ -247,6 +249,36 @@ def test_exact_closed_form_at_zero_acceleration():
         assert average_fidelity_exact(xi, 0.0) == pytest.approx(exact_closed_form(xi), abs=1e-12)
 
 
+def full_tower_blocks(kit, shared):
+    """Top-left 2x2 blocks of the protocol output on the four matrix units."""
+    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            blocks[i, j] = apply_protocol(kit, shared, unit)[:2, :2]
+    return blocks
+
+
+def test_channel_blocks_match_full_tower():
+    for xi, r in ((0.0, 0.0), (0.3, 0.6), (0.9, 0.85), (0.5, 1.5)):
+        cut = FockCutoff.for_acceleration(r)
+        assert cut.n_max <= 200
+        kit = build_protocol(schmidt_decompose(xi), cut)
+        full = full_tower_blocks(kit, entangled_state(xi, r, cut))
+        np.testing.assert_allclose(_channel_blocks(xi, r, cut), full, rtol=0, atol=1e-12)
+    with pytest.raises(TruncationError, match="shared-state trace deficit"):
+        _channel_blocks(0.3, 0.9, FockCutoff(8))
+
+
+def test_exact_fidelity_reaches_large_r():
+    # n_max 3136: the dense state alone would take 630 MB
+    cut = FockCutoff.for_acceleration(3.0)
+    f = average_fidelity_exact(0.4, 3.0, cut)
+    assert 0.0 <= f <= 1.0
+    assert abs(f - average_fidelity_exact(0.4, 3.0, cut.doubled())) <= 1e-12
+
+
 def test_exact_gauge_invariance():
     # rephasing |phi_i> -> e^{ia_i}|phi_i>, |theta_i> -> e^{-ia_i}|theta_i>
     # leaves the decomposed state, hence the protocol average, unchanged
@@ -260,13 +292,7 @@ def test_exact_gauge_invariance():
         ph = np.exp(1j * rng.uniform(0, 2 * math.pi, size=2))
         gauged = SchmidtDecomposition(sd.lambdas, sd.alice_basis * ph, sd.rob_basis * ph.conj())
         np.testing.assert_allclose(gauged.state_vector(), sd.state_vector(), atol=1e-12)
-        kit = build_protocol(gauged, cut)
-        blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                unit = np.zeros((2, 2), dtype=complex)
-                unit[i, j] = 1.0
-                blocks[i, j] = apply_protocol(kit, shared, unit)[:2, :2]
+        blocks = full_tower_blocks(build_protocol(gauged, cut), shared)
         t1 = sum(np.trace(blocks[i, i]).real for i in range(2))
         t2 = sum(blocks[i, j][i, j].real for i in range(2) for j in range(2))
         assert (t1 + t2) / 6 == pytest.approx(base, abs=1e-12)
