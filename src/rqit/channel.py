@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBlochError, TruncationError
-from .linalg import DenseOperator
+from .errors import InvalidBlochError, SizeError, TruncationError
+from .linalg import DenseOperator, check_budget
 
 DEFAULT_TRUNCATION_TOL = 1e-12
 SMALL_R_LIMIT = 0.3
@@ -136,19 +136,38 @@ class FockCutoff:
         """Smallest cutoff whose truncation tails stay below ``tol``.
 
         Starts from max(16, ceil(ln tol / (2 ln tanh r))), which bounds the
-        geometric vacuum tail tanh^{2(n+1)} r exactly, then raises n_max the
-        few extra levels needed for the (n+1)-weighted one-particle tail
-        tanh^{2(n+1)} r [(n+2) - (n+1) tanh^2 r].  At r = 0 the series
-        terminates and the floor of 16 applies.
+        geometric vacuum tail tanh^{2(n+1)} r exactly, then finds the
+        smallest n_max at which the (n+1)-weighted one-particle tail
+        tanh^{2(n+1)} r [(n+2) - (n+1) tanh^2 r] also drops below ``tol``.
+        That tail decreases strictly in n, so doubling and bisection find
+        the level in O(log n_max) steps.  At r = 0 the series terminates and
+        the floor of 16 applies; where tanh r rounds to 1 no finite cutoff
+        exists and SizeError is raised.
         """
         a = _as_accel(r)
         if a.T == 0.0:
             return cls(16, tol)
+        if a.T == 1.0:
+            raise SizeError(f"tanh r rounds to 1 at r = {a.r}: no finite Fock cutoff reaches tol {tol:.1e}")
         t2 = a.T**2
-        m = max(16, math.ceil(math.log(tol) / (2.0 * math.log(a.T))))
-        while t2 ** (m + 1) * ((m + 2) - (m + 1) * t2) > tol:
-            m += 1
-        return cls(m, tol)
+
+        def tail(m: int) -> float:
+            return t2 ** (m + 1) * ((m + 2) - (m + 1) * t2)
+
+        lo = max(16, math.ceil(math.log(tol) / (2.0 * math.log(a.T))))
+        if tail(lo) <= tol:
+            return cls(lo, tol)
+        step = 1
+        while tail(lo + step) > tol:
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+        while hi - lo > 1:  # tail(lo) > tol >= tail(hi)
+            mid = (lo + hi) // 2
+            if tail(mid) > tol:
+                lo = mid
+            else:
+                hi = mid
+        return cls(hi, tol)
 
     def doubled(self) -> "FockCutoff":
         return FockCutoff(2 * self.n_max, self.tol)
@@ -213,15 +232,19 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
 
     The channel is linear on the 2x2 input and couples Fock levels n and
     n+1 only; the output is exactly trace preserving up to the geometric
-    tail of the truncation.
+    tail of the truncation.  All amplitudes are real, so the output is
+    stored as a real symmetric float64 matrix when the Bloch y is 0, and as
+    complex128 otherwise.
     """
     x, y, z = _as_bloch(bloch)
     cut = _as_cutoff(cutoff, r)
+    p00, p11 = (1.0 + z) / 2.0, (1.0 - z) / 2.0
+    p01 = (x - 1j * y) / 2.0 if y else x / 2.0
+    nlev = cut.levels
+    check_budget((nlev, nlev), type(p01), "effective_qubit")
     c = unruh_vacuum_amplitudes(r, cut)
     d = unruh_one_particle_amplitudes(r, cut)
-    p00, p11, p01 = (1.0 + z) / 2.0, (1.0 - z) / 2.0, (x - 1j * y) / 2.0
-    nlev = cut.levels
-    rho = np.zeros((nlev, nlev), dtype=complex)
+    rho = np.zeros((nlev, nlev), dtype=type(p01))
     idx = np.arange(cut.n_max + 1)
     rho[idx, idx] += p00 * c**2
     rho[idx + 1, idx + 1] += p11 * d**2
@@ -240,8 +263,10 @@ def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff)
 
     and ``weights`` holds w_n = tanh^{2n} r / (8 cosh^2 r).  Raises
     TruncationError when the trace sum_n w_n |v_n|^2 misses 1 by more than
-    the cutoff tolerance.
+    the cutoff tolerance, and SizeError when ``amps`` would exceed the
+    memory budget.
     """
+    check_budget((4, cut.n_max + 1), float, "shared-state terms")
     n = np.arange(cut.n_max + 1)
     s = np.sqrt(n + 1.0) / a.C
     amps = np.stack([
@@ -266,7 +291,7 @@ def _assemble_shared(amps: np.ndarray, weights: np.ndarray, nlev: int) -> np.nda
     for all n at once, so 16 scatters build the whole sum.  Terms n and n-1
     share entries on level n, which the scatters add.
     """
-    rho = np.zeros((2 * nlev, 2 * nlev), dtype=complex)
+    rho = np.zeros((2 * nlev, 2 * nlev))
     n = np.arange(amps.shape[1])
     offsets = (0, nlev, 1, nlev + 1)
     for p, row in enumerate(offsets):
@@ -286,15 +311,17 @@ def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
 
     where eta_{s1 s2} = 1 + s1*sqrt(1 + s2*xi).  The prefactor makes the
     trace exactly 1 in the untruncated tower; this is checked numerically
-    at r = 0 in the test suite.
+    at r = 0 in the test suite.  Every amplitude is real, so the matrix is
+    real symmetric and stored as float64.
 
     Since |v_n> touches Fock levels n and n+1 only, the matrix is
     block-tridiagonal in the level.  It is assembled by writing each of the
     16 component pairs of |v_n> into one diagonal, for every n in one array
     operation, with no rank-one update per level.  The trace check runs on
-    the terms before assembly.
+    the terms before assembly, and the memory budget before either.
     """
     cut = _as_cutoff(cutoff, r)
+    check_budget((2 * cut.levels, 2 * cut.levels), float, "entangled_state")
     amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cut)
     return DenseOperator(_assemble_shared(amps, weights, cut.levels), (2, cut.levels))
 

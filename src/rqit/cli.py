@@ -38,6 +38,7 @@ from .teleportation import average_fidelity_exact, average_fidelity_mc, run_prot
 
 CURVATURE_GEOMETRY = "cartesian_pullback"
 H_OFFDIAG_SYMBOL = "xi_c"
+MAX_GRID_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -87,6 +88,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         raise UsageError(f"grid must satisfy 0 <= min <= max < 1, got {text!r}")
     if hi > lo and not step > 0:
         raise UsageError(f"grid step must be positive, got {step}")
+    if hi > lo and (hi - lo) / step + 1 > MAX_GRID_POINTS:
+        raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return lo, hi, step
 
 

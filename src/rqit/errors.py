@@ -12,7 +12,8 @@ class RQITError(Exception):
 
 
 class SizeError(RQITError):
-    """A tensor product would exceed the configured entry cap."""
+    """An array would exceed a size limit: the memory budget of an operator
+    build, a tensor product's entry cap, or a cutoff that cannot be finite."""
 
 
 class NotPSDError(RQITError):

@@ -1,4 +1,8 @@
-"""Dense complex linear algebra over truncated and composite mode spaces.
+"""Dense real and complex linear algebra over truncated and composite mode spaces.
+
+Operators keep float64 entries when they are built from real input and
+complex128 entries otherwise, so a real symmetric matrix reaches the real
+LAPACK/BLAS routines through the same calls as a complex Hermitian one.
 
 Every operator carries a ``space_tag``, the ordered tuple of tensor-factor
 dimensions, so that partial operations (trace, transpose) address factors
@@ -21,14 +25,30 @@ from .errors import NotPSDError, SizeError
 HERMITIAN_ATOL = 1e-12
 PSD_CLAMP = -1e-10
 DEFAULT_ENTRY_CAP = 2**20
+# Largest single array an operator build may allocate: 512 MiB holds the
+# real (2) x (n_max + 2) shared state up to n_max 4094 (r = 3 needs 315 MB).
+MEMORY_BUDGET = 2**29
+
+
+def check_budget(shape: tuple[int, ...], dtype, what: str) -> None:
+    """Raise SizeError when an array of ``shape`` and ``dtype`` would exceed
+    MEMORY_BUDGET; call it before allocating anything of that size."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > MEMORY_BUDGET:
+        raise SizeError(
+            f"{what} needs a {'x'.join(map(str, shape))} {np.dtype(dtype).name} array "
+            f"({nbytes / 2**20:.3g} MiB), over the {MEMORY_BUDGET // 2**20} MiB budget"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Complex square matrix on a (possibly composite) truncated mode space.
+    """Square matrix on a (possibly composite) truncated mode space.
 
     Attributes:
-        entries: dim x dim complex matrix, stored read-only.
+        entries: dim x dim matrix, stored read-only as a copy of the input:
+            float64 when the input is real (any non-complex dtype), else
+            complex128.
         space_tag: ordered factor dimensions; their product equals dim.
     """
 
@@ -36,7 +56,7 @@ class DenseOperator:
     space_tag: tuple[int, ...]
 
     def __init__(self, entries: np.ndarray, space_tag=None):
-        m = np.array(entries, dtype=complex)
+        m = np.array(entries, dtype=complex if np.iscomplexobj(entries) else float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if space_tag is None:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from rqit.channel import (
     AccelerationParam,
     FockCutoff,
     OrthogonalityParam,
+    _shared_terms,
     effective_qubit,
     entangled_state,
     minkowski_qubit,
@@ -14,7 +16,7 @@ from rqit.channel import (
     unruh_one_particle_amplitudes,
     unruh_vacuum_amplitudes,
 )
-from rqit.errors import InvalidBlochError, TruncationError
+from rqit.errors import InvalidBlochError, SizeError, TruncationError
 from rqit.linalg import partial_trace
 
 
@@ -59,6 +61,42 @@ def test_cutoff_rule():
         assert t2 ** (cut.n_max + 1) * ((cut.n_max + 2) - (cut.n_max + 1) * t2) <= cut.tol
     with pytest.raises(ValueError):
         FockCutoff(0)
+
+
+def linear_scan_cutoff(r, tol=1e-12):
+    """Reference cutoff rule: raise n_max one level at a time."""
+    t = math.tanh(r)
+    if t == 0.0:
+        return 16
+    t2 = t**2
+    m = max(16, math.ceil(math.log(tol) / (2.0 * math.log(t))))
+    while t2 ** (m + 1) * ((m + 2) - (m + 1) * t2) > tol:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.6, 0.85, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0])
+def test_cutoff_search_matches_linear_scan(r):
+    assert FockCutoff.for_acceleration(r).n_max == linear_scan_cutoff(r)
+
+
+def test_cutoff_search_is_fast_and_total():
+    start = time.perf_counter()
+    assert FockCutoff.for_acceleration(10.0).n_max > 10**9
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SizeError, match="tanh r rounds to 1"):
+        FockCutoff.for_acceleration(20.0)
+
+
+def test_size_budget_checked_before_allocation():
+    # each array would need terabytes; the check must fire before numpy is asked
+    huge = FockCutoff(10**12)
+    with pytest.raises(SizeError, match="entangled_state"):
+        entangled_state(0.4, 0.6, huge)
+    with pytest.raises(SizeError, match="effective_qubit"):
+        effective_qubit((1, 0, 0), 0.6, huge)
+    with pytest.raises(SizeError, match="shared-state terms"):
+        _shared_terms(OrthogonalityParam(0.4), AccelerationParam(0.6), huge)
 
 
 def test_vacuum_amplitudes():
@@ -183,6 +221,14 @@ def test_entangled_state_matches_dense_oracle(xi, r):
         rho = entangled_state(xi, r, cut)
         assert rho.space_tag == (2, cut.levels)
         np.testing.assert_allclose(rho.entries, dense_entangled_state(xi, r, cut), rtol=0, atol=1e-15)
+
+
+def test_real_storage_dtypes():
+    assert entangled_state(0.3, 0.6).entries.dtype == np.float64
+    assert effective_qubit((0.3, 0.0, -0.5), 0.6).entries.dtype == np.float64
+    for op in (effective_qubit((0.3, 0.2, -0.5), 0.6), small_r_qubit((0.3, 0.0, -0.5), 0.1),
+               minkowski_qubit((0.3, 0.0, -0.5))):
+        assert op.entries.dtype == np.complex128
 
 
 def test_entangled_state_bell_limit():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -143,9 +144,10 @@ def test_validate_command(tmp_path, capsys):
         ["fig1", "--cutoff-tol", "0"],
         ["fig2", "--seed", "-1"],
         ["metric", "--points", "-1"],
+        ["fig3", "--xi", "0:0.5:1e-9"],
     ],
     ids=["grid-step", "grid-syntax", "grid-xi-one", "r-nan", "r-inf", "n-max-negative",
-         "cutoff-tol-zero", "seed-negative", "points-negative"],
+         "cutoff-tol-zero", "seed-negative", "points-negative", "grid-too-many-points"],
 )
 def test_invalid_input_exits_2(argv, capsys):
     assert run_cli(argv) == 2
@@ -162,6 +164,27 @@ def test_unknown_command_exits_2():
 def test_numeric_failure_exits_3(capsys):
     # a cutoff far too small for the requested acceleration
     assert run_cli(["fig1", "--r", "0.9", "--n-max", "4", "--xi", "0:0:1"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["fig1", "--r", "4", "--xi", "0.4:0.4:0"], "entangled_state needs"),
+        (["fig2", "--r", "10", "--xi", "0.4:0.4:0", "--samples", "10"], "shared-state terms needs"),
+        (["fig3", "--r", "4", "--xi", "0.4:0.4:0"], "effective_qubit needs"),
+        (["fig1", "--r", "20"], "tanh r rounds to 1"),
+    ],
+    ids=["fig1-state-over-budget", "fig2-terms-over-budget", "fig3-qubit-over-budget",
+         "tanh-rounds-to-one"],
+)
+def test_size_limit_exits_3(argv, reason, capsys):
+    # refused from n_max before any large array exists, so it ends at once
+    start = time.perf_counter()
+    assert run_cli(argv) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_io_failure_exits_4(tmp_path):

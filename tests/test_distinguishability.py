@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rqit.channel import FockCutoff, effective_qubit, minkowski_qubit
+from rqit.channel import FockCutoff, OrthogonalityParam, effective_qubit, minkowski_qubit
 from rqit.distinguishability import angle_sweep, bures_angle
 from rqit.linalg import DenseOperator
 
@@ -107,3 +107,13 @@ def test_channel_images_share_labels():
     assert bures_angle(plus_img, phi_img) == pytest.approx(
         bures_angle(phi_img, plus_img), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("r", [0.0, 0.6, 1.5])
+def test_real_storage_matches_complex(xi, r):
+    ox = OrthogonalityParam(xi)
+    pair = [effective_qubit(ox.bloch_plus(), r), effective_qubit(ox.bloch_phi(), r)]
+    assert all(op.entries.dtype == np.float64 for op in pair)
+    oracle = [DenseOperator(op.entries.astype(complex)) for op in pair]
+    assert bures_angle(*pair) == pytest.approx(bures_angle(*oracle), abs=1e-12)

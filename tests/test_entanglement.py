@@ -86,3 +86,12 @@ def test_doubling_stability_at_strong_acceleration():
     a = log_negativity(entangled_state(0.4, 0.85, cut))
     b = log_negativity(entangled_state(0.4, 0.85, cut.doubled()))
     assert abs(a - b) < 1e-8
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("r", [0.0, 0.6, 1.5])
+def test_real_storage_matches_complex(xi, r):
+    state = entangled_state(xi, r)
+    assert state.entries.dtype == np.float64
+    oracle = DenseOperator(state.entries.astype(complex), state.space_tag)
+    assert log_negativity(state) == pytest.approx(log_negativity(oracle), abs=1e-12)

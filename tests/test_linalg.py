@@ -40,6 +40,17 @@ def test_operator_validation():
         op.entries[0, 0] = 5  # stored read-only
 
 
+def test_operator_dtype_follows_input():
+    assert DenseOperator(np.eye(2, dtype=int)).entries.dtype == np.float64
+    assert DenseOperator(SX).entries.dtype == np.complex128
+    real_bell = DenseOperator(BELL.real, space_tag=(2, 2))
+    assert real_bell.entries.dtype == np.float64
+    for op in (partial_transpose(real_bell, 0), matrix_sqrt(real_bell), tensor(real_bell, real_bell)):
+        assert op.entries.dtype == np.float64
+    complex_bell = DenseOperator(BELL, space_tag=(2, 2))
+    assert trace_norm(partial_transpose(real_bell, 0)) == trace_norm(partial_transpose(complex_bell, 0))
+
+
 def test_tensor_identity():
     i2 = DenseOperator(np.eye(2))
     out = tensor(i2, i2)
