@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBlochError, SizeError, TruncationError
+from .errors import InvalidBlochError, RQITError, SizeError, TruncationError
 from .linalg import DenseOperator, check_budget
 
 DEFAULT_TRUNCATION_TOL = 1e-12
 SMALL_R_LIMIT = 0.3
+# Up to here cosh^4 r, the highest power of cosh r taken, and its reciprocal are normal doubles.
+MAX_R = 170.0
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,11 @@ class AccelerationParam:
 
     @property
     def C(self) -> float:
+        """cosh r; raises RQITError for r above MAX_R."""
+        if self.r > MAX_R:
+            raise RQITError(
+                f"r = {self.r:g} exceeds {MAX_R:g}, above which cosh^4 r leaves the double range"
+            )
         return math.cosh(self.r)
 
     @property
@@ -149,10 +156,9 @@ class FockCutoff:
             return cls(16, tol)
         if a.T == 1.0:
             raise SizeError(f"tanh r rounds to 1 at r = {a.r}: no finite Fock cutoff reaches tol {tol:.1e}")
-        t2 = a.T**2
 
         def tail(m: int) -> float:
-            return t2 ** (m + 1) * ((m + 2) - (m + 1) * t2)
+            return _tail_weights(a, m)[1]
 
         lo = max(16, math.ceil(math.log(tol) / (2.0 * math.log(a.T))))
         if tail(lo) <= tol:
@@ -181,33 +187,50 @@ def _as_cutoff(cutoff, r) -> FockCutoff:
     return FockCutoff(int(cutoff))
 
 
+def _tail_weights(a: AccelerationParam, n_max: int) -> tuple[float, float]:
+    """Norm weights of the terms n > n_max of the vacuum and one-particle towers.
+
+    With t = tanh^2 r and 1 - t = 1/cosh^2 r, the geometric sums give
+
+        sum_{n > N} c_n^2 = t^(N+1),
+        sum_{n > N} d_n^2 = t^(N+1) [(N+2) - (N+1) t].
+
+    Evaluating the dropped terms directly keeps the deficits accurate at
+    any cutoff, where 1 - sum_{n <= N} would lose them to rounding once
+    n_max reaches about 1e5.  Both need tanh r only, so they are checked
+    before cosh r is evaluated.
+    """
+    t2 = a.T**2
+    head = t2 ** (n_max + 1)
+    return head, head * ((n_max + 2) - (n_max + 1) * t2)
+
+
 def unruh_vacuum_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
     """Coefficients c_n = tanh^n r / cosh r of |0>_M on |n>_I |n>_II.
 
-    Raises TruncationError when 1 - sum c_n^2 exceeds the cutoff tolerance.
+    Raises TruncationError when the norm of the dropped terms n > n_max,
+    1 - sum c_n^2, exceeds the cutoff tolerance.
     """
     a, cut = _as_accel(r), _as_cutoff(cutoff, r)
-    n = np.arange(cut.n_max + 1)
-    c = a.T**n / a.C
-    deficit = 1.0 - float(np.sum(c**2))
+    deficit = _tail_weights(a, cut.n_max)[0]
     if deficit > cut.tol:
         raise TruncationError(
             f"vacuum norm deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
         )
-    return c
+    n = np.arange(cut.n_max + 1)
+    return a.T**n / a.C
 
 
 def unruh_one_particle_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
     """Coefficients d_n = tanh^n r sqrt(n+1) / cosh^2 r of |1>_M on |n+1>_I |n>_II."""
     a, cut = _as_accel(r), _as_cutoff(cutoff, r)
-    n = np.arange(cut.n_max + 1)
-    d = a.T**n * np.sqrt(n + 1.0) / a.C**2
-    deficit = 1.0 - float(np.sum(d**2))
+    deficit = _tail_weights(a, cut.n_max)[1]
     if deficit > cut.tol:
         raise TruncationError(
             f"one-particle norm deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
         )
-    return d
+    n = np.arange(cut.n_max + 1)
+    return a.T**n * np.sqrt(n + 1.0) / a.C**2
 
 
 def _as_bloch(bloch) -> np.ndarray:
@@ -267,6 +290,11 @@ def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff)
     memory budget.
     """
     check_budget((4, cut.n_max + 1), float, "shared-state terms")
+    deficit = _shared_deficit(ox, a, cut.n_max)
+    if deficit > cut.tol:
+        raise TruncationError(
+            f"shared-state trace deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
+        )
     n = np.arange(cut.n_max + 1)
     s = np.sqrt(n + 1.0) / a.C
     amps = np.stack([
@@ -276,12 +304,20 @@ def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff)
         ox.eta(+1, +1) * s,
     ])
     weights = np.power(a.T, 2 * n) / (8.0 * a.C**2)
-    deficit = abs(1.0 - float(weights @ np.sum(amps**2, axis=0)))
-    if deficit > cut.tol:
-        raise TruncationError(
-            f"shared-state trace deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
-        )
     return amps, weights
+
+
+def _shared_deficit(ox: OrthogonalityParam, a: AccelerationParam, n_max: int) -> float:
+    """Trace sum_{n > n_max} w_n |v_n|^2 of the terms the cutoff drops.
+
+    |v_n|^2 = (eta_{+-}^2 + eta_{--}^2) + (eta_{-+}^2 + eta_{++}^2)(n+1)/cosh^2 r,
+    so the dropped trace is (1/8) of the two tails of ``_tail_weights``
+    weighted by those eta sums, which add up to 8.
+    """
+    vacuum, one = _tail_weights(a, n_max)
+    low = ox.eta(+1, -1) ** 2 + ox.eta(-1, -1) ** 2
+    high = ox.eta(-1, +1) ** 2 + ox.eta(+1, +1) ** 2
+    return (low * vacuum + high * one) / 8.0
 
 
 def _assemble_shared(amps: np.ndarray, weights: np.ndarray, nlev: int) -> np.ndarray:

@@ -5,8 +5,8 @@ configuration, a '# columns=...' line, then comma-separated numeric rows
 (12 significant digits, LF endings, UTF-8).  Re-running a fixed
 configuration reproduces identical bytes; Monte-Carlo commands are pinned
 by the seed.  The RQIT_THREADS environment variable caps internal fan-out
-over sweep points; results are assembled in grid order regardless of the
-schedule.
+over sweep points, at most one thread per CPU; results are assembled in
+grid order regardless of the schedule.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure
 (truncation/positivity/size/chart), 4 I/O failure.
@@ -103,9 +103,10 @@ def _grid_values(grid: tuple[float, float, float]) -> np.ndarray:
 
 
 def _thread_count() -> int:
+    """RQIT_THREADS, clamped to [1, os.cpu_count()]; 1 when unset or not an integer."""
     raw = os.environ.get("RQIT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), os.cpu_count() or 1)
     except ValueError:
         return 1
 

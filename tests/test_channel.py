@@ -8,7 +8,9 @@ from rqit.channel import (
     AccelerationParam,
     FockCutoff,
     OrthogonalityParam,
+    _shared_deficit,
     _shared_terms,
+    _tail_weights,
     effective_qubit,
     entangled_state,
     minkowski_qubit,
@@ -126,6 +128,22 @@ def test_insufficient_cutoff_raises():
         effective_qubit((0, 0, 1), 0.9, FockCutoff(8))
     with pytest.raises(TruncationError, match="shared-state trace deficit"):
         entangled_state(0.3, 0.9, FockCutoff(8))
+
+
+def test_truncation_deficits_match_direct_sums():
+    # closed-form weights of the dropped terms against 1 - (sum of the kept ones)
+    for r in (0.0, 0.3, 0.6, 0.85, 1.5):
+        a = AccelerationParam(r)
+        for n_max in (2, 8, FockCutoff.for_acceleration(r).n_max):
+            cut = FockCutoff(n_max, tol=0.999)
+            vacuum, one = _tail_weights(a, n_max)
+            assert abs(vacuum - (1.0 - np.sum(unruh_vacuum_amplitudes(r, cut) ** 2))) <= 1e-14
+            assert abs(one - (1.0 - np.sum(unruh_one_particle_amplitudes(r, cut) ** 2))) <= 1e-14
+            for xi in (0.0, 0.3, 0.9):
+                ox = OrthogonalityParam(xi)
+                amps, weights = _shared_terms(ox, a, cut)
+                direct = 1.0 - weights @ np.sum(amps**2, axis=0)
+                assert abs(_shared_deficit(ox, a, n_max) - direct) <= 1e-14
 
 
 def test_minkowski_qubit_cases():

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from rqit.cli import main
+from rqit.cli import _thread_count, main
 
 
 def run_cli(args):
@@ -62,12 +62,17 @@ def test_fig2_columns(tmp_path):
 
 
 def test_fig2_reaches_large_r(tmp_path):
-    out = tmp_path / "fig2.csv"
-    assert run_cli(["fig2", "--r", "3", "--xi", "0.4:0.4:0", "--samples", "2000", "-o", str(out)]) == 0
-    header, rows = read_csv(out)
-    assert header["n_max"] == "3136"
-    (xi, mc, se, exact), = rows
-    assert abs(mc - exact) <= 5 * se
+    # at r = 5 (n_max 171254) the trace deficit must not be lost to rounding
+    for r, n_max in (("3", 3136), ("5", 171_254)):
+        out, doubled = tmp_path / f"fig2-{r}.csv", tmp_path / f"fig2-{r}-doubled.csv"
+        args = ["fig2", "--r", r, "--xi", "0.4:0.4:0", "--samples", "2000"]
+        assert run_cli(args + ["-o", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header["n_max"] == str(n_max)
+        (xi, mc, se, exact), = rows
+        assert abs(mc - exact) <= 5 * se
+        assert run_cli(args + ["--n-max", str(2 * n_max), "-o", str(doubled)]) == 0
+        assert read_csv(doubled)[1][0][3] == exact
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -92,6 +97,16 @@ def test_thread_fanout_matches_serial(tmp_path):
     assert a.read_bytes().replace(str(a).encode(), b"") == b.read_bytes().replace(
         str(b).encode(), b""
     )
+
+
+def test_thread_count_is_capped(monkeypatch):
+    # only reads the setting: no thread is started at this value
+    monkeypatch.setenv("RQIT_THREADS", str(10**6))
+    assert _thread_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("RQIT_THREADS", "0")
+    assert _thread_count() == 1
+    monkeypatch.setenv("RQIT_THREADS", "many")
+    assert _thread_count() == 1
 
 
 def test_svg_emission(tmp_path):
@@ -161,9 +176,25 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
-def test_numeric_failure_exits_3(capsys):
-    # a cutoff far too small for the requested acceleration
-    assert run_cli(["fig1", "--r", "0.9", "--n-max", "4", "--xi", "0:0:1"]) == 3
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig1", "--r", "0.9", "--n-max", "4", "--xi", "0:0:1"],
+        ["fig1", "--r", "1000", "--n-max", "50", "--xi", "0:0:1"],
+        ["fig2", "--r", "1000", "--n-max", "50", "--xi", "0:0:1", "--samples", "10"],
+        ["fig3", "--r", "1000", "--n-max", "50", "--xi", "0:0:1"],
+        ["metric", "--r", "1000", "--points", "2"],
+        ["curvature", "--r", "400"],
+    ],
+    ids=["cutoff-too-small", "fig1-r-1000", "fig2-r-1000", "fig3-r-1000", "metric-r-1000",
+         "curvature-r-400"],
+)
+def test_numeric_failure_exits_3(argv, capsys):
+    # a cutoff far too small for the acceleration (at r = 1000 tanh r rounds to 1),
+    # or an r above channel.MAX_R
+    assert run_cli(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -173,12 +204,14 @@ def test_numeric_failure_exits_3(capsys):
         (["fig2", "--r", "10", "--xi", "0.4:0.4:0", "--samples", "10"], "shared-state terms needs"),
         (["fig3", "--r", "4", "--xi", "0.4:0.4:0"], "effective_qubit needs"),
         (["fig1", "--r", "20"], "tanh r rounds to 1"),
+        (["fig2", "--xi", "0.4:0.4:0", "--samples", "100000000"], "Monte-Carlo overlaps needs"),
     ],
     ids=["fig1-state-over-budget", "fig2-terms-over-budget", "fig3-qubit-over-budget",
-         "tanh-rounds-to-one"],
+         "tanh-rounds-to-one", "fig2-samples-over-budget"],
 )
 def test_size_limit_exits_3(argv, reason, capsys):
-    # refused from n_max before any large array exists, so it ends at once
+    # refused from n_max or the sample count before any large array exists,
+    # so it ends at once
     start = time.perf_counter()
     assert run_cli(argv) == 3
     assert time.perf_counter() - start < 5.0

@@ -8,6 +8,7 @@ from rqit.errors import TruncationError
 from rqit.teleportation import (
     SchmidtDecomposition,
     _channel_blocks,
+    _plus_overlaps,
     apply_protocol,
     average_fidelity_exact,
     average_fidelity_mc,
@@ -219,6 +220,40 @@ def test_haar_sampler_unitarity_and_counter_offsets():
     np.testing.assert_array_equal(us[40:], tail)
 
 
+def complex_temporary_haar(samples, seed, start=0):
+    """Reference sampler: Box-Muller as rad*cos + 1j*rad*sin, through complex temporaries."""
+    bit = np.random.Philox(key=seed)
+    if start:
+        bit.advance(2 * start)
+    u = np.random.Generator(bit).random((samples, 8))
+    rad = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    ang = 2.0 * np.pi * u[:, 1::2]
+    z = rad * np.cos(ang) + 1j * rad * np.sin(ang)
+    zm = z.reshape(samples, 2, 2)
+    c0, c1 = zm[:, :, 0], zm[:, :, 1]
+    q0 = c0 / np.linalg.norm(c0, axis=1)[:, None]
+    v = c1 - np.einsum("si,si->s", q0.conj(), c1)[:, None] * q0
+    q1 = v / np.linalg.norm(v, axis=1)[:, None]
+    return np.stack([q0, q1], axis=2)
+
+
+def test_haar_sampler_matches_complex_temporary_construction():
+    for seed, samples, start in ((5, 64, 0), (11, 8192, 40), (2**40 + 3, 1000, 123_457)):
+        np.testing.assert_array_equal(
+            haar_qubit_unitaries(samples, seed, start=start),
+            complex_temporary_haar(samples, seed, start=start),
+        )
+
+
+def test_overlaps_match_five_operand_einsum():
+    us = haar_qubit_unitaries(4096, seed=3)
+    psi = us @ (np.array([1, 1]) / SQRT2)
+    for xi, r in ((0.0, 0.0), (0.4, 0.6), (0.9, 0.85), (0.3, 1.5)):
+        e = _channel_blocks(xi, r, FockCutoff.for_acceleration(r))
+        want = np.einsum("si,sj,sk,sl,ijkl->s", psi, psi.conj(), psi.conj(), psi, e).real
+        np.testing.assert_allclose(_plus_overlaps(us, e.reshape(4, 4)), want, rtol=0, atol=1e-15)
+
+
 def test_mc_zero_variance_at_ideal_point():
     est = average_fidelity_mc(0.0, 0.0, samples=2000, seed=1)
     assert est.mean == pytest.approx(1.0, abs=1e-9)
@@ -226,13 +261,17 @@ def test_mc_zero_variance_at_ideal_point():
 
 
 def test_mc_deterministic_and_chunk_invariant():
-    a = average_fidelity_mc(0.4, 0.3, samples=5000, seed=9)
-    b = average_fidelity_mc(0.4, 0.3, samples=5000, seed=9)
-    c = average_fidelity_mc(0.4, 0.3, samples=5000, seed=9, chunk=137)
-    assert a.mean == b.mean == c.mean
-    assert a.std_error == b.std_error == c.std_error
-    d = average_fidelity_mc(0.4, 0.3, samples=5000, seed=10)
-    assert d.mean != a.mean
+    # 5000 samples fit in one default chunk; 20 000 span several chunks of 137
+    # and of the default 8192, and one of 65 536
+    for samples, chunks in ((5000, (137,)), (20_000, (137, 8_192, 65_536))):
+        a = average_fidelity_mc(0.4, 0.3, samples=samples, seed=9)
+        b = average_fidelity_mc(0.4, 0.3, samples=samples, seed=9)
+        assert a.mean == b.mean and a.std_error == b.std_error
+        for chunk in chunks:
+            c = average_fidelity_mc(0.4, 0.3, samples=samples, seed=9, chunk=chunk)
+            assert c.mean == a.mean and c.std_error == a.std_error
+        d = average_fidelity_mc(0.4, 0.3, samples=samples, seed=10)
+        assert d.mean != a.mean
 
 
 def test_mc_agrees_with_exact():
