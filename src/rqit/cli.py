@@ -4,9 +4,8 @@ Output format: '# key=value' header lines capturing the full run
 configuration, a '# columns=...' line, then comma-separated numeric rows
 (12 significant digits, LF endings, UTF-8).  Re-running a fixed
 configuration reproduces identical bytes; Monte-Carlo commands are pinned
-by the seed.  The RQIT_THREADS environment variable caps internal fan-out
-over sweep points, at most one thread per CPU; results are assembled in
-grid order regardless of the schedule.
+by the seed.  Each figure is one sweep call over its whole grid, with the
+Fock cutoff built once.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure
 (truncation/positivity/size/chart), 4 I/O failure.
@@ -16,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +25,7 @@ from .channel import FockCutoff, entangled_state
 from .distinguishability import angle_sweep
 from .entanglement import log_negativity, negativity_sweep
 from .errors import RQITError
-from .geometry import (
-    metric_cartesian,
-    numeric_metric,
-    scalar_curvature_numeric,
-    scalar_curvature_closed_form,
-)
+from .geometry import curvature_comparison, metric_cartesian, numeric_metric, scalar_curvature_numeric
 from .teleportation import average_fidelity_exact, average_fidelity_mc, run_protocol
 
 CURVATURE_GEOMETRY = "cartesian_pullback"
@@ -86,8 +78,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         raise UsageError(f"grid {text!r} has non-numeric parts") from exc
     if not 0 <= lo <= hi < 1:
         raise UsageError(f"grid must satisfy 0 <= min <= max < 1, got {text!r}")
-    if hi > lo and not step > 0:
-        raise UsageError(f"grid step must be positive, got {step}")
+    if hi > lo and not 0 < step < math.inf:
+        raise UsageError(f"grid step must be positive and finite, got {step}")
     if hi > lo and (hi - lo) / step + 1 > MAX_GRID_POINTS:
         raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return lo, hi, step
@@ -100,23 +92,6 @@ def _grid_values(grid: tuple[float, float, float]) -> np.ndarray:
     count = int(round((hi - lo) / step)) + 1
     vals = lo + step * np.arange(count)
     return vals[vals <= hi + 1e-12]
-
-
-def _thread_count() -> int:
-    """RQIT_THREADS, clamped to [1, os.cpu_count()]; 1 when unset or not an integer."""
-    raw = os.environ.get("RQIT_THREADS", "1")
-    try:
-        return min(max(1, int(raw)), os.cpu_count() or 1)
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_csv(path: str, config: RunConfig, columns, rows) -> None:
@@ -170,19 +145,17 @@ def _cutoff(args) -> FockCutoff:
     return FockCutoff.for_acceleration(args.r, args.cutoff_tol)
 
 
-def _cmd_fig1(args) -> int:
+def _cmd_sweep(args, sweep, column: str) -> int:
+    """fig1 and fig3: one call of ``sweep`` over the whole grid, one CSV column."""
     grid = _parse_grid(args.xi)
     xis = _grid_values(grid)
     cut = _cutoff(args)
-    config = RunConfig("fig1", args.r, grid, args.cutoff_tol, 0, 0, args.output,
+    config = RunConfig(args.command, args.r, grid, args.cutoff_tol, 0, 0, args.output,
                        {"n_max": cut.n_max})
-    results = _map_ordered(
-        lambda xi: negativity_sweep(args.r, [xi], cut)[0].log_negativity, list(xis)
-    )
-    rows = [(xi, en) for xi, en in zip(xis, results)]
-    _write_csv(args.output, config, ["xi", "log_negativity"], rows)
+    values = [getattr(p, column) for p in sweep(args.r, xis, cut)]
+    _write_csv(args.output, config, ["xi", column], zip(xis, values))
     if args.svg:
-        _write_svg(args.svg, xis, results, "xi", "log_negativity")
+        _write_svg(args.svg, xis, values, "xi", column)
     return 0
 
 
@@ -193,32 +166,14 @@ def _cmd_fig2(args) -> int:
     config = RunConfig("fig2", args.r, grid, args.cutoff_tol, args.samples, args.seed,
                        args.output, {"n_max": cut.n_max})
 
-    def point(item):
-        i, xi = item
+    rows = []
+    for i, xi in enumerate(xis):
         sub = int(np.random.SeedSequence((args.seed, i)).generate_state(1, dtype=np.uint64)[0])
         est = average_fidelity_mc(xi, args.r, cut, samples=args.samples, seed=sub)
-        exact = average_fidelity_exact(xi, args.r, cut)
-        return est.mean, est.std_error, exact
-
-    results = _map_ordered(point, list(enumerate(xis)))
-    rows = [(xi, m, se, ex) for xi, (m, se, ex) in zip(xis, results)]
+        rows.append((xi, est.mean, est.std_error, average_fidelity_exact(xi, args.r, cut)))
     _write_csv(args.output, config, ["xi", "fidelity_mc", "std_err", "fidelity_exact"], rows)
     if args.svg:
         _write_svg(args.svg, xis, [r[1] for r in rows], "xi", "fidelity")
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    grid = _parse_grid(args.xi)
-    xis = _grid_values(grid)
-    cut = _cutoff(args)
-    config = RunConfig("fig3", args.r, grid, args.cutoff_tol, 0, 0, args.output,
-                       {"n_max": cut.n_max})
-    results = _map_ordered(lambda xi: angle_sweep(args.r, [xi], cut)[0].theta, list(xis))
-    rows = [(xi, th) for xi, th in zip(xis, results)]
-    _write_csv(args.output, config, ["xi", "theta"], rows)
-    if args.svg:
-        _write_svg(args.svg, xis, results, "xi", "theta")
     return 0
 
 
@@ -258,18 +213,8 @@ def _cmd_curvature(args) -> int:
     xi_vals = np.linspace(0.2, 0.8, args.grid)
     th_vals = np.linspace(0.4, math.pi - 0.4, args.grid)
     points = [(xi, th) for xi in xi_vals for th in th_vals]
-
-    def point(p):
-        xi, th = p
-        numeric = scalar_curvature_numeric(xi, th, args.r)
-        closed = scalar_curvature_closed_form(xi, th, args.r)
-        return numeric, closed
-
-    results = _map_ordered(point, points)
-    rows = [
-        (xi, th, num, closed, num - closed)
-        for (xi, th), (num, closed) in zip(points, results)
-    ]
+    rows = [(*c.point, c.numeric_R, c.closed_form_R, c.discrepancy)
+            for c in curvature_comparison(points, args.r)]
     _write_csv(args.output, config, ["xi_c", "theta", "numeric_R", "closed_form_R", "discrepancy"], rows)
     return 0
 
@@ -328,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("fig1", help="log-negativity sweep over xi (columns: xi,log_negativity)")
     common(p1, 0.6)
-    p1.set_defaults(func=_cmd_fig1)
+    p1.set_defaults(func=lambda args: _cmd_sweep(args, negativity_sweep, "log_negativity"))
 
     p2 = sub.add_parser(
         "fig2", help="average teleportation fidelity over xi (columns: xi,fidelity_mc,std_err,fidelity_exact)"
@@ -340,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p3 = sub.add_parser("fig3", help="Bures-angle sweep over xi (columns: xi,theta)")
     common(p3, 0.85)
-    p3.set_defaults(func=_cmd_fig3)
+    p3.set_defaults(func=lambda args: _cmd_sweep(args, angle_sweep, "theta"))
 
     pm = sub.add_parser(
         "metric", help="closed-form vs numeric metric at random interior points"

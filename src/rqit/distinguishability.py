@@ -14,9 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import FockCutoff, OrthogonalityParam, _as_accel, _as_cutoff, _as_xi, effective_qubit
+from .channel import (FockCutoff, OrthogonalityParam, _as_accel, _as_cutoff, _as_xi,
+                      unruh_one_particle_amplitudes, unruh_vacuum_amplitudes)
+from .errors import TruncationError
 from .geometry import root_fidelity
-from .linalg import DenseOperator
+from .linalg import DenseOperator, check_budget
 
 _TRACE_ATOL = 1e-6
 
@@ -46,14 +48,40 @@ def bures_angle(rho1: DenseOperator, rho2: DenseOperator) -> float:
 def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -> list[AngleResult]:
     """theta(xi) between the accelerated images of |+> and |phi>.
 
-    Both states pass through the identical wedge-I channel; the labels on
-    the two arguments carry no asymmetry.
+    The wedge-I image of a real pure input a|0> + b|1> is A A^T, where column
+    n of A is a c_n e_n + b d_n e_{n+1}, and the root fidelity of two such
+    images is ||A_+^T A_phi||_1 (Jozsa, J. Mod. Opt. 41, 2315 (1994)).  With
+    (a1, b1) = |+> and (a2, b2) = |phi>, M = A_+^T A_phi is tridiagonal:
+
+        M[n, n] = a1 a2 c_n^2 + b1 b2 d_n^2,
+        M[n+1, n] = a1 b2 c_{n+1} d_n,   M[n, n+1] = b1 a2 d_n c_{n+1},
+
+    so a point costs one real SVD of size n_max + 1 and no square root.
+    ``bures_angle`` of the two ``effective_qubit`` images is the dense route
+    to the same angle, with the same checks: truncation, memory budget and
+    unit trace (Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2).
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
-    plus_img = effective_qubit(OrthogonalityParam(0.0).bloch_plus(), a, cut)
+    size = cut.n_max + 1
+    check_budget((size, size), float, "angle_sweep overlap matrix")
+    c = unruh_vacuum_amplitudes(a, cut)
+    d = unruh_one_particle_amplitudes(a, cut)
+    cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
+    vacuum, one = float(np.sum(cc)), float(np.sum(dd))
+    a1, b1 = OrthogonalityParam(0.0).plus_state().real
+    m = np.zeros((size, size))
+    diag, upper, lower = (m.reshape(-1)[k::size + 1] for k in (0, 1, size))
     out = []
     for xi in xi_grid:
-        phi_img = effective_qubit(_as_xi(xi).bloch_phi(), a, cut)
-        out.append(AngleResult(float(xi), a.r, bures_angle(plus_img, phi_img)))
+        a2, b2 = _as_xi(xi).phi_state().real
+        for u, v in ((a1, b1), (a2, b2)):
+            tr = u * u * vacuum + v * v * one
+            if abs(tr - 1.0) > _TRACE_ATOL:
+                raise TruncationError(f"channel image trace {tr:.12g} misses 1 by more than {_TRACE_ATOL:.0e}")
+        diag[:] = a1 * a2 * cc + b1 * b2 * dd
+        lower[:] = a1 * b2 * cd
+        upper[:] = b1 * a2 * cd
+        root_fid = float(np.sum(np.linalg.svd(m, compute_uv=False)))
+        out.append(AngleResult(float(xi), a.r, math.acos(float(np.clip(root_fid, 0.0, 1.0)))))
     return out

@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel import _as_accel, small_r_qubit
 from .errors import BoundaryError, ChartError
-from .linalg import DenseOperator, matrix_sqrt
+from .linalg import DenseOperator, matrix_sqrt, psd_sqrt_stack
 
 BOUNDARY_MARGIN = 1e-9
 CHART_MARGIN = 1e-6
@@ -184,7 +184,7 @@ def metric_polar_pullback(xi_c: float, theta: float, r, phi: float = 0.0) -> Met
     return MetricValue(q, "polar", jac.T @ cart.tensor @ jac)
 
 
-_DIRECTIONS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
+_DIRECTIONS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
 
 
 def numeric_metric(bloch, r, step: float = 1e-3, refine: bool = True) -> MetricValue:
@@ -193,33 +193,31 @@ def numeric_metric(bloch, r, step: float = 1e-3, refine: bool = True) -> MetricV
     Central second differences of D along the three axes and three diagonal
     displacement directions determine the symmetric form of ds^2 = D/2
     exactly; one Richardson pass (``refine``) removes the O(step^2)
-    truncation term.
+    truncation term.  D is ``generalized_bures_distance`` with sqrt(base)
+    taken once; the 12 displaced states of a step share one stacked square
+    root, product and SVD, each rounded exactly as in a call of its own.
     """
     n = np.asarray(bloch, dtype=float)
     if float(n @ n) >= 0.95:
         raise BoundaryError("numeric differencing unstable near the pure-state boundary")
     a = _as_accel(r)
+    base = small_r_qubit(n, a)
+    root, tr_base = matrix_sqrt(base).entries, base.trace().real
 
-    def quad_coeffs(eps: float) -> dict:
-        base = small_r_qubit(n, a)
-        out = {}
-        for d in _DIRECTIONS:
-            v = np.zeros(3)
-            v[list(d)] = 1.0
-            dp = generalized_bures_distance(base, small_r_qubit(n + eps * v, a))
-            dm = generalized_bures_distance(base, small_r_qubit(n - eps * v, a))
-            out[d] = 0.25 * (dp + dm) / eps**2
-        return out
+    def quad_coeffs(eps: float) -> np.ndarray:
+        states = np.stack([small_r_qubit(n + s * (eps * v), a).entries
+                           for v in _DIRECTIONS for s in (1.0, -1.0)])
+        root_fid = np.sum(np.linalg.svd(root @ psd_sqrt_stack(states), compute_uv=False), axis=-1)
+        fid = np.array([f**2 for f in root_fid.tolist()])  # float pow, rounded as ``fidelity`` rounds
+        dist = 2.0 * (tr_base * np.trace(states, axis1=1, axis2=2).real - fid)
+        return 0.25 * (dist[0::2] + dist[1::2]) / eps**2
 
-    q1 = quad_coeffs(step)
+    q = quad_coeffs(step)
     if refine:
-        q2 = quad_coeffs(step / 2.0)
-        q1 = {k: (4.0 * q2[k] - q1[k]) / 3.0 for k in q1}
-    g = np.zeros((3, 3))
-    for i in range(3):
-        g[i, i] = q1[(i,)]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        g[i, j] = g[j, i] = (q1[(i, j)] - q1[(i,)] - q1[(j,)]) / 2.0
+        q = (4.0 * quad_coeffs(step / 2.0) - q) / 3.0
+    g = np.diag(q[:3])
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        g[i, j] = g[j, i] = (q[3 + k] - q[i] - q[j]) / 2.0
     return MetricValue(n, "bloch", g)
 
 

@@ -87,14 +87,15 @@ class DenseOperator:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def _require_hermitian(op: DenseOperator, what: str) -> np.ndarray:
-    if not op.is_hermitian():
-        dev = np.max(np.abs(op.entries - op.entries.conj().T))
+def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """Hermitian part of a matrix or a stack (..., d, d), checked to HERMITIAN_ATOL."""
+    dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+    if not dev <= HERMITIAN_ATOL:
         raise ValueError(f"{what} requires a Hermitian operator (max deviation {dev:.3e})")
-    return _hermitian_part(op.entries)
+    return _hermitian_part(m)
 
 
 def tensor(a: DenseOperator, b: DenseOperator, entry_cap: int = DEFAULT_ENTRY_CAP) -> DenseOperator:
@@ -136,25 +137,38 @@ def partial_transpose(op: DenseOperator, factor_index: int) -> DenseOperator:
 
 def eigh(op: DenseOperator):
     """Eigendecomposition of a Hermitian operator: (eigenvalues, eigenvectors)."""
-    return np.linalg.eigh(_require_hermitian(op, "eigh"))
+    return np.linalg.eigh(_require_hermitian(op.entries, "eigh"))
 
 
-def matrix_sqrt(op: DenseOperator) -> DenseOperator:
-    """Hermitian PSD square root.
+def _root_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """PSD square root(s) from Hermitian eigendata, stacked or not.
 
     Eigenvalues in [PSD_CLAMP, 0) are clamped to zero so that truncation
     noise from the Fock cutoff never aborts a run; anything below the clamp
     raises NotPSDError.
     """
-    w, v = eigh(op)
-    if w[0] < PSD_CLAMP:
-        raise NotPSDError(f"smallest eigenvalue {w[0]:.3e} below clamp {PSD_CLAMP:.1e}")
+    low = float(np.min(w[..., 0]))
+    if low < PSD_CLAMP:
+        raise NotPSDError(f"smallest eigenvalue {low:.3e} below clamp {PSD_CLAMP:.1e}")
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return DenseOperator(_hermitian_part(root), op.space_tag)
+    return _hermitian_part((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def matrix_sqrt(op: DenseOperator) -> DenseOperator:
+    """Hermitian PSD square root; eigenvalues are clamped as in ``_root_from_eigh``."""
+    return DenseOperator(_root_from_eigh(*eigh(op)), op.space_tag)
+
+
+def psd_sqrt_stack(m: np.ndarray) -> np.ndarray:
+    """``matrix_sqrt`` of each matrix in a stack (k, d, d), in one eigensolve.
+
+    The Hermitian and PSD checks cover the whole stack, and every root is
+    rounded exactly as ``matrix_sqrt`` rounds it alone.
+    """
+    return _root_from_eigh(*np.linalg.eigh(_require_hermitian(m, "psd_sqrt_stack")))
 
 
 def trace_norm(op: DenseOperator) -> float:
     """Sum of absolute eigenvalues (Hermitian input only)."""
-    w = np.linalg.eigvalsh(_require_hermitian(op, "trace_norm"))
+    w = np.linalg.eigvalsh(_require_hermitian(op.entries, "trace_norm"))
     return float(np.sum(np.abs(w)))

@@ -22,8 +22,8 @@ Both averages read the receiver's output on Fock levels {0, 1} only.  Each
 receiver operation is B (+) 1, so that block depends only on the levels
 {0, 1} block of the shared state, to which only the terms |v_0> and |v_1>
 contribute.  The averages therefore contract a 4x4 block instead of the
-full state, and their cost does not grow with the cutoff beyond the
-O(n_max) truncation check on the shared state.
+full state, and neither their cost nor their memory grows with the cutoff:
+the truncation check on the shared state is a closed form.
 """
 
 from __future__ import annotations
@@ -208,10 +208,11 @@ def _channel_blocks(xi, r, cutoff: FockCutoff) -> np.ndarray:
     operations act as the identity above them, so the protocol is applied
     to the levels {0, 1} block of the shared state alone.  That block is
     assembled from |v_0> and |v_1> on levels 0..2 and cut to levels {0, 1};
-    the truncation check still covers every term up to the cutoff.
+    only those two terms are built, and the closed-form truncation check
+    still covers every term up to the cutoff.
     """
-    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff)
-    low = _assemble_shared(amps[:, :2], weights[:2], 3).reshape(2, 3, 2, 3)[:, :2, :, :2]
+    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff, count=2)
+    low = _assemble_shared(amps, weights, 3).reshape(2, 3, 2, 3)[:, :2, :, :2]
     shared = DenseOperator(low.reshape(4, 4), (2, 2))
     kit = _protocol_kit(schmidt_decompose(xi), 2)
     blocks = np.zeros((2, 2, 2, 2), dtype=complex)

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import math
-import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rqit.cli import _thread_count, main
+from rqit.cli import main
 
 
 def run_cli(args):
@@ -62,8 +65,9 @@ def test_fig2_columns(tmp_path):
 
 
 def test_fig2_reaches_large_r(tmp_path):
-    # at r = 5 (n_max 171254) the trace deficit must not be lost to rounding
-    for r, n_max in (("3", 3136), ("5", 171_254)):
+    # at r = 5 (n_max 171254) the trace deficit must not be lost to rounding;
+    # at r = 10 (n_max above 3e9) nothing may be allocated per level
+    for r, n_max in (("3", 3136), ("5", 171_254), ("10", 3_772_143_972)):
         out, doubled = tmp_path / f"fig2-{r}.csv", tmp_path / f"fig2-{r}-doubled.csv"
         args = ["fig2", "--r", r, "--xi", "0.4:0.4:0", "--samples", "2000"]
         assert run_cli(args + ["-o", str(out)]) == 0
@@ -83,30 +87,6 @@ def test_reruns_are_byte_identical(tmp_path):
     assert a.read_bytes().replace(str(a).encode(), b"") == b.read_bytes().replace(
         str(b).encode(), b""
     )
-
-
-def test_thread_fanout_matches_serial(tmp_path):
-    a, b = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    args = ["fig1", "--r", "0.5", "--xi", "0:0.3:0.05"]
-    assert run_cli(args + ["-o", str(a)]) == 0
-    os.environ["RQIT_THREADS"] = "4"
-    try:
-        assert run_cli(args + ["-o", str(b)]) == 0
-    finally:
-        del os.environ["RQIT_THREADS"]
-    assert a.read_bytes().replace(str(a).encode(), b"") == b.read_bytes().replace(
-        str(b).encode(), b""
-    )
-
-
-def test_thread_count_is_capped(monkeypatch):
-    # only reads the setting: no thread is started at this value
-    monkeypatch.setenv("RQIT_THREADS", str(10**6))
-    assert _thread_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("RQIT_THREADS", "0")
-    assert _thread_count() == 1
-    monkeypatch.setenv("RQIT_THREADS", "many")
-    assert _thread_count() == 1
 
 
 def test_svg_emission(tmp_path):
@@ -151,6 +131,7 @@ def test_validate_command(tmp_path, capsys):
     "argv",
     [
         ["fig1", "--xi", "0:0.5:-0.1"],
+        ["fig1", "--xi", "0:0.9:inf", "--svg", "never-written.svg"],
         ["fig1", "--xi", "nonsense"],
         ["fig1", "--xi", "0:1:0.5"],
         ["fig1", "--r", "nan"],
@@ -161,7 +142,7 @@ def test_validate_command(tmp_path, capsys):
         ["metric", "--points", "-1"],
         ["fig3", "--xi", "0:0.5:1e-9"],
     ],
-    ids=["grid-step", "grid-syntax", "grid-xi-one", "r-nan", "r-inf", "n-max-negative",
+    ids=["grid-step", "grid-step-inf", "grid-syntax", "grid-xi-one", "r-nan", "r-inf", "n-max-negative",
          "cutoff-tol-zero", "seed-negative", "points-negative", "grid-too-many-points"],
 )
 def test_invalid_input_exits_2(argv, capsys):
@@ -185,9 +166,10 @@ def test_unknown_command_exits_2():
         ["fig3", "--r", "1000", "--n-max", "50", "--xi", "0:0:1"],
         ["metric", "--r", "1000", "--points", "2"],
         ["curvature", "--r", "400"],
+        ["fig3", "--r", "0.85", "--n-max", "3", "--cutoff-tol", "0.9", "--xi", "0.3:0.3:0"],
     ],
     ids=["cutoff-too-small", "fig1-r-1000", "fig2-r-1000", "fig3-r-1000", "metric-r-1000",
-         "curvature-r-400"],
+         "curvature-r-400", "fig3-image-trace"],
 )
 def test_numeric_failure_exits_3(argv, capsys):
     # a cutoff far too small for the acceleration (at r = 1000 tanh r rounds to 1),
@@ -201,12 +183,11 @@ def test_numeric_failure_exits_3(argv, capsys):
     "argv, reason",
     [
         (["fig1", "--r", "4", "--xi", "0.4:0.4:0"], "entangled_state needs"),
-        (["fig2", "--r", "10", "--xi", "0.4:0.4:0", "--samples", "10"], "shared-state terms needs"),
-        (["fig3", "--r", "4", "--xi", "0.4:0.4:0"], "effective_qubit needs"),
+        (["fig3", "--r", "4", "--xi", "0.4:0.4:0"], "angle_sweep overlap matrix needs"),
         (["fig1", "--r", "20"], "tanh r rounds to 1"),
         (["fig2", "--xi", "0.4:0.4:0", "--samples", "100000000"], "Monte-Carlo overlaps needs"),
     ],
-    ids=["fig1-state-over-budget", "fig2-terms-over-budget", "fig3-qubit-over-budget",
+    ids=["fig1-state-over-budget", "fig3-qubit-over-budget",
          "tanh-rounds-to-one", "fig2-samples-over-budget"],
 )
 def test_size_limit_exits_3(argv, reason, capsys):
@@ -233,3 +214,68 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "columns=xi,theta" in proc.stdout
+
+
+
+
+_BAD = st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", "", "0x10", "1,5"])
+_NEGATIVE = st.floats(max_value=0, exclude_max=True).map(repr)
+# name: (values the command accepts, values it must reject).  The accepted ones
+# are cheap: r <= 1.5 and cutoff-tol >= 1e-14 keep n_max near 200 at most, and
+# no grid, sample count or table is large.
+_OPTIONS = {
+    "--r": (st.floats(0, 1.5).map(repr), st.one_of(_NEGATIVE, _BAD)),
+    "--xi": (
+        st.one_of(
+            st.builds(lambda lo, span, n: f"{lo!r}:{lo + span!r}:{max(span, 1e-3) / n!r}",
+                      st.floats(0, 0.9), st.floats(0, 0.09), st.integers(1, 20)),
+            st.sampled_from(["0:0:1", "0.5:0.5:0", "0:0.9:1e300"]),
+        ),
+        st.sampled_from(["0:1:0.5", "0.5:0.1:0.1", "nan:0.5:0.1", "0:0.5:nan", "0:0.9:1e-300", "0:0.9:inf",
+                         "1:1:0", "a:b:c", "0:0.5", "-0.1:0.2:0.1", "0:0.5:-0.1"]),
+    ),
+    "--cutoff-tol": (st.floats(1e-14, 1, exclude_max=True).map(repr),
+                     st.one_of(st.floats(min_value=1).map(repr), _NEGATIVE, _BAD)),
+    "--n-max": (st.integers(0, 200).map(str), st.one_of(st.integers(max_value=-1).map(str), _BAD)),
+    "--samples": (st.integers(1, 2000).map(str), st.one_of(st.integers(max_value=0).map(str), _BAD)),
+    "--seed": (st.integers(0, 2**70).map(str), st.one_of(st.integers(max_value=-1).map(str), _BAD)),
+    "--points": (st.integers(1, 20).map(str), st.one_of(st.integers(max_value=0).map(str), _BAD)),
+    "--max-norm": (st.floats(0, 0.9, exclude_min=True).map(repr),
+                   st.one_of(st.floats(0.9, exclude_min=True).map(repr), _NEGATIVE, _BAD)),
+    "--grid": (st.integers(2, 4).map(str), st.one_of(st.integers(max_value=1).map(str), _BAD)),
+}
+# (always passed, sometimes passed): the sweeps always get a small grid, fig2 a small sample count
+_COMMAND_OPTIONS = {
+    "fig1": (["--xi"], ["--r", "--cutoff-tol", "--n-max"]),
+    "fig2": (["--xi", "--samples"], ["--r", "--cutoff-tol", "--n-max", "--seed"]),
+    "fig3": (["--xi"], ["--r", "--cutoff-tol", "--n-max"]),
+    "metric": ([], ["--r", "--points", "--seed", "--max-norm", "--cutoff-tol"]),
+    "curvature": (["--grid"], ["--r", "--cutoff-tol"]),
+    "validate": ([], ["--cutoff-tol"]),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command with accepted option values, in half the cases one of them replaced by a
+    rejected one."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    always, sometimes = _COMMAND_OPTIONS[command]
+    names = always + draw(st.lists(st.sampled_from(sometimes), unique=True))
+    spoiled = draw(st.one_of(st.none(), st.sampled_from(names))) if names else None
+    return [command, "-o", "-"] + [
+        f"{name}={draw(_OPTIONS[name][name == spoiled])}" for name in names
+    ]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_cli_argv_fuzz_exits_with_documented_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed value itself
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -5,6 +5,7 @@ import pytest
 
 from rqit.channel import FockCutoff, OrthogonalityParam, effective_qubit, minkowski_qubit
 from rqit.distinguishability import angle_sweep, bures_angle
+from rqit.errors import SizeError, TruncationError
 from rqit.linalg import DenseOperator
 
 
@@ -117,3 +118,30 @@ def test_real_storage_matches_complex(xi, r):
     assert all(op.entries.dtype == np.float64 for op in pair)
     oracle = [DenseOperator(op.entries.astype(complex)) for op in pair]
     assert bures_angle(*pair) == pytest.approx(bures_angle(*oracle), abs=1e-12)
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["default-cutoff", "doubled-cutoff"])
+@pytest.mark.parametrize("r", [0.0, 0.6, 1.5])
+def test_factor_form_sweep_matches_dense_oracle(r, doubled):
+    # ||A_+^T A_phi||_1 against the Bures angle of the two dense channel images
+    cut = FockCutoff.for_acceleration(r)
+    cut = cut.doubled() if doubled else cut
+    xis = [0.0, 0.3, 0.9]
+    swept = angle_sweep(r, xis, cut)
+    for xi, res in zip(xis, swept):
+        ox = OrthogonalityParam(xi)
+        dense = bures_angle(effective_qubit(ox.bloch_plus(), r, cut),
+                            effective_qubit(ox.bloch_phi(), r, cut))
+        assert res.xi == xi and res.r == r
+        assert abs(res.theta - dense) <= 1e-12
+
+
+def test_sweep_checks_before_building():
+    # an overlap matrix of (10**6)^2 entries is refused before allocation
+    with pytest.raises(SizeError, match="angle_sweep overlap matrix"):
+        angle_sweep(0.6, [0.3], FockCutoff(10**6))
+    with pytest.raises(TruncationError, match="vacuum norm deficit"):
+        angle_sweep(0.85, [0.3], FockCutoff(4))
+    # the truncation checks pass at tol 0.9, but the images miss unit trace
+    with pytest.raises(TruncationError, match="channel image trace"):
+        angle_sweep(0.85, [0.3], FockCutoff(3, tol=0.9))

@@ -301,6 +301,44 @@ def test_numeric_metric_no_linear_residue():
         assert abs(dp - dm) / (2 * eps) < 1e-6
 
 
+def per_direction_numeric_metric(bloch, r, step=1e-3):
+    """The metric by one generalized_bures_distance call per displaced state."""
+    n = np.asarray(bloch, dtype=float)
+    directions = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
+
+    def quad_coeffs(eps):
+        base = small_r_qubit(n, r)
+        out = {}
+        for d in directions:
+            v = np.zeros(3)
+            v[list(d)] = 1.0
+            dp = generalized_bures_distance(base, small_r_qubit(n + eps * v, r))
+            dm = generalized_bures_distance(base, small_r_qubit(n - eps * v, r))
+            out[d] = 0.25 * (dp + dm) / eps**2
+        return out
+
+    q1, q2 = quad_coeffs(step), quad_coeffs(step / 2.0)
+    q1 = {k: (4.0 * q2[k] - q1[k]) / 3.0 for k in q1}
+    g = np.zeros((3, 3))
+    for i in range(3):
+        g[i, i] = q1[(i,)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        g[i, j] = g[j, i] = (q1[(i, j)] - q1[(i,)] - q1[(j,)]) / 2.0
+    return g
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05])
+def test_stacked_numeric_metric_is_bit_identical_to_per_direction_loop(r):
+    rng = np.random.default_rng(15)
+    points = [rng.normal(size=3) for _ in range(8)]
+    points = [n / np.linalg.norm(n) * rng.uniform(0, 0.9) for n in points]
+    # at r = 0.05 one fidelity here squares to different doubles by x * x and
+    # by the float power that ``fidelity`` takes
+    points.append(np.array([-0.38927689923449615, 0.27507056719810213, -0.5920622601117628]))
+    for n in points:
+        assert np.array_equal(numeric_metric(n, r).tensor, per_direction_numeric_metric(n, r))
+
+
 def test_numeric_metric_boundary_guard():
     with pytest.raises(BoundaryError):
         numeric_metric((0.99, 0, 0), 0.05)

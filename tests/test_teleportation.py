@@ -318,6 +318,15 @@ def test_exact_fidelity_reaches_large_r():
     assert abs(f - average_fidelity_exact(0.4, 3.0, cut.doubled())) <= 1e-12
 
 
+def test_channel_blocks_build_only_levels_zero_and_one():
+    # 10**12 terms would need 32 TB; only |v_0> and |v_1> are built, and the
+    # closed-form truncation check still runs at that cutoff
+    huge = FockCutoff(10**12)
+    assert np.array_equal(_channel_blocks(0.4, 0.6, huge), _channel_blocks(0.4, 0.6, FockCutoff(24)))
+    with pytest.raises(TruncationError, match="shared-state trace deficit"):
+        _channel_blocks(0.4, 10.0, FockCutoff(10**9))
+
+
 def test_exact_gauge_invariance():
     # rephasing |phi_i> -> e^{ia_i}|phi_i>, |theta_i> -> e^{-ia_i}|theta_i>
     # leaves the decomposed state, hence the protocol average, unchanged
