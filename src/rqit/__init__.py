@@ -24,6 +24,7 @@ from .errors import (
     ChartError,
     InvalidBlochError,
     NotPSDError,
+    NumericError,
     RQITError,
     SizeError,
     TruncationError,

@@ -142,14 +142,15 @@ class FockCutoff:
     def for_acceleration(cls, r, tol: float = DEFAULT_TRUNCATION_TOL) -> "FockCutoff":
         """Smallest cutoff whose truncation tails stay below ``tol``.
 
-        Starts from max(16, ceil(ln tol / (2 ln tanh r))), which bounds the
-        geometric vacuum tail tanh^{2(n+1)} r exactly, then finds the
-        smallest n_max at which the (n+1)-weighted one-particle tail
-        tanh^{2(n+1)} r [(n+2) - (n+1) tanh^2 r] also drops below ``tol``.
-        That tail decreases strictly in n, so doubling and bisection find
-        the level in O(log n_max) steps.  At r = 0 the series terminates and
-        the floor of 16 applies; where tanh r rounds to 1 no finite cutoff
-        exists and SizeError is raised.
+        Starts from max(16, ceil(ln tol / ln t)), t = tanh^2 r, which bounds
+        the geometric vacuum tail t^(n+1) exactly, then finds the smallest
+        n_max at which the (n+1)-weighted one-particle tail
+        t^(n+1) [1 + (n+1)(1 - t)] also drops below ``tol``.  That tail
+        decreases strictly in n, so doubling and bisection find the level in
+        O(log n_max) steps.  Both tails and ln t are evaluated as in
+        ``_tail_weights``, from 1 - t = 1/cosh^2 r.  At r = 0 the series
+        terminates and the floor of 16 applies; where tanh r rounds to 1 no
+        finite cutoff exists and SizeError is raised.
         """
         a = _as_accel(r)
         if a.T == 0.0:
@@ -160,7 +161,7 @@ class FockCutoff:
         def tail(m: int) -> float:
             return _tail_weights(a, m)[1]
 
-        lo = max(16, math.ceil(math.log(tol) / (2.0 * math.log(a.T))))
+        lo = max(16, math.ceil(math.log(tol) / _log_t(a)))
         if tail(lo) <= tol:
             return cls(lo, tol)
         step = 1
@@ -187,22 +188,33 @@ def _as_cutoff(cutoff, r) -> FockCutoff:
     return FockCutoff(int(cutoff))
 
 
+def _log_t(a: AccelerationParam) -> float:
+    """ln t for t = tanh^2 r > 0, from 1 - t = 1/cosh^2 r where tanh r is near 1.
+
+    The rounded tanh r leaves 1 - t with an O(1) relative error once r
+    exceeds about 17; below tanh r = 1/2, tanh r itself is the accurate input.
+    """
+    return math.log1p(-1.0 / a.C**2) if a.T > 0.5 else 2.0 * math.log(a.T)
+
+
 def _tail_weights(a: AccelerationParam, n_max: int) -> tuple[float, float]:
     """Norm weights of the terms n > n_max of the vacuum and one-particle towers.
 
     With t = tanh^2 r and 1 - t = 1/cosh^2 r, the geometric sums give
 
         sum_{n > N} c_n^2 = t^(N+1),
-        sum_{n > N} d_n^2 = t^(N+1) [(N+2) - (N+1) t].
+        sum_{n > N} d_n^2 = t^(N+1) [1 + (N+1)(1 - t)].
 
     Evaluating the dropped terms directly keeps the deficits accurate at
     any cutoff, where 1 - sum_{n <= N} would lose them to rounding once
-    n_max reaches about 1e5.  Both need tanh r only, so they are checked
-    before cosh r is evaluated.
+    n_max reaches about 1e5.  t^(N+1) is exp((N+1) ln t) with ``_log_t``,
+    and 1 - t is 1/cosh^2 r, so both stay accurate up to r of about 19,
+    where tanh r rounds to 1.
     """
-    t2 = a.T**2
-    head = t2 ** (n_max + 1)
-    return head, head * ((n_max + 2) - (n_max + 1) * t2)
+    if a.T == 0.0:
+        return 0.0, 0.0
+    head = math.exp((n_max + 1) * _log_t(a))
+    return head, head * (1.0 + (n_max + 1) / a.C**2)
 
 
 def unruh_vacuum_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
@@ -276,6 +288,11 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
     return DenseOperator(rho, (nlev,))
 
 
+# (qubit, Fock-level offset from n) of the rows of ``_shared_terms``' amps:
+# |0,n>, |1,n>, |0,n+1>, |1,n+1>
+_SHARED_COMPONENTS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
 def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff,
                   count: int | None = None):
     """The first ``count`` terms (default: all, n = 0..n_max) of the shared
@@ -332,7 +349,7 @@ def _assemble_shared(amps: np.ndarray, weights: np.ndarray, nlev: int) -> np.nda
     """
     rho = np.zeros((2 * nlev, 2 * nlev))
     n = np.arange(amps.shape[1])
-    offsets = (0, nlev, 1, nlev + 1)
+    offsets = [q * nlev + d for q, d in _SHARED_COMPONENTS]
     for p, row in enumerate(offsets):
         for q, col in enumerate(offsets):
             rho[row + n, col + n] += weights * (amps[p] * amps[q])

@@ -8,7 +8,7 @@ by the seed.  Each figure is one sweep call over its whole grid, with the
 Fock cutoff built once.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure
-(truncation/positivity/size/chart), 4 I/O failure.
+(truncation/positivity/size/chart, or a LAPACK routine's INFO), 4 I/O failure.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ class RQITError(Exception):
 
 class SizeError(RQITError):
     """An array would exceed a size limit: the memory budget of an operator
-    build, a tensor product's entry cap, or a cutoff that cannot be finite."""
+    build, a tensor product's entry cap, the work budget of a banded sweep,
+    or a cutoff that cannot be finite."""
 
 
 class NotPSDError(RQITError):
@@ -34,3 +35,7 @@ class BoundaryError(RQITError):
 
 class ChartError(RQITError):
     """A polar-chart evaluation at or too close to a coordinate singularity."""
+
+
+class NumericError(RQITError):
+    """A LAPACK routine reported a failure (a nonzero INFO)."""

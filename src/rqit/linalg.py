@@ -8,9 +8,16 @@ Every operator carries a ``space_tag``, the ordered tuple of tensor-factor
 dimensions, so that partial operations (trace, transpose) address factors
 explicitly instead of relying on caller bookkeeping.
 
-Hermitian eigendecomposition (``numpy.linalg.eigh``) is the single primitive
-behind the matrix square root, the trace norm and positivity checks; no
-general non-Hermitian decompositions are used.
+Within this module, Hermitian eigendecomposition (``numpy.linalg.eigh``) is
+the primitive behind the matrix square root, the trace norm and positivity
+checks; no general non-Hermitian decompositions are used.  These dense
+routines are the library API and the test oracles: the fig1 and fig3 sweeps
+use the banded LAPACK kernels of ``_lapack`` instead (symmetric band
+eigenvalues, tridiagonal singular values), and ``root_fidelity`` an SVD.
+
+The module also holds the two budgets checked before any work: the memory
+budget of one dense array (``check_budget``) and the work budget of a
+banded sweep (``check_cost``).
 """
 
 from __future__ import annotations
@@ -28,6 +35,12 @@ DEFAULT_ENTRY_CAP = 2**20
 # Largest single array an operator build may allocate: 512 MiB holds the
 # real (2) x (n_max + 2) shared state up to n_max 4094 (r = 3 needs 315 MB).
 MEMORY_BUDGET = 2**29
+# Largest n_max^2 x points a banded sweep (fig1, fig3) may take on.  Those
+# kernels need O(n_max) memory and O(n_max^2) time per point (about 5e-8 s
+# per n_max^2 for fig1 and 2e-8 s for fig3 on a 2-core x86 host), so time is
+# their ceiling: this caps a call near 10 s, admits one point up to n_max
+# 14142 (r about 3.75) and the 96-point default grid up to n_max 1443.
+WORK_BUDGET = 2 * 10**8
 
 
 def check_budget(shape: tuple[int, ...], dtype, what: str) -> None:
@@ -38,6 +51,18 @@ def check_budget(shape: tuple[int, ...], dtype, what: str) -> None:
         raise SizeError(
             f"{what} needs a {'x'.join(map(str, shape))} {np.dtype(dtype).name} array "
             f"({nbytes / 2**20:.3g} MiB), over the {MEMORY_BUDGET // 2**20} MiB budget"
+        )
+
+
+def check_cost(n_max: int, points: int, what: str) -> None:
+    """Raise SizeError when a banded sweep over ``points`` grid points at
+    cutoff ``n_max`` would exceed WORK_BUDGET; call it before building
+    anything."""
+    work = n_max * n_max * points
+    if work > WORK_BUDGET:
+        raise SizeError(
+            f"{what} needs n_max^2 x points = {n_max}^2 x {points} = {work:.3g}, "
+            f"over the work budget of {WORK_BUDGET:.3g}"
         )
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ from rqit.channel import (
     unruh_one_particle_amplitudes,
     unruh_vacuum_amplitudes,
 )
+from rqit.cli import main
 from rqit.errors import InvalidBlochError, SizeError, TruncationError
 from rqit.linalg import partial_trace
 
@@ -80,6 +82,30 @@ def linear_scan_cutoff(r, tol=1e-12):
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.6, 0.85, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0])
 def test_cutoff_search_matches_linear_scan(r):
     assert FockCutoff.for_acceleration(r).n_max == linear_scan_cutoff(r)
+
+
+def exact_one_particle_tail(r, n_max):
+    """t^(N+1) [1 + (N+1)(1 - t)], t = tanh^2 r, in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        u = 1 / mpmath.cosh(mpmath.mpf(r)) ** 2
+        return float((1 - u) ** (n_max + 1) * (1 + (n_max + 1) * u))
+
+
+@pytest.mark.parametrize("r", [17.0, 18.5])
+def test_cutoff_tail_is_honest_at_large_r(r):
+    # with t taken from the rounded tanh r, the tail at the chosen cutoff was
+    # 1.13e-12 at r = 17 and 1.04e-9 at r = 18.5 against tol 1e-12
+    cut = FockCutoff.for_acceleration(r)
+    assert exact_one_particle_tail(r, cut.n_max) <= cut.tol
+
+
+def test_fig2_cutoff_is_honest_at_r_19(capsys):
+    # the tanh-based cutoff exited 0 here with a tail 4.3e5 times tol; exp((N+1) ln t)
+    # keeps a relative rounding error of about 1e-14, since (N+1)|ln t| = 27.6
+    assert main(["fig2", "--r", "19", "--xi", "0.4:0.4:0", "--samples", "10"]) == 0
+    n_max = int(re.search(r"^# n_max=(\d+)$", capsys.readouterr().out, re.M).group(1))
+    assert exact_one_particle_tail(19.0, n_max) <= 1e-12 * (1 + 1e-13)
 
 
 def test_cutoff_search_is_fast_and_total():

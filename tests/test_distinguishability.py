@@ -118,6 +118,9 @@ def test_real_storage_matches_complex(xi, r):
     assert all(op.entries.dtype == np.float64 for op in pair)
     oracle = [DenseOperator(op.entries.astype(complex)) for op in pair]
     assert bures_angle(*pair) == pytest.approx(bures_angle(*oracle), abs=1e-12)
+    # the banded sweep against the dense images
+    swept, = angle_sweep(r, [xi])
+    assert swept.theta == pytest.approx(bures_angle(*pair), abs=1e-12)
 
 
 @pytest.mark.parametrize("doubled", [False, True], ids=["default-cutoff", "doubled-cutoff"])
@@ -136,9 +139,20 @@ def test_factor_form_sweep_matches_dense_oracle(r, doubled):
         assert abs(res.theta - dense) <= 1e-12
 
 
+def test_band_sweep_matches_dense_at_large_r():
+    # r = 2.5 (n_max 1153).  The dense route square-roots eigenvalues at roundoff
+    # level: it is 5e-10 off a 40-digit value at r = 2 and 2.8e-10 to 5.6e-10 off
+    # the sweep here, so the tolerance is 1e-9, not the 1e-12 used up to r = 1.5.
+    r, ox = 2.5, OrthogonalityParam(0.4)
+    cut = FockCutoff.for_acceleration(r)
+    swept, = angle_sweep(r, [ox.xi], cut)
+    dense = bures_angle(effective_qubit(ox.bloch_plus(), r, cut), effective_qubit(ox.bloch_phi(), r, cut))
+    assert abs(swept.theta - dense) <= 1e-9
+
+
 def test_sweep_checks_before_building():
-    # an overlap matrix of (10**6)^2 entries is refused before allocation
-    with pytest.raises(SizeError, match="angle_sweep overlap matrix"):
+    # a cutoff of 10**6 is refused by the work budget before anything is built
+    with pytest.raises(SizeError, match=r"angle_sweep needs n_max\^2 x points"):
         angle_sweep(0.6, [0.3], FockCutoff(10**6))
     with pytest.raises(TruncationError, match="vacuum norm deficit"):
         angle_sweep(0.85, [0.3], FockCutoff(4))

@@ -95,3 +95,13 @@ def test_real_storage_matches_complex(xi, r):
     assert state.entries.dtype == np.float64
     oracle = DenseOperator(state.entries.astype(complex), state.space_tag)
     assert log_negativity(state) == pytest.approx(log_negativity(oracle), abs=1e-12)
+    # the banded sweep against the dense state
+    swept, = negativity_sweep(r, [xi])
+    assert swept.log_negativity == pytest.approx(log_negativity(state), abs=1e-12)
+
+
+def test_band_sweep_matches_dense_at_large_r():
+    # r = 2.5 (n_max 1153): dense eigvalsh of a 2310-dimensional partial transpose
+    cut = FockCutoff.for_acceleration(2.5)
+    swept, = negativity_sweep(2.5, [0.4], cut)
+    assert swept.log_negativity == pytest.approx(log_negativity(entangled_state(0.4, 2.5, cut)), abs=1e-12)

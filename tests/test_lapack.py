@@ -1,0 +1,138 @@
+import glob
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from rqit import _lapack
+from rqit.channel import FockCutoff, OrthogonalityParam, effective_qubit, entangled_state
+from rqit.cli import main
+from rqit.distinguishability import angle_sweep, bures_angle
+from rqit.entanglement import log_negativity, negativity_sweep
+from rqit.errors import NumericError, SizeError
+
+
+def bundled_library():
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    return glob.glob(pattern)
+
+
+needs_library = pytest.mark.skipif(not bundled_library(), reason="numpy has no bundled ILP64 OpenBLAS")
+
+
+@pytest.fixture(params=["banded", "dense-fallback"])
+def route(request, monkeypatch):
+    if request.param == "banded":
+        if not _lapack.available():
+            pytest.skip("numpy has no bundled ILP64 OpenBLAS")
+    else:
+        monkeypatch.setattr(_lapack, "_routines", lambda: None)
+    return request.param
+
+
+@needs_library
+def test_bundled_library_is_bound():
+    assert set(_lapack._routines()) == {"dsbev", "dgbbrd", "dlasq1"}
+
+
+@pytest.mark.parametrize("listing", [[], FileNotFoundError], ids=["no-openblas", "no-numpy-libs"])
+def test_loader_reports_a_missing_library(listing, monkeypatch):
+    def listdir(path):
+        if listing is FileNotFoundError:
+            raise FileNotFoundError(path)
+        return listing
+
+    monkeypatch.setattr(_lapack.os, "listdir", listdir)
+    assert _lapack._routines.__wrapped__() is None
+
+
+def test_import_does_not_load_the_library():
+    code = "import rqit.cli, rqit._lapack as m; print(m._routines.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "0"
+
+
+@needs_library
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+@pytest.mark.parametrize("kd", [0, 1, 3])
+def test_band_eigvalsh_matches_dense(n, kd):
+    rng = np.random.default_rng(100 * n + kd)
+    ab = np.asfortranarray(rng.normal(size=(kd + 1, n)))
+    lower = sum(np.diag(ab[k, :n - k], -k) for k in range(min(kd, n - 1) + 1))
+    dense = lower + np.tril(lower, -1).T
+    np.testing.assert_allclose(_lapack.band_eigvalsh(ab), np.linalg.eigvalsh(dense), atol=1e-12)
+
+
+@needs_library
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_tridiagonal_singular_values_match_dense(n):
+    rng = np.random.default_rng(n)
+    ab = np.asfortranarray(rng.normal(size=(3, n)))
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    got = _lapack.tridiagonal_singular_values(ab)
+    np.testing.assert_allclose(got, np.linalg.svd(dense, compute_uv=False), atol=1e-12)
+
+
+def test_band_storage_is_validated():
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        _lapack.band_eigvalsh(np.zeros((4, 8)))
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        _lapack.tridiagonal_singular_values(np.zeros((2, 8), order="F"))
+
+
+@pytest.mark.parametrize("r", [0.0, 0.01])
+def test_smallest_cutoff(route, r):
+    # n_max = 1: a 6-dimensional band matrix and a 2x2 tridiagonal M
+    cut = FockCutoff(1, tol=1e-6)
+    xis = [0.0, 0.5]
+    for xi, res in zip(xis, negativity_sweep(r, xis, cut)):
+        assert res.log_negativity == pytest.approx(log_negativity(entangled_state(xi, r, cut)), abs=1e-12)
+    for xi, res in zip(xis, angle_sweep(r, xis, cut)):
+        ox = OrthogonalityParam(xi)
+        dense = bures_angle(effective_qubit(ox.bloch_plus(), r, cut), effective_qubit(ox.bloch_phi(), r, cut))
+        assert res.theta == pytest.approx(dense, abs=1e-12)
+
+
+def csv_rows(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("# output=")]
+
+
+@needs_library
+@pytest.mark.parametrize("argv", [
+    ["fig1"], ["fig3"], ["fig1", "--r", "1.5", "--xi", "0:0.8:0.4"], ["fig3", "--r", "2", "--xi", "0.4:0.4:0"],
+], ids=["fig1-default", "fig3-default", "fig1-r1.5", "fig3-r2"])
+def test_fallback_csv_is_byte_identical(argv, tmp_path, monkeypatch):
+    band, dense = tmp_path / "band.csv", tmp_path / "dense.csv"
+    assert main(argv + ["-o", str(band)]) == 0
+    monkeypatch.setattr(_lapack, "_routines", lambda: None)
+    assert main(argv + ["-o", str(dense)]) == 0
+    assert csv_rows(band) == csv_rows(dense)
+
+
+def test_fallback_keeps_the_memory_budget(monkeypatch):
+    # within the work budget, but the dense matrices would exceed 512 MiB
+    monkeypatch.setattr(_lapack, "_routines", lambda: None)
+    with pytest.raises(SizeError, match="entangled_state needs"):
+        negativity_sweep(0.6, [0.3], FockCutoff(5000))
+    with pytest.raises(SizeError, match="angle_sweep overlap matrix needs"):
+        angle_sweep(0.6, [0.3], FockCutoff(9000))
+
+
+@needs_library
+@pytest.mark.parametrize("routine, info_arg, command", [
+    ("dsbev", 10, "fig1"), ("dgbbrd", 17, "fig3"), ("dlasq1", 4, "fig3"),
+])
+def test_nonzero_info_exits_3(routine, info_arg, command, monkeypatch, capsys):
+    def fails(*args):
+        args[info_arg].contents.value = 1
+
+    routines = {**_lapack._routines(), routine: fails}
+    monkeypatch.setattr(_lapack, "_routines", lambda: routines)
+    sweep = negativity_sweep if command == "fig1" else angle_sweep
+    with pytest.raises(NumericError, match=f"LAPACK {routine} failed with INFO = 1"):
+        sweep(0.6, [0.3])
+    assert main([command, "--xi", "0.3:0.3:0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
