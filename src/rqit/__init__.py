@@ -46,9 +46,7 @@ from .geometry import (
 from .linalg import (
     DenseOperator,
     matrix_sqrt,
-    partial_trace,
     partial_transpose,
-    tensor,
     trace_norm,
 )
 from .teleportation import (

@@ -24,13 +24,18 @@ from . import __version__
 from .channel import FockCutoff, entangled_state
 from .distinguishability import angle_sweep
 from .entanglement import log_negativity, negativity_sweep
-from .errors import RQITError
+from .errors import RQITError, SizeError
 from .geometry import curvature_comparison, metric_cartesian, numeric_metric, scalar_curvature_numeric
 from .teleportation import average_fidelity_exact, average_fidelity_mc, run_protocol
 
 CURVATURE_GEOMETRY = "cartesian_pullback"
 H_OFFDIAG_SYMBOL = "xi_c"
+# Largest xi grid, metric table and curvature grid (--grid squared) a command
+# takes on; checked from the options before any work.
 MAX_GRID_POINTS = 100_000
+# Largest samples x points a fig2 run may draw: about 60 s at 0.6 us per
+# sample on a 2-core x86 host.  It admits the default run (96 x 200 000).
+MC_WORK_BOUND = 10**8
 
 
 class UsageError(Exception):
@@ -162,6 +167,9 @@ def _cmd_sweep(args, sweep, column: str) -> int:
 def _cmd_fig2(args) -> int:
     grid = _parse_grid(args.xi)
     xis = _grid_values(grid)
+    if args.samples * len(xis) > MC_WORK_BOUND:
+        raise SizeError(f"fig2 needs samples x points = {args.samples} x {len(xis)}, "
+                        f"over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
     cut = _cutoff(args)
     config = RunConfig("fig2", args.r, grid, args.cutoff_tol, args.samples, args.seed,
                        args.output, {"n_max": cut.n_max})
@@ -180,6 +188,8 @@ def _cmd_fig2(args) -> int:
 def _cmd_metric(args) -> int:
     if not 0 < args.max_norm <= 0.9:
         raise UsageError(f"--max-norm must lie in (0, 0.9], got {args.max_norm}")
+    if args.points > MAX_GRID_POINTS:
+        raise UsageError(f"--points must be <= {MAX_GRID_POINTS}, got {args.points}")
     config = RunConfig("metric", args.r, (0.0, 0.0, 0.0), args.cutoff_tol, 0, args.seed,
                        args.output, {"points": args.points, "max_norm": _fmt(args.max_norm)})
     rng = np.random.default_rng(args.seed)
@@ -204,8 +214,8 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_curvature(args) -> int:
-    if args.grid < 2:
-        raise UsageError(f"--grid must be >= 2, got {args.grid}")
+    if not 2 <= args.grid <= math.isqrt(MAX_GRID_POINTS):
+        raise UsageError(f"--grid must lie in [2, {math.isqrt(MAX_GRID_POINTS)}], got {args.grid}")
     config = RunConfig("curvature", args.r, (0.0, 0.0, 0.0), args.cutoff_tol, 0, 0,
                        args.output,
                        {"grid": args.grid, "curvature_geometry": CURVATURE_GEOMETRY,

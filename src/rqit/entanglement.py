@@ -3,8 +3,8 @@
 E_N(rho) = log2 || rho^Gamma ||_1, the log trace norm of the partial
 transpose.  E_N > 0 is sufficient for entanglement and is the figure of
 merit used throughout; the partial transpose is taken on the inertial
-party's factor by default (transposing the other factor gives the same
-trace norm, which the test suite asserts).
+party's factor (transposing the other factor gives the same trace norm,
+which the test suite asserts).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ class NegativityResult:
     log_negativity: float
 
 
-def log_negativity(state: DenseOperator, factor_index: int = 0) -> float:
+def log_negativity(state: DenseOperator) -> float:
     """log2 of the trace norm of the partial transpose; >= 0 up to roundoff."""
-    return _log_trace_norm(trace_norm(partial_transpose(state, factor_index)))
+    return _log_trace_norm(trace_norm(partial_transpose(state, 0)))
 
 
 def _log_trace_norm(norm: float) -> float:

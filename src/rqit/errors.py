@@ -12,9 +12,9 @@ class RQITError(Exception):
 
 
 class SizeError(RQITError):
-    """An array would exceed a size limit: the memory budget of an operator
-    build, a tensor product's entry cap, the work budget of a banded sweep,
-    or a cutoff that cannot be finite."""
+    """An array or a run would exceed a size limit: the memory budget of an
+    operator build, the work budget of a banded sweep, the work bound of a
+    Monte-Carlo figure, or a cutoff that cannot be finite."""
 
 
 class NotPSDError(RQITError):

@@ -187,15 +187,15 @@ def metric_polar_pullback(xi_c: float, theta: float, r, phi: float = 0.0) -> Met
 _DIRECTIONS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
 
 
-def numeric_metric(bloch, r, step: float = 1e-3, refine: bool = True) -> MetricValue:
+def numeric_metric(bloch, r, step: float = 1e-3) -> MetricValue:
     """Metric recovered from the generalized distance on the small-r family.
 
     Central second differences of D along the three axes and three diagonal
     displacement directions determine the symmetric form of ds^2 = D/2
-    exactly; one Richardson pass (``refine``) removes the O(step^2)
-    truncation term.  D is ``generalized_bures_distance`` with sqrt(base)
-    taken once; the 12 displaced states of a step share one stacked square
-    root, product and SVD, each rounded exactly as in a call of its own.
+    exactly; one Richardson pass removes the O(step^2) truncation term.  D is
+    ``generalized_bures_distance`` with sqrt(base) taken once; the 12
+    displaced states of a step share one stacked square root, product and
+    SVD, each rounded exactly as in a call of its own.
     """
     n = np.asarray(bloch, dtype=float)
     if float(n @ n) >= 0.95:
@@ -212,9 +212,7 @@ def numeric_metric(bloch, r, step: float = 1e-3, refine: bool = True) -> MetricV
         dist = 2.0 * (tr_base * np.trace(states, axis1=1, axis2=2).real - fid)
         return 0.25 * (dist[0::2] + dist[1::2]) / eps**2
 
-    q = quad_coeffs(step)
-    if refine:
-        q = (4.0 * quad_coeffs(step / 2.0) - q) / 3.0
+    q = (4.0 * quad_coeffs(step / 2.0) - quad_coeffs(step)) / 3.0
     g = np.diag(q[:3])
     for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
         g[i, j] = g[j, i] = (q[3 + k] - q[i] - q[j]) / 2.0

@@ -5,8 +5,8 @@ complex128 entries otherwise, so a real symmetric matrix reaches the real
 LAPACK/BLAS routines through the same calls as a complex Hermitian one.
 
 Every operator carries a ``space_tag``, the ordered tuple of tensor-factor
-dimensions, so that partial operations (trace, transpose) address factors
-explicitly instead of relying on caller bookkeeping.
+dimensions, so that the partial transpose addresses a factor explicitly
+instead of relying on caller bookkeeping.
 
 Within this module, Hermitian eigendecomposition (``numpy.linalg.eigh``) is
 the primitive behind the matrix square root, the trace norm and positivity
@@ -31,7 +31,6 @@ from .errors import NotPSDError, SizeError
 
 HERMITIAN_ATOL = 1e-12
 PSD_CLAMP = -1e-10
-DEFAULT_ENTRY_CAP = 2**20
 # Largest single array an operator build may allocate: 512 MiB holds the
 # real (2) x (n_max + 2) shared state up to n_max 4094 (r = 3 needs 315 MB).
 MEMORY_BUDGET = 2**29
@@ -106,10 +105,6 @@ class DenseOperator:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(_hermitian_part(self.entries))[0])
 
-    def retag(self, space_tag) -> "DenseOperator":
-        """Same entries under a different factorization."""
-        return DenseOperator(self.entries, space_tag)
-
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
@@ -123,40 +118,14 @@ def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     return _hermitian_part(m)
 
 
-def tensor(a: DenseOperator, b: DenseOperator, entry_cap: int = DEFAULT_ENTRY_CAP) -> DenseOperator:
-    """Tensor product; the space_tag is the concatenation of the factors'.
-
-    Raises SizeError when the result would hold more than ``entry_cap``
-    matrix entries (default 2**20).
-    """
-    dim = a.dim * b.dim
-    if dim * dim > entry_cap:
-        raise SizeError(f"tensor product dim {dim} exceeds entry cap {entry_cap}")
-    return DenseOperator(np.kron(a.entries, b.entries), a.space_tag + b.space_tag)
-
-
-def _factored(op: DenseOperator, factor_index: int):
-    dims = op.space_tag
-    if not 0 <= factor_index < len(dims):
-        raise IndexError(f"factor index {factor_index} invalid for space_tag {dims}")
-    return op.entries.reshape(dims + dims), len(dims)
-
-
-def partial_trace(op: DenseOperator, factor_index: int) -> DenseOperator:
-    """Trace out one tensor factor (0-based index into space_tag)."""
-    t, k = _factored(op, factor_index)
-    out = np.trace(t, axis1=factor_index, axis2=factor_index + k)
-    tag = op.space_tag[:factor_index] + op.space_tag[factor_index + 1:]
-    d = math.prod(tag) if tag else 1
-    return DenseOperator(out.reshape(d, d), tag or (1,))
-
-
 def partial_transpose(op: DenseOperator, factor_index: int) -> DenseOperator:
     """Transpose the indices of one tensor factor only; an involution."""
-    t, k = _factored(op, factor_index)
+    dims, k = op.space_tag, len(op.space_tag)
+    if not 0 <= factor_index < k:
+        raise IndexError(f"factor index {factor_index} invalid for space_tag {dims}")
     axes = list(range(2 * k))
     axes[factor_index], axes[factor_index + k] = axes[factor_index + k], axes[factor_index]
-    out = t.transpose(axes).reshape(op.dim, op.dim)
+    out = op.entries.reshape(dims + dims).transpose(axes).reshape(op.dim, op.dim)
     return DenseOperator(out, op.space_tag)
 
 

@@ -1,9 +1,11 @@
 import contextlib
+import importlib.util
 import io
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,9 +143,12 @@ def test_validate_command(tmp_path, capsys):
         ["fig2", "--seed", "-1"],
         ["metric", "--points", "-1"],
         ["fig3", "--xi", "0:0.5:1e-9"],
+        ["curvature", "--grid", "100000"],
+        ["metric", "--points", "1000000000"],
     ],
     ids=["grid-step", "grid-step-inf", "grid-syntax", "grid-xi-one", "r-nan", "r-inf", "n-max-negative",
-         "cutoff-tol-zero", "seed-negative", "points-negative", "grid-too-many-points"],
+         "cutoff-tol-zero", "seed-negative", "points-negative", "grid-too-many-points",
+         "curvature-grid-too-many-points", "metric-too-many-points"],
 )
 def test_invalid_input_exits_2(argv, capsys):
     assert run_cli(argv) == 2
@@ -186,9 +191,10 @@ def test_numeric_failure_exits_3(argv, capsys):
         (["fig3", "--r", "4", "--xi", "0.4:0.4:0"], "angle_sweep needs n_max^2 x points"),
         (["fig1", "--r", "20"], "tanh r rounds to 1"),
         (["fig2", "--xi", "0.4:0.4:0", "--samples", "100000000"], "Monte-Carlo overlaps needs"),
+        (["fig2", "--samples", "60000000"], "over the Monte-Carlo work bound"),
     ],
     ids=["fig1-state-over-budget", "fig3-qubit-over-budget",
-         "tanh-rounds-to-one", "fig2-samples-over-budget"],
+         "tanh-rounds-to-one", "fig2-samples-over-budget", "fig2-work-over-budget"],
 )
 def test_size_limit_exits_3(argv, reason, capsys):
     # refused from n_max or the sample count before any large array exists,
@@ -204,6 +210,17 @@ def test_size_limit_exits_3(argv, reason, capsys):
 def test_io_failure_exits_4(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "f.csv"
     assert run_cli(["fig1", "--r", "0.4", "--xi", "0:0:1", "-o", str(target)]) == 4
+
+
+def test_benchmark_traced_functions_resolve():
+    # perfbench/run.py --trace 1 wraps these names; each must still exist in rqit
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for entry in tracer.FUNCTIONS:
+        module, name = entry.split(".")
+        assert callable(getattr(importlib.import_module("rqit." + module), name)), entry
 
 
 def test_console_entry_point():
@@ -239,10 +256,12 @@ _OPTIONS = {
     "--n-max": (st.integers(0, 200).map(str), st.one_of(st.integers(max_value=-1).map(str), _BAD)),
     "--samples": (st.integers(1, 2000).map(str), st.one_of(st.integers(max_value=0).map(str), _BAD)),
     "--seed": (st.integers(0, 2**70).map(str), st.one_of(st.integers(max_value=-1).map(str), _BAD)),
-    "--points": (st.integers(1, 20).map(str), st.one_of(st.integers(max_value=0).map(str), _BAD)),
+    "--points": (st.integers(1, 20).map(str),
+                 st.one_of(st.integers(max_value=0).map(str), st.integers(min_value=100_001).map(str), _BAD)),
     "--max-norm": (st.floats(0, 0.9, exclude_min=True).map(repr),
                    st.one_of(st.floats(0.9, exclude_min=True).map(repr), _NEGATIVE, _BAD)),
-    "--grid": (st.integers(2, 4).map(str), st.one_of(st.integers(max_value=1).map(str), _BAD)),
+    "--grid": (st.integers(2, 4).map(str),
+               st.one_of(st.integers(max_value=1).map(str), st.integers(min_value=317).map(str), _BAD)),
 }
 # (always passed, sometimes passed): the sweeps always get a small grid, fig2 a small sample count
 _COMMAND_OPTIONS = {

@@ -3,7 +3,7 @@ import pytest
 
 from rqit.channel import FockCutoff, entangled_state
 from rqit.entanglement import log_negativity, negativity_sweep
-from rqit.linalg import DenseOperator, partial_transpose, tensor, trace_norm
+from rqit.linalg import DenseOperator, partial_transpose, trace_norm
 
 
 def haar_unitary(rng, d=2):
@@ -23,9 +23,8 @@ def test_product_state_is_ppt():
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho_a = a @ a.conj().T
     rho_b = b @ b.conj().T
-    prod = tensor(
-        DenseOperator(rho_a / np.trace(rho_a).real), DenseOperator(rho_b / np.trace(rho_b).real)
-    )
+    prod = DenseOperator(np.kron(rho_a / np.trace(rho_a).real, rho_b / np.trace(rho_b).real),
+                         space_tag=(2, 3))
     assert log_negativity(prod) == 0.0
 
 

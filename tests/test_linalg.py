@@ -3,19 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqit.errors import NotPSDError, SizeError
+from rqit.errors import NotPSDError
 from rqit.linalg import (
     DenseOperator,
     matrix_sqrt,
     psd_sqrt_stack,
-    partial_trace,
     partial_transpose,
-    tensor,
     trace_norm,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 BELL = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
 
 
@@ -46,81 +43,17 @@ def test_operator_dtype_follows_input():
     assert DenseOperator(SX).entries.dtype == np.complex128
     real_bell = DenseOperator(BELL.real, space_tag=(2, 2))
     assert real_bell.entries.dtype == np.float64
-    for op in (partial_transpose(real_bell, 0), matrix_sqrt(real_bell), tensor(real_bell, real_bell)):
+    for op in (partial_transpose(real_bell, 0), matrix_sqrt(real_bell)):
         assert op.entries.dtype == np.float64
     complex_bell = DenseOperator(BELL, space_tag=(2, 2))
     assert trace_norm(partial_transpose(real_bell, 0)) == trace_norm(partial_transpose(complex_bell, 0))
 
 
-def test_tensor_identity():
-    i2 = DenseOperator(np.eye(2))
-    out = tensor(i2, i2)
-    assert out.space_tag == (2, 2)
-    np.testing.assert_array_equal(out.entries, np.eye(4))
-
-
-def test_tensor_basis_projectors():
-    p0 = DenseOperator(np.diag([1.0, 0.0]))
-    p1 = DenseOperator(np.diag([0.0, 1.0]))
-    out = tensor(p0, p1)
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0
-    np.testing.assert_array_equal(out.entries, expected)
-
-
-def test_tensor_pauli_product():
-    # hand expansion of sigma_x (x) sigma_z
-    out = tensor(DenseOperator(SX), DenseOperator(SZ)).entries
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 2] = 1
-    expected[1, 3] = -1
-    expected[2, 0] = 1
-    expected[3, 1] = -1
-    np.testing.assert_array_equal(out, expected)
-
-
-def test_tensor_size_cap():
-    big = DenseOperator(np.eye(64))
-    with pytest.raises(SizeError):
-        tensor(big, DenseOperator(np.eye(32)))  # 2048^2 > 2^20
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(1)
-    rho = random_density(rng, 2)
-    sigma = random_density(rng, 3, trace=0.7)
-    joint = tensor(DenseOperator(rho), DenseOperator(sigma))
-    kept = partial_trace(joint, 1)
-    np.testing.assert_allclose(kept.entries, rho * 0.7, atol=1e-13)
-    other = partial_trace(joint, 0)
-    np.testing.assert_allclose(other.entries, sigma, atol=1e-13)
-
-
-def test_partial_trace_bell():
+def test_partial_transpose_bad_index():
     bell = DenseOperator(BELL, space_tag=(2, 2))
-    for k in (0, 1):
-        red = partial_trace(bell, k)
-        np.testing.assert_allclose(red.entries, np.eye(2) / 2, atol=1e-14)
-
-
-def test_partial_trace_two_mode_squeezed_vacuum():
-    # |tmsv> = (1/cosh r) sum tanh^n r |n,n>, traced over the second mode
-    r, n_max = 0.6, 24
-    c = np.tanh(r) ** np.arange(n_max + 1) / np.cosh(r)
-    dim = n_max + 1
-    vec = np.zeros(dim * dim)
-    vec[np.arange(dim) * dim + np.arange(dim)] = c
-    proj = DenseOperator(np.outer(vec, vec), space_tag=(dim, dim))
-    red = partial_trace(proj, 1)
-    np.testing.assert_allclose(np.diag(red.entries).real, c**2, atol=1e-15)
-    np.testing.assert_allclose(red.entries - np.diag(np.diag(red.entries)), 0, atol=1e-15)
-    assert abs(red.trace().real - proj.trace().real) < 1e-12
-
-
-def test_partial_trace_bad_index():
-    bell = DenseOperator(BELL, space_tag=(2, 2))
-    with pytest.raises(IndexError):
-        partial_trace(bell, 2)
+    for k in (2, -1):
+        with pytest.raises(IndexError):
+            partial_transpose(bell, k)
 
 
 def test_partial_transpose_bell_negative_eigenvalue():
@@ -139,9 +72,7 @@ def test_partial_transpose_involution():
 
 def test_partial_transpose_product_state_spectrum():
     rng = np.random.default_rng(7)
-    joint = tensor(
-        DenseOperator(random_density(rng, 2)), DenseOperator(random_density(rng, 2))
-    )
+    joint = DenseOperator(np.kron(random_density(rng, 2), random_density(rng, 2)), space_tag=(2, 2))
     w0 = np.linalg.eigvalsh(joint.entries)
     w1 = np.linalg.eigvalsh(partial_transpose(joint, 0).entries)
     np.testing.assert_allclose(w0, w1, atol=1e-12)
@@ -209,17 +140,6 @@ def test_eigh_reconstructs(seed, d):
     a = random_hermitian(rng, d)
     w, v = np.linalg.eigh(a)
     np.testing.assert_allclose((v * w) @ v.conj().T, a, atol=1e-10)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), da=st.integers(2, 3), db=st.integers(2, 3))
-def test_partial_trace_of_tensor_recovers_factor(seed, da, db):
-    rng = np.random.default_rng(seed)
-    a = random_density(rng, da, trace=rng.uniform(0.5, 1.5))
-    b = random_density(rng, db, trace=rng.uniform(0.5, 1.5))
-    joint = tensor(DenseOperator(a), DenseOperator(b))
-    kept = partial_trace(joint, 1)
-    np.testing.assert_allclose(kept.entries, a * np.trace(b).real, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
