@@ -340,22 +340,6 @@ def _shared_deficit(ox: OrthogonalityParam, a: AccelerationParam, n_max: int) ->
     return (low * vacuum + high * one) / 8.0
 
 
-def _assemble_shared(amps: np.ndarray, weights: np.ndarray, nlev: int) -> np.ndarray:
-    """Dense sum_n w_n |v_n><v_n| on (2) x (nlev) from the terms of ``_shared_terms``.
-
-    Each pair of components (p, q) of |v_n> fills one diagonal of the matrix
-    for all n at once, so 16 scatters build the whole sum.  Terms n and n-1
-    share entries on level n, which the scatters add.
-    """
-    rho = np.zeros((2 * nlev, 2 * nlev))
-    n = np.arange(amps.shape[1])
-    offsets = [q * nlev + d for q, d in _SHARED_COMPONENTS]
-    for p, row in enumerate(offsets):
-        for q, col in enumerate(offsets):
-            rho[row + n, col + n] += weights * (amps[p] * amps[q])
-    return rho
-
-
 def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
     """Shared state after one party accelerates, on (2) x (n_max + 2).
 
@@ -373,13 +357,21 @@ def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
     Since |v_n> touches Fock levels n and n+1 only, the matrix is
     block-tridiagonal in the level.  It is assembled by writing each of the
     16 component pairs of |v_n> into one diagonal, for every n in one array
-    operation, with no rank-one update per level.  The trace check runs on
+    operation, with no rank-one update per level; terms n and n-1 share
+    entries on level n, which the scatters add.  The trace check runs on
     the terms before assembly, and the memory budget before either.
     """
     cut = _as_cutoff(cutoff, r)
-    check_budget((2 * cut.levels, 2 * cut.levels), float, "entangled_state")
+    nlev = cut.levels
+    check_budget((2 * nlev, 2 * nlev), float, "entangled_state")
     amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cut)
-    return DenseOperator(_assemble_shared(amps, weights, cut.levels), (2, cut.levels))
+    rho = np.zeros((2 * nlev, 2 * nlev))
+    n = np.arange(cut.n_max + 1)
+    offsets = [q * nlev + d for q, d in _SHARED_COMPONENTS]
+    for p, row in enumerate(offsets):
+        for q, col in enumerate(offsets):
+            rho[row + n, col + n] += weights * (amps[p] * amps[q])
+    return DenseOperator(rho, (2, nlev))
 
 
 def small_r_qubit(bloch, r) -> DenseOperator:

@@ -16,12 +16,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .channel import FockCutoff, entangled_state
+from .channel import DEFAULT_TRUNCATION_TOL, FockCutoff, entangled_state
 from .distinguishability import angle_sweep
 from .entanglement import log_negativity, negativity_sweep
 from .errors import RQITError, SizeError
@@ -33,40 +32,16 @@ H_OFFDIAG_SYMBOL = "xi_c"
 # Largest xi grid, metric table and curvature grid (--grid squared) a command
 # takes on; checked from the options before any work.
 MAX_GRID_POINTS = 100_000
-# Largest samples x points a fig2 run may draw: about 60 s at 0.6 us per
-# sample on a 2-core x86 host.  It admits the default run (96 x 200 000).
+# Largest work a fig2 run may take, in samples: about 60 s at 0.6 us a sample
+# on a 2-core x86 host.  Each xi point counts its samples plus MC_POINT_CHARGE
+# for its fixed work (the exact average and both set-ups), measured there at
+# 1.1-1.8 ms a point.  The default run counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
+MC_POINT_CHARGE = 3000
 
 
 class UsageError(Exception):
     """Invalid command-line input detected after parsing."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    r: float
-    xi_grid: tuple[float, float, float]
-    cutoff_tol: float
-    samples: int
-    seed: int
-    output_path: str
-    extras: dict = field(default_factory=dict)
-
-    def header_items(self):
-        lo, hi, step = self.xi_grid
-        items = [
-            ("rqit_version", __version__),
-            ("command", self.command),
-            ("r", _fmt(self.r)),
-            ("xi_grid", f"{_fmt(lo)}:{_fmt(hi)}:{_fmt(step)}"),
-            ("cutoff_tol", _fmt(self.cutoff_tol)),
-            ("samples", str(self.samples)),
-            ("seed", str(self.seed)),
-            ("output", self.output_path),
-        ]
-        items.extend((k, str(v)) for k, v in self.extras.items())
-        return items
 
 
 def _fmt(x: float) -> str:
@@ -99,16 +74,34 @@ def _grid_values(grid: tuple[float, float, float]) -> np.ndarray:
     return vals[vals <= hi + 1e-12]
 
 
-def _write_csv(path: str, config: RunConfig, columns, rows) -> None:
-    lines = [f"# {k}={v}" for k, v in config.header_items()]
+def _write_csv(args, columns, rows, xi_grid=(0.0, 0.0, 0.0), **extras) -> None:
+    """Write the run's header and rows to ``args.output``.
+
+    The header has the same eight keys for every command, then ``extras``;
+    an option the command does not take is written as 0 (the default
+    tolerance for ``cutoff_tol``).
+    """
+    lo, hi, step = xi_grid
+    items = [
+        ("rqit_version", __version__),
+        ("command", args.command),
+        ("r", _fmt(getattr(args, "r", 0.0))),
+        ("xi_grid", f"{_fmt(lo)}:{_fmt(hi)}:{_fmt(step)}"),
+        ("cutoff_tol", _fmt(getattr(args, "cutoff_tol", DEFAULT_TRUNCATION_TOL))),
+        ("samples", getattr(args, "samples", 0)),
+        ("seed", getattr(args, "seed", 0)),
+        ("output", args.output),
+        *extras.items(),
+    ]
+    lines = [f"# {k}={v}" for k, v in items]
     lines.append("# columns=" + ",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
-    if path == "-":
+    if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
@@ -155,10 +148,8 @@ def _cmd_sweep(args, sweep, column: str) -> int:
     grid = _parse_grid(args.xi)
     xis = _grid_values(grid)
     cut = _cutoff(args)
-    config = RunConfig(args.command, args.r, grid, args.cutoff_tol, 0, 0, args.output,
-                       {"n_max": cut.n_max})
     values = [getattr(p, column) for p in sweep(args.r, xis, cut)]
-    _write_csv(args.output, config, ["xi", column], zip(xis, values))
+    _write_csv(args, ["xi", column], zip(xis, values), grid, n_max=cut.n_max)
     if args.svg:
         _write_svg(args.svg, xis, values, "xi", column)
     return 0
@@ -167,19 +158,17 @@ def _cmd_sweep(args, sweep, column: str) -> int:
 def _cmd_fig2(args) -> int:
     grid = _parse_grid(args.xi)
     xis = _grid_values(grid)
-    if args.samples * len(xis) > MC_WORK_BOUND:
-        raise SizeError(f"fig2 needs samples x points = {args.samples} x {len(xis)}, "
+    if (args.samples + MC_POINT_CHARGE) * len(xis) > MC_WORK_BOUND:
+        raise SizeError(f"fig2 needs (samples + {MC_POINT_CHARGE}) x points = "
+                        f"{args.samples + MC_POINT_CHARGE} x {len(xis)}, "
                         f"over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
     cut = _cutoff(args)
-    config = RunConfig("fig2", args.r, grid, args.cutoff_tol, args.samples, args.seed,
-                       args.output, {"n_max": cut.n_max})
-
     rows = []
     for i, xi in enumerate(xis):
         sub = int(np.random.SeedSequence((args.seed, i)).generate_state(1, dtype=np.uint64)[0])
         est = average_fidelity_mc(xi, args.r, cut, samples=args.samples, seed=sub)
         rows.append((xi, est.mean, est.std_error, average_fidelity_exact(xi, args.r, cut)))
-    _write_csv(args.output, config, ["xi", "fidelity_mc", "std_err", "fidelity_exact"], rows)
+    _write_csv(args, ["xi", "fidelity_mc", "std_err", "fidelity_exact"], rows, grid, n_max=cut.n_max)
     if args.svg:
         _write_svg(args.svg, xis, [r[1] for r in rows], "xi", "fidelity")
     return 0
@@ -190,8 +179,6 @@ def _cmd_metric(args) -> int:
         raise UsageError(f"--max-norm must lie in (0, 0.9], got {args.max_norm}")
     if args.points > MAX_GRID_POINTS:
         raise UsageError(f"--points must be <= {MAX_GRID_POINTS}, got {args.points}")
-    config = RunConfig("metric", args.r, (0.0, 0.0, 0.0), args.cutoff_tol, 0, args.seed,
-                       args.output, {"points": args.points, "max_norm": _fmt(args.max_norm)})
     rng = np.random.default_rng(args.seed)
     cols = ["x", "y", "z"]
     cols += [f"g_{c}" for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
@@ -209,23 +196,20 @@ def _cmd_metric(args) -> int:
         row = list(v) + [closed[i, j] for i, j in idx] + [numeric[i, j] for i, j in idx]
         row += [err, err / scale]
         rows.append(row)
-    _write_csv(args.output, config, cols, rows)
+    _write_csv(args, cols, rows, points=args.points, max_norm=_fmt(args.max_norm))
     return 0
 
 
 def _cmd_curvature(args) -> int:
     if not 2 <= args.grid <= math.isqrt(MAX_GRID_POINTS):
         raise UsageError(f"--grid must lie in [2, {math.isqrt(MAX_GRID_POINTS)}], got {args.grid}")
-    config = RunConfig("curvature", args.r, (0.0, 0.0, 0.0), args.cutoff_tol, 0, 0,
-                       args.output,
-                       {"grid": args.grid, "curvature_geometry": CURVATURE_GEOMETRY,
-                        "h_offdiag_symbol": H_OFFDIAG_SYMBOL})
     xi_vals = np.linspace(0.2, 0.8, args.grid)
     th_vals = np.linspace(0.4, math.pi - 0.4, args.grid)
     points = [(xi, th) for xi in xi_vals for th in th_vals]
     rows = [(*c.point, c.numeric_R, c.closed_form_R, c.discrepancy)
             for c in curvature_comparison(points, args.r)]
-    _write_csv(args.output, config, ["xi_c", "theta", "numeric_R", "closed_form_R", "discrepancy"], rows)
+    _write_csv(args, ["xi_c", "theta", "numeric_R", "closed_form_R", "discrepancy"], rows,
+               grid=args.grid, curvature_geometry=CURVATURE_GEOMETRY, h_offdiag_symbol=H_OFFDIAG_SYMBOL)
     return 0
 
 
@@ -252,7 +236,6 @@ def _cmd_validate(args) -> int:
     en2 = log_negativity(entangled_state(0.0, 0.6, cut6.doubled()))
     add("cutoff_doubling_shift", en1 - en2, 0.0, 1e-8)
 
-    config = RunConfig("validate", 0.0, (0.0, 0.0, 0.0), args.cutoff_tol, 0, 0, args.output)
     rows = []
     all_ok = True
     for name, value, reference, tol in checks:
@@ -262,7 +245,7 @@ def _cmd_validate(args) -> int:
         rows.append((value, reference, abs(value - reference), tol, 1.0 if ok else 0.0))
     cols = ["value", "reference", "abs_error", "tolerance", "ok"]
     if args.output != "-":
-        _write_csv(args.output, config, cols, rows)
+        _write_csv(args, cols, rows)
     return 0 if all_ok else 3
 
 
@@ -304,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--points", type=int, default=20)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--max-norm", type=float, default=0.7)
-    pm.add_argument("--cutoff-tol", type=float, default=1e-12)
     pm.add_argument("-o", "--output", default="-")
     pm.set_defaults(func=_cmd_metric)
 
@@ -313,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--r", type=float, default=0.1)
     pc.add_argument("--grid", type=int, default=5, help="grid points per polar axis")
-    pc.add_argument("--cutoff-tol", type=float, default=1e-12)
     pc.add_argument("-o", "--output", default="-")
     pc.set_defaults(func=_cmd_curvature)
 
@@ -329,8 +310,9 @@ def _check_args(args) -> None:
     r = getattr(args, "r", 0.0)
     if not (math.isfinite(r) and r >= 0):
         raise UsageError(f"--r must be finite and >= 0, got {r}")
-    if not 0 < args.cutoff_tol < 1:
-        raise UsageError(f"--cutoff-tol must lie in (0, 1), got {args.cutoff_tol}")
+    tol = getattr(args, "cutoff_tol", DEFAULT_TRUNCATION_TOL)
+    if not 0 < tol < 1:
+        raise UsageError(f"--cutoff-tol must lie in (0, 1), got {tol}")
     for name, minimum in (("n_max", 0), ("samples", 1), ("seed", 0), ("points", 1)):
         value = getattr(args, name, minimum)
         if value < minimum:

@@ -40,7 +40,6 @@ from .channel import (
     _as_accel,
     _as_cutoff,
     _as_xi,
-    _assemble_shared,
     _shared_terms,
     entangled_state,
 )
@@ -168,8 +167,9 @@ def apply_protocol(kit: ProtocolKit, shared: DenseOperator, input_op: np.ndarray
     """Receiver output sum_i B_i Tr_QA[(Pi^i (x) 1)(X (x) rho_AR)] B_i^dag.
 
     ``input_op`` is any 2x2 operator on the teleported qubit (the map is
-    linear, so matrix units are valid inputs); ``shared`` lives on
-    (2) x (levels).  The sender-side sandwich contracts to
+    linear, so matrix units are valid inputs), or a stack of them of shape
+    (..., 2, 2), which gives the stack of outputs (..., levels, levels);
+    ``shared`` lives on (2) x (levels).  The sender-side sandwich contracts to
 
         M_kl = sum P_{(qa),(pc)} X_{pq} rho_{(ck),(al)}
 
@@ -179,10 +179,10 @@ def apply_protocol(kit: ProtocolKit, shared: DenseOperator, input_op: np.ndarray
     if shared.space_tag != (2, nlev):
         raise ValueError(f"shared state tag {shared.space_tag} does not match (2, {nlev})")
     rho4 = shared.entries.reshape(2, nlev, 2, nlev)
-    out = np.zeros((nlev, nlev), dtype=complex)
+    out = np.zeros(input_op.shape[:-2] + (nlev, nlev), dtype=complex)
     for pi, bop in zip(kit.povms, kit.local_ops):
         p4 = pi.reshape(2, 2, 2, 2)
-        cond = np.einsum("qapc,pq,ckal->kl", p4, input_op, rho4)
+        cond = np.einsum("qapc,...pq,ckal->...kl", p4, input_op, rho4)
         out += bop @ cond @ bop.conj().T
     return out
 
@@ -206,22 +206,18 @@ def _channel_blocks(xi, r, cutoff: FockCutoff) -> np.ndarray:
 
     Only Fock levels {0, 1} of the output are read, and the receiver
     operations act as the identity above them, so the protocol is applied
-    to the levels {0, 1} block of the shared state alone.  That block is
-    assembled from |v_0> and |v_1> on levels 0..2 and cut to levels {0, 1};
-    only those two terms are built, and the closed-form truncation check
-    still covers every term up to the cutoff.
+    once, to the stacked matrix units, with the levels {0, 1} block of the
+    shared state alone.  On (qubit, level) in {0, 1} x {0, 1} that block is
+    w_0 |v_0><v_0| plus w_1 times the level-1 part of |v_1>; only those two
+    terms are built, and the closed-form truncation check still covers
+    every term up to the cutoff.
     """
-    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff, count=2)
-    low = _assemble_shared(amps, weights, 3).reshape(2, 3, 2, 3)[:, :2, :, :2]
-    shared = DenseOperator(low.reshape(4, 4), (2, 2))
-    kit = _protocol_kit(schmidt_decompose(xi), 2)
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            blocks[i, j] = apply_protocol(kit, shared, unit)
-    return blocks
+    amps, (w0, w1) = _shared_terms(_as_xi(xi), _as_accel(r), cutoff, count=2)
+    v0 = amps[[0, 2, 1, 3], 0]
+    v1 = np.array([0.0, amps[0, 1], 0.0, amps[1, 1]])
+    shared = DenseOperator(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1), (2, 2))
+    units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
+    return apply_protocol(_protocol_kit(schmidt_decompose(xi), 2), shared, units)
 
 
 def average_fidelity_exact(xi, r, cutoff: FockCutoff | None = None) -> float:

@@ -162,6 +162,42 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["metric", "curvature"])
+def test_commands_without_fock_cutoff_reject_cutoff_tol(command, capsys):
+    # neither command builds a Fock tower, so a tolerance would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--cutoff-tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--cutoff-tol" in capsys.readouterr().err
+
+
+_HEADER_KEYS = ["rqit_version", "command", "r", "xi_grid", "cutoff_tol", "samples", "seed", "output"]
+
+
+@pytest.mark.parametrize(
+    "argv, extras",
+    [
+        (["fig1", "--xi", "0:0:1"], ["n_max"]),
+        (["fig2", "--xi", "0:0:1", "--samples", "10"], ["n_max"]),
+        (["fig3", "--xi", "0:0:1"], ["n_max"]),
+        (["metric", "--points", "1"], ["points", "max_norm"]),
+        (["curvature", "--grid", "2"], ["grid", "curvature_geometry", "h_offdiag_symbol"]),
+        (["validate"], []),
+    ],
+    ids=["fig1", "fig2", "fig3", "metric", "curvature", "validate"],
+)
+def test_header_keys_and_order(argv, extras, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert run_cli(argv + ["-o", str(out)]) == 0
+    keys = [line[2:].partition("=")[0] for line in out.read_text(encoding="utf-8").splitlines()
+            if line.startswith("# ")]
+    assert keys == _HEADER_KEYS + extras + ["columns"]
+    header, _ = read_csv(out)
+    assert header["command"] == argv[0] and header["output"] == str(out)
+    if argv[0] in ("metric", "curvature", "validate"):
+        assert header["xi_grid"] == "0:0:0" and header["cutoff_tol"] == "1e-12"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -190,11 +226,16 @@ def test_numeric_failure_exits_3(argv, capsys):
         (["fig1", "--r", "4", "--xi", "0.4:0.4:0"], "negativity_sweep needs n_max^2 x points"),
         (["fig3", "--r", "4", "--xi", "0.4:0.4:0"], "angle_sweep needs n_max^2 x points"),
         (["fig1", "--r", "20"], "tanh r rounds to 1"),
-        (["fig2", "--xi", "0.4:0.4:0", "--samples", "100000000"], "Monte-Carlo overlaps needs"),
+        # the most samples the work bound admits on one point, (1e8 - 3000), still
+        # exceed the memory budget
+        (["fig2", "--xi", "0.4:0.4:0", "--samples", "99997000"], "Monte-Carlo overlaps needs"),
         (["fig2", "--samples", "60000000"], "over the Monte-Carlo work bound"),
+        (["fig2", "--xi", "0:0.99999:0.00001", "--samples", "1000"], "over the Monte-Carlo work bound"),
+        (["fig2", "--xi", "0:0.99999:0.00001", "--samples", "1"], "over the Monte-Carlo work bound"),
     ],
     ids=["fig1-state-over-budget", "fig3-qubit-over-budget",
-         "tanh-rounds-to-one", "fig2-samples-over-budget", "fig2-work-over-budget"],
+         "tanh-rounds-to-one", "fig2-samples-over-budget", "fig2-work-over-budget",
+         "fig2-points-over-work-bound", "fig2-points-over-work-bound-one-sample"],
 )
 def test_size_limit_exits_3(argv, reason, capsys):
     # refused from n_max or the sample count before any large array exists,
@@ -268,8 +309,8 @@ _COMMAND_OPTIONS = {
     "fig1": (["--xi"], ["--r", "--cutoff-tol", "--n-max"]),
     "fig2": (["--xi", "--samples"], ["--r", "--cutoff-tol", "--n-max", "--seed"]),
     "fig3": (["--xi"], ["--r", "--cutoff-tol", "--n-max"]),
-    "metric": ([], ["--r", "--points", "--seed", "--max-norm", "--cutoff-tol"]),
-    "curvature": (["--grid"], ["--r", "--cutoff-tol"]),
+    "metric": ([], ["--r", "--points", "--seed", "--max-norm"]),
+    "curvature": (["--grid"], ["--r"]),
     "validate": ([], ["--cutoff-tol"]),
 }
 

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rqit.channel import FockCutoff, entangled_state
+from rqit.channel import _SHARED_COMPONENTS, FockCutoff, _as_accel, _as_xi, _shared_terms, entangled_state
 from rqit.errors import TruncationError
+from rqit.linalg import DenseOperator
 from rqit.teleportation import (
     SchmidtDecomposition,
     _channel_blocks,
     _plus_overlaps,
+    _protocol_kit,
     apply_protocol,
     average_fidelity_exact,
     average_fidelity_mc,
@@ -325,6 +327,49 @@ def test_channel_blocks_build_only_levels_zero_and_one():
     assert np.array_equal(_channel_blocks(0.4, 0.6, huge), _channel_blocks(0.4, 0.6, FockCutoff(24)))
     with pytest.raises(TruncationError, match="shared-state trace deficit"):
         _channel_blocks(0.4, 10.0, FockCutoff(10**9))
+
+
+def scatter_crop_channel_blocks(xi, r, cutoff):
+    """The channel blocks built the long way: |v_0> and |v_1> scattered into a
+    dense (2) x (3 levels) state, cropped to levels {0, 1}, and the protocol
+    applied to one matrix unit at a time."""
+    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff, count=2)
+    rho = np.zeros((6, 6))
+    n = np.arange(2)
+    offsets = [q * 3 + d for q, d in _SHARED_COMPONENTS]
+    for p, row in enumerate(offsets):
+        for q, col in enumerate(offsets):
+            rho[row + n, col + n] += weights * (amps[p] * amps[q])
+    low = rho.reshape(2, 3, 2, 3)[:, :2, :, :2]
+    shared = DenseOperator(low.reshape(4, 4), (2, 2))
+    kit = _protocol_kit(schmidt_decompose(xi), 2)
+    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            blocks[i, j] = apply_protocol(kit, shared, unit)
+    return blocks
+
+
+def test_channel_blocks_equal_scatter_crop_construction():
+    for r in (0.0, 0.1, 0.3, 0.6, 0.85, 1.5, 2.0, 3.0, 10.0):
+        cut = FockCutoff.for_acceleration(r)
+        for xi in np.arange(96) * 0.01:
+            assert np.array_equal(_channel_blocks(xi, r, cut), scatter_crop_channel_blocks(xi, r, cut)), (xi, r)
+
+
+def test_apply_protocol_on_a_stack_equals_single_calls():
+    cut = FockCutoff.for_acceleration(0.3)
+    kit = build_protocol(schmidt_decompose(0.4), cut)
+    shared = entangled_state(0.4, 0.3, cut)
+    rng = np.random.default_rng(12)
+    inputs = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+    out = apply_protocol(kit, shared, inputs)
+    assert out.shape == (2, 2, cut.levels, cut.levels)
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(out[i, j], apply_protocol(kit, shared, inputs[i, j]))
 
 
 def test_exact_gauge_invariance():
