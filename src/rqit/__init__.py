@@ -51,12 +51,14 @@ from .linalg import (
 )
 from .teleportation import (
     FidelityEstimate,
+    FidelityResult,
     ProtocolKit,
     SchmidtDecomposition,
     average_fidelity_exact,
     average_fidelity_mc,
     build_protocol,
     fidelity_bound,
+    fidelity_sweep,
     haar_qubit_unitaries,
     run_protocol,
     schmidt_decompose,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -23,21 +24,15 @@ from . import __version__
 from .channel import DEFAULT_TRUNCATION_TOL, FockCutoff, entangled_state
 from .distinguishability import angle_sweep
 from .entanglement import log_negativity, negativity_sweep
-from .errors import RQITError, SizeError
+from .errors import RQITError
 from .geometry import curvature_comparison, metric_cartesian, numeric_metric, scalar_curvature_numeric
-from .teleportation import average_fidelity_exact, average_fidelity_mc, run_protocol
+from .teleportation import average_fidelity_exact, fidelity_sweep, run_protocol
 
 CURVATURE_GEOMETRY = "cartesian_pullback"
 H_OFFDIAG_SYMBOL = "xi_c"
 # Largest xi grid, metric table and curvature grid (--grid squared) a command
 # takes on; checked from the options before any work.
 MAX_GRID_POINTS = 100_000
-# Largest work a fig2 run may take, in samples: about 60 s at 0.6 us a sample
-# on a 2-core x86 host.  Each xi point counts its samples plus MC_POINT_CHARGE
-# for its fixed work (the exact average and both set-ups), measured there at
-# 1.1-1.8 ms a point.  The default run counts 96 x 203 000.
-MC_WORK_BOUND = 10**8
-MC_POINT_CHARGE = 3000
 
 
 class UsageError(Exception):
@@ -143,34 +138,15 @@ def _cutoff(args) -> FockCutoff:
     return FockCutoff.for_acceleration(args.r, args.cutoff_tol)
 
 
-def _cmd_sweep(args, sweep, column: str) -> int:
-    """fig1 and fig3: one call of ``sweep`` over the whole grid, one CSV column."""
+def _cmd_sweep(args, sweep, *columns: str) -> int:
+    """fig1, fig2 and fig3: one ``sweep`` call over the grid, a CSV column per named field."""
     grid = _parse_grid(args.xi)
     xis = _grid_values(grid)
     cut = _cutoff(args)
-    values = [getattr(p, column) for p in sweep(args.r, xis, cut)]
-    _write_csv(args, ["xi", column], zip(xis, values), grid, n_max=cut.n_max)
+    rows = [[x, *(getattr(p, c) for c in columns)] for x, p in zip(xis, sweep(args.r, xis, cut))]
+    _write_csv(args, ["xi", *columns], rows, grid, n_max=cut.n_max)
     if args.svg:
-        _write_svg(args.svg, xis, values, "xi", column)
-    return 0
-
-
-def _cmd_fig2(args) -> int:
-    grid = _parse_grid(args.xi)
-    xis = _grid_values(grid)
-    if (args.samples + MC_POINT_CHARGE) * len(xis) > MC_WORK_BOUND:
-        raise SizeError(f"fig2 needs (samples + {MC_POINT_CHARGE}) x points = "
-                        f"{args.samples + MC_POINT_CHARGE} x {len(xis)}, "
-                        f"over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
-    cut = _cutoff(args)
-    rows = []
-    for i, xi in enumerate(xis):
-        sub = int(np.random.SeedSequence((args.seed, i)).generate_state(1, dtype=np.uint64)[0])
-        est = average_fidelity_mc(xi, args.r, cut, samples=args.samples, seed=sub)
-        rows.append((xi, est.mean, est.std_error, average_fidelity_exact(xi, args.r, cut)))
-    _write_csv(args, ["xi", "fidelity_mc", "std_err", "fidelity_exact"], rows, grid, n_max=cut.n_max)
-    if args.svg:
-        _write_svg(args.svg, xis, [r[1] for r in rows], "xi", "fidelity")
+        _write_svg(args.svg, xis, [row[1] for row in rows], "xi", columns[0])
     return 0
 
 
@@ -274,7 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p2, 0.6)
     p2.add_argument("--samples", type=int, default=200_000, help="Monte-Carlo sample count")
     p2.add_argument("--seed", type=int, default=42, help="Monte-Carlo seed")
-    p2.set_defaults(func=_cmd_fig2)
+    p2.set_defaults(func=lambda args: _cmd_sweep(
+        args, partial(fidelity_sweep, samples=args.samples, seed=args.seed),
+        "fidelity_mc", "std_err", "fidelity_exact"))
 
     p3 = sub.add_parser("fig3", help="Bures-angle sweep over xi (columns: xi,theta)")
     common(p3, 0.85)

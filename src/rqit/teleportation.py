@@ -43,10 +43,18 @@ from .channel import (
     _shared_terms,
     entangled_state,
 )
+from .errors import SizeError
 from .linalg import DenseOperator, check_budget
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
+# Largest work a fidelity_sweep may take, in samples: about 65-95 s at
+# 0.64-0.94 us a sample on a 2-core x86 host.  Each xi point counts its
+# samples plus MC_POINT_CHARGE for its fixed work (one channel build and the
+# sampling set-up), measured there at 0.5-0.7 ms a point, so the charge
+# over-counts it.  The default fig2 run counts 96 x 203 000.
+MC_WORK_BOUND = 10**8
+MC_POINT_CHARGE = 3000
 
 
 @dataclass(frozen=True)
@@ -228,8 +236,10 @@ def average_fidelity_exact(xi, r, cutoff: FockCutoff | None = None) -> float:
 
         f = ( sum_i Tr E_ii + sum_ij (E_ij)[i, j] ) / 6.
     """
-    cut = _as_cutoff(cutoff, r)
-    e = _channel_blocks(xi, r, cut)
+    return _haar_average(_channel_blocks(xi, r, _as_cutoff(cutoff, r)))
+
+
+def _haar_average(e: np.ndarray) -> float:
     t1 = sum(np.trace(e[i, i]).real for i in range(2))
     t2 = sum(e[i, j][i, j].real for i in range(2) for j in range(2))
     return (t1 + t2) / 6.0
@@ -263,10 +273,14 @@ def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FidelityEstimate:
+    """Monte-Carlo average fidelity; ``exact`` is the exact Haar average of the
+    same channel, bit for bit ``average_fidelity_exact`` at the same inputs."""
+
     mean: float
     std_error: float
     samples: int
     seed: int
+    exact: float
 
 
 def _plus_overlaps(us: np.ndarray, e4: np.ndarray) -> np.ndarray:
@@ -304,7 +318,8 @@ def average_fidelity_mc(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     cut = _as_cutoff(cutoff, r)
-    e4 = _channel_blocks(xi, r, cut).reshape(4, 4)
+    e = _channel_blocks(xi, r, cut)
+    e4 = e.reshape(4, 4)
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
     spans = range(0, samples, chunk)
@@ -323,4 +338,37 @@ def average_fidelity_mc(
         std_error = math.sqrt(var / samples)
     else:
         std_error = 0.0
-    return FidelityEstimate(mean, std_error, samples, seed)
+    return FidelityEstimate(mean, std_error, samples, seed, _haar_average(e))
+
+
+@dataclass(frozen=True)
+class FidelityResult:
+    xi: float
+    r: float
+    fidelity_mc: float
+    std_err: float
+    fidelity_exact: float
+
+
+def fidelity_sweep(
+    r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None, samples: int = 200_000, seed: int = 0
+) -> list[FidelityResult]:
+    """One FidelityResult per grid point, in grid order: Monte Carlo and exact.
+
+    Point i is one ``average_fidelity_mc`` call, seeded from
+    ``SeedSequence((seed, i))``, whose one channel build also gives the exact
+    average.  (samples + MC_POINT_CHARGE) x points is checked against
+    MC_WORK_BOUND before anything is built (``SizeError``).
+    """
+    if (samples + MC_POINT_CHARGE) * len(xi_grid) > MC_WORK_BOUND:
+        raise SizeError(f"fig2 needs (samples + {MC_POINT_CHARGE}) x points = "
+                        f"{samples + MC_POINT_CHARGE} x {len(xi_grid)}, "
+                        f"over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
+    a = _as_accel(r)
+    cut = _as_cutoff(cutoff, a)
+    out = []
+    for i, xi in enumerate(xi_grid):
+        sub = int(np.random.SeedSequence((seed, i)).generate_state(1, dtype=np.uint64)[0])
+        est = average_fidelity_mc(xi, a, cut, samples=samples, seed=sub)
+        out.append(FidelityResult(float(xi), a.r, est.mean, est.std_error, est.exact))
+    return out

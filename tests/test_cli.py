@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rqit import teleportation
 from rqit.cli import main
 
 
@@ -208,9 +210,11 @@ def test_header_keys_and_order(argv, extras, tmp_path, capsys):
         ["metric", "--r", "1000", "--points", "2"],
         ["curvature", "--r", "400"],
         ["fig3", "--r", "0.85", "--n-max", "3", "--cutoff-tol", "0.9", "--xi", "0.3:0.3:0"],
+        # no cutoff exists at r = 20, and the run is over the fig2 work bound too
+        ["fig2", "--r", "20", "--samples", "60000000"],
     ],
     ids=["cutoff-too-small", "fig1-r-1000", "fig2-r-1000", "fig3-r-1000", "metric-r-1000",
-         "curvature-r-400", "fig3-image-trace"],
+         "curvature-r-400", "fig3-image-trace", "fig2-no-cutoff-and-over-work-bound"],
 )
 def test_numeric_failure_exits_3(argv, capsys):
     # a cutoff far too small for the acceleration (at r = 1000 tanh r rounds to 1),
@@ -246,6 +250,21 @@ def test_size_limit_exits_3(argv, reason, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert reason in err
+
+
+def test_fig2_builds_one_channel_per_point(monkeypatch, tmp_path):
+    calls = Counter()
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("_channel_blocks", "average_fidelity_mc"):
+        monkeypatch.setattr(teleportation, name, counted(name, getattr(teleportation, name)))
+    assert run_cli(["fig2", "--xi", "0:0.8:0.2", "--samples", "10", "-o", str(tmp_path / "f.csv")]) == 0
+    assert calls == {"_channel_blocks": 5, "average_fidelity_mc": 5}
 
 
 def test_io_failure_exits_4(tmp_path):

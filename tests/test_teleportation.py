@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rqit import teleportation
 from rqit.channel import _SHARED_COMPONENTS, FockCutoff, _as_accel, _as_xi, _shared_terms, entangled_state
-from rqit.errors import TruncationError
+from rqit.errors import SizeError, TruncationError
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
+    MC_POINT_CHARGE,
+    MC_WORK_BOUND,
     SchmidtDecomposition,
     _channel_blocks,
     _plus_overlaps,
@@ -16,6 +19,7 @@ from rqit.teleportation import (
     average_fidelity_mc,
     build_protocol,
     fidelity_bound,
+    fidelity_sweep,
     haar_qubit_unitaries,
     run_protocol,
     schmidt_decompose,
@@ -404,3 +408,104 @@ def test_trace_preserved_over_random_inputs():
         amps = amps / np.linalg.norm(amps)
         out = run_protocol(amps, rng.uniform(0, 0.9), rng.uniform(0, 0.6))
         assert abs(out.trace().real - 1.0) < 1e-10
+
+
+def test_mc_estimate_carries_exact_average():
+    for xi, r, cut in ((0.0, 0.0, None), (0.4, 0.6, None), (0.8, 2.0, None), (0.3, 0.3, FockCutoff(40))):
+        est = average_fidelity_mc(xi, r, cut, samples=10, seed=5)
+        assert est.exact == average_fidelity_exact(xi, r, cut)
+
+
+def per_point_fig2(r, xis, cut, samples, seed):
+    """fig2 computed point by point, as the CLI once did: one Monte-Carlo and
+    one exact average per xi, point i seeded from SeedSequence((seed, i))."""
+    rows = []
+    for i, xi in enumerate(xis):
+        sub = int(np.random.SeedSequence((seed, i)).generate_state(1, dtype=np.uint64)[0])
+        est = average_fidelity_mc(xi, r, cut, samples=samples, seed=sub)
+        rows.append((xi, est.mean, est.std_error, average_fidelity_exact(xi, r, cut)))
+    return rows
+
+
+def test_fidelity_sweep_equals_per_point_loop():
+    grids = (
+        (0.6, np.arange(3) * 0.4, FockCutoff.for_acceleration(0.6), 3000, 42),
+        (1.5, np.arange(3) * 0.4, FockCutoff.for_acceleration(1.5), 1, 3),
+        (2.0, np.array([0.4]), FockCutoff.for_acceleration(2.0), 1, 3),
+        (0.3, np.arange(10) * 0.1, FockCutoff(40), 500, 1),
+    )
+    for r, xis, cut, samples, seed in grids:
+        results = fidelity_sweep(r, xis, cut, samples=samples, seed=seed)
+        assert all(p.r == r for p in results)
+        got = [(p.xi, p.fidelity_mc, p.std_err, p.fidelity_exact) for p in results]
+        assert got == per_point_fig2(r, xis, cut, samples, seed), (r, samples)
+
+
+def test_fidelity_sweep_checks_work_bound_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("channel built before the work bound was checked")
+
+    monkeypatch.setattr(teleportation, "_channel_blocks", refuse)
+    points = MC_WORK_BOUND // (1 + MC_POINT_CHARGE) + 1
+    # at r = 20 the cutoff search itself fails, so the bound must come first
+    with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
+        fidelity_sweep(20.0, np.zeros(points), samples=1)
+    with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
+        fidelity_sweep(0.6, [0.4], FockCutoff(24), samples=MC_WORK_BOUND)
+
+
+def mp_exact_fidelity(xi, r):
+    """fig2's exact average at 40 digits, from the physics alone.
+
+    Rob's |0> maps to sum_n c_n |n>_I |n>_II and |1> to sum_n d_n |n+1>_I |n>_II
+    (c_n = tanh^n r / cosh r, d_n = sqrt(n+1) tanh^n r / cosh^2 r).  Tracing
+    wedge II leaves one term per n, and on Fock levels {0, 1} only the term
+    n = 0 and the level-1 part of n = 1 remain.  The Schmidt form is
+    |Psi> = (|0>(|+> + |phi>) + |1>(|+> - |phi>))/2; for xi > 0, <+|phi> < 0,
+    so |1> carries the larger coefficient.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        xi, r = mpmath.mpf(xi), mpmath.mpf(r)
+        h = 1 / mpmath.sqrt(2)
+        plus, minus = mpmath.matrix([h, h]), mpmath.matrix([h, -h])
+        phi = mpmath.matrix([mpmath.sqrt((1 - xi) / 2), -mpmath.sqrt((1 + xi) / 2)])
+        psi = [[(plus[a] * plus[b] + minus[a] * phi[b]) * h for b in range(2)] for a in range(2)]
+        c0, c1, d0 = 1 / mpmath.cosh(r), mpmath.tanh(r) / mpmath.cosh(r), 1 / mpmath.cosh(r) ** 2
+        # index 2a + k for Alice's qubit a and Rob's Fock level k
+        v0 = mpmath.matrix([psi[0][0] * c0, psi[0][1] * d0, psi[1][0] * c0, psi[1][1] * d0])
+        v1 = mpmath.matrix([0, psi[0][0] * c1, 0, psi[1][0] * c1])
+        rho = v0 * v0.T + v1 * v1.T
+        t0, t1 = plus - phi, plus + phi
+        t0, t1 = t0 / mpmath.norm(t0), t1 / mpmath.norm(t1)
+        e0, e1 = mpmath.matrix([1, 0]), mpmath.matrix([0, 1])
+        a0, a1 = e1, e0
+
+        def kron(x, y):
+            return mpmath.matrix([x[i] * y[j] for i in range(2) for j in range(2)])
+
+        us = (kron(e0, a0) + kron(e1, a1), kron(e0, a0) - kron(e1, a1),
+              kron(e0, a1) + kron(e1, a0), kron(e0, a1) - kron(e1, a0))
+        bs = (e0 * t0.T + e1 * t1.T, e0 * t0.T - e1 * t1.T, e1 * t0.T + e0 * t1.T, e1 * t0.T - e0 * t1.T)
+        total = 0
+        for i in range(2):
+            for j in range(2):
+                # output on |i><j|: sum_m B_m M_m B_m^T with Pi_m = u_m u_m^T / 2 and
+                # M_m[k, l] = sum_{a, c} Pi_m[(j a), (i c)] rho[(c k), (a l)]
+                out = mpmath.zeros(2, 2)
+                for u, b in zip(us, bs):
+                    m = mpmath.matrix(2, 2)
+                    for k in range(2):
+                        for l in range(2):
+                            m[k, l] = sum(u[2 * j + a] * u[2 * i + c] / 2 * rho[2 * c + k, 2 * a + l]
+                                          for a in range(2) for c in range(2))
+                    out += b * m * b.T
+                # Haar second moment (I + SWAP)/6: Tr E_ii and E_ij[i, j]
+                total += (out[0, 0] + out[1, 1] if i == j else 0) + out[i, j]
+        return total / 6
+
+
+def test_exact_column_matches_mpmath():
+    for xi, r in ((0.4, 0.6), (0.8, 2.0)):
+        (point,) = fidelity_sweep(r, [xi], samples=1)
+        assert abs(point.fidelity_exact - mp_exact_fidelity(xi, r)) <= 1e-15, (xi, r)
