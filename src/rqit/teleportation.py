@@ -12,11 +12,12 @@ and four conditional receiver operations B^1..4 mapping the Schmidt basis
 protocol is then driven with the accelerated shared state.
 
 The average fidelity over Haar-random pure inputs |psi> = U|+> is computed
-two ways: Monte Carlo with counter-based sampling (Philox; sample k consumes
-the eight uniform doubles at stream offset 8k, so any chunked or parallel
-schedule reproduces identical values), and exactly, by evaluating the
-protocol channel on the four matrix units and contracting with the Haar
-second moment  integral P (x) P dmu = (I + SWAP)/6.
+two ways: Monte Carlo over the Bloch vector n of psi, which is uniform on the
+sphere, with counter-based sampling (Philox; sample k reads two of the four
+uniform doubles of counter step k, so any chunked or parallel schedule
+reproduces identical values), and exactly, by evaluating the protocol channel
+on the four matrix units and contracting with the Haar second moment
+integral P (x) P dmu = (I + SWAP)/6.
 
 Both averages read the receiver's output on Fock levels {0, 1} only.  Each
 receiver operation is B (+) 1, so that block depends only on the levels
@@ -47,12 +48,13 @@ from .errors import SizeError
 from .linalg import DenseOperator, check_budget
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT2 = 1.0 / _SQRT2
-# Largest work a fidelity_sweep may take, in samples: about 65-95 s at
-# 0.64-0.94 us a sample on a 2-core x86 host.  Each xi point counts its
+# column c is vec(sigma_c / 2), in the (ij) order of E4, for sigma_0 = 1 and the Pauli x, y, z
+_PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]]) / 2
+# Largest work a fidelity_sweep may take, in samples: about 24-27 s at
+# 0.24-0.27 us a sample on a 2-core x86 host.  Each xi point counts its
 # samples plus MC_POINT_CHARGE for its fixed work (one channel build and the
-# sampling set-up), measured there at 0.5-0.7 ms a point, so the charge
-# over-counts it.  The default fig2 run counts 96 x 203 000.
+# sampling set-up), measured there at 0.7-0.9 ms a point, the cost of about
+# 2600-3600 samples.  The default fig2 run counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
 
@@ -242,7 +244,7 @@ def average_fidelity_exact(xi, r, cutoff: FockCutoff | None = None) -> float:
 def _haar_average(e: np.ndarray) -> float:
     t1 = sum(np.trace(e[i, i]).real for i in range(2))
     t2 = sum(e[i, j][i, j].real for i in range(2) for j in range(2))
-    return (t1 + t2) / 6.0
+    return float((t1 + t2) / 6.0)
 
 
 def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
@@ -252,7 +254,8 @@ def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
     doubles at offset 8(start + k) of the Philox stream keyed by ``seed``:
     Box-Muller gives a complex Ginibre 2x2 draw, and Gram-Schmidt with
     positive-diagonal R (the QR normalization that yields Haar measure)
-    unitarizes it.
+    unitarizes it.  Monte Carlo needs only the Bloch vector of U|+>, which
+    ``_bloch_vectors`` draws directly; the tests use this as its reference.
     """
     bit = np.random.Philox(key=seed)
     if start:
@@ -283,15 +286,37 @@ class FidelityEstimate:
     exact: float
 
 
-def _plus_overlaps(us: np.ndarray, e4: np.ndarray) -> np.ndarray:
-    """<psi| sigma_R(|psi><psi|) |psi> for psi = U|+>, one per unitary in ``us``.
+def _bloch_vectors(samples: int, seed: int, start: int = 0) -> np.ndarray:
+    """Unit vectors uniform on the sphere, one per row, from a counter-based stream.
 
-    ``e4`` holds the channel blocks as a 4x4 matrix: E[i, j][k, l] at row
-    (ij) and column (kl).
+    Sample k (global index start + k) reads the first two of the four uniform
+    doubles of counter step start + k of the Philox stream keyed by ``seed``:
+    z = 2 u0 - 1 and phi = 2 pi u1 (Archimedes: z is uniform on [-1, 1]).
     """
-    psi = us[:, :, 0] * _INV_SQRT2 + us[:, :, 1] * _INV_SQRT2  # U|+>, rounded as us @ |+>
-    w = np.multiply(psi[:, :, None], psi.conj()[:, None, :]).reshape(len(us), 4)
-    return np.einsum("sb,sb->s", w @ e4, w.conj()).real
+    bit = np.random.Philox(key=seed)
+    bit.advance(start)  # one counter step of Philox-4x64 yields 4 doubles
+    u = np.random.Generator(bit).random((samples, 4))
+    z = 2.0 * u[:, 0] - 1.0
+    phi = 2.0 * np.pi * u[:, 1]
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def _bloch_form(e: np.ndarray) -> np.ndarray:
+    """Real 4x4 Q with <psi| sigma_R(|psi><psi|) |psi> = x^T Q x on x = (1, n).
+
+    n is the Bloch vector of psi.  With E4 the channel blocks E[i, j][k, l]
+    as a 4x4 matrix over the pairs (ij) and (kl), the fidelity is
+    Re sum_b (w E4)_b conj(w)_b on w = vec(|psi><psi|), and
+    rho = (1 + n.sigma)/2 gives w = T x with T = _PAULI_HALF, so
+    Q = Re(T^T E4 conj(T)).
+    """
+    return (_PAULI_HALF.T @ e.reshape(4, 4) @ _PAULI_HALF.conj()).real
+
+
+def _form_values(q: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """x^T Q x on x = (1, n), one value per row of ``n``."""
+    return q[0, 0] + np.einsum("sj,sj->s", n @ q[1:, 1:] + (q[0, 1:] + q[1:, 0]), n)
 
 
 def average_fidelity_mc(
@@ -304,10 +329,10 @@ def average_fidelity_mc(
 ) -> FidelityEstimate:
     """Monte-Carlo Haar average over |psi> = U|+>.
 
-    With w = psi (x) conj(psi) as a 4-vector and E4 the channel blocks
-    E[i, j][k, l] as a 4x4 matrix over the pairs (ij) and (kl), each
-    sample's fidelity <psi| sigma_R(|psi><psi|) |psi> is the quadratic form
-    Re sum_b (w E4)_b conj(w)_b.
+    For Haar U the Bloch vector n of U|+> is uniform on the sphere, so each
+    sample draws n directly (``_bloch_vectors``), and its fidelity
+    <psi| sigma_R(|psi><psi|) |psi> is the real quadratic form x^T Q x on
+    x = (1, n), with Q built once per call (``_bloch_form``).
 
     Samples are drawn ``chunk`` at a time, so ``chunk`` bounds the working
     memory of the sampling and the contraction; it never changes a result.
@@ -319,13 +344,13 @@ def average_fidelity_mc(
         raise ValueError(f"samples must be >= 1, got {samples}")
     cut = _as_cutoff(cutoff, r)
     e = _channel_blocks(xi, r, cut)
-    e4 = e.reshape(4, 4)
+    q = _bloch_form(e)
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
     spans = range(0, samples, chunk)
     for start in spans:
         m = min(chunk, samples - start)
-        values[start:start + m] = _plus_overlaps(haar_qubit_unitaries(m, seed, start=start), e4)
+        values[start:start + m] = _form_values(q, _bloch_vectors(m, seed, start))
 
     def chunked_floats():
         return chain.from_iterable(values[a:a + chunk].tolist() for a in spans)

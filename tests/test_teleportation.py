@@ -11,8 +11,11 @@ from rqit.teleportation import (
     MC_POINT_CHARGE,
     MC_WORK_BOUND,
     SchmidtDecomposition,
+    _bloch_form,
+    _bloch_vectors,
     _channel_blocks,
-    _plus_overlaps,
+    _form_values,
+    _haar_average,
     _protocol_kit,
     apply_protocol,
     average_fidelity_exact,
@@ -251,13 +254,48 @@ def test_haar_sampler_matches_complex_temporary_construction():
         )
 
 
-def test_overlaps_match_five_operand_einsum():
+FORM_POINTS = ((0.0, 0.0), (0.4, 0.6), (0.9, 0.85), (0.3, 1.5))
+
+
+def test_bloch_form_matches_five_operand_einsum():
     us = haar_qubit_unitaries(4096, seed=3)
     psi = us @ (np.array([1, 1]) / SQRT2)
-    for xi, r in ((0.0, 0.0), (0.4, 0.6), (0.9, 0.85), (0.3, 1.5)):
+    # rho = (1 + n.sigma)/2: rho_01 = (nx - i ny)/2 and rho_00 - rho_11 = nz
+    c = psi[:, 0] * psi[:, 1].conj()
+    n = np.stack([2 * c.real, -2 * c.imag, abs(psi[:, 0]) ** 2 - abs(psi[:, 1]) ** 2], axis=1)
+    for xi, r in FORM_POINTS:
         e = _channel_blocks(xi, r, FockCutoff.for_acceleration(r))
         want = np.einsum("si,sj,sk,sl,ijkl->s", psi, psi.conj(), psi.conj(), psi, e).real
-        np.testing.assert_allclose(_plus_overlaps(us, e.reshape(4, 4)), want, rtol=0, atol=1e-15)
+        # the Gram-Schmidt psi is off unit norm by up to about 2e-14
+        np.testing.assert_allclose(_form_values(_bloch_form(e), n), want, rtol=0, atol=1e-13)
+
+
+def test_bloch_form_sphere_average_is_haar_average():
+    # <n> = 0 and <n n^T> = 1/3 on the sphere, so the average of x^T Q x is
+    # Q00 + tr(Q[1:, 1:])/3, an independent closed form of the exact average
+    for xi, r in FORM_POINTS:
+        e = _channel_blocks(xi, r, FockCutoff.for_acceleration(r))
+        q = _bloch_form(e)
+        assert abs(q[0, 0] + np.trace(q[1:, 1:]) / 3 - _haar_average(e)) <= 1e-15, (xi, r)
+
+
+def test_bloch_sampler_unit_norm_moments_and_counter_offsets():
+    count = 40_000
+    n = _bloch_vectors(count, seed=11)
+    assert n.shape == (count, 3)
+    assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) <= 4 * np.finfo(float).eps
+    bound = 5 / math.sqrt(count)
+    assert np.max(np.abs(n.mean(axis=0))) < bound
+    assert np.max(np.abs(n.T @ n / count - np.eye(3) / 3)) < bound
+    # stream offsets: samples [k, k+m) at an odd k reproduce the tail of a larger batch
+    np.testing.assert_array_equal(_bloch_vectors(37, seed=11, start=count - 37), n[-37:])
+    np.testing.assert_array_equal(_bloch_vectors(5, seed=11, start=101), n[101:106])
+
+
+def test_bloch_form_is_one_at_ideal_point():
+    e = _channel_blocks(0.0, 0.0, FockCutoff.for_acceleration(0.0))
+    values = _form_values(_bloch_form(e), _bloch_vectors(20_000, seed=1))
+    assert np.max(np.abs(values - 1.0)) <= 1e-15
 
 
 def test_mc_zero_variance_at_ideal_point():
@@ -414,6 +452,7 @@ def test_mc_estimate_carries_exact_average():
     for xi, r, cut in ((0.0, 0.0, None), (0.4, 0.6, None), (0.8, 2.0, None), (0.3, 0.3, FockCutoff(40))):
         est = average_fidelity_mc(xi, r, cut, samples=10, seed=5)
         assert est.exact == average_fidelity_exact(xi, r, cut)
+        assert type(est.exact) is float and type(average_fidelity_exact(xi, r, cut)) is float
 
 
 def per_point_fig2(r, xis, cut, samples, seed):
@@ -436,7 +475,7 @@ def test_fidelity_sweep_equals_per_point_loop():
     )
     for r, xis, cut, samples, seed in grids:
         results = fidelity_sweep(r, xis, cut, samples=samples, seed=seed)
-        assert all(p.r == r for p in results)
+        assert all(p.r == r and type(p.fidelity_exact) is float for p in results)
         got = [(p.xi, p.fidelity_mc, p.std_err, p.fidelity_exact) for p in results]
         assert got == per_point_fig2(r, xis, cut, samples, seed), (r, samples)
 
