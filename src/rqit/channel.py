@@ -293,10 +293,8 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
 _SHARED_COMPONENTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff,
-                  count: int | None = None):
-    """The first ``count`` terms (default: all, n = 0..n_max) of the shared
-    state rho = sum_n w_n |v_n><v_n|.
+def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff):
+    """The terms n = 0..n_max of the shared state rho = sum_n w_n |v_n><v_n|.
 
     Returns ``(amps, weights)``.  Rows 0..3 of ``amps`` hold the components
     of |v_n> on |0,n>, |1,n>, |0,n+1> and |1,n+1>:
@@ -304,18 +302,17 @@ def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff,
         (eta_{+-}, eta_{--}, eta_{-+} s_n, eta_{++} s_n),  s_n = sqrt(n+1)/cosh r,
 
     and ``weights`` holds w_n = tanh^{2n} r / (8 cosh^2 r).  Raises
-    TruncationError when the trace of all n_max + 1 terms misses 1 by more
-    than the cutoff tolerance, whatever ``count``, and SizeError when
-    ``amps`` would exceed the memory budget.
+    TruncationError when the trace of the terms misses 1 by more than the
+    cutoff tolerance, and SizeError when ``amps`` would exceed the memory
+    budget.
     """
-    count = cut.n_max + 1 if count is None else count
-    check_budget((4, count), float, "shared-state terms")
+    check_budget((4, cut.n_max + 1), float, "shared-state terms")
     deficit = _shared_deficit(ox, a, cut.n_max)
     if deficit > cut.tol:
         raise TruncationError(
             f"shared-state trace deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
         )
-    n = np.arange(count)
+    n = np.arange(cut.n_max + 1)
     s = np.sqrt(n + 1.0) / a.C
     amps = np.stack([
         np.full_like(s, ox.eta(+1, -1)),

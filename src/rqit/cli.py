@@ -4,8 +4,9 @@ Output format: '# key=value' header lines capturing the full run
 configuration, a '# columns=...' line, then comma-separated numeric rows
 (12 significant digits, LF endings, UTF-8).  Re-running a fixed
 configuration reproduces identical bytes; Monte-Carlo commands are pinned
-by the seed.  Each figure is one sweep call over its whole grid, with the
-Fock cutoff built once.
+by the seed.  Each figure is one sweep call over its whole grid; fig1 and
+fig3 build their Fock cutoff once, and fig2 reads Fock levels {0, 1} only,
+so it takes no cutoff.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure
 (truncation/positivity/size/chart, or a LAPACK routine's INFO), 4 I/O failure.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -133,13 +133,17 @@ def _write_svg(path: str, xs, ys, xlabel: str, ylabel: str) -> None:
 
 
 def _cutoff(args) -> FockCutoff:
-    if getattr(args, "n_max", None):
-        return FockCutoff(args.n_max, args.cutoff_tol)
-    return FockCutoff.for_acceleration(args.r, args.cutoff_tol)
+    """The Fock cutoff of fig1 and fig3.  For fig2, which takes no cutoff
+    options, the one the full shared state would need at the default
+    tolerance; only its ``n_max`` header reads it."""
+    tol = getattr(args, "cutoff_tol", DEFAULT_TRUNCATION_TOL)
+    if getattr(args, "n_max", 0):
+        return FockCutoff(args.n_max, tol)
+    return FockCutoff.for_acceleration(args.r, tol)
 
 
 def _cmd_sweep(args, sweep, *columns: str) -> int:
-    """fig1, fig2 and fig3: one ``sweep`` call over the grid, a CSV column per named field."""
+    """fig1, fig2 and fig3: one ``sweep(r, xis, cutoff)`` call over the grid, a CSV column per named field."""
     grid = _parse_grid(args.xi)
     xis = _grid_values(grid)
     cut = _cutoff(args)
@@ -232,11 +236,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, r_default, xi_default="0:0.95:0.01"):
+    def common(p, r_default, xi_default="0:0.95:0.01", fock=True):
         p.add_argument("--r", type=float, default=r_default, help="acceleration (squeezing) parameter")
         p.add_argument("--xi", default=xi_default, help="orthogonality grid min:max:step")
-        p.add_argument("--cutoff-tol", type=float, default=1e-12, help="Fock truncation tolerance")
-        p.add_argument("--n-max", type=int, default=0, help="override the Fock cutoff level")
+        if fock:
+            p.add_argument("--cutoff-tol", type=float, default=1e-12, help="Fock truncation tolerance")
+            p.add_argument("--n-max", type=int, default=0, help="override the Fock cutoff level")
         p.add_argument("-o", "--output", default="-", help="CSV path ('-' for stdout)")
         p.add_argument("--svg", default="", help="also render the curve to this SVG path")
 
@@ -247,11 +252,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p2 = sub.add_parser(
         "fig2", help="average teleportation fidelity over xi (columns: xi,fidelity_mc,std_err,fidelity_exact)"
     )
-    common(p2, 0.6)
+    common(p2, 0.6, fock=False)
     p2.add_argument("--samples", type=int, default=200_000, help="Monte-Carlo sample count")
     p2.add_argument("--seed", type=int, default=42, help="Monte-Carlo seed")
     p2.set_defaults(func=lambda args: _cmd_sweep(
-        args, partial(fidelity_sweep, samples=args.samples, seed=args.seed),
+        args, lambda r, xis, _cut: fidelity_sweep(r, xis, samples=args.samples, seed=args.seed),
         "fidelity_mc", "std_err", "fidelity_exact"))
 
     p3 = sub.add_parser("fig3", help="Bures-angle sweep over xi (columns: xi,theta)")

@@ -22,9 +22,10 @@ integral P (x) P dmu = (I + SWAP)/6.
 Both averages read the receiver's output on Fock levels {0, 1} only.  Each
 receiver operation is B (+) 1, so that block depends only on the levels
 {0, 1} block of the shared state, to which only the terms |v_0> and |v_1>
-contribute.  The averages therefore contract a 4x4 block instead of the
-full state, and neither their cost nor their memory grows with the cutoff:
-the truncation check on the shared state is a closed form.
+contribute, with weights 1/(8 cosh^2 r) and tanh^2 r/(8 cosh^2 r).  The
+averages therefore contract a closed-form 4x4 block that is exact for any
+Fock cutoff: they take none and run no truncation check, and hold up to
+channel.MAX_R.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    FockCutoff,
-    _as_accel,
-    _as_cutoff,
-    _as_xi,
-    _shared_terms,
-    entangled_state,
-)
+from .channel import FockCutoff, _as_accel, _as_cutoff, _as_xi, entangled_state
 from .errors import SizeError
 from .linalg import DenseOperator, check_budget
 
@@ -137,17 +131,13 @@ class ProtocolKit:
     levels: int
 
 
-def build_protocol(schmidt: SchmidtDecomposition, cutoff: FockCutoff) -> ProtocolKit:
+def build_protocol(schmidt: SchmidtDecomposition, levels: int) -> ProtocolKit:
     """Assemble the four POVMs and the four B (+) 1 receiver operations.
 
     The POVM vectors carry the 1/sqrt2 normalization that makes
     sum_i Pi^i = 1_4 exact; each receiver operation acts as a unitary on
-    Fock levels {0, 1} and as the identity above.
+    Fock levels {0, 1} and as the identity above, up to ``levels``.
     """
-    return _protocol_kit(schmidt, cutoff.levels)
-
-
-def _protocol_kit(schmidt: SchmidtDecomposition, levels: int) -> ProtocolKit:
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
     a0, a1 = schmidt.alice_basis[:, 0], schmidt.alice_basis[:, 1]
@@ -205,32 +195,37 @@ def run_protocol(input_state: Sequence[complex], xi, r, cutoff: FockCutoff | Non
     if abs(float(np.vdot(amps, amps).real) - 1.0) > 1e-10:
         raise ValueError("input amplitudes must be normalized")
     cut = _as_cutoff(cutoff, r)
-    kit = build_protocol(schmidt_decompose(xi), cut)
+    kit = build_protocol(schmidt_decompose(xi), cut.levels)
     shared = entangled_state(xi, r, cut)
     out = apply_protocol(kit, shared, np.outer(amps, amps.conj()))
     return DenseOperator(out, (cut.levels,))
 
 
-def _channel_blocks(xi, r, cutoff: FockCutoff) -> np.ndarray:
+def _channel_blocks(xi, r) -> np.ndarray:
     """E[i, j] = top-left 2x2 block of the protocol channel on |i><j|.
 
     Only Fock levels {0, 1} of the output are read, and the receiver
     operations act as the identity above them, so the protocol is applied
     once, to the stacked matrix units, with the levels {0, 1} block of the
     shared state alone.  On (qubit, level) in {0, 1} x {0, 1} that block is
-    w_0 |v_0><v_0| plus w_1 times the level-1 part of |v_1>; only those two
-    terms are built, and the closed-form truncation check still covers
-    every term up to the cutoff.
+    w_0 |v_0><v_0| + w_1 |v_1'><v_1'|, with v_1' the level-1 part of |v_1>:
+
+        v_0 = (eta_{+-}, eta_{-+}/C, eta_{--}, eta_{++}/C),  w_0 = 1/(8 C^2),
+        v_1' = (0, eta_{+-}, 0, eta_{--}),                    w_1 = T^2/(8 C^2),
+
+    with C = cosh r and T = tanh r (see ``channel.entangled_state``).
     """
-    amps, (w0, w1) = _shared_terms(_as_xi(xi), _as_accel(r), cutoff, count=2)
-    v0 = amps[[0, 2, 1, 3], 0]
-    v1 = np.array([0.0, amps[0, 1], 0.0, amps[1, 1]])
+    ox, a = _as_xi(xi), _as_accel(r)
+    s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._shared_terms
+    v0 = np.array([ox.eta(+1, -1), ox.eta(-1, +1) * s, ox.eta(-1, -1), ox.eta(+1, +1) * s])
+    v1 = np.array([0.0, ox.eta(+1, -1), 0.0, ox.eta(-1, -1)])
+    w0, w1 = 1.0 / (8.0 * a.C**2), a.T**2 / (8.0 * a.C**2)
     shared = DenseOperator(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1), (2, 2))
     units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
-    return apply_protocol(_protocol_kit(schmidt_decompose(xi), 2), shared, units)
+    return apply_protocol(build_protocol(schmidt_decompose(xi), 2), shared, units)
 
 
-def average_fidelity_exact(xi, r, cutoff: FockCutoff | None = None) -> float:
+def average_fidelity_exact(xi, r) -> float:
     """Exact Haar average of <psi| sigma_R(|psi><psi|) |psi>.
 
     With E_ij the channel on matrix units and the second moment
@@ -238,7 +233,7 @@ def average_fidelity_exact(xi, r, cutoff: FockCutoff | None = None) -> float:
 
         f = ( sum_i Tr E_ii + sum_ij (E_ij)[i, j] ) / 6.
     """
-    return _haar_average(_channel_blocks(xi, r, _as_cutoff(cutoff, r)))
+    return _haar_average(_channel_blocks(xi, r))
 
 
 def _haar_average(e: np.ndarray) -> float:
@@ -322,7 +317,6 @@ def _form_values(q: np.ndarray, n: np.ndarray) -> np.ndarray:
 def average_fidelity_mc(
     xi,
     r,
-    cutoff: FockCutoff | None = None,
     samples: int = 200_000,
     seed: int = 0,
     chunk: int = 8_192,
@@ -334,16 +328,17 @@ def average_fidelity_mc(
     <psi| sigma_R(|psi><psi|) |psi> is the real quadratic form x^T Q x on
     x = (1, n), with Q built once per call (``_bloch_form``).
 
-    Samples are drawn ``chunk`` at a time, so ``chunk`` bounds the working
-    memory of the sampling and the contraction; it never changes a result.
+    Samples are drawn ``chunk`` (>= 1) at a time, which bounds the working
+    memory of the sampling and the contraction and never changes a result.
     Sample k always consumes the same stream segment, and the mean and the
     variance are correctly rounded sums (math.fsum) of the per-sample
     overlaps, which are kept at 8 bytes a sample.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    cut = _as_cutoff(cutoff, r)
-    e = _channel_blocks(xi, r, cut)
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    e = _channel_blocks(xi, r)
     q = _bloch_form(e)
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
@@ -376,7 +371,7 @@ class FidelityResult:
 
 
 def fidelity_sweep(
-    r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None, samples: int = 200_000, seed: int = 0
+    r, xi_grid: Sequence[float], samples: int = 200_000, seed: int = 0
 ) -> list[FidelityResult]:
     """One FidelityResult per grid point, in grid order: Monte Carlo and exact.
 
@@ -390,10 +385,9 @@ def fidelity_sweep(
                         f"{samples + MC_POINT_CHARGE} x {len(xi_grid)}, "
                         f"over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
     a = _as_accel(r)
-    cut = _as_cutoff(cutoff, a)
     out = []
     for i, xi in enumerate(xi_grid):
         sub = int(np.random.SeedSequence((seed, i)).generate_state(1, dtype=np.uint64)[0])
-        est = average_fidelity_mc(xi, a, cut, samples=samples, seed=sub)
+        est = average_fidelity_mc(xi, a, samples=samples, seed=sub)
         out.append(FidelityResult(float(xi), a.r, est.mean, est.std_error, est.exact))
     return out

@@ -69,18 +69,15 @@ def test_fig2_columns(tmp_path):
 
 
 def test_fig2_reaches_large_r(tmp_path):
-    # at r = 5 (n_max 171254) the trace deficit must not be lost to rounding;
-    # at r = 10 (n_max above 3e9) nothing may be allocated per level
+    # fig2 reads Fock levels {0, 1} only; its n_max header is the cutoff the
+    # full shared state would need (above 3e9 at r = 10), found in closed form
     for r, n_max in (("3", 3136), ("5", 171_254), ("10", 3_772_144_013)):
-        out, doubled = tmp_path / f"fig2-{r}.csv", tmp_path / f"fig2-{r}-doubled.csv"
-        args = ["fig2", "--r", r, "--xi", "0.4:0.4:0", "--samples", "2000"]
-        assert run_cli(args + ["-o", str(out)]) == 0
+        out = tmp_path / f"fig2-{r}.csv"
+        assert run_cli(["fig2", "--r", r, "--xi", "0.4:0.4:0", "--samples", "2000", "-o", str(out)]) == 0
         header, rows = read_csv(out)
-        assert header["n_max"] == str(n_max)
+        assert header["n_max"] == str(n_max) and header["cutoff_tol"] == "1e-12"
         (xi, mc, se, exact), = rows
         assert abs(mc - exact) <= 5 * se
-        assert run_cli(args + ["--n-max", str(2 * n_max), "-o", str(doubled)]) == 0
-        assert read_csv(doubled)[1][0][3] == exact
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -164,13 +161,23 @@ def test_unknown_command_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["metric", "curvature"])
-def test_commands_without_fock_cutoff_reject_cutoff_tol(command, capsys):
-    # neither command builds a Fock tower, so a tolerance would change nothing
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "--cutoff-tol", "1e-3"],
+        ["curvature", "--cutoff-tol", "1e-3"],
+        ["fig2", "--cutoff-tol", "1e-3"],
+        ["fig2", "--n-max", "4"],
+    ],
+    ids=["metric", "curvature", "fig2", "fig2-n-max"],
+)
+def test_commands_without_fock_cutoff_reject_cutoff_tol(argv, capsys):
+    # metric and curvature build no Fock tower, and fig2 reads levels {0, 1}
+    # only, which no cutoff changes, so a cutoff option would change nothing
     with pytest.raises(SystemExit) as exc:
-        main([command, "--cutoff-tol", "1e-3"])
+        main(argv)
     assert exc.value.code == 2
-    assert "--cutoff-tol" in capsys.readouterr().err
+    assert argv[1] in capsys.readouterr().err
 
 
 _HEADER_KEYS = ["rqit_version", "command", "r", "xi_grid", "cutoff_tol", "samples", "seed", "output"]
@@ -196,8 +203,9 @@ def test_header_keys_and_order(argv, extras, tmp_path, capsys):
     assert keys == _HEADER_KEYS + extras + ["columns"]
     header, _ = read_csv(out)
     assert header["command"] == argv[0] and header["output"] == str(out)
+    assert header["cutoff_tol"] == "1e-12"  # the default, also where the command takes no tolerance
     if argv[0] in ("metric", "curvature", "validate"):
-        assert header["xi_grid"] == "0:0:0" and header["cutoff_tol"] == "1e-12"
+        assert header["xi_grid"] == "0:0:0"
 
 
 @pytest.mark.parametrize(
@@ -205,7 +213,7 @@ def test_header_keys_and_order(argv, extras, tmp_path, capsys):
     [
         ["fig1", "--r", "0.9", "--n-max", "4", "--xi", "0:0:1"],
         ["fig1", "--r", "1000", "--n-max", "50", "--xi", "0:0:1"],
-        ["fig2", "--r", "1000", "--n-max", "50", "--xi", "0:0:1", "--samples", "10"],
+        ["fig2", "--r", "1000", "--xi", "0:0:1", "--samples", "10"],
         ["fig3", "--r", "1000", "--n-max", "50", "--xi", "0:0:1"],
         ["metric", "--r", "1000", "--points", "2"],
         ["curvature", "--r", "400"],
@@ -326,7 +334,7 @@ _OPTIONS = {
 # (always passed, sometimes passed): the sweeps always get a small grid, fig2 a small sample count
 _COMMAND_OPTIONS = {
     "fig1": (["--xi"], ["--r", "--cutoff-tol", "--n-max"]),
-    "fig2": (["--xi", "--samples"], ["--r", "--cutoff-tol", "--n-max", "--seed"]),
+    "fig2": (["--xi", "--samples"], ["--r", "--seed"]),
     "fig3": (["--xi"], ["--r", "--cutoff-tol", "--n-max"]),
     "metric": ([], ["--r", "--points", "--seed", "--max-norm"]),
     "curvature": (["--grid"], ["--r"]),

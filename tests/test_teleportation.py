@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rqit import teleportation
-from rqit.channel import _SHARED_COMPONENTS, FockCutoff, _as_accel, _as_xi, _shared_terms, entangled_state
-from rqit.errors import SizeError, TruncationError
+from rqit.channel import _SHARED_COMPONENTS, MAX_R, FockCutoff, _as_accel, _as_xi, _shared_terms, entangled_state
+from rqit.errors import RQITError, SizeError
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
     MC_POINT_CHARGE,
@@ -16,7 +16,6 @@ from rqit.teleportation import (
     _channel_blocks,
     _form_values,
     _haar_average,
-    _protocol_kit,
     apply_protocol,
     average_fidelity_exact,
     average_fidelity_mc,
@@ -94,13 +93,13 @@ def test_bound_is_upper_bound_but_not_attained_for_nonzero_xi():
 
 def test_protocol_completeness():
     for xi in (0.0, 0.3, 0.7):
-        kit = build_protocol(schmidt_decompose(xi), FockCutoff(16))
+        kit = build_protocol(schmidt_decompose(xi), 18)
         total = sum(kit.povms)
         np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
 
 def test_protocol_bell_case_projectors():
-    kit = build_protocol(schmidt_decompose(0.0), FockCutoff(16))
+    kit = build_protocol(schmidt_decompose(0.0), 18)
     # orthogonal rank-one projectors forming a complete Bell-type measurement
     for i, p in enumerate(kit.povms):
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
@@ -111,7 +110,7 @@ def test_protocol_bell_case_projectors():
 
 def test_local_op_maps_schmidt_basis():
     sd = schmidt_decompose(0.3)
-    kit = build_protocol(sd, FockCutoff(16))
+    kit = build_protocol(sd, 18)
     b1 = kit.local_ops[0][:2, :2]
     np.testing.assert_allclose(b1 @ sd.rob_basis[:, 0], [1, 0], atol=1e-12)
     np.testing.assert_allclose(b1 @ sd.rob_basis[:, 1], [0, 1], atol=1e-12)
@@ -264,7 +263,7 @@ def test_bloch_form_matches_five_operand_einsum():
     c = psi[:, 0] * psi[:, 1].conj()
     n = np.stack([2 * c.real, -2 * c.imag, abs(psi[:, 0]) ** 2 - abs(psi[:, 1]) ** 2], axis=1)
     for xi, r in FORM_POINTS:
-        e = _channel_blocks(xi, r, FockCutoff.for_acceleration(r))
+        e = _channel_blocks(xi, r)
         want = np.einsum("si,sj,sk,sl,ijkl->s", psi, psi.conj(), psi.conj(), psi, e).real
         # the Gram-Schmidt psi is off unit norm by up to about 2e-14
         np.testing.assert_allclose(_form_values(_bloch_form(e), n), want, rtol=0, atol=1e-13)
@@ -274,7 +273,7 @@ def test_bloch_form_sphere_average_is_haar_average():
     # <n> = 0 and <n n^T> = 1/3 on the sphere, so the average of x^T Q x is
     # Q00 + tr(Q[1:, 1:])/3, an independent closed form of the exact average
     for xi, r in FORM_POINTS:
-        e = _channel_blocks(xi, r, FockCutoff.for_acceleration(r))
+        e = _channel_blocks(xi, r)
         q = _bloch_form(e)
         assert abs(q[0, 0] + np.trace(q[1:, 1:]) / 3 - _haar_average(e)) <= 1e-15, (xi, r)
 
@@ -293,7 +292,7 @@ def test_bloch_sampler_unit_norm_moments_and_counter_offsets():
 
 
 def test_bloch_form_is_one_at_ideal_point():
-    e = _channel_blocks(0.0, 0.0, FockCutoff.for_acceleration(0.0))
+    e = _channel_blocks(0.0, 0.0)
     values = _form_values(_bloch_form(e), _bloch_vectors(20_000, seed=1))
     assert np.max(np.abs(values - 1.0)) <= 1e-15
 
@@ -316,6 +315,38 @@ def test_mc_deterministic_and_chunk_invariant():
             assert c.mean == a.mean and c.std_error == a.std_error
         d = average_fidelity_mc(0.4, 0.3, samples=samples, seed=10)
         assert d.mean != a.mean
+
+
+def test_mc_rejects_chunk_below_one():
+    # chunk -5 made no chunk at all, and the mean and error were read from an
+    # unfilled buffer; chunk 0 failed inside range()
+    for chunk in (0, -5):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            average_fidelity_mc(0.4, 0.3, samples=10, seed=1, chunk=chunk)
+
+
+def sampling_variance(q):
+    """Variance of x^T Q x, x = (1, n), over n uniform on the sphere, in closed form.
+
+    With b = sym(Q)[0, 1:] and A = sym(Q)[1:, 1:], the value is
+    Q00 + 2 b.n + n^T A n.  The odd moments of n vanish, <n n^T> = 1/3 and
+    <n_i n_j n_k n_l> = (d_ij d_kl + d_ik d_jl + d_il d_jk)/15, so the variance
+    is 4|b|^2/3 + (tr A)^2/15 + 2 tr(A^2)/15 - (tr A)^2/9.
+    """
+    sym = (q + q.T) / 2
+    b, a = sym[0, 1:], sym[1:, 1:]
+    tr = np.trace(a)
+    return 4 * (b @ b) / 3 + tr**2 / 15 + 2 * np.trace(a @ a) / 15 - tr**2 / 9
+
+
+def test_mc_std_error_matches_closed_form_sigma():
+    samples = 200_000
+    for i, (xi, r) in enumerate(((0.4, 0.6), (0.9, 0.85), (0.3, 1.5), (0.7, 3.0))):
+        est = average_fidelity_mc(xi, r, samples=samples, seed=30 + i)
+        sigma = math.sqrt(sampling_variance(_bloch_form(_channel_blocks(xi, r))))
+        assert abs(est.std_error * math.sqrt(samples) / sigma - 1.0) <= 0.01, (xi, r)
+    assert abs(sampling_variance(_bloch_form(_channel_blocks(0.0, 0.0)))) <= 1e-15
+    assert average_fidelity_mc(0.0, 0.0, samples=samples, seed=30).std_error < 1e-9
 
 
 def test_mc_agrees_with_exact():
@@ -347,35 +378,26 @@ def test_channel_blocks_match_full_tower():
     for xi, r in ((0.0, 0.0), (0.3, 0.6), (0.9, 0.85), (0.5, 1.5)):
         cut = FockCutoff.for_acceleration(r)
         assert cut.n_max <= 200
-        kit = build_protocol(schmidt_decompose(xi), cut)
+        kit = build_protocol(schmidt_decompose(xi), cut.levels)
         full = full_tower_blocks(kit, entangled_state(xi, r, cut))
-        np.testing.assert_allclose(_channel_blocks(xi, r, cut), full, rtol=0, atol=1e-12)
-    with pytest.raises(TruncationError, match="shared-state trace deficit"):
-        _channel_blocks(0.3, 0.9, FockCutoff(8))
+        np.testing.assert_allclose(_channel_blocks(xi, r), full, rtol=0, atol=1e-12)
 
 
 def test_exact_fidelity_reaches_large_r():
-    # n_max 3136: the dense state alone would take 630 MB
-    cut = FockCutoff.for_acceleration(3.0)
-    f = average_fidelity_exact(0.4, 3.0, cut)
-    assert 0.0 <= f <= 1.0
-    assert abs(f - average_fidelity_exact(0.4, 3.0, cut.doubled())) <= 1e-12
-
-
-def test_channel_blocks_build_only_levels_zero_and_one():
-    # 10**12 terms would need 32 TB; only |v_0> and |v_1> are built, and the
-    # closed-form truncation check still runs at that cutoff
-    huge = FockCutoff(10**12)
-    assert np.array_equal(_channel_blocks(0.4, 0.6, huge), _channel_blocks(0.4, 0.6, FockCutoff(24)))
-    with pytest.raises(TruncationError, match="shared-state trace deficit"):
-        _channel_blocks(0.4, 10.0, FockCutoff(10**9))
+    # no Fock cutoff: the average holds where tanh r rounds to 1 (r above
+    # about 19.06), up to MAX_R, where cosh^4 r leaves the double range
+    for r in (3.0, 19.5, 100.0, MAX_R):
+        assert 0.0 < average_fidelity_exact(0.4, r) < 1.0, r
+    with pytest.raises(RQITError, match="exceeds"):
+        average_fidelity_exact(0.4, MAX_R + 1.0)
 
 
 def scatter_crop_channel_blocks(xi, r, cutoff):
-    """The channel blocks built the long way: |v_0> and |v_1> scattered into a
-    dense (2) x (3 levels) state, cropped to levels {0, 1}, and the protocol
-    applied to one matrix unit at a time."""
-    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff, count=2)
+    """The channel blocks built the long way: the terms |v_0> and |v_1> of the
+    truncated tower scattered into a dense (2) x (3 levels) state, cropped to
+    levels {0, 1}, and the protocol applied to one matrix unit at a time."""
+    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff)
+    amps, weights = amps[:, :2], weights[:2]
     rho = np.zeros((6, 6))
     n = np.arange(2)
     offsets = [q * 3 + d for q, d in _SHARED_COMPONENTS]
@@ -384,7 +406,7 @@ def scatter_crop_channel_blocks(xi, r, cutoff):
             rho[row + n, col + n] += weights * (amps[p] * amps[q])
     low = rho.reshape(2, 3, 2, 3)[:, :2, :, :2]
     shared = DenseOperator(low.reshape(4, 4), (2, 2))
-    kit = _protocol_kit(schmidt_decompose(xi), 2)
+    kit = build_protocol(schmidt_decompose(xi), 2)
     blocks = np.zeros((2, 2, 2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -395,15 +417,17 @@ def scatter_crop_channel_blocks(xi, r, cutoff):
 
 
 def test_channel_blocks_equal_scatter_crop_construction():
-    for r in (0.0, 0.1, 0.3, 0.6, 0.85, 1.5, 2.0, 3.0, 10.0):
+    # the long way needs every term up to the cutoff (n_max 3.8e9 at r = 10);
+    # test_exact_column_matches_mpmath covers r = 10 and above
+    for r in (0.0, 0.1, 0.3, 0.6, 0.85, 1.5, 2.0, 3.0):
         cut = FockCutoff.for_acceleration(r)
         for xi in np.arange(96) * 0.01:
-            assert np.array_equal(_channel_blocks(xi, r, cut), scatter_crop_channel_blocks(xi, r, cut)), (xi, r)
+            assert np.array_equal(_channel_blocks(xi, r), scatter_crop_channel_blocks(xi, r, cut)), (xi, r)
 
 
 def test_apply_protocol_on_a_stack_equals_single_calls():
     cut = FockCutoff.for_acceleration(0.3)
-    kit = build_protocol(schmidt_decompose(0.4), cut)
+    kit = build_protocol(schmidt_decompose(0.4), cut.levels)
     shared = entangled_state(0.4, 0.3, cut)
     rng = np.random.default_rng(12)
     inputs = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
@@ -420,14 +444,14 @@ def test_exact_gauge_invariance():
     xi, r = 0.4, 0.5
     cut = FockCutoff.for_acceleration(r)
     shared = entangled_state(xi, r, cut)
-    base = average_fidelity_exact(xi, r, cut)
+    base = average_fidelity_exact(xi, r)
     rng = np.random.default_rng(8)
     sd = schmidt_decompose(xi)
     for _ in range(3):
         ph = np.exp(1j * rng.uniform(0, 2 * math.pi, size=2))
         gauged = SchmidtDecomposition(sd.lambdas, sd.alice_basis * ph, sd.rob_basis * ph.conj())
         np.testing.assert_allclose(gauged.state_vector(), sd.state_vector(), atol=1e-12)
-        blocks = full_tower_blocks(build_protocol(gauged, cut), shared)
+        blocks = full_tower_blocks(build_protocol(gauged, cut.levels), shared)
         t1 = sum(np.trace(blocks[i, i]).real for i in range(2))
         t2 = sum(blocks[i, j][i, j].real for i in range(2) for j in range(2))
         assert (t1 + t2) / 6 == pytest.approx(base, abs=1e-12)
@@ -449,35 +473,35 @@ def test_trace_preserved_over_random_inputs():
 
 
 def test_mc_estimate_carries_exact_average():
-    for xi, r, cut in ((0.0, 0.0, None), (0.4, 0.6, None), (0.8, 2.0, None), (0.3, 0.3, FockCutoff(40))):
-        est = average_fidelity_mc(xi, r, cut, samples=10, seed=5)
-        assert est.exact == average_fidelity_exact(xi, r, cut)
-        assert type(est.exact) is float and type(average_fidelity_exact(xi, r, cut)) is float
+    for xi, r in ((0.0, 0.0), (0.4, 0.6), (0.8, 2.0), (0.3, 0.3)):
+        est = average_fidelity_mc(xi, r, samples=10, seed=5)
+        assert est.exact == average_fidelity_exact(xi, r)
+        assert type(est.exact) is float and type(average_fidelity_exact(xi, r)) is float
 
 
-def per_point_fig2(r, xis, cut, samples, seed):
+def per_point_fig2(r, xis, samples, seed):
     """fig2 computed point by point, as the CLI once did: one Monte-Carlo and
     one exact average per xi, point i seeded from SeedSequence((seed, i))."""
     rows = []
     for i, xi in enumerate(xis):
         sub = int(np.random.SeedSequence((seed, i)).generate_state(1, dtype=np.uint64)[0])
-        est = average_fidelity_mc(xi, r, cut, samples=samples, seed=sub)
-        rows.append((xi, est.mean, est.std_error, average_fidelity_exact(xi, r, cut)))
+        est = average_fidelity_mc(xi, r, samples=samples, seed=sub)
+        rows.append((xi, est.mean, est.std_error, average_fidelity_exact(xi, r)))
     return rows
 
 
 def test_fidelity_sweep_equals_per_point_loop():
     grids = (
-        (0.6, np.arange(3) * 0.4, FockCutoff.for_acceleration(0.6), 3000, 42),
-        (1.5, np.arange(3) * 0.4, FockCutoff.for_acceleration(1.5), 1, 3),
-        (2.0, np.array([0.4]), FockCutoff.for_acceleration(2.0), 1, 3),
-        (0.3, np.arange(10) * 0.1, FockCutoff(40), 500, 1),
+        (0.6, np.arange(3) * 0.4, 3000, 42),
+        (1.5, np.arange(3) * 0.4, 1, 3),
+        (2.0, np.array([0.4]), 1, 3),
+        (0.3, np.arange(10) * 0.1, 500, 1),
     )
-    for r, xis, cut, samples, seed in grids:
-        results = fidelity_sweep(r, xis, cut, samples=samples, seed=seed)
+    for r, xis, samples, seed in grids:
+        results = fidelity_sweep(r, xis, samples=samples, seed=seed)
         assert all(p.r == r and type(p.fidelity_exact) is float for p in results)
         got = [(p.xi, p.fidelity_mc, p.std_err, p.fidelity_exact) for p in results]
-        assert got == per_point_fig2(r, xis, cut, samples, seed), (r, samples)
+        assert got == per_point_fig2(r, xis, samples, seed), (r, samples)
 
 
 def test_fidelity_sweep_checks_work_bound_before_building(monkeypatch):
@@ -486,11 +510,11 @@ def test_fidelity_sweep_checks_work_bound_before_building(monkeypatch):
 
     monkeypatch.setattr(teleportation, "_channel_blocks", refuse)
     points = MC_WORK_BOUND // (1 + MC_POINT_CHARGE) + 1
-    # at r = 20 the cutoff search itself fails, so the bound must come first
+    # above MAX_R the channel build itself fails, so the bound must come first
     with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
-        fidelity_sweep(20.0, np.zeros(points), samples=1)
+        fidelity_sweep(2 * MAX_R, np.zeros(points), samples=1)
     with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
-        fidelity_sweep(0.6, [0.4], FockCutoff(24), samples=MC_WORK_BOUND)
+        fidelity_sweep(0.6, [0.4], samples=MC_WORK_BOUND)
 
 
 def mp_exact_fidelity(xi, r):
@@ -545,6 +569,8 @@ def mp_exact_fidelity(xi, r):
 
 
 def test_exact_column_matches_mpmath():
-    for xi, r in ((0.4, 0.6), (0.8, 2.0)):
+    # r = 19.5 is past the r at which tanh r rounds to 1, and 170 is MAX_R
+    for xi, r in ((0.4, 0.6), (0.8, 2.0), (0.4, 10.0), (0.8, 19.5), (0.4, 100.0), (0.9, MAX_R)):
         (point,) = fidelity_sweep(r, [xi], samples=1)
-        assert abs(point.fidelity_exact - mp_exact_fidelity(xi, r)) <= 1e-15, (xi, r)
+        want = mp_exact_fidelity(xi, r)
+        assert abs(point.fidelity_exact - want) <= 1e-15 * want, (xi, r)
