@@ -121,6 +121,30 @@ def test_curvature_command(tmp_path):
         assert disc == pytest.approx(numeric - closed, abs=1e-9)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("metric-r0.05-points20-seed1.csv", ["metric", "--r", "0.05", "--points", "20", "--seed", "1"]),
+        ("metric-default.csv", ["metric"]),
+        ("curvature-default.csv", ["curvature"]),
+        ("curvature-r0.3-grid9.csv", ["curvature", "--r", "0.3", "--grid", "9"]),
+    ],
+)
+def test_geometry_tables_match_golden_bytes(name, argv, tmp_path):
+    # the golden files were written by the per-point implementation; only the
+    # '# output=' line, which names the path written, may differ
+    out = tmp_path / name
+    assert run_cli([*argv, "-o", str(out)]) == 0
+
+    def body(path):
+        return [line for line in path.read_bytes().split(b"\n") if not line.startswith(b"# output=")]
+
+    assert body(out) == body(GOLDEN / name)
+
+
 def test_validate_command(tmp_path, capsys):
     out = tmp_path / "validate.csv"
     assert run_cli(["validate", "-o", str(out)]) == 0
