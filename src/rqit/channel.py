@@ -249,10 +249,23 @@ def _as_bloch(bloch) -> np.ndarray:
     n = np.asarray(bloch, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {n.shape}")
-    norm2 = float(n @ n)
-    if norm2 > 1.0 + 1e-12:
-        raise InvalidBlochError(f"Bloch vector norm {math.sqrt(norm2):.12f} exceeds 1")
+    _check_bloch_rows(n[None])
     return n
+
+
+def _norms2(n: np.ndarray) -> np.ndarray:
+    """n @ n for each row of n (k, 3), rounded as BLAS ddot rounds the
+    one-point ``n @ n``; the plain x*x + y*y + z*z rounds differently on
+    about one point in five."""
+    return np.matmul(n[:, None, :], n[:, :, None])[:, 0, 0]
+
+
+def _check_bloch_rows(n: np.ndarray) -> None:
+    """Raise InvalidBlochError for the first row of n (k, 3) with norm above 1."""
+    norm2 = _norms2(n)
+    bad = np.flatnonzero(norm2 > 1.0 + 1e-12)
+    if bad.size:
+        raise InvalidBlochError(f"Bloch vector norm {math.sqrt(norm2[bad[0]]):.12f} exceeds 1")
 
 
 def minkowski_qubit(bloch) -> DenseOperator:
@@ -384,22 +397,32 @@ def small_r_qubit(bloch, r) -> DenseOperator:
     at order r^4, which the generalized distance of the geometry module is
     designed to absorb.  No renormalization is applied.
     """
-    x, y, z = _as_bloch(bloch)
-    a = _as_accel(r)
+    n = _as_bloch(bloch)
+    return DenseOperator(_small_r_stack(n[None], _as_accel(r))[0], (3,))
+
+
+def _small_r_stack(n: np.ndarray, a: AccelerationParam) -> np.ndarray:
+    """``small_r_qubit`` entries (k, 3, 3) at the Bloch vectors n (k, 3).
+
+    Each entry takes the operations, in the order, that one point took as a
+    scalar expression, so a row rounds exactly as a call of its own.
+    """
+    _check_bloch_rows(n)
     if a.r > SMALL_R_LIMIT:
         warnings.warn(
             f"small_r_qubit called with r={a.r:.3f} > {SMALL_R_LIMIT}; "
             "the O(r^4) accuracy guarantee degrades",
-            stacklevel=2,
+            stacklevel=3,
         )
     C, T = a.C, a.T
+    x, y, z = n.T
     w = x - 1j * y
-    m = np.array(
-        [
-            [1.0 + z, w / C, 0.0],
-            [np.conj(w) / C, (1.0 - z) / C**2 + T**2 * (1.0 + z), math.sqrt(2) * T**2 * w / C],
-            [0.0, math.sqrt(2) * T**2 * np.conj(w) / C, 2.0 * T**2 * (1.0 - z) / C**2],
-        ],
-        dtype=complex,
-    )
-    return DenseOperator(m / (2.0 * C**2), (3,))
+    m = np.zeros((len(n), 3, 3), dtype=complex)
+    m[:, 0, 0] = 1.0 + z
+    m[:, 0, 1] = w / C
+    m[:, 1, 0] = np.conj(w) / C
+    m[:, 1, 1] = (1.0 - z) / C**2 + T**2 * (1.0 + z)
+    m[:, 1, 2] = math.sqrt(2) * T**2 * w / C
+    m[:, 2, 1] = math.sqrt(2) * T**2 * np.conj(w) / C
+    m[:, 2, 2] = 2.0 * T**2 * (1.0 - z) / C**2
+    return m / (2.0 * C**2)

@@ -164,18 +164,16 @@ def _cmd_metric(args) -> int:
     cols += [f"g_{c}" for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
     cols += [f"gnum_{c}" for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
     cols += ["max_abs_err", "scale_rel_err"]
-    idx = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    rows = []
+    points = []
     for _ in range(args.points):
         v = rng.normal(size=3)
-        v = v / np.linalg.norm(v) * rng.uniform(0.0, args.max_norm)
-        closed = metric_cartesian(v, args.r).tensor
-        numeric = numeric_metric(v, args.r).tensor
-        err = float(np.max(np.abs(numeric - closed)))
-        scale = float(np.max(np.abs(closed)))
-        row = list(v) + [closed[i, j] for i, j in idx] + [numeric[i, j] for i, j in idx]
-        row += [err, err / scale]
-        rows.append(row)
+        points.append(v / np.linalg.norm(v) * rng.uniform(0.0, args.max_norm))
+    closed = metric_cartesian(points, args.r).tensor
+    numeric = numeric_metric(points, args.r).tensor
+    err = np.max(np.abs(numeric - closed), axis=(1, 2))
+    scale = np.max(np.abs(closed), axis=(1, 2))
+    i, j = np.triu_indices(3)
+    rows = np.column_stack([points, closed[:, i, j], numeric[:, i, j], err, err / scale])
     _write_csv(args, cols, rows, points=args.points, max_norm=_fmt(args.max_norm))
     return 0
 

@@ -25,22 +25,43 @@ geometry is the polar pullback of the validated Cartesian form above;
 the closed-form polar tensor g + h (``metric_polar``) and the
 closed-form curvature (24 + dR) cosh^4 r are provided alongside so their
 discrepancy against the numeric oracle can be reported.
+
+Tables.  ``metric_cartesian``, ``numeric_metric`` and
+``scalar_curvature_numeric`` take one point or a table of points along a
+leading axis; the one-point call is the table of one, with no second code
+path.  A table is evaluated in blocks of ``_BLOCK`` points, so its
+temporaries stay bounded whatever its length.  The curvature of a block
+takes every stencil point of every point at both Richardson steps (38 a
+point) from one stacked metric evaluation (``_pullback_stack`` or
+``_metric_polar_stack``), differences them elementwise and contracts them
+in one stacked ``_scalar_curvature``.  ``numeric_metric`` builds the base
+and the 24 displaced states of every point of a block as one stack and
+takes one square root, product and SVD.  Every value is bit-identical to
+the one-point scalar code these kernels replaced, because each kernel
+keeps that code's roundings: ``n @ n`` as BLAS ddot rounds it, squares by
+``pow`` as float64 scalars take them, and sines and cosines from ``math``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channel import _as_accel, small_r_qubit
+from .channel import _as_accel, _norms2, _small_r_stack
 from .errors import BoundaryError, ChartError
 from .linalg import DenseOperator, matrix_sqrt, psd_sqrt_stack
 
 BOUNDARY_MARGIN = 1e-9
 CHART_MARGIN = 1e-6
+# Points per block of a stacked table (see ``_by_blocks``).  A point takes
+# about 16 kB of temporaries for the curvature and 23 kB for the numeric
+# metric.  Blocks of 8 keep every array under about 30 kB, which the free
+# chunks of a warm heap hold; blocks of 64 ran 1.3-1.7x faster per point on
+# long tables but grew the peak RSS of the default tables by 0.1-0.4 MB.
+_BLOCK = 8
 
 
 def root_fidelity(rho: DenseOperator, sigma: DenseOperator) -> float:
@@ -81,7 +102,8 @@ def generalized_bures_distance(rho: DenseOperator, sigma: DenseOperator) -> floa
 
 @dataclass(frozen=True)
 class MetricValue:
-    """3x3 symmetric metric tensor at a state-space point.
+    """3x3 symmetric metric tensor at a state-space point, or a table of
+    them: point (k, 3) and tensor (k, 3, 3).
 
     chart is "bloch" for Cartesian (x, y, z) or "polar" for
     (xi_c, theta, phi).
@@ -108,18 +130,47 @@ class CurvatureResult:
 
 
 def metric_cartesian(bloch, r) -> MetricValue:
-    """Quadratic form of the closed-form ds^2 in d(x, y, z)."""
+    """Quadratic form of the closed-form ds^2 in d(x, y, z).
+
+    ``bloch`` is one point (3,) or a table (k, 3); the tensor is (3, 3) or
+    (k, 3, 3) to match.
+    """
+    n, rows = _bloch_rows(bloch)
+    g = _by_blocks(_metric_cartesian_stack, rows, (3, 3), r)
+    return MetricValue(n, "bloch", g.reshape(n.shape + (3,)))
+
+
+def _bloch_rows(bloch) -> tuple[np.ndarray, np.ndarray]:
+    """A point (3,) or table (k, 3) of Bloch vectors, and its rows as (k, 3)."""
     n = np.asarray(bloch, dtype=float)
+    if n.ndim not in (1, 2) or n.shape[-1] != 3:
+        raise ValueError(f"expected Bloch vectors of shape (3,) or (k, 3), got {n.shape}")
+    return n, n.reshape(-1, 3)
+
+
+def _by_blocks(kernel, rows: np.ndarray, shape: tuple[int, ...], *args) -> np.ndarray:
+    """``kernel(rows[lo:hi], *args)`` over blocks of ``_BLOCK`` rows, stacked
+    into one (len(rows), *shape) array; the temporaries stay those of a block."""
+    out = np.empty((len(rows), *shape))
+    for lo in range(0, len(rows), _BLOCK):
+        out[lo:lo + _BLOCK] = kernel(rows[lo:lo + _BLOCK], *args)
+    return out
+
+
+def _metric_cartesian_stack(n: np.ndarray, r) -> np.ndarray:
+    """Closed-form Cartesian tensors (k, 3, 3) at the Bloch vectors n (k, 3)."""
     a = _as_accel(r)
-    n2 = float(n @ n)
-    if n2 >= 1.0 - BOUNDARY_MARGIN:
-        raise BoundaryError(f"metric singular at the pure-state boundary (n^2 = {n2:.9f})")
+    n2 = _norms2(n)
+    bad = np.flatnonzero(n2 >= 1.0 - BOUNDARY_MARGIN)
+    if bad.size:
+        raise BoundaryError(f"metric singular at the pure-state boundary (n^2 = {n2[bad[0]]:.9f})")
     C, T = a.C, a.T
-    z = n[2]
-    g = np.eye(3)
-    g[2, 2] += T**2
-    g += np.outer(n, n) / (1.0 - n2) * (1.0 - T**2 * (1.0 + z) ** 2 / (1.0 - n2))
-    return MetricValue(n, "bloch", g / (4.0 * C**4))
+    # (1 + z)^2 through pow, as a float64 scalar squares: the array square
+    # x * x rounds differently at a few curvature stencil points
+    tilt = 1.0 - T**2 * np.float_power(1.0 + n[:, 2], 2) / (1.0 - n2)
+    g = n[:, :, None] * n[:, None, :] / (1.0 - n2)[:, None, None] * tilt[:, None, None]
+    g += np.diag([1.0, 1.0, 1.0 + T**2])
+    return g / (4.0 * C**4)
 
 
 def metric_polar(xi_c: float, theta: float, r) -> MetricValue:
@@ -132,16 +183,23 @@ def metric_polar(xi_c: float, theta: float, r) -> MetricValue:
     pullback.  This h block is still not the exact chain-rule image of the
     Cartesian tensor; ``metric_polar_pullback`` provides that.
     """
+    q = np.array([xi_c, theta, 0.0])
+    return MetricValue(q, "polar", _metric_polar_stack(q[None], r)[0])
+
+
+def _metric_polar_stack(q: np.ndarray, r) -> np.ndarray:
+    """``metric_polar`` tensors (k, 3, 3) at the polar points q (k, 3)."""
     a = _as_accel(r)
-    _check_polar(xi_c, theta)
-    C, T = a.C, a.T
-    st, ct = math.sin(theta), math.cos(theta)
-    g = np.diag([1.0 / (1.0 - xi_c**2), xi_c**2, xi_c**2 * st**2])
-    h = np.zeros((3, 3))
-    h[0, 0] = T**2 * (1.0 + xi_c * ct) ** 2 + T**2 / 2.0 * ct**2
-    h[0, 1] = h[1, 0] = -(T**2) / 2.0 * xi_c * st * ct
-    h[1, 1] = T**2 * xi_c**2 / 2.0 * st**2
-    return MetricValue(np.array([xi_c, theta, 0.0]), "polar", (g + h) / (4.0 * C**4))
+    xi_c, st, ct = _polar_trig(q)[:3]
+    T2 = a.T**2
+    # squares by pow, as float64 scalars take them
+    xi2, st2, ct2, lean2 = np.float_power([xi_c, st, ct, 1.0 + xi_c * ct], 2)
+    g = np.zeros((len(q), 3, 3))
+    g[:, 0, 0] = 1.0 / (1.0 - xi2) + (T2 * lean2 + T2 / 2.0 * ct2)
+    g[:, 0, 1] = g[:, 1, 0] = -T2 / 2.0 * xi_c * st * ct
+    g[:, 1, 1] = xi2 + T2 * xi2 / 2.0 * st2
+    g[:, 2, 2] = xi2 * st2
+    return g / (4.0 * a.C**4)
 
 
 def _check_polar(xi_c: float, theta: float) -> None:
@@ -151,23 +209,20 @@ def _check_polar(xi_c: float, theta: float) -> None:
         raise ChartError(f"polar angle theta = {theta} too close to the axis")
 
 
-def _polar_jacobian(q: np.ndarray) -> np.ndarray:
-    xi_c, theta, phi = q
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    return np.array(
-        [
-            [st * cp, xi_c * ct * cp, -xi_c * st * sp],
-            [st * sp, xi_c * ct * sp, xi_c * st * cp],
-            [ct, -xi_c * st, 0.0],
-        ]
-    )
+def _polar_trig(q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(xi_c, sin theta, cos theta, sin phi, cos phi) at the polar points
+    q (k, 3); the first point outside the chart raises ChartError.
 
-
-def _polar_to_cartesian(q: np.ndarray) -> np.ndarray:
-    xi_c, theta, phi = q
-    st = math.sin(theta)
-    return xi_c * np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+    The sines and cosines come from ``math`` row by row, as one point took
+    them: numpy's vectorized ones may round differently.
+    """
+    xi_c = q[:, 0]
+    st, ct, sp, cp = (np.array([f(x) for x in q[:, i].tolist()])
+                      for i in (1, 2) for f in (math.sin, math.cos))
+    bad = np.flatnonzero(~((CHART_MARGIN < xi_c) & (xi_c < 1.0 - BOUNDARY_MARGIN)) | (st <= CHART_MARGIN))
+    if bad.size:
+        _check_polar(xi_c[bad[0]], q[bad[0], 1])
+    return xi_c, st, ct, sp, cp
 
 
 def metric_polar_pullback(xi_c: float, theta: float, r, phi: float = 0.0) -> MetricValue:
@@ -177,11 +232,19 @@ def metric_polar_pullback(xi_c: float, theta: float, r, phi: float = 0.0) -> Met
     Agrees with ``metric_polar`` at r = 0 and is the validated geometry for
     curvature at r > 0.
     """
-    _check_polar(xi_c, theta)
     q = np.array([xi_c, theta, phi])
-    jac = _polar_jacobian(q)
-    cart = metric_cartesian(_polar_to_cartesian(q), r)
-    return MetricValue(q, "polar", jac.T @ cart.tensor @ jac)
+    return MetricValue(q, "polar", _pullback_stack(q[None], r)[0])
+
+
+def _pullback_stack(q: np.ndarray, r) -> np.ndarray:
+    """``metric_polar_pullback`` tensors (k, 3, 3) at the polar points q (k, 3)."""
+    xi_c, st, ct, sp, cp = _polar_trig(q)
+    zero = np.zeros(len(q))
+    jac = np.stack([st * cp, xi_c * ct * cp, -xi_c * st * sp,
+                    st * sp, xi_c * ct * sp, xi_c * st * cp,
+                    ct, -xi_c * st, zero], axis=1).reshape(-1, 3, 3)
+    n = xi_c[:, None] * jac[:, :, 0]  # xi_c (sin th cos ph, sin th sin ph, cos th)
+    return jac.transpose(0, 2, 1) @ _metric_cartesian_stack(n, r) @ jac
 
 
 _DIRECTIONS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
@@ -193,95 +256,112 @@ def numeric_metric(bloch, r, step: float = 1e-3) -> MetricValue:
     Central second differences of D along the three axes and three diagonal
     displacement directions determine the symmetric form of ds^2 = D/2
     exactly; one Richardson pass removes the O(step^2) truncation term.  D is
-    ``generalized_bures_distance`` with sqrt(base) taken once; the 12
-    displaced states of a step share one stacked square root, product and
-    SVD, each rounded exactly as in a call of its own.
+    ``generalized_bures_distance``.  ``bloch`` is one point (3,) or a table
+    (k, 3), and the tensor (3, 3) or (k, 3, 3) to match.
     """
-    n = np.asarray(bloch, dtype=float)
-    if float(n @ n) >= 0.95:
+    n, rows = _bloch_rows(bloch)
+    if np.any(_norms2(rows) >= 0.95):
         raise BoundaryError("numeric differencing unstable near the pure-state boundary")
-    a = _as_accel(r)
-    base = small_r_qubit(n, a)
-    root, tr_base = matrix_sqrt(base).entries, base.trace().real
-
-    def quad_coeffs(eps: float) -> np.ndarray:
-        states = np.stack([small_r_qubit(n + s * (eps * v), a).entries
-                           for v in _DIRECTIONS for s in (1.0, -1.0)])
-        root_fid = np.sum(np.linalg.svd(root @ psd_sqrt_stack(states), compute_uv=False), axis=-1)
-        fid = np.array([f**2 for f in root_fid.tolist()])  # float pow, rounded as ``fidelity`` rounds
-        dist = 2.0 * (tr_base * np.trace(states, axis1=1, axis2=2).real - fid)
-        return 0.25 * (dist[0::2] + dist[1::2]) / eps**2
-
-    q = (4.0 * quad_coeffs(step / 2.0) - quad_coeffs(step)) / 3.0
-    g = np.diag(q[:3])
-    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-        g[i, j] = g[j, i] = (q[3 + k] - q[i] - q[j]) / 2.0
-    return MetricValue(n, "bloch", g)
+    g = _by_blocks(_numeric_metric_stack, rows, (3, 3), _as_accel(r), step)
+    return MetricValue(n, "bloch", g.reshape(n.shape + (3,)))
 
 
-def _scalar_curvature_fd(metric_fn: Callable[[np.ndarray], np.ndarray], q: np.ndarray, h: float) -> float:
-    """Scalar curvature from g, dg, ddg by central differences at step h."""
-    g0 = metric_fn(q)
-    ginv = np.linalg.inv(g0)
-    dg = np.zeros((3, 3, 3))
-    ddg = np.zeros((3, 3, 3, 3))
-    for a in range(3):
-        ea = np.zeros(3)
-        ea[a] = h
-        gp, gm = metric_fn(q + ea), metric_fn(q - ea)
-        dg[a] = (gp - gm) / (2.0 * h)
-        ddg[a, a] = (gp - 2.0 * g0 + gm) / h**2
-    for a in range(3):
-        for b in range(a + 1, 3):
-            ea, eb = np.zeros(3), np.zeros(3)
-            ea[a], eb[b] = h, h
-            mixed = (
-                metric_fn(q + ea + eb)
-                - metric_fn(q + ea - eb)
-                - metric_fn(q - ea + eb)
-                + metric_fn(q - ea - eb)
-            ) / (4.0 * h**2)
-            ddg[a, b] = ddg[b, a] = mixed
+def _numeric_metric_stack(n: np.ndarray, a, step: float) -> np.ndarray:
+    """``numeric_metric`` tensors (k, 3, 3) at the Bloch vectors n (k, 3).
+
+    Each point's base state and its 12 displaced states at each of the two
+    steps are built as one (k, 25) stack of states and square-rooted in one
+    eigensolve; D against the base is then one stacked product and SVD.
+    """
+    steps = (step / 2.0, step)
+    shifts = np.array([s * (eps * v) for eps in steps for v in _DIRECTIONS for s in (1.0, -1.0)])
+    points = np.concatenate([n[:, None, :], n[:, None, :] + shifts], axis=1)
+    states = _small_r_stack(points.reshape(-1, 3), a).reshape(len(n), 25, 3, 3)
+    roots = psd_sqrt_stack(states)
+    root_fid = np.sum(np.linalg.svd(roots[:, :1] @ roots[:, 1:], compute_uv=False), axis=-1)
+    fid = np.float_power(root_fid, 2)  # pow, as ``fidelity`` squares a float; x * x rounds differently
+    tr = np.trace(states, axis1=2, axis2=3).real
+    dist = (2.0 * (tr[:, :1] * tr[:, 1:] - fid)).reshape(len(n), 2, 12)
+    quad = 0.25 * (dist[..., 0::2] + dist[..., 1::2]) / np.array([[eps**2] for eps in steps])
+    q = (4.0 * quad[:, 0] - quad[:, 1]) / 3.0
+    # the quadratic forms along e_i + e_j less those along e_i and e_j: 2 g_ij
+    q = np.concatenate([q[:, :3], (q[:, 3:] - q[:, [0, 0, 1]] - q[:, [1, 2, 2]]) / 2.0], axis=1)
+    return q[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
+
+
+# The 19-point stencil of second-order central differences, in units of the
+# step: the centre, +-e_a for each axis, then for each axis pair (a, b) the
+# corners +a+b, +a-b, -a+b, -a-b.
+_E = np.eye(3)
+_STENCIL = np.array([0 * _E[0]] + [s * e for e in _E for s in (1, -1)]
+                    + [sa * _E[a] + sb * _E[b] for a, b in ((0, 1), (0, 2), (1, 2))
+                       for sa in (1, -1) for sb in (1, -1)])
+
+
+def _central_differences(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, dg, ddg) at the stencil centres from the metrics g (k, 19, 3, 3)
+    on ``_STENCIL`` at the steps h (k,); dg[:, c] = d_c g and
+    ddg[:, a, b] = d_a d_b g."""
+    h, h2 = h[:, None, None, None], np.float_power(h, 2)[:, None, None, None]  # h**2 of a float is pow
+    g0, gp, gm = g[:, 0], g[:, 1:7:2], g[:, 2:7:2]
+    pp, pm, mp, mm = (g[:, 7 + c::4] for c in range(4))
+    ddg = np.zeros((len(g), 3, 3, 3, 3))
+    ddg[:, range(3), range(3)] = (gp - 2.0 * g0[:, None] + gm) / h2
+    ddg[:, [0, 0, 1], [1, 2, 2]] = ddg[:, [1, 2, 2], [0, 0, 1]] = (pp - pm - mp + mm) / (4.0 * h2)
+    return g0, (gp - gm) / (2.0 * h), ddg
+
+
+def _scalar_curvature(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
+    """Scalar curvature (k,) from the metrics g (k, 3, 3), their first
+    derivatives dg (k, 3, 3, 3) and second derivatives ddg (k, 3, 3, 3, 3)."""
+    ginv = np.linalg.inv(g)
     # bracket[e, d, b] = d_d g_eb + d_b g_de - d_e g_db  (dg[c] = d_c g)
-    bracket = dg.transpose(1, 0, 2) + dg.transpose(2, 1, 0) - dg
-    gam = 0.5 * np.einsum("ae,edb->adb", ginv, bracket)
-    dginv = -np.einsum("ae,cef,fd->cad", ginv, dg, ginv)
-    dbracket = ddg.transpose(0, 2, 1, 3) + ddg.transpose(0, 3, 2, 1) - ddg
+    bracket = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 3, 2, 1) - dg
+    gam = 0.5 * np.einsum("kae,kedb->kadb", ginv, bracket)
+    dginv = -np.einsum("kae,kcef,kfd->kcad", ginv, dg, ginv)
+    dbracket = ddg.transpose(0, 1, 3, 2, 4) + ddg.transpose(0, 1, 4, 3, 2) - ddg
     dgam = 0.5 * (
-        np.einsum("cae,edb->cadb", dginv, bracket)
-        + np.einsum("ae,cedb->cadb", ginv, dbracket)
+        np.einsum("kcae,kedb->kcadb", dginv, bracket)
+        + np.einsum("kae,kcedb->kcadb", ginv, dbracket)
     )
     ricci = (
-        np.einsum("aadb->bd", dgam)
-        - np.einsum("daab->bd", dgam)
-        + np.einsum("aae,edb->bd", gam, gam)
-        - np.einsum("ade,eab->bd", gam, gam)
+        np.einsum("kaadb->kbd", dgam)
+        - np.einsum("kdaab->kbd", dgam)
+        + np.einsum("kaae,kedb->kbd", gam, gam)
+        - np.einsum("kade,keab->kbd", gam, gam)
     )
-    return float(np.einsum("bd,bd->", ginv, ricci))
+    return np.einsum("kbd,kbd->k", ginv, ricci)
 
 
-def _polar_metric_fn(r, tensor: str) -> Callable[[np.ndarray], np.ndarray]:
-    if tensor == "pullback":
-        return lambda q: metric_polar_pullback(q[0], q[1], r, q[2]).tensor
-    if tensor == "polar":
-        return lambda q: metric_polar(q[0], q[1], r).tensor
-    raise ValueError(f"unknown tensor choice {tensor!r}; expected 'pullback' or 'polar'")
+_POLAR_METRICS = {"pullback": _pullback_stack, "polar": _metric_polar_stack}
 
 
-def scalar_curvature_numeric(
-    xi_c: float, theta: float, r, step: float = 1e-4, tensor: str = "pullback"
-) -> float:
+def scalar_curvature_numeric(xi_c, theta, r, step: float = 1e-4, tensor: str = "pullback"):
     """Finite-difference scalar curvature in the polar chart.
 
     Central differences at ``step``, Richardson-extrapolated once.  The
     default differentiates the pullback of the validated Cartesian metric;
     tensor="polar" differentiates the assembled polar g + h instead.
+    ``xi_c`` and ``theta`` are one point (a float is returned) or arrays of
+    points (an array is returned); every stencil metric of a block of points
+    comes from one stacked metric evaluation.
     """
-    _check_polar(xi_c, theta)
-    fn = _polar_metric_fn(r, tensor)
-    q = np.array([xi_c, theta, 0.5])  # phi value irrelevant (axisymmetric)
-    coarse = _scalar_curvature_fd(fn, q, step)
-    fine = _scalar_curvature_fd(fn, q, step / 2.0)
+    if tensor not in _POLAR_METRICS:
+        raise ValueError(f"unknown tensor choice {tensor!r}; expected 'pullback' or 'polar'")
+    xi, th = np.broadcast_arrays(np.asarray(xi_c, dtype=float), np.asarray(theta, dtype=float))
+    # phi value irrelevant (axisymmetric)
+    points = np.stack([xi.ravel(), th.ravel(), np.full(xi.size, 0.5)], axis=1)
+    out = _by_blocks(_curvature_stack, points, (), r, step, _POLAR_METRICS[tensor])
+    return float(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
+
+
+def _curvature_stack(q: np.ndarray, r, step: float, metric) -> np.ndarray:
+    """Richardson-extrapolated curvature (k,) at the polar points q (k, 3)
+    from one ``metric`` call on both steps' stencils and one contraction."""
+    steps = np.array([step, step / 2.0])
+    stencil = q[:, None, None, :] + _STENCIL * steps[:, None, None]
+    g = metric(stencil.reshape(-1, 3), r).reshape(-1, len(_STENCIL), 3, 3)
+    coarse, fine = _scalar_curvature(*_central_differences(g, np.tile(steps, len(q)))).reshape(-1, 2).T
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -307,13 +387,16 @@ def scalar_curvature_closed_form(xi_c: float, theta: float, r) -> float:
 
 
 def curvature_comparison(points: Sequence[tuple[float, float]], r) -> list[CurvatureResult]:
-    """Numeric oracle vs closed form over polar points; discrepancies reported."""
+    """Numeric oracle vs closed form over polar points; discrepancies reported.
+
+    The numeric values of all points come from one stacked
+    ``scalar_curvature_numeric`` call.
+    """
     a = _as_accel(r)
+    grid = np.array(points, dtype=float).reshape(-1, 2)
+    numeric = scalar_curvature_numeric(grid[:, 0], grid[:, 1], a).tolist()
     out = []
-    for xi_c, theta in points:
-        numeric = scalar_curvature_numeric(xi_c, theta, a)
+    for (xi_c, theta), num in zip(points, numeric):
         closed = scalar_curvature_closed_form(xi_c, theta, a)
-        out.append(
-            CurvatureResult(np.array([xi_c, theta]), a.r, numeric, closed, numeric - closed)
-        )
+        out.append(CurvatureResult(np.array([xi_c, theta]), a.r, num, closed, num - closed))
     return out

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rqit import teleportation
+from rqit import geometry, teleportation
 from rqit.cli import main
 
 
@@ -133,9 +133,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("curvature-r0.3-grid9.csv", ["curvature", "--r", "0.3", "--grid", "9"]),
     ],
 )
-def test_geometry_tables_match_golden_bytes(name, argv, tmp_path):
+@pytest.mark.parametrize("block", [None, 7])
+def test_geometry_tables_match_golden_bytes(name, argv, block, tmp_path, monkeypatch):
     # the golden files were written by the per-point implementation; only the
-    # '# output=' line, which names the path written, may differ
+    # '# output=' line, which names the path written, may differ, and the
+    # size of the blocks a table is evaluated in changes no byte
+    if block is not None:
+        monkeypatch.setattr(geometry, "_BLOCK", block)
     out = tmp_path / name
     assert run_cli([*argv, "-o", str(out)]) == 0
 

@@ -1,10 +1,14 @@
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from rqit.channel import FockCutoff, effective_qubit, small_r_qubit
-from rqit.errors import BoundaryError, ChartError
+from rqit import geometry, linalg
+from rqit.channel import FockCutoff, _small_r_stack, effective_qubit, small_r_qubit
+from rqit.errors import BoundaryError, ChartError, InvalidBlochError, NotPSDError
 from rqit.geometry import (
     curvature_comparison,
     fidelity,
@@ -327,16 +331,285 @@ def per_direction_numeric_metric(bloch, r, step=1e-3):
     return g
 
 
+def ball_points(rng, count, max_norm=0.9):
+    points = rng.normal(size=(count, 3))
+    return points / np.linalg.norm(points, axis=1)[:, None] * rng.uniform(0, max_norm, size=(count, 1))
+
+
 @pytest.mark.parametrize("r", [0.0, 0.05])
 def test_stacked_numeric_metric_is_bit_identical_to_per_direction_loop(r):
     rng = np.random.default_rng(15)
-    points = [rng.normal(size=3) for _ in range(8)]
-    points = [n / np.linalg.norm(n) * rng.uniform(0, 0.9) for n in points]
+    points = list(ball_points(rng, 8))
     # at r = 0.05 one fidelity here squares to different doubles by x * x and
     # by the float power that ``fidelity`` takes
     points.append(np.array([-0.38927689923449615, 0.27507056719810213, -0.5920622601117628]))
-    for n in points:
-        assert np.array_equal(numeric_metric(n, r).tensor, per_direction_numeric_metric(n, r))
+    want = np.array([per_direction_numeric_metric(n, r) for n in points])
+    for n, g in zip(points, want):
+        assert np.array_equal(numeric_metric(n, r).tensor, g)
+    assert np.array_equal(numeric_metric(np.array(points), r).tensor, want)
+
+
+# Per-point oracles: the one-point constructions that the stacked kernels of
+# ``geometry`` and ``channel._small_r_stack`` replaced, each operation on
+# scalars.  The stacked tables must reproduce them bit for bit.
+
+
+def per_point_small_r_qubit(bloch, r):
+    x, y, z = np.asarray(bloch, dtype=float)
+    C, T = math.cosh(r), math.tanh(r)
+    w = x - 1j * y
+    m = np.array(
+        [
+            [1.0 + z, w / C, 0.0],
+            [np.conj(w) / C, (1.0 - z) / C**2 + T**2 * (1.0 + z), math.sqrt(2) * T**2 * w / C],
+            [0.0, math.sqrt(2) * T**2 * np.conj(w) / C, 2.0 * T**2 * (1.0 - z) / C**2],
+        ],
+        dtype=complex,
+    )
+    return m / (2.0 * C**2)
+
+
+def per_point_metric_cartesian(bloch, r):
+    n = np.asarray(bloch, dtype=float)
+    n2 = float(n @ n)
+    C, T = math.cosh(r), math.tanh(r)
+    z = n[2]
+    g = np.eye(3)
+    g[2, 2] += T**2
+    g += np.outer(n, n) / (1.0 - n2) * (1.0 - T**2 * (1.0 + z) ** 2 / (1.0 - n2))
+    return g / (4.0 * C**4)
+
+
+def per_point_metric_polar(xi_c, theta, r):
+    C, T = math.cosh(r), math.tanh(r)
+    st, ct = math.sin(theta), math.cos(theta)
+    g = np.diag([1.0 / (1.0 - xi_c**2), xi_c**2, xi_c**2 * st**2])
+    h = np.zeros((3, 3))
+    h[0, 0] = T**2 * (1.0 + xi_c * ct) ** 2 + T**2 / 2.0 * ct**2
+    h[0, 1] = h[1, 0] = -(T**2) / 2.0 * xi_c * st * ct
+    h[1, 1] = T**2 * xi_c**2 / 2.0 * st**2
+    return (g + h) / (4.0 * C**4)
+
+
+def per_point_pullback(q, r):
+    xi_c, theta, phi = q
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    jac = np.array(
+        [
+            [st * cp, xi_c * ct * cp, -xi_c * st * sp],
+            [st * sp, xi_c * ct * sp, xi_c * st * cp],
+            [ct, -xi_c * st, 0.0],
+        ]
+    )
+    n = xi_c * np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+    return jac.T @ per_point_metric_cartesian(n, r) @ jac
+
+
+def per_point_scalar_curvature_fd(metric_fn, q, h):
+    """Scalar curvature from g, dg, ddg by central differences at step h."""
+    g0 = metric_fn(q)
+    ginv = np.linalg.inv(g0)
+    dg = np.zeros((3, 3, 3))
+    ddg = np.zeros((3, 3, 3, 3))
+    for a in range(3):
+        ea = np.zeros(3)
+        ea[a] = h
+        gp, gm = metric_fn(q + ea), metric_fn(q - ea)
+        dg[a] = (gp - gm) / (2.0 * h)
+        ddg[a, a] = (gp - 2.0 * g0 + gm) / h**2
+    for a in range(3):
+        for b in range(a + 1, 3):
+            ea, eb = np.zeros(3), np.zeros(3)
+            ea[a], eb[b] = h, h
+            mixed = (
+                metric_fn(q + ea + eb)
+                - metric_fn(q + ea - eb)
+                - metric_fn(q - ea + eb)
+                + metric_fn(q - ea - eb)
+            ) / (4.0 * h**2)
+            ddg[a, b] = ddg[b, a] = mixed
+    bracket = dg.transpose(1, 0, 2) + dg.transpose(2, 1, 0) - dg
+    gam = 0.5 * np.einsum("ae,edb->adb", ginv, bracket)
+    dginv = -np.einsum("ae,cef,fd->cad", ginv, dg, ginv)
+    dbracket = ddg.transpose(0, 2, 1, 3) + ddg.transpose(0, 3, 2, 1) - ddg
+    dgam = 0.5 * (
+        np.einsum("cae,edb->cadb", dginv, bracket)
+        + np.einsum("ae,cedb->cadb", ginv, dbracket)
+    )
+    ricci = (
+        np.einsum("aadb->bd", dgam)
+        - np.einsum("daab->bd", dgam)
+        + np.einsum("aae,edb->bd", gam, gam)
+        - np.einsum("ade,eab->bd", gam, gam)
+    )
+    return float(np.einsum("bd,bd->", ginv, ricci))
+
+
+def per_point_scalar_curvature(xi_c, theta, r, tensor, step=1e-4):
+    if tensor == "pullback":
+        fn = lambda q: per_point_pullback(q, r)  # noqa: E731
+    else:
+        fn = lambda q: per_point_metric_polar(q[0], q[1], r)  # noqa: E731
+    q = np.array([xi_c, theta, 0.5])
+    coarse = per_point_scalar_curvature_fd(fn, q, step)
+    fine = per_point_scalar_curvature_fd(fn, q, step / 2.0)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def polar_grid(grid):
+    xs, ts = np.linspace(0.2, 0.8, grid), np.linspace(0.4, math.pi - 0.4, grid)
+    return [(x, t) for x in xs for t in ts]
+
+
+@pytest.mark.parametrize("grid", [5, 9])
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.1, 0.3, 1.0])
+def test_stacked_curvature_is_bit_identical_to_per_point_stencil(grid, r):
+    points = polar_grid(grid)
+    xi, theta = np.array(points).T
+    for tensor in ("pullback", "polar"):
+        want = np.array([per_point_scalar_curvature(x, t, r, tensor) for x, t in points])
+        assert np.array_equal(scalar_curvature_numeric(xi, theta, r, tensor=tensor), want)
+        if tensor == "pullback":
+            got = [c.numeric_R for c in curvature_comparison(points, r)]
+            assert np.array_equal(got, want)
+    x, t = points[grid + 1]
+    for tensor in ("pullback", "polar"):
+        one = scalar_curvature_numeric(x, t, r, tensor=tensor)
+        assert type(one) is float and one == per_point_scalar_curvature(x, t, r, tensor)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.1, 1.0])
+def test_stacked_metric_tensors_are_bit_identical_to_per_point_formulas(r):
+    rng = np.random.default_rng(16)
+    # two rounding traps, live at r = 1 on the first two points and the next
+    # two: (1 + z)^2 squares by pow in scalar code, and x * x, the array
+    # square, rounds it differently; n @ n is BLAS ddot, and the plain
+    # x*x + y*y + z*z rounds it differently
+    pow_trap = [[0.5744784985951998, 0.07226328230364013, -0.3574282779851742],
+                [0.08083621207516936, 0.012019002197103244, -0.011785852946666326]]
+    dot_trap = [[0.03276731447081241, 0.3719655270250289, 0.21860405305927091],
+                [0.43451068143003724, -0.6675515285980571, 0.049583878334210435]]
+    for x, y, z in pow_trap:
+        assert np.float64(1.0 + z) * np.float64(1.0 + z) != np.float64(1.0 + z) ** 2
+    for x, y, z in dot_trap:
+        assert x * x + y * y + z * z != np.array([x, y, z]) @ np.array([x, y, z])
+    points = np.vstack([pow_trap, dot_trap, ball_points(rng, 40)])
+    want = np.array([per_point_metric_cartesian(n, r) for n in points])
+    assert np.array_equal(metric_cartesian(points, r).tensor, want)
+    assert all(np.array_equal(metric_cartesian(n, r).tensor, g) for n, g in zip(points, want))
+    states = np.array([per_point_small_r_qubit(n, r) for n in points])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # r = 1 is above SMALL_R_LIMIT
+        assert np.array_equal(_small_r_stack(points, geometry._as_accel(r)), states)
+        assert all(np.array_equal(small_r_qubit(n, r).entries, m) for n, m in zip(points, states))
+    polar = [(x, t, p) for x, t in polar_grid(4) for p in (0.0, 0.5, 2.0)]
+    for xi_c, theta, phi in polar:
+        assert np.array_equal(metric_polar_pullback(xi_c, theta, r, phi).tensor,
+                              per_point_pullback(np.array([xi_c, theta, phi]), r))
+        assert np.array_equal(metric_polar(xi_c, theta, r).tensor, per_point_metric_polar(xi_c, theta, r))
+
+
+def tables(r=0.1):
+    rng = np.random.default_rng(17)
+    bloch = ball_points(rng, 30)
+    xi, theta = np.array(polar_grid(6)[:30]).T
+    return (metric_cartesian(bloch, r).tensor, numeric_metric(bloch, r).tensor,
+            scalar_curvature_numeric(xi, theta, r), scalar_curvature_numeric(xi, theta, r, tensor="polar"))
+
+
+def test_block_size_leaves_tables_bit_identical(monkeypatch):
+    whole = tables()
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    for got, want in zip(tables(), whole):
+        assert np.array_equal(got, want)
+
+
+def test_table_memory_does_not_grow_with_points(monkeypatch):
+    # blocks of 8 points: fully stacked, each point would add over 10 kB of
+    # temporaries; in blocks only its inputs and outputs grow (~100 bytes)
+    monkeypatch.setattr(geometry, "_BLOCK", 8)
+    rng = np.random.default_rng(18)
+
+    def peak(fn, arg):
+        fn(arg)
+        tracemalloc.start()
+        try:
+            fn(arg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    curvature = lambda q: scalar_curvature_numeric(q[:, 0], q[:, 1], 0.1)  # noqa: E731
+    metric = lambda n: numeric_metric(n, 0.05)  # noqa: E731
+    polar = lambda k: np.column_stack([rng.uniform(0.2, 0.8, k), rng.uniform(0.4, 2.7, k)])  # noqa: E731
+    for fn, make in ((curvature, polar), (metric, lambda k: ball_points(rng, k, 0.7))):
+        small, big = peak(fn, make(16)), peak(fn, make(144))
+        assert big - small < 128 * 400
+
+
+def test_small_r_warning_reaches_metric_tables():
+    with pytest.warns(UserWarning, match="small_r_qubit called with r=0.400"):
+        numeric_metric(np.zeros((3, 3)), 0.4)
+
+
+def test_curvature_chart_error_names_the_stencil_point(monkeypatch):
+    message = "^radial coordinate xi_c = -5e-05 outside the admissible chart$"
+    for tensor in ("pullback", "polar"):
+        with pytest.raises(ChartError, match=message):
+            scalar_curvature_numeric(5e-5, 1.0, 0.1, tensor=tensor)
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    xi, theta = np.full(20, 0.5), np.full(20, 1.0)
+    xi[13] = 5e-5
+    with pytest.raises(ChartError, match=message):
+        scalar_curvature_numeric(xi, theta, 0.1)
+    theta[13], xi[13] = 5e-5, 0.5
+    with pytest.raises(ChartError, match="^polar angle theta = -5e-05 too close to the axis$"):
+        scalar_curvature_numeric(xi, theta, 0.1)
+
+
+def one_point_error(fn, point):
+    with pytest.raises(Exception) as info:
+        fn(point)
+    return info.type, "^" + re.escape(str(info.value)) + "$"
+
+
+@pytest.mark.parametrize("bad", [0, 6, 13, 19])
+def test_guards_fire_for_any_point_of_a_table(monkeypatch, bad):
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    rng = np.random.default_rng(19)
+    table = ball_points(rng, 20, 0.2)
+    cases = [
+        # numeric differencing needs n^2 < 0.95
+        (lambda n: numeric_metric(n, 0.05), [0.0, 0.0, 0.98], BoundaryError),
+        # the closed form is singular at n^2 = 1; the message carries n^2
+        (lambda n: metric_cartesian(n, 0.1), [0.6, 0.8, 0.0], BoundaryError),
+        # a step of 0.5 displaces a point of norm 0.9 out of the Bloch ball
+        (lambda n: numeric_metric(n, 0.05, step=0.5), [0.9, 0.0, 0.0], InvalidBlochError),
+    ]
+    for fn, point, error in cases:
+        kind, message = one_point_error(fn, np.array(point))
+        assert kind is error
+        rows = table.copy()
+        rows[bad] = point
+        fn(table)
+        with pytest.raises(error, match=message):
+            fn(rows)
+
+
+def test_psd_clamp_fires_for_any_point_of_a_table(monkeypatch):
+    # the small-r family is PSD inside the ball; with the clamp raised to 1e-3
+    # only the point (0, 0, 0.9), whose smallest eigenvalue is about 2e-4 at
+    # r = 0.05, falls below it, wherever it stands in the table
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    monkeypatch.setattr(linalg, "PSD_CLAMP", 1e-3)
+    table = ball_points(np.random.default_rng(20), 20, 0.3)
+    numeric_metric(table, 0.05)
+    for bad in (0, 6, 13, 19):
+        rows = table.copy()
+        rows[bad] = [0.0, 0.0, 0.9]
+        with pytest.raises(NotPSDError):
+            numeric_metric(rows, 0.05)
 
 
 def test_numeric_metric_boundary_guard():
