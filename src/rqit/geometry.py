@@ -292,10 +292,12 @@ def _numeric_metric_stack(n: np.ndarray, a, step: float) -> np.ndarray:
 # The 19-point stencil of second-order central differences, in units of the
 # step: the centre, +-e_a for each axis, then for each axis pair (a, b) the
 # corners +a+b, +a-b, -a+b, -a-b.
-_E = np.eye(3)
-_STENCIL = np.array([0 * _E[0]] + [s * e for e in _E for s in (1, -1)]
-                    + [sa * _E[a] + sb * _E[b] for a, b in ((0, 1), (0, 2), (1, 2))
-                       for sa in (1, -1) for sb in (1, -1)])
+_STENCIL = np.array(
+    [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+     [1, 1, 0], [1, -1, 0], [-1, 1, 0], [-1, -1, 0], [1, 0, 1], [1, 0, -1], [-1, 0, 1], [-1, 0, -1],
+     [0, 1, 1], [0, 1, -1], [0, -1, 1], [0, -1, -1]],
+    dtype=float,
+)
 
 
 def _central_differences(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
