@@ -397,8 +397,16 @@ def small_r_qubit(bloch, r) -> DenseOperator:
     at order r^4, which the generalized distance of the geometry module is
     designed to absorb.  No renormalization is applied.
     """
-    n = _as_bloch(bloch)
-    return DenseOperator(_small_r_stack(n[None], _as_accel(r))[0], (3,))
+    a = _as_accel(r)
+    _warn_beyond_small_r(a)
+    return DenseOperator(_small_r_stack(_as_bloch(bloch)[None], a)[0], (3,))
+
+
+def _warn_beyond_small_r(a: AccelerationParam) -> None:
+    """Warn above SMALL_R_LIMIT, at the caller of ``small_r_qubit`` or ``numeric_metric``."""
+    if a.r > SMALL_R_LIMIT:
+        warnings.warn(f"small_r_qubit called with r={a.r:.3f} > {SMALL_R_LIMIT}; "
+                      "the O(r^4) accuracy guarantee degrades", stacklevel=3)
 
 
 def _small_r_stack(n: np.ndarray, a: AccelerationParam) -> np.ndarray:
@@ -408,12 +416,6 @@ def _small_r_stack(n: np.ndarray, a: AccelerationParam) -> np.ndarray:
     scalar expression, so a row rounds exactly as a call of its own.
     """
     _check_bloch_rows(n)
-    if a.r > SMALL_R_LIMIT:
-        warnings.warn(
-            f"small_r_qubit called with r={a.r:.3f} > {SMALL_R_LIMIT}; "
-            "the O(r^4) accuracy guarantee degrades",
-            stacklevel=3,
-        )
     C, T = a.C, a.T
     x, y, z = n.T
     w = x - 1j * y

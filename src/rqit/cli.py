@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -208,7 +209,7 @@ def _cmd_validate(args) -> int:
     add("exact_fidelity_bell", average_fidelity_exact(0.0, 0.0), 1.0, 1e-12)
     sweep0 = angle_sweep(0.0, [0.0])
     add("orthogonal_angle", sweep0[0].theta, math.pi / 2, 1e-10)
-    add("metric_origin", numeric_metric((0, 0, 0), 0.0).tensor[0, 0], 0.25, 1e-6)
+    add("metric_origin", numeric_metric((0, 0, 0), 0.0).tensor[0, 0], 0.25, 1e-12)
     add("flat_curvature", scalar_curvature_numeric(0.5, math.pi / 2, 0.0), 24.0, 1e-3)
     en1 = log_negativity(entangled_state(0.0, 0.6, cut6))
     en2 = log_negativity(entangled_state(0.0, 0.6, cut6.doubled()))
@@ -227,6 +228,7 @@ def _cmd_validate(args) -> int:
     return 0 if all_ok else 3
 
 
+@functools.cache  # built once a process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rqit",

@@ -16,8 +16,8 @@ dS = x dx + y dy + z dz:
     ds^2 = (1/4C^4) { dn^2 + T^2 dz^2
                       + dS^2/(1-n^2) [ 1 - T^2 (1+z)^2 / (1-n^2) ] }.
 
-``numeric_metric`` recovers the quadratic form directly from D on the
-low-acceleration family and is the validation of the closed form.
+``numeric_metric``, the exact quadratic form of D on the low-acceleration
+family (no finite differences), is the validation of the closed form.
 
 Curvature.  The scalar curvature is computed by finite-difference
 Christoffel symbols in the polar chart (xi_c, theta, phi).  The default
@@ -34,12 +34,12 @@ temporaries stay bounded whatever its length.  The curvature of a block
 takes every stencil point of every point at both Richardson steps (38 a
 point) from one stacked metric evaluation (``_pullback_stack`` or
 ``_metric_polar_stack``), differences them elementwise and contracts them
-in one stacked ``_scalar_curvature``.  ``numeric_metric`` builds the base
-and the 24 displaced states of every point of a block as one stack and
-takes one square root, product and SVD.  Every value is bit-identical to
-the one-point scalar code these kernels replaced, because each kernel
-keeps that code's roundings: ``n @ n`` as BLAS ddot rounds it, squares by
-``pow`` as float64 scalars take them, and sines and cosines from ``math``.
+in one stacked ``_scalar_curvature``.  ``numeric_metric`` takes one
+stacked 3x3 eigensolve of the states of a block.  The closed-form tables
+and the curvature are bit-identical to the one-point scalar code these
+kernels replaced, because each kernel keeps that code's roundings:
+``n @ n`` as BLAS ddot rounds it, squares by ``pow`` as float64 scalars
+take them, and sines and cosines from ``math``.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _as_accel, _norms2, _small_r_stack
+from .channel import _as_accel, _norms2, _small_r_stack, _warn_beyond_small_r
 from .errors import BoundaryError, ChartError
-from .linalg import DenseOperator, matrix_sqrt, psd_sqrt_stack
+from .linalg import DenseOperator, _psd_eigenvalues, matrix_sqrt
 
 BOUNDARY_MARGIN = 1e-9
 CHART_MARGIN = 1e-6
 # Points per block of a stacked table (see ``_by_blocks``).  A point takes
-# about 16 kB of temporaries for the curvature and 23 kB for the numeric
+# about 16 kB of temporaries for the curvature and 2 kB for the numeric
 # metric.  Blocks of 8 keep every array under about 30 kB, which the free
 # chunks of a warm heap hold; blocks of 64 ran 1.3-1.7x faster per point on
 # long tables but grew the peak RSS of the default tables by 0.1-0.4 MB.
@@ -247,46 +247,48 @@ def _pullback_stack(q: np.ndarray, r) -> np.ndarray:
     return jac.transpose(0, 2, 1) @ _metric_cartesian_stack(n, r) @ jac
 
 
-_DIRECTIONS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
+def numeric_metric(bloch, r) -> MetricValue:
+    """Metric of ds^2 = D/2 on the small-r family from the second-order
+    expansion of D, with no step.
 
+    ``small_r_qubit`` is affine in n, so A_u = d rho / d n_u are constant.
+    Taken in the eigenbasis of rho (eigenvalues lambda_i), they give the
+    Bures metric (Huebner 1992) with a trace term for the subnormalized
+    family:
 
-def numeric_metric(bloch, r, step: float = 1e-3) -> MetricValue:
-    """Metric recovered from the generalized distance on the small-r family.
+        g_uv = (Tr rho / 2) sum_ij Re(A_u,ij conj A_v,ij) / (lambda_i + lambda_j)
+               - Tr A_u Tr A_v / 4,
 
-    Central second differences of D along the three axes and three diagonal
-    displacement directions determine the symmetric form of ds^2 = D/2
-    exactly; one Richardson pass removes the O(step^2) truncation term.  D is
-    ``generalized_bures_distance``.  ``bloch`` is one point (3,) or a table
-    (k, 3), and the tensor (3, 3) or (k, 3, 3) to match.
+    dropping pairs with lambda_i + lambda_j = 0 (0/0 at r = 0, where rho has
+    rank 2).  The eigenvalues take ``matrix_sqrt``'s PSD clamp.  ``bloch``
+    is one point (3,) or a table (k, 3) with n^2 < 0.95, and the tensor
+    (3, 3) or (k, 3, 3) to match.
     """
     n, rows = _bloch_rows(bloch)
-    if np.any(_norms2(rows) >= 0.95):
-        raise BoundaryError("numeric differencing unstable near the pure-state boundary")
-    g = _by_blocks(_numeric_metric_stack, rows, (3, 3), _as_accel(r), step)
+    n2 = _norms2(rows)
+    bad = n2[n2 >= 0.95]
+    if bad.size:
+        raise BoundaryError(f"numeric metric taken only for n^2 < 0.95 (n^2 = {bad[0]:.9f})")
+    a = _as_accel(r)
+    _warn_beyond_small_r(a)
+    slopes = _small_r_stack(np.eye(3), a) - _small_r_stack(np.zeros((1, 3)), a)
+    g = _by_blocks(_numeric_metric_stack, rows, (3, 3), a, slopes)
     return MetricValue(n, "bloch", g.reshape(n.shape + (3,)))
 
 
-def _numeric_metric_stack(n: np.ndarray, a, step: float) -> np.ndarray:
-    """``numeric_metric`` tensors (k, 3, 3) at the Bloch vectors n (k, 3).
-
-    Each point's base state and its 12 displaced states at each of the two
-    steps are built as one (k, 25) stack of states and square-rooted in one
-    eigensolve; D against the base is then one stacked product and SVD.
-    """
-    steps = (step / 2.0, step)
-    shifts = np.array([s * (eps * v) for eps in steps for v in _DIRECTIONS for s in (1.0, -1.0)])
-    points = np.concatenate([n[:, None, :], n[:, None, :] + shifts], axis=1)
-    states = _small_r_stack(points.reshape(-1, 3), a).reshape(len(n), 25, 3, 3)
-    roots = psd_sqrt_stack(states)
-    root_fid = np.sum(np.linalg.svd(roots[:, :1] @ roots[:, 1:], compute_uv=False), axis=-1)
-    fid = np.float_power(root_fid, 2)  # pow, as ``fidelity`` squares a float; x * x rounds differently
-    tr = np.trace(states, axis1=2, axis2=3).real
-    dist = (2.0 * (tr[:, :1] * tr[:, 1:] - fid)).reshape(len(n), 2, 12)
-    quad = 0.25 * (dist[..., 0::2] + dist[..., 1::2]) / np.array([[eps**2] for eps in steps])
-    q = (4.0 * quad[:, 0] - quad[:, 1]) / 3.0
-    # the quadratic forms along e_i + e_j less those along e_i and e_j: 2 g_ij
-    q = np.concatenate([q[:, :3], (q[:, 3:] - q[:, [0, 0, 1]] - q[:, [1, 2, 2]]) / 2.0], axis=1)
-    return q[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
+def _numeric_metric_stack(n: np.ndarray, a, slopes: np.ndarray) -> np.ndarray:
+    """``numeric_metric`` tensors (k, 3, 3) at the Bloch vectors n (k, 3)
+    from one stacked eigensolve of their states; slopes[u] is A_u."""
+    states = _small_r_stack(n, a)
+    w, v = np.linalg.eigh(states)
+    w = _psd_eigenvalues(w)
+    pair = w[:, :, None] + w[:, None, :]
+    weight = np.divide(1.0, pair, out=np.zeros_like(pair), where=pair > 0.0)
+    rotated = v.conj().swapaxes(-1, -2)[:, None] @ slopes @ v[:, None]  # A_u in each eigenbasis
+    form = np.einsum("kuij,kvij,kij->kuv", rotated, rotated.conj(), weight).real
+    tr_a = np.trace(slopes, axis1=1, axis2=2).real
+    tr = np.trace(states, axis1=1, axis2=2).real
+    return tr[:, None, None] / 2.0 * form - np.outer(tr_a, tr_a) / 4.0
 
 
 # The 19-point stencil of second-order central differences, in units of the

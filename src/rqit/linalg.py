@@ -134,8 +134,8 @@ def eigh(op: DenseOperator):
     return np.linalg.eigh(_require_hermitian(op.entries, "eigh"))
 
 
-def _root_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """PSD square root(s) from Hermitian eigendata, stacked or not.
+def _psd_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Ascending Hermitian eigenvalues, stacked or not, with the PSD clamp.
 
     Eigenvalues in [PSD_CLAMP, 0) are clamped to zero so that truncation
     noise from the Fock cutoff never aborts a run; anything below the clamp
@@ -144,22 +144,14 @@ def _root_from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     low = float(np.min(w[..., 0]))
     if low < PSD_CLAMP:
         raise NotPSDError(f"smallest eigenvalue {low:.3e} below clamp {PSD_CLAMP:.1e}")
-    w = np.clip(w, 0.0, None)
-    return _hermitian_part((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return np.clip(w, 0.0, None)
 
 
 def matrix_sqrt(op: DenseOperator) -> DenseOperator:
-    """Hermitian PSD square root; eigenvalues are clamped as in ``_root_from_eigh``."""
-    return DenseOperator(_root_from_eigh(*eigh(op)), op.space_tag)
-
-
-def psd_sqrt_stack(m: np.ndarray) -> np.ndarray:
-    """``matrix_sqrt`` of each matrix in a stack (k, d, d), in one eigensolve.
-
-    The Hermitian and PSD checks cover the whole stack, and every root is
-    rounded exactly as ``matrix_sqrt`` rounds it alone.
-    """
-    return _root_from_eigh(*np.linalg.eigh(_require_hermitian(m, "psd_sqrt_stack")))
+    """Hermitian PSD square root; eigenvalues are clamped as in ``_psd_eigenvalues``."""
+    w, v = eigh(op)
+    root = (v * np.sqrt(_psd_eigenvalues(w))) @ v.conj().T
+    return DenseOperator(_hermitian_part(root), op.space_tag)
 
 
 def trace_norm(op: DenseOperator) -> float:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rqit import geometry, teleportation
+from rqit import cli, geometry, teleportation
 from rqit.cli import main
 
 
@@ -135,7 +135,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 )
 @pytest.mark.parametrize("block", [None, 7])
 def test_geometry_tables_match_golden_bytes(name, argv, block, tmp_path, monkeypatch):
-    # the golden files were written by the per-point implementation; only the
+    # the curvature golden files were written by the per-point implementation,
+    # the metric ones by the eigenbasis form of ``numeric_metric``; only the
     # '# output=' line, which names the path written, may differ, and the
     # size of the blocks a table is evaluated in changes no byte
     if block is not None:
@@ -147,6 +148,31 @@ def test_geometry_tables_match_golden_bytes(name, argv, block, tmp_path, monkeyp
         return [line for line in path.read_bytes().split(b"\n") if not line.startswith(b"# output=")]
 
     assert body(out) == body(GOLDEN / name)
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path):
+    # ``main`` builds its parser once a process: the options of one call must
+    # not reach the values or defaults of the next
+    assert cli._build_parser() is cli._build_parser()
+    runs = [
+        ["metric", "--r", "0.2", "--points", "3", "--seed", "5", "--max-norm", "0.5"],
+        ["curvature", "--r", "0.05", "--grid", "2"],
+        ["metric", "--points", "2"],
+        ["curvature", "--grid", "2"],
+    ]
+    bodies = []
+    for k, argv in enumerate(runs * 2):
+        fresh = vars(cli._build_parser.__wrapped__().parse_args(argv))
+        assert vars(cli._build_parser().parse_args(argv)) == fresh
+        out = tmp_path / f"{k}.csv"
+        assert run_cli([*argv, "-o", str(out)]) == 0
+        header, rows = read_csv(out)
+        del header["output"]
+        bodies.append((header, rows))
+    assert bodies[:4] == bodies[4:]
+    metric, curvature = bodies[2][0], bodies[3][0]
+    assert (metric["r"], metric["seed"], metric["max_norm"], metric["points"]) == ("0.05", "0", "0.7", "2")
+    assert (curvature["r"], curvature["grid"]) == ("0.1", "2") and "points" not in curvature
 
 
 def test_validate_command(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from rqit import geometry, linalg
 from rqit.channel import FockCutoff, _small_r_stack, effective_qubit, small_r_qubit
-from rqit.errors import BoundaryError, ChartError, InvalidBlochError, NotPSDError
+from rqit.errors import BoundaryError, ChartError, NotPSDError
 from rqit.geometry import (
     curvature_comparison,
     fidelity,
@@ -265,7 +265,7 @@ def test_pullback_differs_from_polar_deformation_at_nonzero_r():
 
 def test_numeric_metric_origin():
     got = numeric_metric((0, 0, 0), 0.0).tensor
-    np.testing.assert_allclose(got, np.eye(3) / 4, atol=1e-6)
+    np.testing.assert_allclose(got, np.eye(3) / 4, rtol=0, atol=1e-14)
 
 
 def test_numeric_metric_exact_at_rest():
@@ -275,7 +275,7 @@ def test_numeric_metric_exact_at_rest():
         n = n / np.linalg.norm(n) * rng.uniform(0, 0.7)
         got = numeric_metric(n, 0.0).tensor
         want = metric_cartesian(n, 0.0).tensor
-        assert np.max(np.abs(got - want)) < 1e-6
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_numeric_metric_validates_closed_form():
@@ -337,16 +337,58 @@ def ball_points(rng, count, max_norm=0.9):
 
 
 @pytest.mark.parametrize("r", [0.0, 0.05])
-def test_stacked_numeric_metric_is_bit_identical_to_per_direction_loop(r):
-    rng = np.random.default_rng(15)
-    points = list(ball_points(rng, 8))
-    # at r = 0.05 one fidelity here squares to different doubles by x * x and
-    # by the float power that ``fidelity`` takes
-    points.append(np.array([-0.38927689923449615, 0.27507056719810213, -0.5920622601117628]))
+def test_numeric_metric_matches_per_direction_stencil(r):
+    # the stencil's truncation and rounding errors reach about 1.4e-8
+    points = ball_points(np.random.default_rng(15), 20)
     want = np.array([per_direction_numeric_metric(n, r) for n in points])
-    for n, g in zip(points, want):
-        assert np.array_equal(numeric_metric(n, r).tensor, g)
-    assert np.array_equal(numeric_metric(np.array(points), r).tensor, want)
+    assert np.max(np.abs(numeric_metric(points, r).tensor - want)) < 3e-8
+
+
+def mpmath_distance_hessian(bloch, r, h="1e-12"):
+    """The metric D/2 by second differences of D at 50 digits, D from the
+    eigenvalues of rho^(1/2) sigma rho^(1/2); the step's error is O(h^2)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        C, T, s2, h = mp.cosh(mp.mpf(r)), mp.tanh(mp.mpf(r)), mp.sqrt(2), mp.mpf(h)
+
+        def state(n):
+            x, y, z = n
+            w = mp.mpc(x, -y)
+            return mp.matrix([[1 + z, w / C, 0],
+                              [mp.conj(w) / C, (1 - z) / C**2 + T**2 * (1 + z), s2 * T**2 * w / C],
+                              [0, s2 * T**2 * mp.conj(w) / C, 2 * T**2 * (1 - z) / C**2]]) / (2 * C**2)
+
+        def trace(m):
+            return mp.re(m[0, 0] + m[1, 1] + m[2, 2])
+
+        n0 = [mp.mpf(c) for c in bloch]
+        rho = state(n0)
+        lam, vec = mp.eighe(rho)
+        root = vec * mp.diag([mp.sqrt(max(x, 0)) for x in lam]) * vec.H
+
+        def distance(v, eps):
+            sigma = state([c + eps * d for c, d in zip(n0, v)])
+            eig = mp.eighe(root * sigma * root)[0]
+            return 2 * (trace(rho) * trace(sigma) - sum(mp.sqrt(max(x, 0)) for x in eig) ** 2)
+
+        def quad(v):
+            return (distance(v, h) + distance(v, -h)) / (4 * h**2)
+
+        axes = np.eye(3, dtype=int).tolist()
+        diag = [quad(v) for v in axes]
+        g = np.diag([float(q) for q in diag])
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            both = quad([a + b for a, b in zip(axes[i], axes[j])])
+            g[i, j] = g[j, i] = float((both - diag[i] - diag[j]) / 2)
+    return g
+
+
+@pytest.mark.parametrize("r", [0.05, 0.1, 0.3])
+def test_numeric_metric_matches_mpmath_hessian_of_distance(r):
+    points = ((0.3, -0.2, 0.4), (0.0, 0.0, 0.0), (-0.5, 0.1, -0.6))
+    got = numeric_metric(np.array(points), r).tensor
+    for n, g in zip(points, got):
+        assert np.max(np.abs(g - mpmath_distance_hessian(n, r))) < 1e-14
 
 
 # Per-point oracles: the one-point constructions that the stacked kernels of
@@ -548,9 +590,17 @@ def test_table_memory_does_not_grow_with_points(monkeypatch):
         assert big - small < 128 * 400
 
 
-def test_small_r_warning_reaches_metric_tables():
-    with pytest.warns(UserWarning, match="small_r_qubit called with r=0.400"):
-        numeric_metric(np.zeros((3, 3)), 0.4)
+def test_small_r_warning_reaches_metric_tables(monkeypatch):
+    # one warning a call, whatever the table's length, at the caller's line
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    for call in (lambda: numeric_metric(np.zeros((20, 3)), 0.4), lambda: small_r_qubit((0, 0, 0), 0.4)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert len(caught) == 1
+        assert caught[0].category is UserWarning
+        assert str(caught[0].message).startswith("small_r_qubit called with r=0.400")
+        assert caught[0].filename == __file__
 
 
 def test_curvature_chart_error_names_the_stencil_point(monkeypatch):
@@ -580,12 +630,10 @@ def test_guards_fire_for_any_point_of_a_table(monkeypatch, bad):
     rng = np.random.default_rng(19)
     table = ball_points(rng, 20, 0.2)
     cases = [
-        # numeric differencing needs n^2 < 0.95
+        # the numeric metric is evaluated on n^2 < 0.95; the message carries n^2
         (lambda n: numeric_metric(n, 0.05), [0.0, 0.0, 0.98], BoundaryError),
         # the closed form is singular at n^2 = 1; the message carries n^2
         (lambda n: metric_cartesian(n, 0.1), [0.6, 0.8, 0.0], BoundaryError),
-        # a step of 0.5 displaces a point of norm 0.9 out of the Bloch ball
-        (lambda n: numeric_metric(n, 0.05, step=0.5), [0.9, 0.0, 0.0], InvalidBlochError),
     ]
     for fn, point, error in cases:
         kind, message = one_point_error(fn, np.array(point))
@@ -613,7 +661,8 @@ def test_psd_clamp_fires_for_any_point_of_a_table(monkeypatch):
 
 
 def test_numeric_metric_boundary_guard():
-    with pytest.raises(BoundaryError):
+    message = r"^numeric metric taken only for n\^2 < 0.95 \(n\^2 = 0.980100000\)$"
+    with pytest.raises(BoundaryError, match=message):
         numeric_metric((0.99, 0, 0), 0.05)
 
 

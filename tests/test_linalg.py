@@ -7,7 +7,6 @@ from rqit.errors import NotPSDError
 from rqit.linalg import (
     DenseOperator,
     matrix_sqrt,
-    psd_sqrt_stack,
     partial_transpose,
     trace_norm,
 )
@@ -98,25 +97,6 @@ def test_matrix_sqrt_rejects_negative():
     # clamp region passes
     out = matrix_sqrt(DenseOperator(np.diag([1.0, -5e-11])))
     assert out.entries[1, 1] == 0
-
-
-def test_psd_sqrt_stack_matches_matrix_sqrt():
-    rng = np.random.default_rng(17)
-    for dtype in (float, complex):
-        stack = np.stack([random_density(rng, 3, trace=rng.uniform(0.1, 2.0)) for _ in range(12)])
-        stack = stack.real if dtype is float else stack
-        roots = psd_sqrt_stack(stack)
-        for m, root in zip(stack, roots):
-            assert np.array_equal(root, matrix_sqrt(DenseOperator(m)).entries)
-
-
-def test_psd_sqrt_stack_checks_every_matrix():
-    good = np.stack([np.eye(2), np.diag([1.0, -5e-11])])
-    assert psd_sqrt_stack(good)[1, 1, 1] == 0
-    with pytest.raises(NotPSDError):
-        psd_sqrt_stack(np.stack([np.eye(2), np.diag([1.0, -1e-6])]))
-    with pytest.raises(ValueError, match="Hermitian"):
-        psd_sqrt_stack(np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]))
 
 
 def test_trace_norm_values():
