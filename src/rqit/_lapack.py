@@ -15,8 +15,9 @@ bound here through ``ctypes``:
 
 Both cost O(n^2) time and O(n) memory.  The library is loaded on the first
 call, never at import.  Where it or one of the routines is missing (a numpy
-linked against MKL or a distribution's own LAPACK), ``available`` is False
-and the callers take their dense route instead.
+linked against MKL or a distribution's own LAPACK), each kernel falls back,
+within this module, to ``numpy.linalg`` on its band expanded into one dense
+n x n array, after the memory-budget check.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import os
 import numpy as np
 
 from .errors import NumericError
+from .linalg import check_budget
 
 _INT = ctypes.POINTER(ctypes.c_int64)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
@@ -61,11 +63,6 @@ def _routines() -> dict | None:
     return found
 
 
-def available() -> bool:
-    """Whether the banded kernels can run (loads the library on first use)."""
-    return _routines() is not None
-
-
 def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
@@ -88,11 +85,19 @@ def band_eigvalsh(ab: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix A whose lower band is
     ``ab``, Fortran-ordered (kd + 1, n) with ab[k, j] = A[j + k, j].
 
-    ``ab`` is overwritten.  Needs ``available()``.
+    ``ab`` may be overwritten.  Without the library, A^T is expanded and
+    ``eigvalsh`` reads its upper triangle: that prints the banded fig1
+    values, where the lower triangle of A moved a row in the 12th digit.
     """
     kd1, n = ab.shape
     if not (ab.dtype == np.float64 and ab.flags.f_contiguous):
         raise ValueError("band storage must be a Fortran-ordered float64 array")
+    if _routines() is None:
+        check_budget((n, n), float, "band_eigvalsh dense fallback")
+        a = np.zeros((n, n))
+        for k in range(min(kd1, n)):  # a[j, j + k] = ab[k, j]
+            a.reshape(-1)[k::n + 1][:n - k] = ab[k, :n - k]
+        return np.linalg.eigvalsh(a, UPLO="U")
     w = np.empty(n)
     work = np.empty(max(1, 3 * n - 2))
     dummy = np.empty(1)
@@ -106,11 +111,19 @@ def tridiagonal_singular_values(ab: np.ndarray) -> np.ndarray:
     in general band form: ``ab`` Fortran-ordered (3, n) with
     ab[1 + i - j, j] = M[i, j] for |i - j| <= 1.
 
-    ``ab`` is overwritten.  Needs ``available()``.
+    ``ab`` may be overwritten.  Without the library, M is expanded for
+    ``numpy.linalg.svd``.
     """
     three, n = ab.shape
     if not (three == 3 and ab.dtype == np.float64 and ab.flags.f_contiguous):
         raise ValueError("tridiagonal band storage must be a Fortran-ordered (3, n) float64 array")
+    if _routines() is None:
+        check_budget((n, n), float, "tridiagonal_singular_values dense fallback")
+        m = np.zeros((n, n))
+        m.reshape(-1)[::n + 1] = ab[1]
+        m.reshape(-1)[1::n + 1] = ab[0, 1:]
+        m.reshape(-1)[n::n + 1] = ab[2, :-1]
+        return np.linalg.svd(m, compute_uv=False)
     d, e = np.empty(n), np.empty(n)
     work = np.empty(4 * n)
     dummy = np.empty(1)
@@ -119,3 +132,4 @@ def tridiagonal_singular_values(ab: np.ndarray) -> np.ndarray:
           _ptr(work), chars=1)
     _call("dlasq1", _int(n), _ptr(d), _ptr(e), _ptr(work))
     return d
+

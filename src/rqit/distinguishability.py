@@ -19,7 +19,7 @@ from .channel import (FockCutoff, OrthogonalityParam, _as_accel, _as_cutoff, _as
                       unruh_one_particle_amplitudes, unruh_vacuum_amplitudes)
 from .errors import TruncationError
 from .geometry import root_fidelity
-from .linalg import DenseOperator, check_budget, check_cost
+from .linalg import DenseOperator, check_cost
 
 _TRACE_ATOL = 1e-6
 
@@ -63,27 +63,19 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     singular value to high relative accuracy (Demmel & Kahan, SIAM J. Sci.
     Stat. Comput. 11, 873 (1990); Fernando & Parlett, Numer. Math. 67, 191
     (1994)), in O(n_max^2) time and O(n_max) memory, with no square root.
-    Where numpy bundles no OpenBLAS, M is expanded into a dense matrix,
-    after the memory-budget check, for ``numpy.linalg.svd``.  ``bures_angle``
-    of the two ``effective_qubit`` images is the dense route to the same
-    angle, with the same checks: truncation, cost bound and unit trace
-    (Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2).
+    ``bures_angle`` of the two ``effective_qubit`` images is the dense route
+    to the same angle, with the same checks: truncation, cost bound and unit
+    trace (Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2).
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "angle_sweep")
-    size = cut.n_max + 1
-    if _lapack.available():
-        singular_values = _lapack.tridiagonal_singular_values
-    else:
-        check_budget((size, size), float, "angle_sweep overlap matrix")
-        singular_values = _dense_singular_values
     c = unruh_vacuum_amplitudes(a, cut)
     d = unruh_one_particle_amplitudes(a, cut)
     cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
     vacuum, one = float(np.sum(cc)), float(np.sum(dd))
     a1, b1 = OrthogonalityParam(0.0).plus_state().real
-    ab = np.zeros((3, size), order="F")
+    ab = np.zeros((3, cut.n_max + 1), order="F")
     out = []
     for xi in xi_grid:
         a2, b2 = _as_xi(xi).phi_state().real
@@ -94,17 +86,7 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
         ab[0, 1:] = b1 * a2 * cd
         ab[1] = a1 * a2 * cc + b1 * b2 * dd
         ab[2, :-1] = a1 * b2 * cd
-        root_fid = float(np.sum(singular_values(ab)))
+        root_fid = float(np.sum(_lapack.tridiagonal_singular_values(ab)))
         out.append(AngleResult(float(xi), a.r, math.acos(float(np.clip(root_fid, 0.0, 1.0)))))
     return out
 
-
-def _dense_singular_values(ab: np.ndarray) -> np.ndarray:
-    """Singular values of the tridiagonal M held in ``ab`` (as for
-    ``_lapack.tridiagonal_singular_values``) by a dense SVD."""
-    size = ab.shape[1]
-    m = np.zeros((size, size))
-    m.reshape(-1)[::size + 1] = ab[1]
-    m.reshape(-1)[1::size + 1] = ab[0, 1:]
-    m.reshape(-1)[size::size + 1] = ab[2, :-1]
-    return np.linalg.svd(m, compute_uv=False)

@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import (FockCutoff, _SHARED_COMPONENTS, _as_accel, _as_cutoff, _as_xi, _shared_terms,
-                      entangled_state)
+from .channel import FockCutoff, _SHARED_COMPONENTS, _as_accel, _as_cutoff, _as_xi, _shared_terms
 from .linalg import DenseOperator, check_cost, partial_transpose, trace_norm
 
 _LOG_NEG_FLOOR = 1e-12
@@ -57,16 +56,11 @@ def negativity_sweep(
     lower band storage, and LAPACK ``dsbev`` (band reduction, then
     root-free QR) returns its eigenvalues in O(n_max^2) time and O(n_max)
     memory.  ``log_negativity(entangled_state(...))`` is the dense route to
-    the same value; it is taken instead where numpy bundles no OpenBLAS, and
-    keeps its memory-budget check.  The cost bound is checked before
-    anything is built.
+    the same value.  The cost bound is checked before anything is built.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "negativity_sweep")
-    if not _lapack.available():
-        return [NegativityResult(float(xi), a.r, log_negativity(entangled_state(xi, a, cut)))
-                for xi in xi_grid]
     ab = np.zeros((4, 2 * cut.levels), order="F")
     out = []
     for xi in xi_grid:

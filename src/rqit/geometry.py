@@ -56,6 +56,8 @@ from .linalg import DenseOperator, _psd_eigenvalues, matrix_sqrt
 
 BOUNDARY_MARGIN = 1e-9
 CHART_MARGIN = 1e-6
+# Central-difference step of the curvature, halved once for Richardson.
+CURVATURE_STEP = 1e-4
 # Points per block of a stacked table (see ``_by_blocks``).  A point takes
 # about 16 kB of temporaries for the curvature and 2 kB for the numeric
 # metric.  Blocks of 8 keep every array under about 30 kB, which the free
@@ -157,13 +159,20 @@ def _by_blocks(kernel, rows: np.ndarray, shape: tuple[int, ...], *args) -> np.nd
     return out
 
 
-def _metric_cartesian_stack(n: np.ndarray, r) -> np.ndarray:
-    """Closed-form Cartesian tensors (k, 3, 3) at the Bloch vectors n (k, 3)."""
-    a = _as_accel(r)
+def _interior_norms2(n: np.ndarray) -> np.ndarray:
+    """n^2 of each Bloch vector n (k, 3); BoundaryError for the first within
+    BOUNDARY_MARGIN of the pure-state boundary, where both metrics diverge."""
     n2 = _norms2(n)
     bad = np.flatnonzero(n2 >= 1.0 - BOUNDARY_MARGIN)
     if bad.size:
         raise BoundaryError(f"metric singular at the pure-state boundary (n^2 = {n2[bad[0]]:.9f})")
+    return n2
+
+
+def _metric_cartesian_stack(n: np.ndarray, r) -> np.ndarray:
+    """Closed-form Cartesian tensors (k, 3, 3) at the Bloch vectors n (k, 3)."""
+    a = _as_accel(r)
+    n2 = _interior_norms2(n)
     C, T = a.C, a.T
     # (1 + z)^2 through pow, as a float64 scalar squares: the array square
     # x * x rounds differently at a few curvature stencil points
@@ -261,14 +270,11 @@ def numeric_metric(bloch, r) -> MetricValue:
 
     dropping pairs with lambda_i + lambda_j = 0 (0/0 at r = 0, where rho has
     rank 2).  The eigenvalues take ``matrix_sqrt``'s PSD clamp.  ``bloch``
-    is one point (3,) or a table (k, 3) with n^2 < 0.95, and the tensor
-    (3, 3) or (k, 3, 3) to match.
+    is one point (3,) or a table (k, 3) inside the boundary margin of
+    ``metric_cartesian``, and the tensor (3, 3) or (k, 3, 3) to match.
     """
     n, rows = _bloch_rows(bloch)
-    n2 = _norms2(rows)
-    bad = n2[n2 >= 0.95]
-    if bad.size:
-        raise BoundaryError(f"numeric metric taken only for n^2 < 0.95 (n^2 = {bad[0]:.9f})")
+    _interior_norms2(rows)
     a = _as_accel(r)
     _warn_beyond_small_r(a)
     slopes = _small_r_stack(np.eye(3), a) - _small_r_stack(np.zeros((1, 3)), a)
@@ -340,10 +346,10 @@ def _scalar_curvature(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndar
 _POLAR_METRICS = {"pullback": _pullback_stack, "polar": _metric_polar_stack}
 
 
-def scalar_curvature_numeric(xi_c, theta, r, step: float = 1e-4, tensor: str = "pullback"):
+def scalar_curvature_numeric(xi_c, theta, r, tensor: str = "pullback"):
     """Finite-difference scalar curvature in the polar chart.
 
-    Central differences at ``step``, Richardson-extrapolated once.  The
+    Central differences at ``CURVATURE_STEP``, Richardson-extrapolated once.  The
     default differentiates the pullback of the validated Cartesian metric;
     tensor="polar" differentiates the assembled polar g + h instead.
     ``xi_c`` and ``theta`` are one point (a float is returned) or arrays of
@@ -355,14 +361,14 @@ def scalar_curvature_numeric(xi_c, theta, r, step: float = 1e-4, tensor: str = "
     xi, th = np.broadcast_arrays(np.asarray(xi_c, dtype=float), np.asarray(theta, dtype=float))
     # phi value irrelevant (axisymmetric)
     points = np.stack([xi.ravel(), th.ravel(), np.full(xi.size, 0.5)], axis=1)
-    out = _by_blocks(_curvature_stack, points, (), r, step, _POLAR_METRICS[tensor])
+    out = _by_blocks(_curvature_stack, points, (), r, _POLAR_METRICS[tensor])
     return float(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
 
 
-def _curvature_stack(q: np.ndarray, r, step: float, metric) -> np.ndarray:
+def _curvature_stack(q: np.ndarray, r, metric) -> np.ndarray:
     """Richardson-extrapolated curvature (k,) at the polar points q (k, 3)
     from one ``metric`` call on both steps' stencils and one contraction."""
-    steps = np.array([step, step / 2.0])
+    steps = np.array([CURVATURE_STEP, CURVATURE_STEP / 2.0])
     stencil = q[:, None, None, :] + _STENCIL * steps[:, None, None]
     g = metric(stencil.reshape(-1, 3), r).reshape(-1, len(_STENCIL), 3, 3)
     coarse, fine = _scalar_curvature(*_central_differences(g, np.tile(steps, len(q)))).reshape(-1, 2).T

@@ -13,7 +13,8 @@ the primitive behind the matrix square root, the trace norm and positivity
 checks; no general non-Hermitian decompositions are used.  These dense
 routines are the library API and the test oracles: the fig1 and fig3 sweeps
 use the banded LAPACK kernels of ``_lapack`` instead (symmetric band
-eigenvalues, tridiagonal singular values), and ``root_fidelity`` an SVD.
+eigenvalues, tridiagonal singular values, each with its own dense
+``eigvalsh`` or ``svd`` fallback), and ``root_fidelity`` an SVD.
 
 The module also holds the two budgets checked before any work: the memory
 budget of one dense array (``check_budget``) and the work budget of a

@@ -51,6 +51,8 @@ _PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -
 # 2600-3600 samples.  The default fig2 run counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
+# Monte-Carlo samples drawn at a time: the sampling temporaries stay cache-sized.
+MC_CHUNK = 8_192
 
 
 @dataclass(frozen=True)
@@ -319,7 +321,6 @@ def average_fidelity_mc(
     r,
     samples: int = 200_000,
     seed: int = 0,
-    chunk: int = 8_192,
 ) -> FidelityEstimate:
     """Monte-Carlo Haar average over |psi> = U|+>.
 
@@ -328,7 +329,7 @@ def average_fidelity_mc(
     <psi| sigma_R(|psi><psi|) |psi> is the real quadratic form x^T Q x on
     x = (1, n), with Q built once per call (``_bloch_form``).
 
-    Samples are drawn ``chunk`` (>= 1) at a time, which bounds the working
+    Samples are drawn ``MC_CHUNK`` at a time, which bounds the working
     memory of the sampling and the contraction and never changes a result.
     Sample k always consumes the same stream segment, and the mean and the
     variance are correctly rounded sums (math.fsum) of the per-sample
@@ -336,19 +337,17 @@ def average_fidelity_mc(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     e = _channel_blocks(xi, r)
     q = _bloch_form(e)
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
-    spans = range(0, samples, chunk)
+    spans = range(0, samples, MC_CHUNK)
     for start in spans:
-        m = min(chunk, samples - start)
+        m = min(MC_CHUNK, samples - start)
         values[start:start + m] = _form_values(q, _bloch_vectors(m, seed, start))
 
     def chunked_floats():
-        return chain.from_iterable(values[a:a + chunk].tolist() for a in spans)
+        return chain.from_iterable(values[a:a + MC_CHUNK].tolist() for a in spans)
 
     mean = math.fsum(chunked_floats()) / samples
     if samples > 1:

@@ -2,9 +2,11 @@ import contextlib
 import importlib.util
 import io
 import math
+import re
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -396,6 +398,10 @@ _COMMAND_OPTIONS = {
 }
 
 
+_SMALL_R_WARNING = re.compile(
+    r"small_r_qubit called with r=\d+\.\d{3} > 0\.3; the O\(r\^4\) accuracy guarantee degrades")
+
+
 @st.composite
 def _argv(draw):
     """A command with accepted option values, in half the cases one of them replaced by a
@@ -414,7 +420,9 @@ def _argv(draw):
 def test_cli_argv_fuzz_exits_with_documented_code(argv):
     err = io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects a malformed value itself
@@ -422,3 +430,9 @@ def test_cli_argv_fuzz_exits_with_documented_code(argv):
     assert time.perf_counter() - start < 5.0, argv
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # the only warning is the documented small-r one, from a metric run above r = 0.3
+    assert len(caught) <= 1, (argv, [str(w.message) for w in caught])
+    for w in caught:
+        assert w.category is UserWarning and argv[0] == "metric", (argv, w.message)
+        assert _SMALL_R_WARNING.fullmatch(str(w.message)), (argv, w.message)
+        assert cli._build_parser().parse_args(argv).r > 0.3, (argv, w.message)

@@ -630,9 +630,8 @@ def test_guards_fire_for_any_point_of_a_table(monkeypatch, bad):
     rng = np.random.default_rng(19)
     table = ball_points(rng, 20, 0.2)
     cases = [
-        # the numeric metric is evaluated on n^2 < 0.95; the message carries n^2
-        (lambda n: numeric_metric(n, 0.05), [0.0, 0.0, 0.98], BoundaryError),
-        # the closed form is singular at n^2 = 1; the message carries n^2
+        # both metrics diverge at n^2 = 1; the message carries n^2
+        (lambda n: numeric_metric(n, 0.05), [0.0, 0.6, 0.8], BoundaryError),
         (lambda n: metric_cartesian(n, 0.1), [0.6, 0.8, 0.0], BoundaryError),
     ]
     for fn, point, error in cases:
@@ -661,9 +660,13 @@ def test_psd_clamp_fires_for_any_point_of_a_table(monkeypatch):
 
 
 def test_numeric_metric_boundary_guard():
-    message = r"^numeric metric taken only for n\^2 < 0.95 \(n\^2 = 0.980100000\)$"
+    # the guard is metric_cartesian's, at BOUNDARY_MARGIN; inside it the two agree at r = 0
+    message = r"^metric singular at the pure-state boundary \(n\^2 = 1.000000000\)$"
     with pytest.raises(BoundaryError, match=message):
-        numeric_metric((0.99, 0, 0), 0.05)
+        numeric_metric((0, 0, 1.0 - 1e-10), 0.05)
+    n = np.array([0.0, 0.6, 0.8]) * math.sqrt(0.99)
+    want = metric_cartesian(n, 0.0).tensor
+    assert np.max(np.abs(numeric_metric(n, 0.0).tensor - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_curvature_flat_baseline():

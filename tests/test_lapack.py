@@ -22,14 +22,25 @@ def bundled_library():
 needs_library = pytest.mark.skipif(not bundled_library(), reason="numpy has no bundled ILP64 OpenBLAS")
 
 
-@pytest.fixture(params=["banded", "dense-fallback"])
+ROUTES = ("banded", "dense-fallback")
+
+
+@pytest.fixture(params=ROUTES)
 def route(request, monkeypatch):
     if request.param == "banded":
-        if not _lapack.available():
+        if _lapack._routines() is None:
             pytest.skip("numpy has no bundled ILP64 OpenBLAS")
     else:
         monkeypatch.setattr(_lapack, "_routines", lambda: None)
     return request.param
+
+
+def on_both_routes(names, cases):
+    """Parametrize ``route`` and ``names`` over ``cases`` on each route; a
+    banded case keeps the id it had when only that route was tested."""
+    params = [pytest.param(route, *case, id="-".join(map(str, case)) + ("" if route == "banded" else f"-{route}"))
+              for route in ROUTES for case in cases]
+    return pytest.mark.parametrize(("route", *names), params, indirect=["route"])
 
 
 @needs_library
@@ -54,10 +65,8 @@ def test_import_does_not_load_the_library():
     assert proc.stdout.strip() == "0"
 
 
-@needs_library
-@pytest.mark.parametrize("n", [1, 2, 7, 60])
-@pytest.mark.parametrize("kd", [0, 1, 3])
-def test_band_eigvalsh_matches_dense(n, kd):
+@on_both_routes(("kd", "n"), [(kd, n) for kd in (0, 1, 3) for n in (1, 2, 7, 60)])
+def test_band_eigvalsh_matches_dense(route, kd, n):
     rng = np.random.default_rng(100 * n + kd)
     ab = np.asfortranarray(rng.normal(size=(kd + 1, n)))
     lower = sum(np.diag(ab[k, :n - k], -k) for k in range(min(kd, n - 1) + 1))
@@ -65,9 +74,8 @@ def test_band_eigvalsh_matches_dense(n, kd):
     np.testing.assert_allclose(_lapack.band_eigvalsh(ab), np.linalg.eigvalsh(dense), atol=1e-12)
 
 
-@needs_library
-@pytest.mark.parametrize("n", [1, 2, 7, 60])
-def test_tridiagonal_singular_values_match_dense(n):
+@on_both_routes(("n",), [(1,), (2,), (7,), (60,)])
+def test_tridiagonal_singular_values_match_dense(route, n):
     rng = np.random.default_rng(n)
     ab = np.asfortranarray(rng.normal(size=(3, n)))
     dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
@@ -114,9 +122,9 @@ def test_fallback_csv_is_byte_identical(argv, tmp_path, monkeypatch):
 def test_fallback_keeps_the_memory_budget(monkeypatch):
     # within the work budget, but the dense matrices would exceed 512 MiB
     monkeypatch.setattr(_lapack, "_routines", lambda: None)
-    with pytest.raises(SizeError, match="entangled_state needs"):
+    with pytest.raises(SizeError, match="band_eigvalsh dense fallback needs"):
         negativity_sweep(0.6, [0.3], FockCutoff(5000))
-    with pytest.raises(SizeError, match="angle_sweep overlap matrix needs"):
+    with pytest.raises(SizeError, match="tridiagonal_singular_values dense fallback needs"):
         angle_sweep(0.6, [0.3], FockCutoff(9000))
 
 

@@ -303,7 +303,7 @@ def test_mc_zero_variance_at_ideal_point():
     assert est.std_error < 1e-9
 
 
-def test_mc_deterministic_and_chunk_invariant():
+def test_mc_deterministic_and_chunk_invariant(monkeypatch):
     # 5000 samples fit in one default chunk; 20 000 span several chunks of 137
     # and of the default 8192, and one of 65 536
     for samples, chunks in ((5000, (137,)), (20_000, (137, 8_192, 65_536))):
@@ -311,18 +311,12 @@ def test_mc_deterministic_and_chunk_invariant():
         b = average_fidelity_mc(0.4, 0.3, samples=samples, seed=9)
         assert a.mean == b.mean and a.std_error == b.std_error
         for chunk in chunks:
-            c = average_fidelity_mc(0.4, 0.3, samples=samples, seed=9, chunk=chunk)
+            with monkeypatch.context() as m:
+                m.setattr(teleportation, "MC_CHUNK", chunk)
+                c = average_fidelity_mc(0.4, 0.3, samples=samples, seed=9)
             assert c.mean == a.mean and c.std_error == a.std_error
         d = average_fidelity_mc(0.4, 0.3, samples=samples, seed=10)
         assert d.mean != a.mean
-
-
-def test_mc_rejects_chunk_below_one():
-    # chunk -5 made no chunk at all, and the mean and error were read from an
-    # unfilled buffer; chunk 0 failed inside range()
-    for chunk in (0, -5):
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            average_fidelity_mc(0.4, 0.3, samples=10, seed=1, chunk=chunk)
 
 
 def sampling_variance(q):
