@@ -260,12 +260,17 @@ def _norms2(n: np.ndarray) -> np.ndarray:
     return np.matmul(n[:, None, :], n[:, :, None])[:, 0, 0]
 
 
-def _check_bloch_rows(n: np.ndarray) -> None:
-    """Raise InvalidBlochError for the first row of n (k, 3) with norm above 1."""
+def _check_bloch_rows(n: np.ndarray) -> np.ndarray:
+    """n @ n of each row of n (k, 3); InvalidBlochError for the first row
+    with norm above 1 or a NaN component."""
     norm2 = _norms2(n)
-    bad = np.flatnonzero(norm2 > 1.0 + 1e-12)
+    bad = np.flatnonzero(~(norm2 <= 1.0 + 1e-12))
     if bad.size:
-        raise InvalidBlochError(f"Bloch vector norm {math.sqrt(norm2[bad[0]]):.12f} exceeds 1")
+        k = bad[0]
+        if math.isnan(norm2[k]):
+            raise InvalidBlochError(f"Bloch vector {n[k].tolist()} has a NaN component")
+        raise InvalidBlochError(f"Bloch vector norm {math.sqrt(norm2[k]):.12f} exceeds 1")
+    return norm2
 
 
 def minkowski_qubit(bloch) -> DenseOperator:

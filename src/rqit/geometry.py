@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import _as_accel, _norms2, _small_r_stack, _warn_beyond_small_r
+from .channel import _as_accel, _check_bloch_rows, _small_r_stack, _warn_beyond_small_r
 from .errors import BoundaryError, ChartError
 from .linalg import DenseOperator, _psd_eigenvalues, matrix_sqrt
 
@@ -160,9 +160,11 @@ def _by_blocks(kernel, rows: np.ndarray, shape: tuple[int, ...], *args) -> np.nd
 
 
 def _interior_norms2(n: np.ndarray) -> np.ndarray:
-    """n^2 of each Bloch vector n (k, 3); BoundaryError for the first within
-    BOUNDARY_MARGIN of the pure-state boundary, where both metrics diverge."""
-    n2 = _norms2(n)
+    """n^2 of each Bloch vector n (k, 3); InvalidBlochError for the first
+    outside the ball or with a NaN component, then BoundaryError for the
+    first within BOUNDARY_MARGIN of the pure-state boundary, where both
+    metrics diverge."""
+    n2 = _check_bloch_rows(n)
     bad = np.flatnonzero(n2 >= 1.0 - BOUNDARY_MARGIN)
     if bad.size:
         raise BoundaryError(f"metric singular at the pure-state boundary (n^2 = {n2[bad[0]]:.9f})")
@@ -214,7 +216,7 @@ def _metric_polar_stack(q: np.ndarray, r) -> np.ndarray:
 def _check_polar(xi_c: float, theta: float) -> None:
     if not CHART_MARGIN < xi_c < 1.0 - BOUNDARY_MARGIN:
         raise ChartError(f"radial coordinate xi_c = {xi_c} outside the admissible chart")
-    if math.sin(theta) <= CHART_MARGIN:
+    if not math.sin(theta) > CHART_MARGIN:
         raise ChartError(f"polar angle theta = {theta} too close to the axis")
 
 
@@ -228,7 +230,7 @@ def _polar_trig(q: np.ndarray) -> tuple[np.ndarray, ...]:
     xi_c = q[:, 0]
     st, ct, sp, cp = (np.array([f(x) for x in q[:, i].tolist()])
                       for i in (1, 2) for f in (math.sin, math.cos))
-    bad = np.flatnonzero(~((CHART_MARGIN < xi_c) & (xi_c < 1.0 - BOUNDARY_MARGIN)) | (st <= CHART_MARGIN))
+    bad = np.flatnonzero(~((CHART_MARGIN < xi_c) & (xi_c < 1.0 - BOUNDARY_MARGIN) & (st > CHART_MARGIN)))
     if bad.size:
         _check_polar(xi_c[bad[0]], q[bad[0], 1])
     return xi_c, st, ct, sp, cp
@@ -385,8 +387,7 @@ def scalar_curvature_closed_form(xi_c: float, theta: float, r) -> float:
     where the juxtaposed cos(theta) ... cos(2 theta) groups multiply.
     """
     a = _as_accel(r)
-    if abs(xi_c) < CHART_MARGIN or abs(xi_c**2 - 1.0) < CHART_MARGIN:
-        raise ChartError(f"closed-form curvature has a pole at xi_c = {xi_c}")
+    _check_polar(xi_c, theta)
     T = a.T
     x2 = xi_c**2
     lead = 4.0 + 8.0 * x2 - 15.0 * x2**2 + 5.0 * x2**3

@@ -6,18 +6,17 @@ is optimal for that state: four Bell-type POVMs on the sender's qubit pair,
 
     Pi^1..4 = chi[(|0>|phi_i> +/- |1>|phi_j>)/sqrt2],
 
-and four conditional receiver operations B^1..4 mapping the Schmidt basis
-{|theta_i>} onto the computational one, extended as B (+) 1 on Fock levels
->= 2 of the receiver's wedge-I tower.  The same (acceleration independent)
-protocol is then driven with the accelerated shared state.
+and four conditional 2x2 receiver corrections B^1..4 mapping the Schmidt
+basis {|theta_i>} onto the computational one, applied on Fock levels
+{0, 1} of the receiver's wedge-I tower as B (+) 1.  The same (acceleration
+independent) protocol is then driven with the accelerated shared state.
 
-The average fidelity over Haar-random pure inputs |psi> = U|+> is computed
-two ways: Monte Carlo over the Bloch vector n of psi, which is uniform on the
-sphere, with counter-based sampling (Philox; sample k reads two of the four
-uniform doubles of counter step k, so any chunked or parallel schedule
-reproduces identical values), and exactly, by evaluating the protocol channel
-on the four matrix units and contracting with the Haar second moment
-integral P (x) P dmu = (I + SWAP)/6.
+The average fidelity over Haar-random pure inputs |psi> = U|+> is the
+sphere average of a real quadratic form x^T Q x on x = (1, n), n the Bloch
+vector of psi, computed two ways: Monte Carlo over n with counter-based
+sampling (Philox; sample k reads two of the four uniform doubles of counter
+step k, so any chunked or parallel schedule reproduces identical values),
+and exactly, as Q00 + tr Q_nn / 3 (<n> = 0 and <n n^T> = 1/3).
 
 Both averages read the receiver's output on Fock levels {0, 1} only.  Each
 receiver operation is B (+) 1, so that block depends only on the levels
@@ -47,8 +46,9 @@ _PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -
 # Largest work a fidelity_sweep may take, in samples: about 24-27 s at
 # 0.24-0.27 us a sample on a 2-core x86 host.  Each xi point counts its
 # samples plus MC_POINT_CHARGE for its fixed work (one channel build and the
-# sampling set-up), measured there at 0.7-0.9 ms a point, the cost of about
-# 2600-3600 samples.  The default fig2 run counts 96 x 203 000.
+# sampling set-up), measured there at 0.4-0.5 ms a point, about 1500-2100
+# samples; the charge of 3000 dates from 0.7-0.9 ms and is kept, so that the
+# runs it admits stay the same.  The default fig2 run counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
 # Monte-Carlo samples drawn at a time: the sampling temporaries stay cache-sized.
@@ -125,44 +125,32 @@ def fidelity_bound(xi) -> float:
 
 @dataclass(frozen=True)
 class ProtocolKit:
-    """POVMs on the sender's qubit pair and extended receiver operations."""
+    """POVMs on the sender's qubit pair and 2x2 receiver corrections."""
 
     povms: tuple[np.ndarray, ...]
     local_ops: tuple[np.ndarray, ...]
-    schmidt: SchmidtDecomposition
-    levels: int
 
 
-def build_protocol(schmidt: SchmidtDecomposition, levels: int) -> ProtocolKit:
-    """Assemble the four POVMs and the four B (+) 1 receiver operations.
+def build_protocol(schmidt: SchmidtDecomposition) -> ProtocolKit:
+    """Assemble the four POVMs and the four receiver corrections.
 
-    The POVM vectors carry the 1/sqrt2 normalization that makes
-    sum_i Pi^i = 1_4 exact; each receiver operation acts as a unitary on
-    Fock levels {0, 1} and as the identity above, up to ``levels``.
+    The POVM vectors are (a_0, +/-a_1) and (a_1, +/-a_0), the sender's
+    Schmidt vectors stacked, with the 1/sqrt2 normalization that makes
+    sum_i Pi^i = 1_4 exact.  The corrections stack the rows <theta_0| and
+    <theta_1| as (t_0, t_1), (t_0, -t_1), (t_1, t_0) and (-t_1, t_0): each
+    maps the Schmidt basis onto the computational one, up to a Pauli.
     """
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    a0, a1 = schmidt.alice_basis[:, 0], schmidt.alice_basis[:, 1]
-    t0, t1 = schmidt.rob_basis[:, 0], schmidt.rob_basis[:, 1]
+    a0, a1 = schmidt.alice_basis.T
+    t0, t1 = schmidt.rob_basis.conj().T
     vecs = (
-        np.kron(e0, a0) + np.kron(e1, a1),
-        np.kron(e0, a0) - np.kron(e1, a1),
-        np.kron(e0, a1) + np.kron(e1, a0),
-        np.kron(e0, a1) - np.kron(e1, a0),
+        np.concatenate([a0, a1]),
+        np.concatenate([a0, -a1]),
+        np.concatenate([a1, a0]),
+        np.concatenate([a1, -a0]),
     )
     povms = tuple(np.outer(v, v.conj()) / 2.0 for v in vecs)
-    small = (
-        np.outer(e0, t0.conj()) + np.outer(e1, t1.conj()),
-        np.outer(e0, t0.conj()) - np.outer(e1, t1.conj()),
-        np.outer(e1, t0.conj()) + np.outer(e0, t1.conj()),
-        np.outer(e1, t0.conj()) - np.outer(e0, t1.conj()),
-    )
-    ops = []
-    for b in small:
-        big = np.eye(levels, dtype=complex)
-        big[:2, :2] = b
-        ops.append(big)
-    return ProtocolKit(povms, tuple(ops), schmidt, levels)
+    ops = (np.stack([t0, t1]), np.stack([t0, -t1]), np.stack([t1, t0]), np.stack([-t1, t0]))
+    return ProtocolKit(povms, ops)
 
 
 def apply_protocol(kit: ProtocolKit, shared: DenseOperator, input_op: np.ndarray) -> np.ndarray:
@@ -171,21 +159,25 @@ def apply_protocol(kit: ProtocolKit, shared: DenseOperator, input_op: np.ndarray
     ``input_op`` is any 2x2 operator on the teleported qubit (the map is
     linear, so matrix units are valid inputs), or a stack of them of shape
     (..., 2, 2), which gives the stack of outputs (..., levels, levels);
-    ``shared`` lives on (2) x (levels).  The sender-side sandwich contracts to
+    ``shared`` lives on (2) x (levels), levels >= 2.  The sender-side
+    sandwich contracts to
 
         M_kl = sum P_{(qa),(pc)} X_{pq} rho_{(ck),(al)}
 
-    without ever forming the 4*levels joint matrix.
+    without ever forming the 4*levels joint matrix.  Each correction B_i
+    acts on rows and columns {0, 1} of M, as the identity on the rest.
     """
-    nlev = kit.levels
-    if shared.space_tag != (2, nlev):
-        raise ValueError(f"shared state tag {shared.space_tag} does not match (2, {nlev})")
+    tag = shared.space_tag
+    if len(tag) != 2 or tag[0] != 2 or tag[1] < 2:
+        raise ValueError(f"shared state tag {tag} is not (2, levels) with levels >= 2")
+    nlev = tag[1]
     rho4 = shared.entries.reshape(2, nlev, 2, nlev)
     out = np.zeros(input_op.shape[:-2] + (nlev, nlev), dtype=complex)
-    for pi, bop in zip(kit.povms, kit.local_ops):
-        p4 = pi.reshape(2, 2, 2, 2)
-        cond = np.einsum("qapc,...pq,ckal->...kl", p4, input_op, rho4)
-        out += bop @ cond @ bop.conj().T
+    for pi, b in zip(kit.povms, kit.local_ops):
+        cond = np.einsum("qapc,...pq,ckal->...kl", pi.reshape(2, 2, 2, 2), input_op, rho4)
+        cond[..., :2, :] = b @ cond[..., :2, :]
+        cond[..., :2] = cond[..., :2] @ b.conj().T
+        out += cond
     return out
 
 
@@ -197,7 +189,7 @@ def run_protocol(input_state: Sequence[complex], xi, r, cutoff: FockCutoff | Non
     if abs(float(np.vdot(amps, amps).real) - 1.0) > 1e-10:
         raise ValueError("input amplitudes must be normalized")
     cut = _as_cutoff(cutoff, r)
-    kit = build_protocol(schmidt_decompose(xi), cut.levels)
+    kit = build_protocol(schmidt_decompose(xi))
     shared = entangled_state(xi, r, cut)
     out = apply_protocol(kit, shared, np.outer(amps, amps.conj()))
     return DenseOperator(out, (cut.levels,))
@@ -224,24 +216,13 @@ def _channel_blocks(xi, r) -> np.ndarray:
     w0, w1 = 1.0 / (8.0 * a.C**2), a.T**2 / (8.0 * a.C**2)
     shared = DenseOperator(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1), (2, 2))
     units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
-    return apply_protocol(build_protocol(schmidt_decompose(xi), 2), shared, units)
+    return apply_protocol(build_protocol(schmidt_decompose(xi)), shared, units)
 
 
 def average_fidelity_exact(xi, r) -> float:
-    """Exact Haar average of <psi| sigma_R(|psi><psi|) |psi>.
-
-    With E_ij the channel on matrix units and the second moment
-    integral P (x) P dmu = (I + SWAP)/6:
-
-        f = ( sum_i Tr E_ii + sum_ij (E_ij)[i, j] ) / 6.
-    """
-    return _haar_average(_channel_blocks(xi, r))
-
-
-def _haar_average(e: np.ndarray) -> float:
-    t1 = sum(np.trace(e[i, i]).real for i in range(2))
-    t2 = sum(e[i, j][i, j].real for i in range(2) for j in range(2))
-    return float((t1 + t2) / 6.0)
+    """Exact Haar average of <psi| sigma_R(|psi><psi|) |psi>: the sphere
+    average of the Monte-Carlo form x^T Q x (``_sphere_average``)."""
+    return _sphere_average(_bloch_form(_channel_blocks(xi, r)))
 
 
 def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
@@ -311,6 +292,12 @@ def _bloch_form(e: np.ndarray) -> np.ndarray:
     return (_PAULI_HALF.T @ e.reshape(4, 4) @ _PAULI_HALF.conj()).real
 
 
+def _sphere_average(q: np.ndarray) -> float:
+    """Average of x^T Q x, x = (1, n), over n uniform on the sphere:
+    <n> = 0 and <n n^T> = 1/3 leave Q00 + tr Q_nn / 3."""
+    return float(q[0, 0] + np.trace(q[1:, 1:]) / 3.0)
+
+
 def _form_values(q: np.ndarray, n: np.ndarray) -> np.ndarray:
     """x^T Q x on x = (1, n), one value per row of ``n``."""
     return q[0, 0] + np.einsum("sj,sj->s", n @ q[1:, 1:] + (q[0, 1:] + q[1:, 0]), n)
@@ -337,8 +324,7 @@ def average_fidelity_mc(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    e = _channel_blocks(xi, r)
-    q = _bloch_form(e)
+    q = _bloch_form(_channel_blocks(xi, r))
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
     spans = range(0, samples, MC_CHUNK)
@@ -357,7 +343,7 @@ def average_fidelity_mc(
         std_error = math.sqrt(var / samples)
     else:
         std_error = 0.0
-    return FidelityEstimate(mean, std_error, samples, seed, _haar_average(e))
+    return FidelityEstimate(mean, std_error, samples, seed, _sphere_average(q))
 
 
 @dataclass(frozen=True)

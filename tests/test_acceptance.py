@@ -47,7 +47,6 @@ from rqit.geometry import (
 )
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
-    _haar_average,
     apply_protocol,
     average_fidelity_exact,
     average_fidelity_mc,
@@ -379,10 +378,11 @@ def test_criterion_8_monotonicity():
 
 
 def _full_tower_fidelity(xi, r, cut):
-    """Exact Haar average from the protocol applied to the dense truncated state."""
-    kit = build_protocol(schmidt_decompose(xi), cut.levels)
-    out = apply_protocol(kit, entangled_state(xi, r, cut), np.eye(4).reshape(2, 2, 2, 2))
-    return _haar_average(out[..., :2, :2])
+    """Exact Haar average from the protocol applied to the dense truncated
+    state, through the second moment (I + SWAP)/6 on the channel blocks."""
+    kit = build_protocol(schmidt_decompose(xi))
+    e = apply_protocol(kit, entangled_state(xi, r, cut), np.eye(4).reshape(2, 2, 2, 2))[..., :2, :2]
+    return (np.einsum("iikk->", e).real + np.einsum("ijij->", e).real) / 6.0
 
 
 def test_criterion_9_cutoff_convergence():

@@ -138,11 +138,28 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 @pytest.mark.parametrize("block", [None, 7])
 def test_geometry_tables_match_golden_bytes(name, argv, block, tmp_path, monkeypatch):
     # the curvature golden files were written by the per-point implementation,
-    # the metric ones by the eigenbasis form of ``numeric_metric``; only the
-    # '# output=' line, which names the path written, may differ, and the
-    # size of the blocks a table is evaluated in changes no byte
+    # the metric ones by the eigenbasis form of ``numeric_metric``; the size
+    # of the blocks a table is evaluated in changes no byte
     if block is not None:
         monkeypatch.setattr(geometry, "_BLOCK", block)
+    assert_golden_bytes(name, argv, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("fig2-samples1000-seed42.csv", ["fig2", "--samples", "1000", "--seed", "42"]),
+        ("fig2-r10-samples1-seed3.csv", ["fig2", "--r", "10", "--samples", "1", "--seed", "3"]),
+    ],
+)
+def test_fig2_tables_match_golden_bytes(name, argv, tmp_path):
+    # written before the teleportation kit was built from the Schmidt
+    # vectors; the Monte-Carlo and exact columns must keep every byte
+    assert_golden_bytes(name, argv, tmp_path)
+
+
+def assert_golden_bytes(name, argv, tmp_path):
+    # only the '# output=' line, which names the path written, may differ
     out = tmp_path / name
     assert run_cli([*argv, "-o", str(out)]) == 0
 

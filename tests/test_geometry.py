@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rqit import geometry, linalg
-from rqit.channel import FockCutoff, _small_r_stack, effective_qubit, small_r_qubit
-from rqit.errors import BoundaryError, ChartError, NotPSDError
+from rqit.channel import FockCutoff, _small_r_stack, effective_qubit, minkowski_qubit, small_r_qubit
+from rqit.errors import BoundaryError, ChartError, InvalidBlochError, NotPSDError
 from rqit.geometry import (
     curvature_comparison,
     fidelity,
@@ -205,6 +205,23 @@ def test_metric_cartesian_boundary_error():
         metric_cartesian((0, 0, 1.0 - 1e-12), 0.1)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n: effective_qubit(n, 0.3),
+        lambda n: small_r_qubit(n, 0.1),
+        minkowski_qubit,
+        lambda n: metric_cartesian(n, 0.1),
+        lambda n: numeric_metric(n, 0.1),
+    ],
+    ids=["effective_qubit", "small_r_qubit", "minkowski_qubit", "metric_cartesian", "numeric_metric"],
+)
+def test_nan_bloch_vector_is_refused(entry):
+    # a NaN norm compares false against any bound; the guards must not let it through
+    with pytest.raises(InvalidBlochError, match=r"^Bloch vector \[nan, 0.0, 0.0\] has a NaN component$"):
+        entry((math.nan, 0.0, 0.0))
+
+
 def test_metric_positive_definite():
     rng = np.random.default_rng(11)
     for r in (0.0, 0.15, 0.3):
@@ -239,6 +256,12 @@ def test_metric_polar_chart_errors():
         metric_polar(0.5, 1e-9, 0.1)
     with pytest.raises(ChartError):
         metric_polar(0.5, math.pi, 0.1)
+    # NaN coordinates fail the chart test instead of giving NaN tensors
+    for call in (metric_polar, metric_polar_pullback, scalar_curvature_numeric):
+        with pytest.raises(ChartError, match="^polar angle theta = nan"):
+            call(0.5, math.nan, 0.1)
+        with pytest.raises(ChartError, match="^radial coordinate xi_c = nan"):
+            call(math.nan, 1.0, 0.1)
 
 
 def test_polar_anisotropy_switches_on_with_acceleration():
@@ -695,6 +718,11 @@ def test_curvature_closed_form_pole_guard():
         scalar_curvature_closed_form(0.0, 1.0, 0.1)
     with pytest.raises(ChartError):
         scalar_curvature_closed_form(1.0, 1.0, 0.1)
+    # the closed form refuses every point the numeric curvature refuses
+    for xi_c, theta in ((1.5, 1.0), (-0.5, 1.0), (0.5, 0.0), (math.nan, 1.0), (0.5, math.nan)):
+        for curvature in (scalar_curvature_closed_form, scalar_curvature_numeric):
+            with pytest.raises(ChartError):
+                curvature(xi_c, theta, 0.1)
 
 
 def test_curvature_comparison_reports_discrepancy():

@@ -15,7 +15,6 @@ from rqit.teleportation import (
     _bloch_vectors,
     _channel_blocks,
     _form_values,
-    _haar_average,
     apply_protocol,
     average_fidelity_exact,
     average_fidelity_mc,
@@ -93,13 +92,13 @@ def test_bound_is_upper_bound_but_not_attained_for_nonzero_xi():
 
 def test_protocol_completeness():
     for xi in (0.0, 0.3, 0.7):
-        kit = build_protocol(schmidt_decompose(xi), 18)
+        kit = build_protocol(schmidt_decompose(xi))
         total = sum(kit.povms)
         np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
 
 
 def test_protocol_bell_case_projectors():
-    kit = build_protocol(schmidt_decompose(0.0), 18)
+    kit = build_protocol(schmidt_decompose(0.0))
     # orthogonal rank-one projectors forming a complete Bell-type measurement
     for i, p in enumerate(kit.povms):
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
@@ -109,14 +108,39 @@ def test_protocol_bell_case_projectors():
 
 
 def test_local_op_maps_schmidt_basis():
+    # B^i takes |theta_0>, |theta_1> to the computational basis up to the
+    # Pauli 1, Z, X and XZ
     sd = schmidt_decompose(0.3)
-    kit = build_protocol(sd, 18)
-    b1 = kit.local_ops[0][:2, :2]
-    np.testing.assert_allclose(b1 @ sd.rob_basis[:, 0], [1, 0], atol=1e-12)
-    np.testing.assert_allclose(b1 @ sd.rob_basis[:, 1], [0, 1], atol=1e-12)
-    # identity on levels >= 2
-    np.testing.assert_array_equal(kit.local_ops[0][2:, 2:], np.eye(kit.levels - 2))
-    assert np.max(np.abs(kit.local_ops[0][2:, :2])) == 0.0
+    kit = build_protocol(sd)
+    images = ([[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]])
+    assert len(kit.local_ops) == 4
+    for b, image in zip(kit.local_ops, images):
+        assert b.shape == (2, 2)
+        np.testing.assert_allclose(b @ sd.rob_basis, image, atol=1e-12)
+        np.testing.assert_allclose(b @ b.conj().T, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("tag", [(2,), (4, 3), (2, 1)])
+def test_apply_protocol_refuses_other_spaces(tag):
+    kit = build_protocol(schmidt_decompose(0.3))
+    dim = math.prod(tag)
+    shared = DenseOperator(np.eye(dim) / dim, tag)
+    with pytest.raises(ValueError, match="is not \\(2, levels\\) with levels >= 2"):
+        apply_protocol(kit, shared, np.eye(2) / 2)
+
+
+def test_apply_protocol_is_identity_above_level_one():
+    # the POVMs sum to 1_4, so the conditional states sum to Tr(X) rho_R,
+    # and no correction touches rows and columns >= 2 of them
+    xi, r = 0.4, 0.6
+    cut = FockCutoff.for_acceleration(r)
+    shared = entangled_state(xi, r, cut)
+    rho_r = np.einsum("akal->kl", shared.entries.reshape(2, cut.levels, 2, cut.levels))
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    out = apply_protocol(build_protocol(schmidt_decompose(xi)), shared, x)
+    assert out.shape == (cut.levels, cut.levels)
+    np.testing.assert_allclose(out[2:, 2:], np.trace(x) * rho_r[2:, 2:], rtol=0, atol=1e-15)
 
 
 def test_ideal_teleportation():
@@ -256,6 +280,17 @@ def test_haar_sampler_matches_complex_temporary_construction():
 FORM_POINTS = ((0.0, 0.0), (0.4, 0.6), (0.9, 0.85), (0.3, 1.5))
 
 
+def haar_average(e):
+    """Haar average of the channel blocks E[i, j] = E(|i><j|) from the second
+    moment integral P (x) P dmu = (I + SWAP)/6:
+
+        f = ( sum_i Tr E_ii + sum_ij (E_ij)[i, j] ) / 6.
+    """
+    t1 = sum(np.trace(e[i, i]).real for i in range(2))
+    t2 = sum(e[i, j][i, j].real for i in range(2) for j in range(2))
+    return float((t1 + t2) / 6.0)
+
+
 def test_bloch_form_matches_five_operand_einsum():
     us = haar_qubit_unitaries(4096, seed=3)
     psi = us @ (np.array([1, 1]) / SQRT2)
@@ -270,12 +305,10 @@ def test_bloch_form_matches_five_operand_einsum():
 
 
 def test_bloch_form_sphere_average_is_haar_average():
-    # <n> = 0 and <n n^T> = 1/3 on the sphere, so the average of x^T Q x is
-    # Q00 + tr(Q[1:, 1:])/3, an independent closed form of the exact average
+    # the exact average is Q00 + tr(Q[1:, 1:])/3, the sphere average of the
+    # Monte-Carlo form; the (I + SWAP)/6 contraction is an independent oracle
     for xi, r in FORM_POINTS:
-        e = _channel_blocks(xi, r)
-        q = _bloch_form(e)
-        assert abs(q[0, 0] + np.trace(q[1:, 1:]) / 3 - _haar_average(e)) <= 1e-15, (xi, r)
+        assert abs(average_fidelity_exact(xi, r) - haar_average(_channel_blocks(xi, r))) <= 1e-15, (xi, r)
 
 
 def test_bloch_sampler_unit_norm_moments_and_counter_offsets():
@@ -372,7 +405,7 @@ def test_channel_blocks_match_full_tower():
     for xi, r in ((0.0, 0.0), (0.3, 0.6), (0.9, 0.85), (0.5, 1.5)):
         cut = FockCutoff.for_acceleration(r)
         assert cut.n_max <= 200
-        kit = build_protocol(schmidt_decompose(xi), cut.levels)
+        kit = build_protocol(schmidt_decompose(xi))
         full = full_tower_blocks(kit, entangled_state(xi, r, cut))
         np.testing.assert_allclose(_channel_blocks(xi, r), full, rtol=0, atol=1e-12)
 
@@ -400,7 +433,7 @@ def scatter_crop_channel_blocks(xi, r, cutoff):
             rho[row + n, col + n] += weights * (amps[p] * amps[q])
     low = rho.reshape(2, 3, 2, 3)[:, :2, :, :2]
     shared = DenseOperator(low.reshape(4, 4), (2, 2))
-    kit = build_protocol(schmidt_decompose(xi), 2)
+    kit = build_protocol(schmidt_decompose(xi))
     blocks = np.zeros((2, 2, 2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -421,7 +454,7 @@ def test_channel_blocks_equal_scatter_crop_construction():
 
 def test_apply_protocol_on_a_stack_equals_single_calls():
     cut = FockCutoff.for_acceleration(0.3)
-    kit = build_protocol(schmidt_decompose(0.4), cut.levels)
+    kit = build_protocol(schmidt_decompose(0.4))
     shared = entangled_state(0.4, 0.3, cut)
     rng = np.random.default_rng(12)
     inputs = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
@@ -445,10 +478,8 @@ def test_exact_gauge_invariance():
         ph = np.exp(1j * rng.uniform(0, 2 * math.pi, size=2))
         gauged = SchmidtDecomposition(sd.lambdas, sd.alice_basis * ph, sd.rob_basis * ph.conj())
         np.testing.assert_allclose(gauged.state_vector(), sd.state_vector(), atol=1e-12)
-        blocks = full_tower_blocks(build_protocol(gauged, cut.levels), shared)
-        t1 = sum(np.trace(blocks[i, i]).real for i in range(2))
-        t2 = sum(blocks[i, j][i, j].real for i in range(2) for j in range(2))
-        assert (t1 + t2) / 6 == pytest.approx(base, abs=1e-12)
+        blocks = full_tower_blocks(build_protocol(gauged), shared)
+        assert haar_average(blocks) == pytest.approx(base, abs=1e-12)
 
 
 def test_fidelity_monotone_in_acceleration():
