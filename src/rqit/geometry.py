@@ -20,26 +20,26 @@ dS = x dx + y dy + z dz:
 family (no finite differences), is the validation of the closed form.
 
 Curvature.  The scalar curvature is computed by finite-difference
-Christoffel symbols in the polar chart (xi_c, theta, phi).  The default
-geometry is the polar pullback of the validated Cartesian form above;
-the closed-form polar tensor g + h (``metric_polar``) and the
-closed-form curvature (24 + dR) cosh^4 r are provided alongside so their
-discrepancy against the numeric oracle can be reported.
+Christoffel symbols of the polar pullback of the validated Cartesian form
+above, in the chart (xi_c, theta, phi).  The closed-form polar tensor
+g + h (``metric_polar``) and the closed-form curvature (24 + dR) cosh^4 r
+are provided alongside so their discrepancy against the numeric oracle
+can be reported.
 
-Tables.  ``metric_cartesian``, ``numeric_metric`` and
-``scalar_curvature_numeric`` take one point or a table of points along a
-leading axis; the one-point call is the table of one, with no second code
-path.  A table is evaluated in blocks of ``_BLOCK`` points, so its
-temporaries stay bounded whatever its length.  The curvature of a block
+Tables.  ``metric_cartesian``, ``numeric_metric`` and both curvatures
+take one point or a table of points along a leading axis; the one-point
+call is the table of one, with no second code path.  The stacked kernels
+evaluate a table in blocks of ``_BLOCK`` points, so their temporaries
+stay bounded whatever its length; the closed-form curvature, a few arrays
+as long as the table, takes it whole.  The numeric curvature of a block
 takes every stencil point of every point at both Richardson steps (38 a
-point) from one stacked metric evaluation (``_pullback_stack`` or
-``_metric_polar_stack``), differences them elementwise and contracts them
-in one stacked ``_scalar_curvature``.  ``numeric_metric`` takes one
-stacked 3x3 eigensolve of the states of a block.  The closed-form tables
-and the curvature are bit-identical to the one-point scalar code these
-kernels replaced, because each kernel keeps that code's roundings:
-``n @ n`` as BLAS ddot rounds it, squares by ``pow`` as float64 scalars
-take them, and sines and cosines from ``math``.
+point) from one ``_pullback_stack`` call, differences them elementwise
+and contracts them in one stacked ``_scalar_curvature``.
+``numeric_metric`` takes one stacked 3x3 eigensolve of the states of a
+block.  The closed-form tables and the curvature are bit-identical to the
+one-point scalar code these kernels replaced, because each kernel keeps
+that code's roundings: ``n @ n`` as BLAS ddot rounds it, powers by
+``pow`` as float64 scalars take them, and sines and cosines from ``math``.
 """
 
 from __future__ import annotations
@@ -194,30 +194,15 @@ def metric_polar(xi_c: float, theta: float, r) -> MetricValue:
     pullback.  This h block is still not the exact chain-rule image of the
     Cartesian tensor; ``metric_polar_pullback`` provides that.
     """
-    q = np.array([xi_c, theta, 0.0])
-    return MetricValue(q, "polar", _metric_polar_stack(q[None], r)[0])
-
-
-def _metric_polar_stack(q: np.ndarray, r) -> np.ndarray:
-    """``metric_polar`` tensors (k, 3, 3) at the polar points q (k, 3)."""
     a = _as_accel(r)
-    xi_c, st, ct = _polar_trig(q)[:3]
+    q = np.array([xi_c, theta, 0.0])
+    xi_c, st, ct = (float(v[0]) for v in _polar_trig(q[None])[:3])
     T2 = a.T**2
-    # squares by pow, as float64 scalars take them
-    xi2, st2, ct2, lean2 = np.float_power([xi_c, st, ct, 1.0 + xi_c * ct], 2)
-    g = np.zeros((len(q), 3, 3))
-    g[:, 0, 0] = 1.0 / (1.0 - xi2) + (T2 * lean2 + T2 / 2.0 * ct2)
-    g[:, 0, 1] = g[:, 1, 0] = -T2 / 2.0 * xi_c * st * ct
-    g[:, 1, 1] = xi2 + T2 * xi2 / 2.0 * st2
-    g[:, 2, 2] = xi2 * st2
-    return g / (4.0 * a.C**4)
-
-
-def _check_polar(xi_c: float, theta: float) -> None:
-    if not CHART_MARGIN < xi_c < 1.0 - BOUNDARY_MARGIN:
-        raise ChartError(f"radial coordinate xi_c = {xi_c} outside the admissible chart")
-    if not math.sin(theta) > CHART_MARGIN:
-        raise ChartError(f"polar angle theta = {theta} too close to the axis")
+    g = np.diag([1.0 / (1.0 - xi_c**2), xi_c**2, xi_c**2 * st**2])
+    g[0, 0] += T2 * (1.0 + xi_c * ct) ** 2 + T2 / 2.0 * ct**2
+    g[0, 1] = g[1, 0] = -T2 / 2.0 * xi_c * st * ct
+    g[1, 1] += T2 * xi_c**2 / 2.0 * st**2
+    return MetricValue(q, "polar", g / (4.0 * a.C**4))
 
 
 def _polar_trig(q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -225,14 +210,22 @@ def _polar_trig(q: np.ndarray) -> tuple[np.ndarray, ...]:
     q (k, 3); the first point outside the chart raises ChartError.
 
     The sines and cosines come from ``math`` row by row, as one point took
-    them: numpy's vectorized ones may round differently.
+    them: numpy's vectorized ones may round differently.  ``math`` refuses
+    infinite angles, so they enter as NaN, which fails the chart test.
     """
-    xi_c = q[:, 0]
-    st, ct, sp, cp = (np.array([f(x) for x in q[:, i].tolist()])
-                      for i in (1, 2) for f in (math.sin, math.cos))
-    bad = np.flatnonzero(~((CHART_MARGIN < xi_c) & (xi_c < 1.0 - BOUNDARY_MARGIN) & (st > CHART_MARGIN)))
+    xi_c, theta, phi = q.T
+    st, ct, sp, cp = (np.array([f(x) for x in np.where(np.isinf(angle), np.nan, angle).tolist()])
+                      for angle in (theta, phi) for f in (math.sin, math.cos))
+    radial = (CHART_MARGIN < xi_c) & (xi_c < 1.0 - BOUNDARY_MARGIN)
+    polar = st > CHART_MARGIN
+    bad = np.flatnonzero(~(radial & polar & np.isfinite(phi)))
     if bad.size:
-        _check_polar(xi_c[bad[0]], q[bad[0], 1])
+        k = bad[0]
+        if not radial[k]:
+            raise ChartError(f"radial coordinate xi_c = {xi_c[k]} outside the admissible chart")
+        if not polar[k]:
+            raise ChartError(f"polar angle theta = {theta[k]} too close to the axis")
+        raise ChartError(f"azimuth phi = {phi[k]} is not finite")
     return xi_c, st, ct, sp, cp
 
 
@@ -345,39 +338,39 @@ def _scalar_curvature(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndar
     return np.einsum("kbd,kbd->k", ginv, ricci)
 
 
-_POLAR_METRICS = {"pullback": _pullback_stack, "polar": _metric_polar_stack}
-
-
-def scalar_curvature_numeric(xi_c, theta, r, tensor: str = "pullback"):
+def scalar_curvature_numeric(xi_c, theta, r):
     """Finite-difference scalar curvature in the polar chart.
 
-    Central differences at ``CURVATURE_STEP``, Richardson-extrapolated once.  The
-    default differentiates the pullback of the validated Cartesian metric;
-    tensor="polar" differentiates the assembled polar g + h instead.
-    ``xi_c`` and ``theta`` are one point (a float is returned) or arrays of
-    points (an array is returned); every stencil metric of a block of points
-    comes from one stacked metric evaluation.
+    Central differences at ``CURVATURE_STEP``, Richardson-extrapolated once,
+    of the pullback of the validated Cartesian metric.  ``xi_c`` and
+    ``theta`` are one point (a float is returned) or arrays of points (an
+    array is returned); every stencil metric of a block of points comes
+    from one stacked metric evaluation.
     """
-    if tensor not in _POLAR_METRICS:
-        raise ValueError(f"unknown tensor choice {tensor!r}; expected 'pullback' or 'polar'")
+    points, shape = _polar_points(xi_c, theta)
+    out = _by_blocks(_curvature_stack, points, (), r)
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _polar_points(xi_c, theta) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The polar points (k, 3) of broadcast ``xi_c`` and ``theta``, and their
+    broadcast shape; phi = 0.5 is irrelevant, both curvatures being axisymmetric."""
     xi, th = np.broadcast_arrays(np.asarray(xi_c, dtype=float), np.asarray(theta, dtype=float))
-    # phi value irrelevant (axisymmetric)
-    points = np.stack([xi.ravel(), th.ravel(), np.full(xi.size, 0.5)], axis=1)
-    out = _by_blocks(_curvature_stack, points, (), r, _POLAR_METRICS[tensor])
-    return float(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
+    return np.stack([xi.ravel(), th.ravel(), np.full(xi.size, 0.5)], axis=1), xi.shape
 
 
-def _curvature_stack(q: np.ndarray, r, metric) -> np.ndarray:
+def _curvature_stack(q: np.ndarray, r) -> np.ndarray:
     """Richardson-extrapolated curvature (k,) at the polar points q (k, 3)
-    from one ``metric`` call on both steps' stencils and one contraction."""
+    from one ``_pullback_stack`` call on both steps' stencils and one
+    contraction."""
     steps = np.array([CURVATURE_STEP, CURVATURE_STEP / 2.0])
     stencil = q[:, None, None, :] + _STENCIL * steps[:, None, None]
-    g = metric(stencil.reshape(-1, 3), r).reshape(-1, len(_STENCIL), 3, 3)
+    g = _pullback_stack(stencil.reshape(-1, 3), r).reshape(-1, len(_STENCIL), 3, 3)
     coarse, fine = _scalar_curvature(*_central_differences(g, np.tile(steps, len(q)))).reshape(-1, 2).T
     return (4.0 * fine - coarse) / 3.0
 
 
-def scalar_curvature_closed_form(xi_c: float, theta: float, r) -> float:
+def scalar_curvature_closed_form(xi_c, theta, r):
     """Closed form (24 + dR) cosh^4 r with
 
         dR = 2T^2/(xi^2 (xi^2 - 1)) [ 4 + 8 xi^2 - 15 xi^4 + 5 xi^6
@@ -385,29 +378,32 @@ def scalar_curvature_closed_form(xi_c: float, theta: float, r) -> float:
                cos(2 theta) ],
 
     where the juxtaposed cos(theta) ... cos(2 theta) groups multiply.
+    ``xi_c`` and ``theta`` are one point or arrays, as for
+    ``scalar_curvature_numeric``.  Powers come from ``pow`` and cosines from
+    ``math``, as Python floats take them: the array ``x**2`` rounds some
+    points differently.
     """
     a = _as_accel(r)
-    _check_polar(xi_c, theta)
-    T = a.T
-    x2 = xi_c**2
-    lead = 4.0 + 8.0 * x2 - 15.0 * x2**2 + 5.0 * x2**3
-    mid = 4.0 + 8.0 * x2 - 11.0 * x2**2 + 5.0 * x2**3
-    cross = 8.0 * xi_c * (2.0 * xi_c - 3.0) * math.cos(theta) * mid * math.cos(2.0 * theta)
-    d_r = 2.0 * T**2 / (x2 * (x2 - 1.0)) * (lead - cross)
-    return (24.0 + d_r) * a.C**4
+    points, shape = _polar_points(xi_c, theta)
+    xi_c, _, ct = _polar_trig(points)[:3]
+    c2t = np.array([math.cos(2.0 * t) for t in points[:, 1].tolist()])
+    x2 = np.float_power(xi_c, 2)
+    x4, x6 = np.float_power(x2, 2), np.float_power(x2, 3)
+    lead = 4.0 + 8.0 * x2 - 15.0 * x4 + 5.0 * x6
+    mid = 4.0 + 8.0 * x2 - 11.0 * x4 + 5.0 * x6
+    cross = 8.0 * xi_c * (2.0 * xi_c - 3.0) * ct * mid * c2t
+    out = (24.0 + 2.0 * a.T**2 / (x2 * (x2 - 1.0)) * (lead - cross)) * a.C**4
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def curvature_comparison(points: Sequence[tuple[float, float]], r) -> list[CurvatureResult]:
     """Numeric oracle vs closed form over polar points; discrepancies reported.
 
-    The numeric values of all points come from one stacked
-    ``scalar_curvature_numeric`` call.
+    Each column comes from one table call.
     """
     a = _as_accel(r)
-    grid = np.array(points, dtype=float).reshape(-1, 2)
-    numeric = scalar_curvature_numeric(grid[:, 0], grid[:, 1], a).tolist()
-    out = []
-    for (xi_c, theta), num in zip(points, numeric):
-        closed = scalar_curvature_closed_form(xi_c, theta, a)
-        out.append(CurvatureResult(np.array([xi_c, theta]), a.r, num, closed, num - closed))
-    return out
+    xi, theta = np.array(points, dtype=float).reshape(-1, 2).T
+    numeric = scalar_curvature_numeric(xi, theta, a).tolist()
+    closed = scalar_curvature_closed_form(xi, theta, a).tolist()
+    return [CurvatureResult(np.array(p, dtype=float), a.r, num, cl, num - cl)
+            for p, num, cl in zip(points, numeric, closed)]

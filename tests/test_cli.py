@@ -158,6 +158,16 @@ def test_fig2_tables_match_golden_bytes(name, argv, tmp_path):
     assert_golden_bytes(name, argv, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "name, argv", [("fig1-default.csv", ["fig1"]), ("fig3-default.csv", ["fig3"])],
+)
+def test_band_figure_tables_match_golden_bytes(name, argv, tmp_path):
+    # before these files only the benchmark's 1e-10 reference guarded fig1
+    # and fig3; test_fallback_csv_is_byte_identical holds the dense fallback
+    # to the same bytes
+    assert_golden_bytes(name, argv, tmp_path)
+
+
 def assert_golden_bytes(name, argv, tmp_path):
     # only the '# output=' line, which names the path written, may differ
     out = tmp_path / name

@@ -262,6 +262,13 @@ def test_metric_polar_chart_errors():
             call(0.5, math.nan, 0.1)
         with pytest.raises(ChartError, match="^radial coordinate xi_c = nan"):
             call(math.nan, 1.0, 0.1)
+        # math.sin refuses infinities; an infinite angle fails the chart test as NaN does
+        with pytest.raises(ChartError, match="^polar angle theta = inf too close to the axis$"):
+            call(0.5, math.inf, 0.1)
+    # phi is checked by the chart, not left to the Cartesian metric's Bloch guard
+    for phi in (math.nan, math.inf):
+        with pytest.raises(ChartError, match=f"^azimuth phi = {phi} is not finite$"):
+            metric_polar_pullback(0.5, 1.0, 0.1, phi=phi)
 
 
 def test_polar_anisotropy_switches_on_with_acceleration():
@@ -511,11 +518,9 @@ def per_point_scalar_curvature_fd(metric_fn, q, h):
     return float(np.einsum("bd,bd->", ginv, ricci))
 
 
-def per_point_scalar_curvature(xi_c, theta, r, tensor, step=1e-4):
-    if tensor == "pullback":
-        fn = lambda q: per_point_pullback(q, r)  # noqa: E731
-    else:
-        fn = lambda q: per_point_metric_polar(q[0], q[1], r)  # noqa: E731
+def per_point_scalar_curvature(xi_c, theta, r, metric=per_point_pullback, step=1e-4):
+    """Richardson-extrapolated stencil curvature of ``metric(q, r)`` at (xi_c, theta, 0.5)."""
+    fn = lambda q: metric(q, r)  # noqa: E731
     q = np.array([xi_c, theta, 0.5])
     coarse = per_point_scalar_curvature_fd(fn, q, step)
     fine = per_point_scalar_curvature_fd(fn, q, step / 2.0)
@@ -532,16 +537,46 @@ def polar_grid(grid):
 def test_stacked_curvature_is_bit_identical_to_per_point_stencil(grid, r):
     points = polar_grid(grid)
     xi, theta = np.array(points).T
-    for tensor in ("pullback", "polar"):
-        want = np.array([per_point_scalar_curvature(x, t, r, tensor) for x, t in points])
-        assert np.array_equal(scalar_curvature_numeric(xi, theta, r, tensor=tensor), want)
-        if tensor == "pullback":
-            got = [c.numeric_R for c in curvature_comparison(points, r)]
-            assert np.array_equal(got, want)
+    want = np.array([per_point_scalar_curvature(x, t, r) for x, t in points])
+    assert np.array_equal(scalar_curvature_numeric(xi, theta, r), want)
+    assert np.array_equal([c.numeric_R for c in curvature_comparison(points, r)], want)
     x, t = points[grid + 1]
-    for tensor in ("pullback", "polar"):
-        one = scalar_curvature_numeric(x, t, r, tensor=tensor)
-        assert type(one) is float and one == per_point_scalar_curvature(x, t, r, tensor)
+    one = scalar_curvature_numeric(x, t, r)
+    assert type(one) is float and one == per_point_scalar_curvature(x, t, r)
+
+
+def per_point_scalar_curvature_closed_form(xi_c, theta, r):
+    C, T = math.cosh(r), math.tanh(r)
+    x2 = xi_c**2
+    lead = 4.0 + 8.0 * x2 - 15.0 * x2**2 + 5.0 * x2**3
+    mid = 4.0 + 8.0 * x2 - 11.0 * x2**2 + 5.0 * x2**3
+    cross = 8.0 * xi_c * (2.0 * xi_c - 3.0) * math.cos(theta) * mid * math.cos(2.0 * theta)
+    d_r = 2.0 * T**2 / (x2 * (x2 - 1.0)) * (lead - cross)
+    return (24.0 + d_r) * C**4
+
+
+@pytest.mark.parametrize("grid", [5, 9])
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.1, 0.3, 1.0])
+def test_closed_form_curvature_table_is_bit_identical_to_per_point_formula(grid, r):
+    # three rounding traps ahead of the grid: at the first two the array
+    # square xi**2 rounds differently from the pow a float takes, which moves
+    # R at r = 0.1, 0.3, 1 and at r = 0.05, 0.3, 1; at the third the array
+    # cube (xi**2)**3 does, which moves R at every r > 0
+    square_traps = [(0.5552266313175525, 0.6556289370954778), (0.7938077799239951, 1.4598674194572614)]
+    cube_trap = (0.6312172591668861, 0.541314910238911)
+    for xi_c, _ in square_traps:
+        assert np.array([xi_c]) ** 2 != xi_c**2
+    assert np.array([cube_trap[0] ** 2]) ** 3 != (cube_trap[0] ** 2) ** 3
+    points = square_traps + [cube_trap] + polar_grid(grid)
+    xi, theta = np.array(points).T
+    want = np.array([per_point_scalar_curvature_closed_form(x, t, r) for x, t in points])
+    assert np.array_equal(scalar_curvature_closed_form(xi, theta, r), want)
+    assert np.array_equal(scalar_curvature_closed_form(xi.reshape(-1, 1), theta.reshape(-1, 1), r),
+                          want.reshape(-1, 1))
+    assert np.array_equal([c.closed_form_R for c in curvature_comparison(points, r)], want)
+    x, t = points[grid + 1]
+    one = scalar_curvature_closed_form(x, t, r)
+    assert type(one) is float and one == per_point_scalar_curvature_closed_form(x, t, r)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.1, 1.0])
@@ -579,8 +614,7 @@ def tables(r=0.1):
     rng = np.random.default_rng(17)
     bloch = ball_points(rng, 30)
     xi, theta = np.array(polar_grid(6)[:30]).T
-    return (metric_cartesian(bloch, r).tensor, numeric_metric(bloch, r).tensor,
-            scalar_curvature_numeric(xi, theta, r), scalar_curvature_numeric(xi, theta, r, tensor="polar"))
+    return metric_cartesian(bloch, r).tensor, numeric_metric(bloch, r).tensor, scalar_curvature_numeric(xi, theta, r)
 
 
 def test_block_size_leaves_tables_bit_identical(monkeypatch):
@@ -628,9 +662,8 @@ def test_small_r_warning_reaches_metric_tables(monkeypatch):
 
 def test_curvature_chart_error_names_the_stencil_point(monkeypatch):
     message = "^radial coordinate xi_c = -5e-05 outside the admissible chart$"
-    for tensor in ("pullback", "polar"):
-        with pytest.raises(ChartError, match=message):
-            scalar_curvature_numeric(5e-5, 1.0, 0.1, tensor=tensor)
+    with pytest.raises(ChartError, match=message):
+        scalar_curvature_numeric(5e-5, 1.0, 0.1)
     monkeypatch.setattr(geometry, "_BLOCK", 7)
     xi, theta = np.full(20, 0.5), np.full(20, 1.0)
     xi[13] = 5e-5
@@ -651,13 +684,16 @@ def one_point_error(fn, point):
 def test_guards_fire_for_any_point_of_a_table(monkeypatch, bad):
     monkeypatch.setattr(geometry, "_BLOCK", 7)
     rng = np.random.default_rng(19)
-    table = ball_points(rng, 20, 0.2)
+    bloch = ball_points(rng, 20, 0.2)
+    polar = np.array(polar_grid(5)[:20])
     cases = [
         # both metrics diverge at n^2 = 1; the message carries n^2
-        (lambda n: numeric_metric(n, 0.05), [0.0, 0.6, 0.8], BoundaryError),
-        (lambda n: metric_cartesian(n, 0.1), [0.6, 0.8, 0.0], BoundaryError),
+        (lambda n: numeric_metric(n, 0.05), bloch, [0.0, 0.6, 0.8], BoundaryError),
+        (lambda n: metric_cartesian(n, 0.1), bloch, [0.6, 0.8, 0.0], BoundaryError),
+        # the closed-form curvature takes the polar chart's guard, xi_c > CHART_MARGIN
+        (lambda q: scalar_curvature_closed_form(q[..., 0], q[..., 1], 0.1), polar, [5e-7, 1.0], ChartError),
     ]
-    for fn, point, error in cases:
+    for fn, table, point, error in cases:
         kind, message = one_point_error(fn, np.array(point))
         assert kind is error
         rows = table.copy()
@@ -692,6 +728,116 @@ def test_numeric_metric_boundary_guard():
     assert np.max(np.abs(numeric_metric(n, 0.0).tensor - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def exact_curvature_jets(n, r):
+    """``metric_cartesian``'s tensor at the Bloch vectors n (k, 3) with its
+    exact derivatives: g (k, 3, 3), dg (k, 3, 3, 3) with dg[:, c] = d_c g and
+    ddg (k, 3, 3, 3, 3) with ddg[:, a, b] = d_a d_b g.
+
+    g = K [I + T^2 e_z e_z^T + f n n^T], K = 1/(4 C^4), f = u - T^2 w u^2,
+    u = 1/(1 - n^2) and w = (1 + z)^2; the jets follow by the product rule
+    from du = 2 n u^2, ddu = 2 I u^2 + 8 n n^T u^3 and the same for u^2 and w.
+    """
+    C, T2 = math.cosh(r), math.tanh(r) ** 2
+    eye, ez = np.eye(3), np.eye(3)[2]
+    u = (1.0 / (1.0 - np.einsum("ki,ki->k", n, n)))[:, None, None]
+    nn = n[:, :, None] * n[:, None, :]
+    du, ddu = 2.0 * n * u[:, 0] ** 2, 2.0 * eye * u**2 + 8.0 * nn * u**3
+    u2, du2, ddu2 = u[:, :, 0] ** 2, 4.0 * n * u[:, 0] ** 3, 4.0 * eye * u**3 + 24.0 * nn * u**4
+    w, dw, ddw = (1.0 + n[:, 2:]) ** 2, 2.0 * (1.0 + n[:, 2:]) * ez, 2.0 * np.outer(ez, ez)
+    f = u[:, :, 0] - T2 * w * u2
+    df = du - T2 * (dw * u2 + w * du2)
+    ddf = ddu - T2 * (ddw * u2[:, :, None] + dw[:, :, None] * du2[:, None, :]
+                      + du2[:, :, None] * dw[:, None, :] + w[:, :, None] * ddu2)
+    # n n^T: d_c (n n^T) = e_c n^T + n e_c^T, d_a d_b (n n^T) = e_a e_b^T + e_b e_a^T
+    dnn = np.einsum("ci,kj->kcij", eye, n) + np.einsum("ki,cj->kcij", n, eye)
+    ddnn = np.einsum("ai,bj->abij", eye, eye) + np.einsum("bi,aj->abij", eye, eye)
+    g = eye + T2 * np.outer(ez, ez) + f[:, :, None] * nn
+    dg = df[:, :, None, None] * nn[:, None] + f[:, :, None, None] * dnn
+    ddg = (ddf[:, :, :, None, None] * nn[:, None, None] + f[:, :, None, None, None] * ddnn
+           + df[:, :, None, None, None] * dnn[:, None] + df[:, None, :, None, None] * dnn[:, :, None])
+    return tuple(x / (4.0 * C**4) for x in (g, dg, ddg))
+
+
+def bloch_of_polar(xi_c, theta, phi=0.5):
+    """Bloch vectors (k, 3) at the polar points of the arrays xi_c, theta (k,)."""
+    st = np.sin(theta)
+    return xi_c[:, None] * np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)], axis=1)
+
+
+def exact_scalar_curvature(xi_c, theta, r, phi=0.5):
+    """Scalar curvature (k,) of the Cartesian closed form from its exact jets
+    at the polar points; R is a scalar, so the Cartesian value is the polar one."""
+    return geometry._scalar_curvature(*exact_curvature_jets(bloch_of_polar(xi_c, theta, phi), r))
+
+
+def test_exact_curvature_jets_are_the_cartesian_metric_and_give_24_at_rest():
+    xi, theta = np.array(polar_grid(9)).T
+    n = bloch_of_polar(xi, theta)
+    for r in (0.0, 0.3):
+        g = exact_curvature_jets(n, r)[0]
+        np.testing.assert_allclose(g, metric_cartesian(n, r).tensor, rtol=1e-15, atol=1e-15)
+    # the qubit Bures metric has R = 24 (Dittmann 1999), and R does not depend on phi
+    assert np.max(np.abs(exact_scalar_curvature(xi, theta, 0.0) - 24.0)) <= 1e-12
+    at_phi = [exact_scalar_curvature(xi, theta, 0.3, phi) for phi in (0.0, 0.5, 2.0)]
+    assert np.max(np.abs(at_phi[1:] - at_phi[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.1, 0.3])
+def test_stencil_curvature_error_against_exact_jets(r):
+    # the finite-difference stencil is off the exact value by up to 3e-4 on
+    # the 9 x 9 grid; 5e-4 bounds it
+    xi, theta = np.array(polar_grid(9)).T
+    err = np.abs(scalar_curvature_numeric(xi, theta, r) - exact_scalar_curvature(xi, theta, r))
+    assert np.max(err) <= 5e-4
+
+
+def mpmath_scalar_curvature(g, dg, ddg, mp):
+    """R from mpmath jets by the index formulas, one term at a time: g[i][j],
+    dg[c][i][j] = d_c g_ij and ddg[a][b][i][j] = d_a d_b g_ij."""
+    ix = range(3)
+    ginv = mp.matrix(g) ** -1
+    dginv = [[[-mp.fsum(ginv[a, e] * dg[c][e][f] * ginv[f, d] for e in ix for f in ix) for d in ix]
+              for a in ix] for c in ix]
+
+    def bracket(dd, e, d, b):
+        return dd[d][e][b] + dd[b][d][e] - dd[e][d][b]
+
+    gam = [[[mp.fsum(ginv[a, e] * bracket(dg, e, d, b) for e in ix) / 2 for b in ix] for d in ix] for a in ix]
+    dgam = [[[[mp.fsum(dginv[c][a][e] * bracket(dg, e, d, b) + ginv[a, e] * bracket(ddg[c], e, d, b)
+                       for e in ix) / 2 for b in ix] for d in ix] for a in ix] for c in ix]
+    return mp.fsum(
+        ginv[b, d] * (dgam[a][a][d][b] - dgam[d][a][a][b]
+                      + mp.fsum(gam[a][a][e] * gam[e][d][b] - gam[a][d][e] * gam[e][a][b] for e in ix))
+        for a in ix for b in ix for d in ix)
+
+
+def test_exact_curvature_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    mp = pytest.importorskip("mpmath")
+    xi_c, theta, r, phi = 0.4, 0.9, 0.1, 0.5
+    x, y, z, K, T2 = symbols = sp.symbols("x y z K T2")
+    n = sp.Matrix([x, y, z])
+    u = 1 / (1 - x**2 - y**2 - z**2)
+    g = K * (sp.eye(3) + sp.diag(0, 0, T2) + (u - T2 * (1 + z) ** 2 * u**2) * n * n.T)
+    dg = [g.diff(c) for c in n]
+    ddg = [[dg[a].diff(n[b]) for b in range(3)] for a in range(3)]
+    rr = sp.Float(r, 30)
+    point = bloch_of_polar(np.array([xi_c]), np.array([theta]), phi)
+    at = dict(zip(symbols, [sp.Float(v, 30) for v in point[0].tolist()] + [1 / (4 * sp.cosh(rr) ** 4), sp.tanh(rr) ** 2]))
+    with mp.workdps(30):
+
+        def value(m):
+            return [[mp.mpf(str(m[i, j].xreplace(at).evalf(30))) for j in range(3)] for i in range(3)]
+
+        jets = value(g), [value(d) for d in dg], [[value(d) for d in row] for row in ddg]
+        want = mpmath_scalar_curvature(*jets, mp)
+    assert abs(exact_scalar_curvature(np.array([xi_c]), np.array([theta]), r, phi)[0] - float(want)) <= 1e-12
+    # the jets themselves too: parts of ddg that are symmetric in all four
+    # indices, or antisymmetric in the derivative pair, cancel out of R
+    for got, exact in zip(exact_curvature_jets(point, r), jets):
+        np.testing.assert_allclose(got[0], np.array(exact, dtype=float), rtol=0, atol=1e-13)
+
+
 def test_curvature_flat_baseline():
     for xi_c, th in ((0.3, 1.0), (0.5, 0.7), (0.7, 2.0)):
         assert scalar_curvature_numeric(xi_c, th, 0.0) == pytest.approx(24.0, abs=1e-3)
@@ -699,8 +845,9 @@ def test_curvature_flat_baseline():
 
 def test_curvature_varies_with_theta_when_accelerated():
     thetas = np.linspace(0.4, math.pi - 0.4, 7)
-    for tensor in ("pullback", "polar"):
-        vals = [scalar_curvature_numeric(0.5, t, 0.1, tensor=tensor) for t in thetas]
+    polar = lambda q, r: per_point_metric_polar(q[0], q[1], r)  # noqa: E731
+    for vals in (scalar_curvature_numeric(0.5, thetas, 0.1),
+                 [per_point_scalar_curvature(0.5, t, 0.1, metric=polar) for t in thetas]):
         assert max(vals) - min(vals) > 0.05
 
 
