@@ -38,4 +38,5 @@ class ChartError(RQITError):
 
 
 class NumericError(RQITError):
-    """A LAPACK routine reported a failure (a nonzero INFO)."""
+    """A LAPACK routine reported a failure (a nonzero INFO), or an exact sum
+    met an infinity or a NaN."""

@@ -31,28 +31,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .channel import FockCutoff, _as_accel, _as_cutoff, _as_xi, entangled_state
-from .errors import SizeError
+from .errors import NumericError, SizeError
 from .linalg import DenseOperator, check_budget
 
 _SQRT2 = math.sqrt(2.0)
 # column c is vec(sigma_c / 2), in the (ij) order of E4, for sigma_0 = 1 and the Pauli x, y, z
 _PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]]) / 2
-# Largest work a fidelity_sweep may take, in samples: about 24-27 s at
-# 0.24-0.27 us a sample on a 2-core x86 host.  Each xi point counts its
+# Largest work a fidelity_sweep may take, in samples: about 16-18 s at
+# 0.16-0.18 us a sample on a 2-core x86 host.  Each xi point counts its
 # samples plus MC_POINT_CHARGE for its fixed work (one channel build and the
-# sampling set-up), measured there at 0.4-0.5 ms a point, about 1500-2100
-# samples; the charge of 3000 dates from 0.7-0.9 ms and is kept, so that the
-# runs it admits stay the same.  The default fig2 run counts 96 x 203 000.
+# sampling set-up), measured there at 0.4-0.7 ms a point, the cost of about
+# 2500-4000 samples; the charge of 3000 dates from 0.7-0.9 ms at 0.24-0.27 us
+# a sample and is kept, so that the runs it admits stay the same.  The
+# default fig2 run counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
 # Monte-Carlo samples drawn at a time: the sampling temporaries stay cache-sized.
+# Each chunk is also one _ExactSum.add, which is exact for at most 2**26 values.
 MC_CHUNK = 8_192
+# Largest array _ExactSum.add takes: 2**26 halves of magnitude <= 2**27 sum exactly in doubles.
+_EXACT_CHUNK = 2**26
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,7 @@ def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
     unitarizes it.  Monte Carlo needs only the Bloch vector of U|+>, which
     ``_bloch_vectors`` draws directly; the tests use this as its reference.
     """
-    bit = np.random.Philox(key=seed)
-    if start:
-        bit.advance(2 * start)  # one counter step of Philox-4x64 yields 4 doubles
-    u = np.random.Generator(bit).random((samples, 8))
+    u = _philox(seed, 2 * start).random((samples, 8))
     rad = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     ang = 2.0 * np.pi * u[:, 1::2]
     z = np.empty((samples, 4), dtype=complex)
@@ -264,16 +264,32 @@ class FidelityEstimate:
     exact: float
 
 
+def _philox(seed: int, step: int = 0) -> np.random.Generator:
+    """Generator on the Philox-4x64 stream keyed by ``seed``, at counter step
+    ``step``; one counter step yields four uniform doubles."""
+    bit = np.random.Philox(key=seed)
+    bit.advance(step)
+    return np.random.Generator(bit)
+
+
 def _bloch_vectors(samples: int, seed: int, start: int = 0) -> np.ndarray:
     """Unit vectors uniform on the sphere, one per row, from a counter-based stream.
 
-    Sample k (global index start + k) reads the first two of the four uniform
-    doubles of counter step start + k of the Philox stream keyed by ``seed``:
-    z = 2 u0 - 1 and phi = 2 pi u1 (Archimedes: z is uniform on [-1, 1]).
+    Sample k (global index start + k) reads counter step start + k of the
+    Philox stream keyed by ``seed`` (``_draw_bloch``).
     """
-    bit = np.random.Philox(key=seed)
-    bit.advance(start)  # one counter step of Philox-4x64 yields 4 doubles
-    u = np.random.Generator(bit).random((samples, 4))
+    return _draw_bloch(_philox(seed, start), samples)
+
+
+def _draw_bloch(stream: np.random.Generator, samples: int) -> np.ndarray:
+    """The next ``samples`` unit vectors of ``stream``, one counter step each.
+
+    Each reads the first two of its step's four uniform doubles:
+    z = 2 u0 - 1 and phi = 2 pi u1 (Archimedes: z is uniform on [-1, 1]).
+    Successive draws continue the stream, so chunks drawn one after another
+    equal one draw of their total.
+    """
+    u = stream.random((samples, 4))
     z = 2.0 * u[:, 0] - 1.0
     phi = 2.0 * np.pi * u[:, 1]
     s = np.sqrt((1.0 - z) * (1.0 + z))
@@ -316,11 +332,13 @@ def average_fidelity_mc(
     <psi| sigma_R(|psi><psi|) |psi> is the real quadratic form x^T Q x on
     x = (1, n), with Q built once per call (``_bloch_form``).
 
-    Samples are drawn ``MC_CHUNK`` at a time, which bounds the working
-    memory of the sampling and the contraction and never changes a result.
-    Sample k always consumes the same stream segment, and the mean and the
-    variance are correctly rounded sums (math.fsum) of the per-sample
-    overlaps, which are kept at 8 bytes a sample.
+    Samples are drawn ``MC_CHUNK`` at a time from one Philox stream, which
+    bounds the working memory of the sampling and the contraction and never
+    changes a result: sample k always consumes counter step k.  The
+    per-sample overlaps are kept at 8 bytes a sample.  The mean and the
+    variance are exact sums of them and of the squared deviations
+    (``_ExactSum``), each rounded once, so they are the correctly rounded
+    sums that math.fsum gives, whatever the chunking.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -328,22 +346,74 @@ def average_fidelity_mc(
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
     spans = range(0, samples, MC_CHUNK)
+    stream = _philox(seed)
+    total = _ExactSum()
     for start in spans:
-        m = min(MC_CHUNK, samples - start)
-        values[start:start + m] = _form_values(q, _bloch_vectors(m, seed, start))
-
-    def chunked_floats():
-        return chain.from_iterable(values[a:a + MC_CHUNK].tolist() for a in spans)
-
-    mean = math.fsum(chunked_floats()) / samples
+        chunk = values[start:start + MC_CHUNK]
+        chunk[:] = _form_values(q, _draw_bloch(stream, chunk.size))
+        total.add(chunk)
+    mean = total.value() / samples
     if samples > 1:
-        values -= mean
-        values *= values  # squared deviations, in place
-        var = math.fsum(chunked_floats()) / (samples - 1)
+        squares = _ExactSum()
+        for start in spans:
+            d = values[start:start + MC_CHUNK]
+            d -= mean
+            d *= d  # squared deviations, in place
+            squares.add(d)
+        var = squares.value() / (samples - 1)
         std_error = math.sqrt(var / samples)
     else:
         std_error = 0.0
     return FidelityEstimate(mean, std_error, samples, seed, _sphere_average(q))
+
+
+class _ExactSum:
+    """Exact running sum of float64 arrays; ``value()`` rounds it once.
+
+    ``np.frexp`` writes a finite double as f 2^e, with f = 0 or
+    0.5 <= |f| < 1, so it is M 2^(e - 53) with M = f 2^53 an integer below
+    2^53 in magnitude (subnormals included: e >= -1073).  ``add`` splits M
+    into H = floor(f 2^27) and L = (f 2^27 - H) 2^26 in [0, 2^26) and sums
+    both by e with ``np.bincount``: for at most 2^26 values every partial sum
+    is an integer of magnitude at most 2^53, so the double sums are exact.
+    The bins are kept as int64 (each grows by at most 2^27 a value, so they
+    hold 2^36 values), bin k holding e = k - 1074.  ``value()``
+    shifts them into one Python int N = sum_k (H_k 2^26 + L_k) 2^k and
+    returns N / 2^1127, which Python rounds correctly: the same double that
+    math.fsum gives for the same values, in any order and chunking.
+    """
+
+    def __init__(self) -> None:
+        self._hi = np.zeros(1074 + 1025, dtype=np.int64)
+        self._lo = np.zeros(1074 + 1025, dtype=np.int64)
+
+    def add(self, x: np.ndarray) -> None:
+        """Add the values of the float64 array ``x``; NumericError on an
+        infinity or a NaN, which no bin could hold."""
+        if x.size > _EXACT_CHUNK:
+            raise ValueError(f"an exact sum takes at most {_EXACT_CHUNK} values at a time, got {x.size}")
+        if not x.size:
+            return
+        f, e = np.frexp(x)
+        low, top = int(e.min()), int(e.max())
+        e -= low  # bins from the smallest exponent on: as many as the chunk spans
+        t = f * 2.0**27
+        hi = np.floor(t)
+        hi_bins = np.bincount(e, weights=hi)
+        if not np.isfinite(hi_bins).all():
+            raise NumericError("a Monte-Carlo sum met an infinity or a NaN")
+        t -= hi
+        t *= 2.0**26
+        self._hi[low + 1074:top + 1075] += hi_bins.astype(np.int64)
+        self._lo[low + 1074:top + 1075] += np.bincount(e, weights=t).astype(np.int64)
+
+    def value(self) -> float:
+        """The sum of every value added so far, correctly rounded."""
+        used = np.flatnonzero(self._hi | self._lo)
+        n = 0
+        for k, hi, lo in zip(used.tolist(), self._hi[used].tolist(), self._lo[used].tolist()):
+            n += ((hi << 26) + lo) << k
+        return n / (1 << 1127)
 
 
 @dataclass(frozen=True)

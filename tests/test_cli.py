@@ -315,6 +315,20 @@ def test_numeric_failure_exits_3(argv, capsys):
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_monte_carlo_term_exits_3(bad, monkeypatch, capsys):
+    # a term the exact sum cannot bin is a numeric failure, not a NaN in the CSV
+    def poisoned(q, n):
+        values = np.full(len(n), 0.5)
+        values[-1] = bad
+        return values
+
+    monkeypatch.setattr(teleportation, "_form_values", poisoned)
+    assert run_cli(["fig2", "--xi", "0.4:0.4:0", "--samples", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: a Monte-Carlo sum met an infinity or a NaN\n"
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqit import teleportation
 from rqit.channel import _SHARED_COMPONENTS, MAX_R, FockCutoff, _as_accel, _as_xi, _shared_terms, entangled_state
-from rqit.errors import RQITError, SizeError
+from rqit.errors import NumericError, RQITError, SizeError
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
     MC_POINT_CHARGE,
     MC_WORK_BOUND,
     SchmidtDecomposition,
+    _ExactSum,
     _bloch_form,
     _bloch_vectors,
     _channel_blocks,
@@ -350,6 +353,93 @@ def test_mc_deterministic_and_chunk_invariant(monkeypatch):
             assert c.mean == a.mean and c.std_error == a.std_error
         d = average_fidelity_mc(0.4, 0.3, samples=samples, seed=10)
         assert d.mean != a.mean
+
+
+def two_pass_fsum(xi, r, samples, seed):
+    """The Monte-Carlo mean and standard error as two math.fsum passes over
+    the per-sample overlaps, drawn MC_CHUNK at a time: the reference for
+    average_fidelity_mc's exact sums."""
+    q = _bloch_form(_channel_blocks(xi, r))
+    chunk = teleportation.MC_CHUNK
+    values = np.concatenate([_form_values(q, _bloch_vectors(min(chunk, samples - a), seed, a))
+                             for a in range(0, samples, chunk)])
+    mean = math.fsum(values.tolist()) / samples
+    if samples == 1:
+        return mean, 0.0
+    d = values - mean
+    d *= d
+    return mean, math.sqrt(math.fsum(d.tolist()) / (samples - 1) / samples)
+
+
+def test_mc_equals_two_pass_fsum(monkeypatch):
+    chunk = teleportation.MC_CHUNK
+    assert chunk <= teleportation._EXACT_CHUNK == 2**26
+    for i, samples in enumerate((1, chunk - 1, chunk + 1, 200_000)):
+        for xi, r in ((0.4, 0.6), (0.9, 3.0), (0.0, 0.0)):
+            est = average_fidelity_mc(xi, r, samples=samples, seed=50 + i)
+            assert (est.mean, est.std_error) == two_pass_fsum(xi, r, samples, 50 + i), (samples, xi, r)
+    for chunk in (137, 8_192, 65_536):
+        with monkeypatch.context() as m:
+            m.setattr(teleportation, "MC_CHUNK", chunk)
+            for samples in (1, chunk - 1, chunk + 1, 20_000):
+                est = average_fidelity_mc(0.7, 1.5, samples=samples, seed=chunk)
+                assert (est.mean, est.std_error) == two_pass_fsum(0.7, 1.5, samples, chunk), (chunk, samples)
+
+
+def exact_sum(chunks):
+    acc = _ExactSum()
+    for c in chunks:
+        acc.add(np.asarray(c, dtype=float))
+    return acc.value()
+
+
+def same_double(a, b):
+    # math.fsum's sign of an exact zero varies across Python versions; every
+    # other result must agree in every bit
+    return a == b and (a == 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+# bounded so that no sum of a drawn list overflows; subnormals are drawn
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_FINITE, max_size=60), cuts=st.lists(st.integers(0, 60), max_size=5))
+def test_exact_sum_matches_fsum_in_any_chunking(values, cuts):
+    bounds = [0, *sorted(min(c, len(values)) for c in cuts), len(values)]
+    chunks = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+    assert same_double(exact_sum(chunks), math.fsum(values))
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [0.0, -0.0],
+    [1.0, 2.0**-53],  # a tie: rounds to even
+    [1.0, 2.0**-53, 2.0**-200],  # just above the tie
+    [-1.0, -(2.0**-53)],
+    [1e300, 1e-300, -1e300],  # exact cancellation leaves the smallest term
+    [3.5e-300, -2.25e300, 1e-5, 2.25e300, -3.5e-300],
+    [5e-324] * 7 + [-1e-320],  # subnormals
+    [2.0**-1022, -(2.0**-1022) + 5e-324],  # normal and subnormal
+    [0.1] * 10,
+    [2.0**60, 1.0, -(2.0**60)],
+    [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
+    list(np.random.default_rng(3).standard_normal(1000) * 10.0 ** np.random.default_rng(4).integers(-300, 300, 1000)),
+])
+def test_exact_sum_edge_cases(values):
+    assert same_double(exact_sum([values]), math.fsum(values))
+    assert same_double(exact_sum([values[::2], values[1::2]]), math.fsum(values))
+
+
+def test_exact_sum_refuses_non_finite_and_oversized_chunks():
+    for bad in (math.nan, math.inf, -math.inf):
+        acc = _ExactSum()
+        acc.add(np.array([0.5, 0.25]))
+        with pytest.raises(NumericError):
+            acc.add(np.array([1.0, bad, 2.0]))
+    # a broadcast view: the size is refused before anything is read
+    with pytest.raises(ValueError):
+        _ExactSum().add(np.broadcast_to(1.0, (2**26 + 1,)))
 
 
 def sampling_variance(q):
