@@ -16,7 +16,9 @@ sphere average of a real quadratic form x^T Q x on x = (1, n), n the Bloch
 vector of psi, computed two ways: Monte Carlo over n with counter-based
 sampling (Philox; sample k reads two of the four uniform doubles of counter
 step k, so any chunked or parallel schedule reproduces identical values),
-and exactly, as Q00 + tr Q_nn / 3 (<n> = 0 and <n n^T> = 1/3).
+and exactly, as Q00 + tr Q_nn / 3 (<n> = 0 and <n n^T> = 1/3).  Q is
+diagonal, identically in eta, cosh r and tanh r, so a sample needs only n_z
+and the azimuth.
 
 Both averages read the receiver's output on Fock levels {0, 1} only.  Each
 receiver operation is B (+) 1, so that block depends only on the levels
@@ -42,12 +44,11 @@ from .linalg import DenseOperator, check_budget
 _SQRT2 = math.sqrt(2.0)
 # column c is vec(sigma_c / 2), in the (ij) order of E4, for sigma_0 = 1 and the Pauli x, y, z
 _PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]]) / 2
-# Largest work a fidelity_sweep may take, in samples: about 16-18 s at
-# 0.16-0.18 us a sample on a 2-core x86 host.  Each xi point counts its
+# Largest work a fidelity_sweep may take, in samples: about 8-12 s at
+# 0.08-0.12 us a sample on a 2-core x86 host.  Each xi point counts its
 # samples plus MC_POINT_CHARGE for its fixed work (one channel build and the
-# sampling set-up), measured there at 0.4-0.7 ms a point, the cost of about
-# 2500-4000 samples; the charge of 3000 dates from 0.7-0.9 ms at 0.24-0.27 us
-# a sample and is kept, so that the runs it admits stay the same.  The
+# sampling set-up, 0.4-0.7 ms a point there); both values date from slower
+# samplers and are kept, so that the runs they admit stay the same.  The
 # default fig2 run counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
@@ -235,8 +236,9 @@ def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
     doubles at offset 8(start + k) of the Philox stream keyed by ``seed``:
     Box-Muller gives a complex Ginibre 2x2 draw, and Gram-Schmidt with
     positive-diagonal R (the QR normalization that yields Haar measure)
-    unitarizes it.  Monte Carlo needs only the Bloch vector of U|+>, which
-    ``_bloch_vectors`` draws directly; the tests use this as its reference.
+    unitarizes it.  Monte Carlo needs only n_z and the azimuth of the Bloch
+    vector of U|+>, which ``_draw_form_values`` draws directly; the tests use
+    this as its reference.
     """
     u = _philox(seed, 2 * start).random((samples, 8))
     rad = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
@@ -272,30 +274,6 @@ def _philox(seed: int, step: int = 0) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
-def _bloch_vectors(samples: int, seed: int, start: int = 0) -> np.ndarray:
-    """Unit vectors uniform on the sphere, one per row, from a counter-based stream.
-
-    Sample k (global index start + k) reads counter step start + k of the
-    Philox stream keyed by ``seed`` (``_draw_bloch``).
-    """
-    return _draw_bloch(_philox(seed, start), samples)
-
-
-def _draw_bloch(stream: np.random.Generator, samples: int) -> np.ndarray:
-    """The next ``samples`` unit vectors of ``stream``, one counter step each.
-
-    Each reads the first two of its step's four uniform doubles:
-    z = 2 u0 - 1 and phi = 2 pi u1 (Archimedes: z is uniform on [-1, 1]).
-    Successive draws continue the stream, so chunks drawn one after another
-    equal one draw of their total.
-    """
-    u = stream.random((samples, 4))
-    z = 2.0 * u[:, 0] - 1.0
-    phi = 2.0 * np.pi * u[:, 1]
-    s = np.sqrt((1.0 - z) * (1.0 + z))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
 def _bloch_form(e: np.ndarray) -> np.ndarray:
     """Real 4x4 Q with <psi| sigma_R(|psi><psi|) |psi> = x^T Q x on x = (1, n).
 
@@ -314,9 +292,29 @@ def _sphere_average(q: np.ndarray) -> float:
     return float(q[0, 0] + np.trace(q[1:, 1:]) / 3.0)
 
 
-def _form_values(q: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """x^T Q x on x = (1, n), one value per row of ``n``."""
-    return q[0, 0] + np.einsum("sj,sj->s", n @ q[1:, 1:] + (q[0, 1:] + q[1:, 0]), n)
+def _draw_form_values(q: np.ndarray, stream: np.random.Generator, out: np.ndarray) -> None:
+    """x^T Q x, Q diagonal, at the next ``out.size`` Bloch vectors of ``stream``,
+    into ``out``: Q00 + Qzz z^2 + (1 - z)(1 + z)(Qyy + (Qxx - Qyy) cos^2 phi),
+    z = 2 u0 - 1 and phi = 2 pi u1 from the first two doubles of a sample's
+    counter step (Archimedes: z is uniform on [-1, 1]).  Draws continue the stream.
+    """
+    q00, qxx, qyy, qzz = np.diagonal(q).tolist()
+    u = stream.random((out.size, 4))
+    z = u[:, 0] * 2.0
+    z -= 1.0
+    c = u[:, 1] * (2.0 * np.pi)
+    np.cos(c, out=c)
+    c *= c
+    c *= qxx - qyy
+    c += qyy
+    s = 1.0 - z
+    np.add(z, 1.0, out=out)
+    s *= out  # n_x^2 + n_y^2
+    c *= s
+    np.multiply(z, z, out=out)
+    out *= qzz
+    out += q00
+    out += c
 
 
 def average_fidelity_mc(
@@ -327,22 +325,24 @@ def average_fidelity_mc(
 ) -> FidelityEstimate:
     """Monte-Carlo Haar average over |psi> = U|+>.
 
-    For Haar U the Bloch vector n of U|+> is uniform on the sphere, so each
-    sample draws n directly (``_bloch_vectors``), and its fidelity
-    <psi| sigma_R(|psi><psi|) |psi> is the real quadratic form x^T Q x on
-    x = (1, n), with Q built once per call (``_bloch_form``).
+    For Haar U the Bloch vector n of U|+> is uniform on the sphere, and the
+    fidelity <psi| sigma_R(|psi><psi|) |psi> is x^T Q x on x = (1, n), with Q
+    built once per call (``_bloch_form``) and checked diagonal to 8 eps
+    max|Q| (else NumericError), so a sample needs only n_z and the azimuth
+    (``_draw_form_values``).
 
     Samples are drawn ``MC_CHUNK`` at a time from one Philox stream, which
-    bounds the working memory of the sampling and the contraction and never
-    changes a result: sample k always consumes counter step k.  The
-    per-sample overlaps are kept at 8 bytes a sample.  The mean and the
-    variance are exact sums of them and of the squared deviations
-    (``_ExactSum``), each rounded once, so they are the correctly rounded
-    sums that math.fsum gives, whatever the chunking.
+    bounds the working memory and never changes a result: sample k always
+    consumes counter step k.  The per-sample values are kept at 8 bytes a
+    sample.  The mean and the variance are exact sums of them and of the
+    squared deviations (``_ExactSum``), each rounded once, so they are the
+    correctly rounded sums that math.fsum gives, whatever the chunking.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     q = _bloch_form(_channel_blocks(xi, r))
+    if np.abs(q - np.diag(np.diagonal(q))).max() > 8 * np.finfo(float).eps * np.abs(q).max():
+        raise NumericError("the Bloch form of the fidelity is not diagonal, as the sampler needs")
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
     spans = range(0, samples, MC_CHUNK)
@@ -350,7 +350,7 @@ def average_fidelity_mc(
     total = _ExactSum()
     for start in spans:
         chunk = values[start:start + MC_CHUNK]
-        chunk[:] = _form_values(q, _draw_bloch(stream, chunk.size))
+        _draw_form_values(q, stream, chunk)
         total.add(chunk)
     mean = total.value() / samples
     if samples > 1:

@@ -318,15 +318,29 @@ def test_numeric_failure_exits_3(argv, capsys):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_monte_carlo_term_exits_3(bad, monkeypatch, capsys):
     # a term the exact sum cannot bin is a numeric failure, not a NaN in the CSV
-    def poisoned(q, n):
-        values = np.full(len(n), 0.5)
-        values[-1] = bad
-        return values
+    def poisoned(q, stream, out):
+        out[:] = 0.5
+        out[-1] = bad
 
-    monkeypatch.setattr(teleportation, "_form_values", poisoned)
+    monkeypatch.setattr(teleportation, "_draw_form_values", poisoned)
     assert run_cli(["fig2", "--xi", "0.4:0.4:0", "--samples", "100"]) == 3
     err = capsys.readouterr().err
     assert err == "numeric failure: a Monte-Carlo sum met an infinity or a NaN\n"
+
+
+def test_non_diagonal_fidelity_form_exits_3(monkeypatch, capsys):
+    # the sampler reads only the diagonal of Q, so a form it would misread is refused
+    exact_form = teleportation._bloch_form
+
+    def skewed(e):
+        q = exact_form(e).copy()
+        q[0, 2] += 1e-6
+        return q
+
+    monkeypatch.setattr(teleportation, "_bloch_form", skewed)
+    assert run_cli(["fig2", "--xi", "0.4:0.4:0", "--samples", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: the Bloch form of the fidelity is not diagonal, as the sampler needs\n"
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,9 @@ from rqit.teleportation import (
     SchmidtDecomposition,
     _ExactSum,
     _bloch_form,
-    _bloch_vectors,
     _channel_blocks,
-    _form_values,
+    _draw_form_values,
+    _philox,
     apply_protocol,
     average_fidelity_exact,
     average_fidelity_mc,
@@ -281,6 +281,30 @@ def test_haar_sampler_matches_complex_temporary_construction():
 
 
 FORM_POINTS = ((0.0, 0.0), (0.4, 0.6), (0.9, 0.85), (0.3, 1.5))
+EPS = np.finfo(float).eps
+
+
+def bloch_vectors(samples, seed, start=0):
+    """The general-form reference sampler: unit vectors n = (s cos phi,
+    s sin phi, z), s = sqrt((1 - z)(1 + z)), one a row, from the counter
+    steps that _draw_form_values reads (sample k: u0 and u1 of step start + k)."""
+    u = _philox(seed, start).random((samples, 4))
+    z = 2.0 * u[:, 0] - 1.0
+    phi = 2.0 * np.pi * u[:, 1]
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def form_values(q, n):
+    """x^T Q x on x = (1, n) for a general real Q, one value per row of n."""
+    return q[0, 0] + np.einsum("sj,sj->s", n @ q[1:, 1:] + (q[0, 1:] + q[1:, 0]), n)
+
+
+def draw_form_values(q, samples, seed, start=0):
+    """_draw_form_values on samples [start, start + samples) of the stream keyed by seed."""
+    out = np.empty(samples)
+    _draw_form_values(q, _philox(seed, start), out)
+    return out
 
 
 def haar_average(e):
@@ -304,7 +328,7 @@ def test_bloch_form_matches_five_operand_einsum():
         e = _channel_blocks(xi, r)
         want = np.einsum("si,sj,sk,sl,ijkl->s", psi, psi.conj(), psi.conj(), psi, e).real
         # the Gram-Schmidt psi is off unit norm by up to about 2e-14
-        np.testing.assert_allclose(_form_values(_bloch_form(e), n), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(form_values(_bloch_form(e), n), want, rtol=0, atol=1e-13)
 
 
 def test_bloch_form_sphere_average_is_haar_average():
@@ -316,21 +340,94 @@ def test_bloch_form_sphere_average_is_haar_average():
 
 def test_bloch_sampler_unit_norm_moments_and_counter_offsets():
     count = 40_000
-    n = _bloch_vectors(count, seed=11)
+    n = bloch_vectors(count, seed=11)
     assert n.shape == (count, 3)
     assert np.max(np.abs(np.linalg.norm(n, axis=1) - 1.0)) <= 4 * np.finfo(float).eps
     bound = 5 / math.sqrt(count)
     assert np.max(np.abs(n.mean(axis=0))) < bound
     assert np.max(np.abs(n.T @ n / count - np.eye(3) / 3)) < bound
     # stream offsets: samples [k, k+m) at an odd k reproduce the tail of a larger batch
-    np.testing.assert_array_equal(_bloch_vectors(37, seed=11, start=count - 37), n[-37:])
-    np.testing.assert_array_equal(_bloch_vectors(5, seed=11, start=101), n[101:106])
+    np.testing.assert_array_equal(bloch_vectors(37, seed=11, start=count - 37), n[-37:])
+    np.testing.assert_array_equal(bloch_vectors(5, seed=11, start=101), n[101:106])
 
 
 def test_bloch_form_is_one_at_ideal_point():
-    e = _channel_blocks(0.0, 0.0)
-    values = _form_values(_bloch_form(e), _bloch_vectors(20_000, seed=1))
+    values = draw_form_values(_bloch_form(_channel_blocks(0.0, 0.0)), 20_000, seed=1)
     assert np.max(np.abs(values - 1.0)) <= 1e-15
+
+
+def test_bloch_form_is_diagonal_identically_in_eta_c_t():
+    # the channel blocks rebuilt in sympy: the levels-{0, 1} shared block of
+    # _channel_blocks in the symbols eta, C and T, build_protocol's kit from
+    # Schmidt bases with eight free real entries, apply_protocol's contraction
+    # on object arrays, and _bloch_form itself
+    sp = pytest.importorskip("sympy")
+    epm, emp, emm, epp = sp.symbols("eta_pm eta_mp eta_mm eta_pp", real=True)
+    c, t = sp.symbols("C T", positive=True)
+    alice = np.array(sp.symbols("a:2:2", real=True)).reshape(2, 2)
+    rob = np.array(sp.symbols("b:2:2", real=True)).reshape(2, 2)
+    v0 = np.array([epm, emp / c, emm, epp / c], dtype=object)
+    v1 = np.array([0, epm, 0, emm], dtype=object)
+    rho4 = ((np.outer(v0, v0) + t**2 * np.outer(v1, v1)) / (8 * c**2)).reshape(2, 2, 2, 2)
+    units = np.eye(4, dtype=int).astype(object).reshape(2, 2, 2, 2)
+    kit = build_protocol(SchmidtDecomposition(None, alice, rob))
+    e = 0
+    for pi, b in zip(kit.povms, kit.local_ops):
+        e = e + b @ np.einsum("qapc,ijpq,ckal->ijkl", pi.reshape(2, 2, 2, 2), units, rho4) @ b.T
+    q = _bloch_form(e)
+    for i in range(4):
+        for j in range(4):
+            assert i == j or sp.expand(q[i, j]) == 0, (i, j)
+    # the symbolic blocks are the code's, at the code's (real) Schmidt bases
+    blocks = sp.lambdify([epm, emp, emm, epp, c, t, *alice.ravel(), *rob.ravel()], sp.Array(e.tolist()))
+    for xi, r in ((0.0, 0.6), (0.4, 0.6), (0.9, 2.0)):
+        sd, ox, a = schmidt_decompose(xi), _as_xi(xi), _as_accel(r)
+        assert not sd.alice_basis.imag.any() and not sd.rob_basis.imag.any()
+        got = blocks(ox.eta(1, -1), ox.eta(-1, 1), ox.eta(-1, -1), ox.eta(1, 1), a.C, a.T,
+                     *sd.alice_basis.real.ravel(), *sd.rob_basis.real.ravel())
+        np.testing.assert_allclose(np.array(got, dtype=float), _channel_blocks(xi, r), rtol=0, atol=1e-15)
+
+
+def test_bloch_form_is_diagonal_numerically():
+    for xi in np.linspace(0.0, 0.99, 34):
+        for r in (0.0, 0.1, 0.6, 1.0, 2.0, 5.0, 10.0, 40.0, 100.0, 169.9):
+            q = _bloch_form(_channel_blocks(xi, r))
+            assert np.abs(q - np.diag(np.diagonal(q))).max() <= 8 * EPS * np.abs(q).max(), (xi, r)
+
+
+def test_diagonal_samples_equal_general_form_on_the_same_counter_steps():
+    for xi, r in (*FORM_POINTS, (0.6, 10.0)):
+        q = _bloch_form(_channel_blocks(xi, r))
+        got = draw_form_values(q, 20_000, seed=7, start=3)
+        want = form_values(q, bloch_vectors(20_000, seed=7, start=3))
+        assert np.abs(got - want).max() <= 8 * EPS * np.abs(q).max(), (xi, r)
+
+
+def test_draw_form_values_continues_the_stream():
+    q = _bloch_form(_channel_blocks(0.4, 0.6))
+    whole = draw_form_values(q, 1000, seed=5)
+    stream, parts = _philox(5), np.empty(1000)
+    for a, b in ((0, 1), (1, 137), (137, 1000)):
+        _draw_form_values(q, stream, parts[a:b])
+    np.testing.assert_array_equal(parts, whole)
+    np.testing.assert_array_equal(draw_form_values(q, 37, seed=5, start=963), whole[-37:])
+
+
+def test_mc_refuses_a_non_diagonal_form(monkeypatch):
+    exact_form = teleportation._bloch_form
+
+    def skewed(factor):
+        def form(e):
+            q = exact_form(e).copy()
+            q[1, 3] += factor * EPS * np.abs(q).max()
+            return q
+        return form
+
+    monkeypatch.setattr(teleportation, "_bloch_form", skewed(4))
+    average_fidelity_mc(0.4, 0.6, samples=10, seed=1)
+    monkeypatch.setattr(teleportation, "_bloch_form", skewed(16))
+    with pytest.raises(NumericError, match="not diagonal"):
+        average_fidelity_mc(0.4, 0.6, samples=10, seed=1)
 
 
 def test_mc_zero_variance_at_ideal_point():
@@ -361,7 +458,7 @@ def two_pass_fsum(xi, r, samples, seed):
     average_fidelity_mc's exact sums."""
     q = _bloch_form(_channel_blocks(xi, r))
     chunk = teleportation.MC_CHUNK
-    values = np.concatenate([_form_values(q, _bloch_vectors(min(chunk, samples - a), seed, a))
+    values = np.concatenate([draw_form_values(q, min(chunk, samples - a), seed, a)
                              for a in range(0, samples, chunk)])
     mean = math.fsum(values.tolist()) / samples
     if samples == 1:
