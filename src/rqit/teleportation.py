@@ -16,17 +16,17 @@ sphere average of a real quadratic form x^T Q x on x = (1, n), n the Bloch
 vector of psi, computed two ways: Monte Carlo over n with counter-based
 sampling (Philox; sample k reads two of the four uniform doubles of counter
 step k, so any chunked or parallel schedule reproduces identical values),
-and exactly, as Q00 + tr Q_nn / 3 (<n> = 0 and <n n^T> = 1/3).  Q is
-diagonal, identically in eta, cosh r and tanh r, so a sample needs only n_z
-and the azimuth.
+and exactly, as Q00 + tr Q_nn / 3 (<n> = 0 and <n n^T> = 1/3).
 
-Both averages read the receiver's output on Fock levels {0, 1} only.  Each
-receiver operation is B (+) 1, so that block depends only on the levels
-{0, 1} block of the shared state, to which only the terms |v_0> and |v_1>
-contribute, with weights 1/(8 cosh^2 r) and tanh^2 r/(8 cosh^2 r).  The
-averages therefore contract a closed-form 4x4 block that is exact for any
-Fock cutoff: they take none and run no truncation check, and hold up to
-channel.MAX_R.
+Q is known in closed form (``_fidelity_form``).  The receiver's output on
+Fock levels {0, 1}, the only levels the fidelity reads, depends only on
+the levels {0, 1} block of the shared state, and the protocol contracts
+that block into a diagonal Q whose four entries are polynomials in
+1/cosh r with coefficients in sqrt(1 - xi) and sqrt(1 + xi).  The averages
+therefore take no Fock cutoff, run no truncation check and hold up to
+channel.MAX_R; a sample needs only n_z and the azimuth.  The tests keep
+the generic route (the 4x4 channel block contracted with the POVMs and
+corrections, then changed to the Pauli basis) as the oracle for Q.
 """
 
 from __future__ import annotations
@@ -42,13 +42,11 @@ from .errors import NumericError, SizeError
 from .linalg import DenseOperator, check_budget
 
 _SQRT2 = math.sqrt(2.0)
-# column c is vec(sigma_c / 2), in the (ij) order of E4, for sigma_0 = 1 and the Pauli x, y, z
-_PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]]) / 2
 # Largest work a fidelity_sweep may take, in samples: about 8-12 s at
 # 0.08-0.12 us a sample on a 2-core x86 host.  Each xi point counts its
-# samples plus MC_POINT_CHARGE for its fixed work (one channel build and the
-# sampling set-up, 0.4-0.7 ms a point there); both values date from slower
-# samplers and are kept, so that the runs they admit stay the same.  The
+# samples plus MC_POINT_CHARGE for its fixed work (the fidelity form and the
+# sampling set-up, 0.07-0.08 ms a point there); both values date from slower
+# code and are kept, so that the runs they admit stay the same.  The
 # default fig2 run counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
@@ -199,34 +197,31 @@ def run_protocol(input_state: Sequence[complex], xi, r, cutoff: FockCutoff | Non
     return DenseOperator(out, (cut.levels,))
 
 
-def _channel_blocks(xi, r) -> np.ndarray:
-    """E[i, j] = top-left 2x2 block of the protocol channel on |i><j|.
+def _fidelity_form(xi, r) -> tuple[float, float, float, float]:
+    """(Q00, Qxx, Qyy, Qzz): the real 4x4 Q with <psi| sigma_R(|psi><psi|) |psi>
+    = x^T Q x on x = (1, n), n the Bloch vector of psi, which is diagonal.
 
-    Only Fock levels {0, 1} of the output are read, and the receiver
-    operations act as the identity above them, so the protocol is applied
-    once, to the stacked matrix units, with the levels {0, 1} block of the
-    shared state alone.  On (qubit, level) in {0, 1} x {0, 1} that block is
-    w_0 |v_0><v_0| + w_1 |v_1'><v_1'|, with v_1' the level-1 part of |v_1>:
+    With u = sqrt(1 - xi), v = sqrt(1 + xi) and x = 1/cosh r:
 
-        v_0 = (eta_{+-}, eta_{-+}/C, eta_{--}, eta_{++}/C),  w_0 = 1/(8 C^2),
-        v_1' = (0, eta_{+-}, 0, eta_{--}),                    w_1 = T^2/(8 C^2),
-
-    with C = cosh r and T = tanh r (see ``channel.entangled_state``).
+        Q00 = (2 - xi) x^2/4 + xi x^4/4,
+        Qxx = (u + v)[(1 + uv) x^3 + (1 - uv) x^4]/8,
+        Qyy = (u + v) x^3/4,
+        Qzz = [(1 - uv) x^3 + (1 + uv) x^4]/4.
     """
-    ox, a = _as_xi(xi), _as_accel(r)
-    s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._shared_terms
-    v0 = np.array([ox.eta(+1, -1), ox.eta(-1, +1) * s, ox.eta(-1, -1), ox.eta(+1, +1) * s])
-    v1 = np.array([0.0, ox.eta(+1, -1), 0.0, ox.eta(-1, -1)])
-    w0, w1 = 1.0 / (8.0 * a.C**2), a.T**2 / (8.0 * a.C**2)
-    shared = DenseOperator(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1), (2, 2))
-    units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
-    return apply_protocol(build_protocol(schmidt_decompose(xi)), shared, units)
+    xi, x = _as_xi(xi).xi, 1.0 / _as_accel(r).C
+    u, v = math.sqrt(1.0 - xi), math.sqrt(1.0 + xi)
+    uv, x2 = u * v, x * x
+    x3, x4 = x2 * x, x2 * x2
+    return ((2.0 - xi) * x2 / 4.0 + xi * x4 / 4.0,
+            (u + v) * ((1.0 + uv) * x3 + (1.0 - uv) * x4) / 8.0,
+            (u + v) * x3 / 4.0,
+            ((1.0 - uv) * x3 + (1.0 + uv) * x4) / 4.0)
 
 
 def average_fidelity_exact(xi, r) -> float:
     """Exact Haar average of <psi| sigma_R(|psi><psi|) |psi>: the sphere
     average of the Monte-Carlo form x^T Q x (``_sphere_average``)."""
-    return _sphere_average(_bloch_form(_channel_blocks(xi, r)))
+    return _sphere_average(_fidelity_form(xi, r))
 
 
 def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
@@ -274,31 +269,21 @@ def _philox(seed: int, step: int = 0) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
-def _bloch_form(e: np.ndarray) -> np.ndarray:
-    """Real 4x4 Q with <psi| sigma_R(|psi><psi|) |psi> = x^T Q x on x = (1, n).
-
-    n is the Bloch vector of psi.  With E4 the channel blocks E[i, j][k, l]
-    as a 4x4 matrix over the pairs (ij) and (kl), the fidelity is
-    Re sum_b (w E4)_b conj(w)_b on w = vec(|psi><psi|), and
-    rho = (1 + n.sigma)/2 gives w = T x with T = _PAULI_HALF, so
-    Q = Re(T^T E4 conj(T)).
-    """
-    return (_PAULI_HALF.T @ e.reshape(4, 4) @ _PAULI_HALF.conj()).real
+def _sphere_average(form: tuple[float, float, float, float]) -> float:
+    """Average of x^T Q x, x = (1, n), Q = diag(form), over n uniform on the
+    sphere: <n> = 0 and <n n^T> = 1/3 leave Q00 + tr Q_nn / 3."""
+    q00, qxx, qyy, qzz = form
+    return q00 + (qxx + qyy + qzz) / 3.0
 
 
-def _sphere_average(q: np.ndarray) -> float:
-    """Average of x^T Q x, x = (1, n), over n uniform on the sphere:
-    <n> = 0 and <n n^T> = 1/3 leave Q00 + tr Q_nn / 3."""
-    return float(q[0, 0] + np.trace(q[1:, 1:]) / 3.0)
-
-
-def _draw_form_values(q: np.ndarray, stream: np.random.Generator, out: np.ndarray) -> None:
-    """x^T Q x, Q diagonal, at the next ``out.size`` Bloch vectors of ``stream``,
+def _draw_form_values(form: tuple[float, float, float, float], stream: np.random.Generator,
+                      out: np.ndarray) -> None:
+    """x^T Q x, Q = diag(form), at the next ``out.size`` Bloch vectors of ``stream``,
     into ``out``: Q00 + Qzz z^2 + (1 - z)(1 + z)(Qyy + (Qxx - Qyy) cos^2 phi),
     z = 2 u0 - 1 and phi = 2 pi u1 from the first two doubles of a sample's
     counter step (Archimedes: z is uniform on [-1, 1]).  Draws continue the stream.
     """
-    q00, qxx, qyy, qzz = np.diagonal(q).tolist()
+    q00, qxx, qyy, qzz = form
     u = stream.random((out.size, 4))
     z = u[:, 0] * 2.0
     z -= 1.0
@@ -326,10 +311,9 @@ def average_fidelity_mc(
     """Monte-Carlo Haar average over |psi> = U|+>.
 
     For Haar U the Bloch vector n of U|+> is uniform on the sphere, and the
-    fidelity <psi| sigma_R(|psi><psi|) |psi> is x^T Q x on x = (1, n), with Q
-    built once per call (``_bloch_form``) and checked diagonal to 8 eps
-    max|Q| (else NumericError), so a sample needs only n_z and the azimuth
-    (``_draw_form_values``).
+    fidelity <psi| sigma_R(|psi><psi|) |psi> is x^T Q x on x = (1, n).  Q is
+    diagonal, with four closed-form entries (``_fidelity_form``), so a sample
+    needs only n_z and the azimuth (``_draw_form_values``).
 
     Samples are drawn ``MC_CHUNK`` at a time from one Philox stream, which
     bounds the working memory and never changes a result: sample k always
@@ -340,9 +324,7 @@ def average_fidelity_mc(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    q = _bloch_form(_channel_blocks(xi, r))
-    if np.abs(q - np.diag(np.diagonal(q))).max() > 8 * np.finfo(float).eps * np.abs(q).max():
-        raise NumericError("the Bloch form of the fidelity is not diagonal, as the sampler needs")
+    form = _fidelity_form(xi, r)
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
     spans = range(0, samples, MC_CHUNK)
@@ -350,7 +332,7 @@ def average_fidelity_mc(
     total = _ExactSum()
     for start in spans:
         chunk = values[start:start + MC_CHUNK]
-        _draw_form_values(q, stream, chunk)
+        _draw_form_values(form, stream, chunk)
         total.add(chunk)
     mean = total.value() / samples
     if samples > 1:
@@ -364,7 +346,7 @@ def average_fidelity_mc(
         std_error = math.sqrt(var / samples)
     else:
         std_error = 0.0
-    return FidelityEstimate(mean, std_error, samples, seed, _sphere_average(q))
+    return FidelityEstimate(mean, std_error, samples, seed, _sphere_average(form))
 
 
 class _ExactSum:
@@ -431,7 +413,7 @@ def fidelity_sweep(
     """One FidelityResult per grid point, in grid order: Monte Carlo and exact.
 
     Point i is one ``average_fidelity_mc`` call, seeded from
-    ``SeedSequence((seed, i))``, whose one channel build also gives the exact
+    ``SeedSequence((seed, i))``, whose one fidelity form also gives the exact
     average.  (samples + MC_POINT_CHARGE) x points is checked against
     MC_WORK_BOUND before anything is built (``SizeError``).
     """

@@ -184,8 +184,27 @@ def test_criterion_4_fidelity_peak_exact_oracle():
 
 
 def test_criterion_4_exact_fidelity_decreases_in_xi_at_every_r():
-    # why criterion 4 cannot hold at any acceleration: the exact curve falls
-    # strictly in xi on the whole r range fig2 covers, to MAX_R = 170
+    """Why criterion 4 cannot hold at any acceleration: the exact curve falls
+    strictly in xi on the whole r range fig2 covers, to MAX_R = 170.
+
+    The proof, checked by test_criterion_4_fidelity_slope_proof: with
+    x = 1/cosh r, u = sqrt(1 - xi) and v = sqrt(1 + xi), the exact average
+    is F = a x^2 + b x^3 + c x^4 with
+
+        a = (2 - xi)/4,
+        b = [(u + v)(3 + uv) + 2(1 - uv)]/24,
+        c = xi/4 + [(u + v)(1 - uv) + 2(1 + uv)]/24,
+
+    so dF/dxi = x^2 (-1/4 + b' x + c' x^2).  Put xi = sin 2beta, beta in
+    [0, pi/4), s = sin beta and k = cos beta (u = k - s, v = k + s); then
+
+        b' = -s (3k^2 - 2k + 1) / (12 cos 2beta) <= 0,
+        c' - 1/4 = s (3k + 1)(k - 1) / (12 cos 2beta) <= 0,
+
+    since 3k^2 - 2k + 1 has no real root.  With 0 < x <= 1 the slope is at
+    most x^2 (x^2 - 1)/4 <= 0, and it is 0 only at xi = 0 (s = 0), r = 0.
+    This numeric test checks the same on a grid, through the library.
+    """
     xis = np.linspace(0.0, 0.95, 60)
     worst = -math.inf
     for r in [*np.linspace(0.0, 5.0, 21), 10.0, 20.0, 50.0, 100.0, 170.0]:
@@ -194,6 +213,32 @@ def test_criterion_4_exact_fidelity_decreases_in_xi_at_every_r():
         worst = max(worst, float(step.max()))
         assert np.all(step < 0), r
     _report("4c", True, f"exact curve strictly decreasing in xi; largest relative step {worst:.2e}")
+
+
+def test_criterion_4_fidelity_slope_proof():
+    # 4c's argument in sympy: the coefficients b and c of F = a x^2 + b x^3 + c x^4
+    # are the library's, and b' <= 0, c' <= 1/4 on xi = sin 2beta, beta in [0, pi/4)
+    sp = pytest.importorskip("sympy")
+    beta, x = sp.symbols("beta x", nonnegative=True)
+    s, k = sp.sin(beta), sp.cos(beta)
+    u, v = k - s, k + s
+    xi = sp.sin(2 * beta)
+    assert sp.simplify(u**2 - (1 - xi)) == 0 and sp.simplify(v**2 - (1 + xi)) == 0
+    a = (2 - xi) / 4
+    b = ((u + v) * (3 + u * v) + 2 * (1 - u * v)) / 24
+    c = xi / 4 + ((u + v) * (1 - u * v) + 2 * (1 + u * v)) / 24
+    f = sp.lambdify([beta, x], a * x**2 + b * x**3 + c * x**4)
+    for xi_val in (0.0, 0.3, 0.75, 0.99):
+        for r in (0.0, 0.6, 3.0):
+            want = average_fidelity_exact(xi_val, r)
+            assert abs(f(math.asin(xi_val) / 2, 1 / math.cosh(r)) - want) <= 4e-16 * want, (xi_val, r)
+    dxi = sp.diff(xi, beta)
+    b_slope, c_slope = sp.diff(b, beta) / dxi, sp.diff(c, beta) / dxi
+    assert sp.diff(a, beta) / dxi == sp.Rational(-1, 4)
+    assert sp.simplify(b_slope + s * (3 * k**2 - 2 * k + 1) / (12 * sp.cos(2 * beta))) == 0
+    assert sp.simplify(c_slope - sp.Rational(1, 4) - s * (3 * k + 1) * (k - 1) / (12 * sp.cos(2 * beta))) == 0
+    assert sp.discriminant(3 * x**2 - 2 * x + 1, x) < 0
+    _report("4d", True, "proof: b' <= 0 and c' <= 1/4, so dF/dxi <= 0, equal to 0 only at xi = 0, r = 0")
 
 
 def test_criterion_5_bures_angle_endpoints():

@@ -318,7 +318,7 @@ def test_numeric_failure_exits_3(argv, capsys):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_monte_carlo_term_exits_3(bad, monkeypatch, capsys):
     # a term the exact sum cannot bin is a numeric failure, not a NaN in the CSV
-    def poisoned(q, stream, out):
+    def poisoned(form, stream, out):
         out[:] = 0.5
         out[-1] = bad
 
@@ -326,21 +326,6 @@ def test_non_finite_monte_carlo_term_exits_3(bad, monkeypatch, capsys):
     assert run_cli(["fig2", "--xi", "0.4:0.4:0", "--samples", "100"]) == 3
     err = capsys.readouterr().err
     assert err == "numeric failure: a Monte-Carlo sum met an infinity or a NaN\n"
-
-
-def test_non_diagonal_fidelity_form_exits_3(monkeypatch, capsys):
-    # the sampler reads only the diagonal of Q, so a form it would misread is refused
-    exact_form = teleportation._bloch_form
-
-    def skewed(e):
-        q = exact_form(e).copy()
-        q[0, 2] += 1e-6
-        return q
-
-    monkeypatch.setattr(teleportation, "_bloch_form", skewed)
-    assert run_cli(["fig2", "--xi", "0.4:0.4:0", "--samples", "100"]) == 3
-    err = capsys.readouterr().err
-    assert err == "numeric failure: the Bloch form of the fidelity is not diagonal, as the sampler needs\n"
 
 
 @pytest.mark.parametrize(
@@ -380,10 +365,10 @@ def test_fig2_builds_one_channel_per_point(monkeypatch, tmp_path):
             return inner(*args, **kwargs)
         return wrapper
 
-    for name in ("_channel_blocks", "average_fidelity_mc"):
+    for name in ("_fidelity_form", "average_fidelity_mc"):
         monkeypatch.setattr(teleportation, name, counted(name, getattr(teleportation, name)))
     assert run_cli(["fig2", "--xi", "0:0.8:0.2", "--samples", "10", "-o", str(tmp_path / "f.csv")]) == 0
-    assert calls == {"_channel_blocks": 5, "average_fidelity_mc": 5}
+    assert calls == {"_fidelity_form": 5, "average_fidelity_mc": 5}
 
 
 def test_io_failure_exits_4(tmp_path):

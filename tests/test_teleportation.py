@@ -14,9 +14,8 @@ from rqit.teleportation import (
     MC_WORK_BOUND,
     SchmidtDecomposition,
     _ExactSum,
-    _bloch_form,
-    _channel_blocks,
     _draw_form_values,
+    _fidelity_form,
     _philox,
     apply_protocol,
     average_fidelity_exact,
@@ -282,6 +281,65 @@ def test_haar_sampler_matches_complex_temporary_construction():
 
 FORM_POINTS = ((0.0, 0.0), (0.4, 0.6), (0.9, 0.85), (0.3, 1.5))
 EPS = np.finfo(float).eps
+# column c is vec(sigma_c / 2), in the (ij) order of E4, for sigma_0 = 1 and the Pauli x, y, z
+PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]]) / 2
+
+
+def channel_blocks(xi, r):
+    """E[i, j] = top-left 2x2 block of the protocol channel on |i><j|: the
+    generic route, kept as the oracle for _fidelity_form.
+
+    Only Fock levels {0, 1} of the output are read, and the receiver
+    operations act as the identity above them, so the protocol is applied
+    once, to the stacked matrix units, with the levels {0, 1} block of the
+    shared state alone.  On (qubit, level) in {0, 1} x {0, 1} that block is
+    w_0 |v_0><v_0| + w_1 |v_1'><v_1'|, with v_1' the level-1 part of |v_1>:
+
+        v_0 = (eta_{+-}, eta_{-+}/C, eta_{--}, eta_{++}/C),  w_0 = 1/(8 C^2),
+        v_1' = (0, eta_{+-}, 0, eta_{--}),                    w_1 = T^2/(8 C^2),
+
+    with C = cosh r and T = tanh r (see ``channel.entangled_state``).
+    """
+    ox, a = _as_xi(xi), _as_accel(r)
+    s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._shared_terms
+    v0 = np.array([ox.eta(+1, -1), ox.eta(-1, +1) * s, ox.eta(-1, -1), ox.eta(+1, +1) * s])
+    v1 = np.array([0.0, ox.eta(+1, -1), 0.0, ox.eta(-1, -1)])
+    w0, w1 = 1.0 / (8.0 * a.C**2), a.T**2 / (8.0 * a.C**2)
+    shared = DenseOperator(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1), (2, 2))
+    units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
+    return apply_protocol(build_protocol(schmidt_decompose(xi)), shared, units)
+
+
+def bloch_form(e):
+    """Real 4x4 Q with <psi| sigma_R(|psi><psi|) |psi> = x^T Q x on x = (1, n).
+
+    n is the Bloch vector of psi.  With E4 the channel blocks E[i, j][k, l]
+    as a 4x4 matrix over the pairs (ij) and (kl), the fidelity is
+    Re sum_b (w E4)_b conj(w)_b on w = vec(|psi><psi|), and
+    rho = (1 + n.sigma)/2 gives w = T x with T = PAULI_HALF, so
+    Q = Re(T^T E4 conj(T)).  Object arrays (sympy, mpmath) keep their
+    complex entries: numpy's .real leaves them as they are.
+    """
+    return (PAULI_HALF.T @ e.reshape(4, 4) @ PAULI_HALF.conj()).real
+
+
+def object_channel_blocks(etas, c, t, alice, rob):
+    """channel_blocks on object arrays (sympy symbols or mpmath numbers).
+
+    etas = (eta_{+-}, eta_{-+}, eta_{--}, eta_{++}), c = cosh r, t = tanh r,
+    and alice and rob are real Schmidt bases as columns: build_protocol's
+    kit and apply_protocol's contraction, on the levels {0, 1} block.
+    """
+    epm, emp, emm, epp = etas
+    v0 = np.array([epm, emp / c, emm, epp / c], dtype=object)
+    v1 = np.array([0, epm, 0, emm], dtype=object)
+    rho4 = ((np.outer(v0, v0) + t**2 * np.outer(v1, v1)) / (8 * c**2)).reshape(2, 2, 2, 2)
+    units = np.eye(4, dtype=int).astype(object).reshape(2, 2, 2, 2)
+    kit = build_protocol(SchmidtDecomposition(None, alice, rob))
+    e = 0
+    for pi, b in zip(kit.povms, kit.local_ops):
+        e = e + b @ np.einsum("qapc,ijpq,ckal->ijkl", pi.reshape(2, 2, 2, 2), units, rho4) @ b.T
+    return e
 
 
 def bloch_vectors(samples, seed, start=0):
@@ -300,10 +358,10 @@ def form_values(q, n):
     return q[0, 0] + np.einsum("sj,sj->s", n @ q[1:, 1:] + (q[0, 1:] + q[1:, 0]), n)
 
 
-def draw_form_values(q, samples, seed, start=0):
+def draw_form_values(form, samples, seed, start=0):
     """_draw_form_values on samples [start, start + samples) of the stream keyed by seed."""
     out = np.empty(samples)
-    _draw_form_values(q, _philox(seed, start), out)
+    _draw_form_values(form, _philox(seed, start), out)
     return out
 
 
@@ -325,17 +383,18 @@ def test_bloch_form_matches_five_operand_einsum():
     c = psi[:, 0] * psi[:, 1].conj()
     n = np.stack([2 * c.real, -2 * c.imag, abs(psi[:, 0]) ** 2 - abs(psi[:, 1]) ** 2], axis=1)
     for xi, r in FORM_POINTS:
-        e = _channel_blocks(xi, r)
+        e = channel_blocks(xi, r)
         want = np.einsum("si,sj,sk,sl,ijkl->s", psi, psi.conj(), psi.conj(), psi, e).real
         # the Gram-Schmidt psi is off unit norm by up to about 2e-14
-        np.testing.assert_allclose(form_values(_bloch_form(e), n), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(form_values(bloch_form(e), n), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(form_values(np.diag(_fidelity_form(xi, r)), n), want, rtol=0, atol=1e-13)
 
 
 def test_bloch_form_sphere_average_is_haar_average():
     # the exact average is Q00 + tr(Q[1:, 1:])/3, the sphere average of the
     # Monte-Carlo form; the (I + SWAP)/6 contraction is an independent oracle
     for xi, r in FORM_POINTS:
-        assert abs(average_fidelity_exact(xi, r) - haar_average(_channel_blocks(xi, r))) <= 1e-15, (xi, r)
+        assert abs(average_fidelity_exact(xi, r) - haar_average(channel_blocks(xi, r))) <= 1e-15, (xi, r)
 
 
 def test_bloch_sampler_unit_norm_moments_and_counter_offsets():
@@ -352,82 +411,106 @@ def test_bloch_sampler_unit_norm_moments_and_counter_offsets():
 
 
 def test_bloch_form_is_one_at_ideal_point():
-    values = draw_form_values(_bloch_form(_channel_blocks(0.0, 0.0)), 20_000, seed=1)
+    values = draw_form_values(_fidelity_form(0.0, 0.0), 20_000, seed=1)
     assert np.max(np.abs(values - 1.0)) <= 1e-15
 
 
 def test_bloch_form_is_diagonal_identically_in_eta_c_t():
     # the channel blocks rebuilt in sympy: the levels-{0, 1} shared block of
-    # _channel_blocks in the symbols eta, C and T, build_protocol's kit from
+    # channel_blocks in the symbols eta, C and T, build_protocol's kit from
     # Schmidt bases with eight free real entries, apply_protocol's contraction
-    # on object arrays, and _bloch_form itself
+    # on object arrays, and bloch_form itself
     sp = pytest.importorskip("sympy")
-    epm, emp, emm, epp = sp.symbols("eta_pm eta_mp eta_mm eta_pp", real=True)
+    etas = sp.symbols("eta_pm eta_mp eta_mm eta_pp", real=True)
     c, t = sp.symbols("C T", positive=True)
     alice = np.array(sp.symbols("a:2:2", real=True)).reshape(2, 2)
     rob = np.array(sp.symbols("b:2:2", real=True)).reshape(2, 2)
-    v0 = np.array([epm, emp / c, emm, epp / c], dtype=object)
-    v1 = np.array([0, epm, 0, emm], dtype=object)
-    rho4 = ((np.outer(v0, v0) + t**2 * np.outer(v1, v1)) / (8 * c**2)).reshape(2, 2, 2, 2)
-    units = np.eye(4, dtype=int).astype(object).reshape(2, 2, 2, 2)
-    kit = build_protocol(SchmidtDecomposition(None, alice, rob))
-    e = 0
-    for pi, b in zip(kit.povms, kit.local_ops):
-        e = e + b @ np.einsum("qapc,ijpq,ckal->ijkl", pi.reshape(2, 2, 2, 2), units, rho4) @ b.T
-    q = _bloch_form(e)
+    e = object_channel_blocks(etas, c, t, alice, rob)
+    q = bloch_form(e)
     for i in range(4):
         for j in range(4):
             assert i == j or sp.expand(q[i, j]) == 0, (i, j)
-    # the symbolic blocks are the code's, at the code's (real) Schmidt bases
-    blocks = sp.lambdify([epm, emp, emm, epp, c, t, *alice.ravel(), *rob.ravel()], sp.Array(e.tolist()))
+    # the symbolic blocks are the oracle's, at the code's (real) Schmidt bases
+    blocks = sp.lambdify([*etas, c, t, *alice.ravel(), *rob.ravel()], sp.Array(e.tolist()))
     for xi, r in ((0.0, 0.6), (0.4, 0.6), (0.9, 2.0)):
         sd, ox, a = schmidt_decompose(xi), _as_xi(xi), _as_accel(r)
         assert not sd.alice_basis.imag.any() and not sd.rob_basis.imag.any()
         got = blocks(ox.eta(1, -1), ox.eta(-1, 1), ox.eta(-1, -1), ox.eta(1, 1), a.C, a.T,
                      *sd.alice_basis.real.ravel(), *sd.rob_basis.real.ravel())
-        np.testing.assert_allclose(np.array(got, dtype=float), _channel_blocks(xi, r), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.array(got, dtype=float), channel_blocks(xi, r), rtol=0, atol=1e-15)
+
+
+def mp_fidelity_form(xi, r):
+    """_fidelity_form's four entries in mpmath, at the working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    xi, x = mpmath.mpf(xi), 1 / mpmath.cosh(mpmath.mpf(r))
+    u, v = mpmath.sqrt(1 - xi), mpmath.sqrt(1 + xi)
+    return ((2 - xi) * x**2 / 4 + xi * x**4 / 4,
+            (u + v) * ((1 + u * v) * x**3 + (1 - u * v) * x**4) / 8,
+            (u + v) * x**3 / 4,
+            ((1 - u * v) * x**3 + (1 + u * v) * x**4) / 4)
+
+
+def test_fidelity_form_equals_generic_route_at_50_digits():
+    # the generic route on mpmath object arrays: the shared block, the kit
+    # from exact Schmidt bases and the Pauli change of basis; xi = 0 has a
+    # degenerate Schmidt spectrum, where any pair of bases serves
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for xi in (0, 0.05, 0.3, 0.55, 0.9, 0.99):
+            for r in (0, 0.1, 0.6, 2, 10):
+                mxi, mr = mpmath.mpf(xi), mpmath.mpf(r)
+                etas = [1 + s1 * mpmath.sqrt(1 + s2 * mxi) for s1, s2 in ((1, -1), (-1, 1), (-1, -1), (1, 1))]
+                # |Psi> = (|0>(|+> + |phi>) + |1>(|+> - |phi>))/2: Alice's basis is the computational one
+                h = 1 / mpmath.sqrt(2)
+                plus = np.array([h, h], dtype=object)
+                phi = np.array([mpmath.sqrt((1 - mxi) / 2), -mpmath.sqrt((1 + mxi) / 2)], dtype=object)
+                t0, t1 = plus + phi, plus - phi
+                rob = np.stack([t0 / mpmath.sqrt(t0 @ t0), t1 / mpmath.sqrt(t1 @ t1)], axis=1)
+                alice = np.eye(2, dtype=int).astype(object)
+                q = bloch_form(object_channel_blocks(etas, mpmath.cosh(mr), mpmath.tanh(mr), alice, rob))
+                want = np.diag(mp_fidelity_form(xi, r))
+                scale = max(abs(w) for w in want.ravel())
+                assert max(abs(g - w) for g, w in zip(q.ravel(), want.ravel())) <= 1e-40 * scale, (xi, r)
 
 
 def test_bloch_form_is_diagonal_numerically():
+    # and its diagonal is _fidelity_form's: the float oracle is off its
+    # 50-digit value by up to 6.7 eps max|Q| on this grid, the closed form by
+    # at most 2.2 eps max|Q|
+    checked = []
     for xi in np.linspace(0.0, 0.99, 34):
         for r in (0.0, 0.1, 0.6, 1.0, 2.0, 5.0, 10.0, 40.0, 100.0, 169.9):
-            q = _bloch_form(_channel_blocks(xi, r))
-            assert np.abs(q - np.diag(np.diagonal(q))).max() <= 8 * EPS * np.abs(q).max(), (xi, r)
+            q = bloch_form(channel_blocks(xi, r))
+            scale = np.abs(q).max()
+            assert np.abs(q - np.diag(np.diagonal(q))).max() <= 8 * EPS * scale, (xi, r)
+            got = np.array(_fidelity_form(xi, r))
+            assert np.abs(got - np.diagonal(q)).max() <= 8 * EPS * scale, (xi, r)
+            checked.append((xi, r, got, scale))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for xi, r, got, scale in checked:
+            want = np.array([float(w) for w in mp_fidelity_form(xi, r)])
+            assert np.abs(got - want).max() <= 4 * EPS * scale, (xi, r)
 
 
 def test_diagonal_samples_equal_general_form_on_the_same_counter_steps():
     for xi, r in (*FORM_POINTS, (0.6, 10.0)):
-        q = _bloch_form(_channel_blocks(xi, r))
-        got = draw_form_values(q, 20_000, seed=7, start=3)
+        form = _fidelity_form(xi, r)
+        q = np.diag(form)
+        got = draw_form_values(form, 20_000, seed=7, start=3)
         want = form_values(q, bloch_vectors(20_000, seed=7, start=3))
         assert np.abs(got - want).max() <= 8 * EPS * np.abs(q).max(), (xi, r)
 
 
 def test_draw_form_values_continues_the_stream():
-    q = _bloch_form(_channel_blocks(0.4, 0.6))
-    whole = draw_form_values(q, 1000, seed=5)
+    form = _fidelity_form(0.4, 0.6)
+    whole = draw_form_values(form, 1000, seed=5)
     stream, parts = _philox(5), np.empty(1000)
     for a, b in ((0, 1), (1, 137), (137, 1000)):
-        _draw_form_values(q, stream, parts[a:b])
+        _draw_form_values(form, stream, parts[a:b])
     np.testing.assert_array_equal(parts, whole)
-    np.testing.assert_array_equal(draw_form_values(q, 37, seed=5, start=963), whole[-37:])
-
-
-def test_mc_refuses_a_non_diagonal_form(monkeypatch):
-    exact_form = teleportation._bloch_form
-
-    def skewed(factor):
-        def form(e):
-            q = exact_form(e).copy()
-            q[1, 3] += factor * EPS * np.abs(q).max()
-            return q
-        return form
-
-    monkeypatch.setattr(teleportation, "_bloch_form", skewed(4))
-    average_fidelity_mc(0.4, 0.6, samples=10, seed=1)
-    monkeypatch.setattr(teleportation, "_bloch_form", skewed(16))
-    with pytest.raises(NumericError, match="not diagonal"):
-        average_fidelity_mc(0.4, 0.6, samples=10, seed=1)
+    np.testing.assert_array_equal(draw_form_values(form, 37, seed=5, start=963), whole[-37:])
 
 
 def test_mc_zero_variance_at_ideal_point():
@@ -456,9 +539,9 @@ def two_pass_fsum(xi, r, samples, seed):
     """The Monte-Carlo mean and standard error as two math.fsum passes over
     the per-sample overlaps, drawn MC_CHUNK at a time: the reference for
     average_fidelity_mc's exact sums."""
-    q = _bloch_form(_channel_blocks(xi, r))
+    form = _fidelity_form(xi, r)
     chunk = teleportation.MC_CHUNK
-    values = np.concatenate([draw_form_values(q, min(chunk, samples - a), seed, a)
+    values = np.concatenate([draw_form_values(form, min(chunk, samples - a), seed, a)
                              for a in range(0, samples, chunk)])
     mean = math.fsum(values.tolist()) / samples
     if samples == 1:
@@ -557,9 +640,9 @@ def test_mc_std_error_matches_closed_form_sigma():
     samples = 200_000
     for i, (xi, r) in enumerate(((0.4, 0.6), (0.9, 0.85), (0.3, 1.5), (0.7, 3.0))):
         est = average_fidelity_mc(xi, r, samples=samples, seed=30 + i)
-        sigma = math.sqrt(sampling_variance(_bloch_form(_channel_blocks(xi, r))))
+        sigma = math.sqrt(sampling_variance(np.diag(_fidelity_form(xi, r))))
         assert abs(est.std_error * math.sqrt(samples) / sigma - 1.0) <= 0.01, (xi, r)
-    assert abs(sampling_variance(_bloch_form(_channel_blocks(0.0, 0.0)))) <= 1e-15
+    assert abs(sampling_variance(np.diag(_fidelity_form(0.0, 0.0)))) <= 1e-15
     assert average_fidelity_mc(0.0, 0.0, samples=samples, seed=30).std_error < 1e-9
 
 
@@ -594,7 +677,7 @@ def test_channel_blocks_match_full_tower():
         assert cut.n_max <= 200
         kit = build_protocol(schmidt_decompose(xi))
         full = full_tower_blocks(kit, entangled_state(xi, r, cut))
-        np.testing.assert_allclose(_channel_blocks(xi, r), full, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(channel_blocks(xi, r), full, rtol=0, atol=1e-12)
 
 
 def test_exact_fidelity_reaches_large_r():
@@ -636,7 +719,7 @@ def test_channel_blocks_equal_scatter_crop_construction():
     for r in (0.0, 0.1, 0.3, 0.6, 0.85, 1.5, 2.0, 3.0):
         cut = FockCutoff.for_acceleration(r)
         for xi in np.arange(96) * 0.01:
-            assert np.array_equal(_channel_blocks(xi, r), scatter_crop_channel_blocks(xi, r, cut)), (xi, r)
+            assert np.array_equal(channel_blocks(xi, r), scatter_crop_channel_blocks(xi, r, cut)), (xi, r)
 
 
 def test_apply_protocol_on_a_stack_equals_single_calls():
@@ -718,9 +801,9 @@ def test_fidelity_sweep_equals_per_point_loop():
 
 def test_fidelity_sweep_checks_work_bound_before_building(monkeypatch):
     def refuse(*args):
-        raise AssertionError("channel built before the work bound was checked")
+        raise AssertionError("fidelity form built before the work bound was checked")
 
-    monkeypatch.setattr(teleportation, "_channel_blocks", refuse)
+    monkeypatch.setattr(teleportation, "_fidelity_form", refuse)
     points = MC_WORK_BOUND // (1 + MC_POINT_CHARGE) + 1
     # above MAX_R the channel build itself fails, so the bound must come first
     with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
@@ -786,3 +869,15 @@ def test_exact_column_matches_mpmath():
         (point,) = fidelity_sweep(r, [xi], samples=1)
         want = mp_exact_fidelity(xi, r)
         assert abs(point.fidelity_exact - want) <= 1e-15 * want, (xi, r)
+
+
+def test_fidelity_sweep_runs_no_generic_route(monkeypatch):
+    # fig2's values come from the closed-form Q alone: no Schmidt
+    # decomposition, protocol kit or contraction is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("fig2 ran the generic protocol route")
+
+    for name in ("schmidt_decompose", "build_protocol", "apply_protocol"):
+        monkeypatch.setattr(teleportation, name, refuse)
+    (point,) = fidelity_sweep(0.6, [0.4], samples=100)
+    assert point.fidelity_exact == average_fidelity_exact(0.4, 0.6)
