@@ -13,11 +13,15 @@ bound here through ``ctypes``:
   Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990); Fernando &
   Parlett, Numer. Math. 67, 191 (1994)).
 
-Both cost O(n^2) time and O(n) memory.  The library is loaded on the first
-call, never at import.  Where it or one of the routines is missing (a numpy
-linked against MKL or a distribution's own LAPACK), each kernel falls back,
-within this module, to ``numpy.linalg`` on its band expanded into one dense
-n x n array, after the memory-budget check.
+Each kernel takes a stack of p Fortran-ordered bands, (p, rows, n), and
+returns p rows of values; one band is the stack of one.  Sizes, workspace
+and the INFO pointer are made once a stack, and each band costs one call
+per routine with its own addresses, INFO checked after every call.  Both
+cost O(n^2) time and O(n) memory a band.  The library is loaded on the
+first call, never at import.  Where it or one of the routines is missing
+(a numpy linked against MKL or a distribution's own LAPACK), each kernel
+falls back, within this module, to ``numpy.linalg`` on each band expanded
+into a dense n x n array, after the memory-budget check.
 """
 
 from __future__ import annotations
@@ -32,19 +36,20 @@ from .errors import NumericError
 from .linalg import check_budget
 
 _INT = ctypes.POINTER(ctypes.c_int64)
-_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_ADDR = ctypes.c_void_p  # an array argument, passed as its address
 _CHAR = ctypes.c_char_p
 _LEN = ctypes.c_size_t  # hidden length of a Fortran CHARACTER argument
 _SIGNATURES = {
     # JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, INFO
-    "dsbev": (_CHAR, _CHAR, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT,
-              _LEN, _LEN),
+    "dsbev": (_CHAR, _CHAR, _INT, _INT, _ADDR, _INT, _ADDR, _ADDR, _INT, _ADDR, _INT, _LEN, _LEN),
     # VECT, M, N, NCC, KL, KU, AB, LDAB, D, E, Q, LDQ, PT, LDPT, C, LDC, WORK, INFO
-    "dgbbrd": (_CHAR, _INT, _INT, _INT, _INT, _INT, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT,
-               _DOUBLE, _INT, _DOUBLE, _INT, _DOUBLE, _INT, _LEN),
+    "dgbbrd": (_CHAR, _INT, _INT, _INT, _INT, _INT, _ADDR, _INT, _ADDR, _ADDR, _ADDR, _INT,
+               _ADDR, _INT, _ADDR, _INT, _ADDR, _INT, _LEN),
     # N, D, E, WORK, INFO
-    "dlasq1": (_INT, _DOUBLE, _DOUBLE, _DOUBLE, _INT),
+    "dlasq1": (_INT, _ADDR, _ADDR, _ADDR, _INT),
 }
+# Points a sweep hands the kernels at once, so that its arrays stay O(n).
+_BLOCK = 16
 
 
 @functools.cache
@@ -67,69 +72,84 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _ptr(array: np.ndarray):
-    return array.ctypes.data_as(_DOUBLE)
+def _bind(name: str, chars: int = 0):
+    """Routine ``name`` with one INFO pointer and its ``chars`` hidden lengths
+    bound; the call raises NumericError unless INFO comes back 0."""
+    fn, info = _routines()[name], ctypes.c_int64(0)
+    tail = (ctypes.pointer(info), *[1] * chars)
+
+    def call(*args) -> None:
+        fn(*args, *tail)
+        if info.value != 0:
+            raise NumericError(f"LAPACK {name} failed with INFO = {info.value}")
+    return call
 
 
-def _call(name: str, *args, chars: int = 0) -> None:
-    """Call a routine with ``args``, then INFO, then the hidden lengths of
-    its ``chars`` one-character arguments; raise NumericError unless INFO
-    comes back 0."""
-    info = ctypes.c_int64(0)
-    _routines()[name](*args, ctypes.pointer(info), *[_LEN(1)] * chars)
-    if info.value != 0:
-        raise NumericError(f"LAPACK {name} failed with INFO = {info.value}")
+def _stack(ab: np.ndarray, what: str, rows: int | None = None) -> tuple[int, int, int]:
+    """(p, rows, n) of a writable stack of Fortran-ordered float64 bands, else ValueError."""
+    if not (ab.ndim == 3 and ab.dtype == np.float64 and rows in (None, ab.shape[1]) and ab.flags.writeable
+            and (len(ab) == 0 or ab[0].flags.f_contiguous)):  # every band has ab[0]'s strides
+        raise ValueError(f"{what} must be a (p, {rows or 'kd + 1'}, n) writable stack of Fortran-ordered "
+                         "float64 bands")
+    return ab.shape
 
 
 def band_eigvalsh(ab: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix A whose lower band is
-    ``ab``, Fortran-ordered (kd + 1, n) with ab[k, j] = A[j + k, j].
+    """Ascending eigenvalues (p, n) of the symmetric matrices A_i whose lower
+    bands are the stack ``ab`` (p, kd + 1, n), ab[i, k, j] = A_i[j + k, j],
+    each ab[i] Fortran-ordered: ``band.transpose(0, 2, 1)`` of a C-ordered
+    (p, n, kd + 1) ``band`` is such a stack.
 
-    ``ab`` may be overwritten.  Without the library, A^T is expanded and
-    ``eigvalsh`` reads its upper triangle: that prints the banded fig1
+    ``ab`` may be overwritten.  Without the library, each A_i^T is expanded
+    and ``eigvalsh`` reads its upper triangle: that prints the banded fig1
     values, where the lower triangle of A moved a row in the 12th digit.
     """
-    kd1, n = ab.shape
-    if not (ab.dtype == np.float64 and ab.flags.f_contiguous):
-        raise ValueError("band storage must be a Fortran-ordered float64 array")
+    p, kd1, n = _stack(ab, "band storage")
+    w = np.empty((p, n))
     if _routines() is None:
         check_budget((n, n), float, "band_eigvalsh dense fallback")
-        a = np.zeros((n, n))
-        for k in range(min(kd1, n)):  # a[j, j + k] = ab[k, j]
-            a.reshape(-1)[k::n + 1][:n - k] = ab[k, :n - k]
-        return np.linalg.eigvalsh(a, UPLO="U")
-    w = np.empty(n)
+        for band, row in zip(ab, w):
+            a = np.zeros((n, n))
+            for k in range(min(kd1, n)):  # a[j, j + k] = band[k, j]
+                a.reshape(-1)[k::n + 1][:n - k] = band[k, :n - k]
+            row[:] = np.linalg.eigvalsh(a, UPLO="U")
+        return w
+    dsbev = _bind("dsbev", chars=2)
+    size, kd, ldab, one = _int(n), _int(kd1 - 1), _int(kd1), _int(1)
     work = np.empty(max(1, 3 * n - 2))
-    dummy = np.empty(1)
-    _call("dsbev", b"N", b"L", _int(n), _int(kd1 - 1), _ptr(ab), _int(kd1), _ptr(w),
-          _ptr(dummy), _int(1), _ptr(work), chars=2)
+    at_ab, at_w, at_work = ab.ctypes.data, w.ctypes.data, work.ctypes.data
+    for i in range(p):  # Z is not referenced with JOBZ='N'
+        dsbev(b"N", b"L", size, kd, at_ab + i * ab.strides[0], ldab, at_w + 8 * n * i, None, one, at_work)
     return w
 
 
 def tridiagonal_singular_values(ab: np.ndarray) -> np.ndarray:
-    """Descending singular values of the square tridiagonal matrix M stored
-    in general band form: ``ab`` Fortran-ordered (3, n) with
-    ab[1 + i - j, j] = M[i, j] for |i - j| <= 1.
+    """Descending singular values (p, n) of the square tridiagonal matrices
+    M_i stored in general band form: the stack ``ab`` (p, 3, n) with
+    ab[i, 1 + k - j, j] = M_i[k, j] for |k - j| <= 1, each ab[i]
+    Fortran-ordered.
 
-    ``ab`` may be overwritten.  Without the library, M is expanded for
-    ``numpy.linalg.svd``.
+    ``ab`` may be overwritten.  Without the library, each M_i is expanded
+    for ``numpy.linalg.svd``.
     """
-    three, n = ab.shape
-    if not (three == 3 and ab.dtype == np.float64 and ab.flags.f_contiguous):
-        raise ValueError("tridiagonal band storage must be a Fortran-ordered (3, n) float64 array")
+    p, _, n = _stack(ab, "tridiagonal band storage", rows=3)
+    d = np.empty((p, n))
     if _routines() is None:
         check_budget((n, n), float, "tridiagonal_singular_values dense fallback")
-        m = np.zeros((n, n))
-        m.reshape(-1)[::n + 1] = ab[1]
-        m.reshape(-1)[1::n + 1] = ab[0, 1:]
-        m.reshape(-1)[n::n + 1] = ab[2, :-1]
-        return np.linalg.svd(m, compute_uv=False)
-    d, e = np.empty(n), np.empty(n)
-    work = np.empty(4 * n)
-    dummy = np.empty(1)
-    _call("dgbbrd", b"N", _int(n), _int(n), _int(0), _int(1), _int(1), _ptr(ab), _int(3),
-          _ptr(d), _ptr(e), _ptr(dummy), _int(1), _ptr(dummy), _int(1), _ptr(dummy), _int(1),
-          _ptr(work), chars=1)
-    _call("dlasq1", _int(n), _ptr(d), _ptr(e), _ptr(work))
+        for band, row in zip(ab, d):
+            m = np.zeros((n, n))
+            m.reshape(-1)[::n + 1] = band[1]
+            m.reshape(-1)[1::n + 1] = band[0, 1:]
+            m.reshape(-1)[n::n + 1] = band[2, :-1]
+            row[:] = np.linalg.svd(m, compute_uv=False)
+        return d
+    dgbbrd, dlasq1 = _bind("dgbbrd", chars=1), _bind("dlasq1")
+    size, zero, one, three = _int(n), _int(0), _int(1), _int(3)
+    e, work = np.empty(n), np.empty(4 * n)
+    at_ab, at_d, at_e, at_work = ab.ctypes.data, d.ctypes.data, e.ctypes.data, work.ctypes.data
+    for i in range(p):  # Q, PT and C are not referenced
+        row = at_d + 8 * n * i
+        dgbbrd(b"N", size, size, zero, one, one, at_ab + i * ab.strides[0], three, row, at_e,
+               None, one, None, one, None, one, at_work)
+        dlasq1(size, row, at_e, at_work)
     return d
-

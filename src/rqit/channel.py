@@ -303,7 +303,7 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
     rho[idx + 1, idx + 1] += p11 * d**2
     rho[idx, idx + 1] += p01 * c * d
     rho[idx + 1, idx] += np.conj(p01) * c * d
-    return DenseOperator(rho, (nlev,))
+    return DenseOperator._wrap(rho, (nlev,))
 
 
 # (qubit, Fock-level offset from n) of the rows of ``_shared_terms``' amps:
@@ -325,21 +325,27 @@ def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff)
     budget.
     """
     check_budget((4, cut.n_max + 1), float, "shared-state terms")
+    eta = np.array(_shared_etas(ox, a, cut))
+    factors, weights = _shared_levels(a, cut)
+    return eta[:, None] * factors, weights
+
+
+def _shared_etas(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff) -> tuple[float, ...]:
+    """The four eta of ``_shared_terms``' rows, after its trace check."""
     deficit = _shared_deficit(ox, a, cut.n_max)
     if deficit > cut.tol:
         raise TruncationError(
             f"shared-state trace deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
         )
+    return ox.eta(+1, -1), ox.eta(-1, -1), ox.eta(-1, +1), ox.eta(+1, +1)
+
+
+def _shared_levels(a: AccelerationParam, cut: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """The xi-free factors of ``_shared_terms``: rows (1, 1, s_n, s_n) that
+    scale the four eta, and the weights w_n, for n = 0..n_max."""
     n = np.arange(cut.n_max + 1)
     s = np.sqrt(n + 1.0) / a.C
-    amps = np.stack([
-        np.full_like(s, ox.eta(+1, -1)),
-        np.full_like(s, ox.eta(-1, -1)),
-        ox.eta(-1, +1) * s,
-        ox.eta(+1, +1) * s,
-    ])
-    weights = np.power(a.T, 2 * n) / (8.0 * a.C**2)
-    return amps, weights
+    return np.vstack([np.ones((2, len(n))), s, s]), np.power(a.T, 2 * n) / (8.0 * a.C**2)
 
 
 def _shared_deficit(ox: OrthogonalityParam, a: AccelerationParam, n_max: int) -> float:
@@ -386,7 +392,7 @@ def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
     for p, row in enumerate(offsets):
         for q, col in enumerate(offsets):
             rho[row + n, col + n] += weights * (amps[p] * amps[q])
-    return DenseOperator(rho, (2, nlev))
+    return DenseOperator._wrap(rho, (2, nlev))
 
 
 def small_r_qubit(bloch, r) -> DenseOperator:

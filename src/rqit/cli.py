@@ -49,7 +49,7 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise UsageError(f"grid must be min:max:step, got {text!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = (float(p) + 0.0 for p in parts)  # + 0.0 reads -0 as 0
     except ValueError as exc:
         raise UsageError(f"grid {text!r} has non-numeric parts") from exc
     if not 0 <= lo <= hi < 1:
@@ -289,10 +289,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Reject out-of-range option values before any work starts."""
+    """Reject out-of-range option values before any work starts, and read an
+    --r of -0 as 0, so that both print the same bytes."""
     r = getattr(args, "r", 0.0)
     if not (math.isfinite(r) and r >= 0):
         raise UsageError(f"--r must be finite and >= 0, got {r}")
+    if hasattr(args, "r"):
+        args.r = r + 0.0
     tol = getattr(args, "cutoff_tol", DEFAULT_TRUNCATION_TOL)
     if not 0 < tol < 1:
         raise UsageError(f"--cutoff-tol must lie in (0, 1), got {tol}")

@@ -19,7 +19,7 @@ from .channel import (FockCutoff, OrthogonalityParam, _as_accel, _as_cutoff, _as
                       unruh_one_particle_amplitudes, unruh_vacuum_amplitudes)
 from .errors import TruncationError
 from .geometry import root_fidelity
-from .linalg import DenseOperator, check_cost
+from .linalg import DenseOperator, check_budget, check_cost
 
 _TRACE_ATOL = 1e-6
 
@@ -65,7 +65,9 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     (1994)), in O(n_max^2) time and O(n_max) memory, with no square root.
     ``bures_angle`` of the two ``effective_qubit`` images is the dense route
     to the same angle, with the same checks: truncation, cost bound and unit
-    trace (Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2).
+    trace (Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2) at every point.  The bands
+    of a block of ``_lapack._BLOCK`` points are filled in one pass, after the
+    memory budget check, and taken by one kernel call.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
@@ -75,18 +77,23 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
     vacuum, one = float(np.sum(cc)), float(np.sum(dd))
     a1, b1 = OrthogonalityParam(0.0).plus_state().real
-    ab = np.zeros((3, cut.n_max + 1), order="F")
-    out = []
-    for xi in xi_grid:
-        a2, b2 = _as_xi(xi).phi_state().real
+    phis = np.array([_as_xi(xi).phi_state().real for xi in xi_grid]).reshape(-1, 2)
+    for a2, b2 in phis:
         for u, v in ((a1, b1), (a2, b2)):
             tr = u * u * vacuum + v * v * one
             if abs(tr - 1.0) > _TRACE_ATOL:
                 raise TruncationError(f"channel image trace {tr:.12g} misses 1 by more than {_TRACE_ATOL:.0e}")
-        ab[0, 1:] = b1 * a2 * cd
-        ab[1] = a1 * a2 * cc + b1 * b2 * dd
-        ab[2, :-1] = a1 * b2 * cd
-        root_fid = float(np.sum(_lapack.tridiagonal_singular_values(ab)))
-        out.append(AngleResult(float(xi), a.r, math.acos(float(np.clip(root_fid, 0.0, 1.0)))))
-    return out
-
+    block = min(len(phis), _lapack._BLOCK)
+    check_budget((block, cut.n_max + 1, 3), float, "angle_sweep band stack")
+    band = np.zeros((block, cut.n_max + 1, 3))
+    root_fids = np.empty(len(phis))
+    for lo in range(0, len(phis), _lapack._BLOCK):
+        k = min(block, len(phis) - lo)
+        a2, b2 = phis[lo:lo + k].T[:, :, None]
+        ab = band[:k].transpose(0, 2, 1)
+        ab[:, 0, 1:] = b1 * a2 * cd
+        ab[:, 1] = a1 * a2 * cc + b1 * b2 * dd
+        ab[:, 2, :-1] = a1 * b2 * cd
+        root_fids[lo:lo + k] = np.sum(_lapack.tridiagonal_singular_values(ab), axis=1)
+    return [AngleResult(float(xi), a.r, math.acos(float(np.clip(root_fid, 0.0, 1.0))))
+            for xi, root_fid in zip(xi_grid, root_fids)]

@@ -36,10 +36,11 @@ PSD_CLAMP = -1e-10
 # real (2) x (n_max + 2) shared state up to n_max 4094 (r = 3 needs 315 MB).
 MEMORY_BUDGET = 2**29
 # Largest n_max^2 x points a banded sweep (fig1, fig3) may take on.  Those
-# kernels need O(n_max) memory and O(n_max^2) time per point (about 5e-8 s
-# per n_max^2 for fig1 and 2e-8 s for fig3 on a 2-core x86 host), so time is
-# their ceiling: this caps a call near 10 s, admits one point up to n_max
-# 14142 (r about 3.75) and the 96-point default grid up to n_max 1443.
+# kernels need O(n_max) memory and O(n_max^2) time per point (3.3-4.9e-8 s
+# per n_max^2 for fig1 and 1.5-1.7e-8 s for fig3 at n_max 155-3136 on a
+# 2-core x86 host), so time is their ceiling: this caps a call near 10 s,
+# admits one point up to n_max 14142 (r about 3.75) and the 96-point default
+# grid up to n_max 1443.
 WORK_BUDGET = 2 * 10**8
 
 
@@ -81,7 +82,17 @@ class DenseOperator:
     space_tag: tuple[int, ...]
 
     def __init__(self, entries: np.ndarray, space_tag=None):
-        m = np.array(entries, dtype=complex if np.iscomplexobj(entries) else float)
+        self._adopt(np.array(entries, dtype=complex if np.iscomplexobj(entries) else float), space_tag)
+
+    @classmethod
+    def _wrap(cls, m: np.ndarray, space_tag) -> "DenseOperator":
+        """The operator over the float64 or complex128 array ``m`` itself, made
+        read-only with no copy: for an array its caller built and hands over."""
+        op = object.__new__(cls)
+        op._adopt(m, space_tag)
+        return op
+
+    def _adopt(self, m: np.ndarray, space_tag) -> None:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if space_tag is None:

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,23 @@ def test_real_storage_dtypes():
     for op in (effective_qubit((0.3, 0.2, -0.5), 0.6), small_r_qubit((0.3, 0.0, -0.5), 0.1),
                minkowski_qubit((0.3, 0.0, -0.5))):
         assert op.entries.dtype == np.complex128
+
+
+def test_state_builds_wrap_their_array_without_a_copy():
+    # the built matrix is handed to the operator, not copied: the peak stays
+    # near one state, where a copy on wrap would double it
+    cut = FockCutoff(400)
+    nbytes = (2 * cut.levels) ** 2 * 8
+    entangled_state(0.3, 0.6, cut)
+    tracemalloc.start()
+    try:
+        rho = entangled_state(0.3, 0.6, cut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.entries.nbytes == nbytes and peak < 1.3 * nbytes
+    for op in (rho, effective_qubit((0.3, 0.0, -0.5), 0.6), effective_qubit((0.3, 0.2, -0.5), 0.6)):
+        assert not op.entries.flags.writeable and op.entries.base is None
 
 
 def test_entangled_state_bell_limit():

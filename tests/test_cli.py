@@ -92,6 +92,22 @@ def test_reruns_are_byte_identical(tmp_path):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--r", "{z}", "--xi={z}:0:0"],
+    ["fig2", "--r", "{z}", "--xi={z}:0:{z}", "--samples", "3"],
+    ["fig3", "--r", "{z}", "--xi={z}:0:0"],
+    ["metric", "--r", "{z}", "--points", "2"],
+    ["curvature", "--r", "{z}", "--grid", "2"],
+], ids=lambda argv: argv[0])
+def test_negative_zero_prints_as_zero(argv, tmp_path):
+    def run(z):
+        out = tmp_path / f"{z}.csv"
+        assert run_cli([a.format(z=z) for a in argv] + ["-o", str(out)]) == 0
+        return [line for line in out.read_bytes().splitlines() if not line.startswith(b"# output=")]
+
+    assert run("-0") == run("0") == run("-0.0")
+
+
 def test_svg_emission(tmp_path):
     out, svg = tmp_path / "f.csv", tmp_path / "f.svg"
     assert run_cli(["fig1", "--r", "0.4", "--xi", "0:0.2:0.05", "-o", str(out), "--svg", str(svg)]) == 0

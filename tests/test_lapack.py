@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rqit import _lapack
+from rqit import _lapack, channel, entanglement
 from rqit.channel import FockCutoff, OrthogonalityParam, effective_qubit, entangled_state
 from rqit.cli import main
 from rqit.distinguishability import angle_sweep, bures_angle
@@ -71,7 +71,7 @@ def test_band_eigvalsh_matches_dense(route, kd, n):
     ab = np.asfortranarray(rng.normal(size=(kd + 1, n)))
     lower = sum(np.diag(ab[k, :n - k], -k) for k in range(min(kd, n - 1) + 1))
     dense = lower + np.tril(lower, -1).T
-    np.testing.assert_allclose(_lapack.band_eigvalsh(ab), np.linalg.eigvalsh(dense), atol=1e-12)
+    np.testing.assert_allclose(_lapack.band_eigvalsh(ab[None])[0], np.linalg.eigvalsh(dense), atol=1e-12)
 
 
 @on_both_routes(("n",), [(1,), (2,), (7,), (60,)])
@@ -79,7 +79,7 @@ def test_tridiagonal_singular_values_match_dense(route, n):
     rng = np.random.default_rng(n)
     ab = np.asfortranarray(rng.normal(size=(3, n)))
     dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    got = _lapack.tridiagonal_singular_values(ab)
+    got = _lapack.tridiagonal_singular_values(ab[None])[0]
     np.testing.assert_allclose(got, np.linalg.svd(dense, compute_uv=False), atol=1e-12)
 
 
@@ -88,6 +88,79 @@ def test_band_storage_is_validated():
         _lapack.band_eigvalsh(np.zeros((4, 8)))
     with pytest.raises(ValueError, match="Fortran-ordered"):
         _lapack.tridiagonal_singular_values(np.zeros((2, 8), order="F"))
+    # stacks whose bands are C-ordered, of the wrong dtype, or not of three rows
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        _lapack.band_eigvalsh(np.zeros((2, 4, 8)))
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        _lapack.band_eigvalsh(np.zeros((2, 8, 4), dtype=np.float32).transpose(0, 2, 1))
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        _lapack.tridiagonal_singular_values(np.zeros((2, 8, 2)).transpose(0, 2, 1))
+    # LAPACK overwrites the bands, so a read-only stack is refused
+    with pytest.raises(ValueError, match="writable"):
+        _lapack.band_eigvalsh(np.broadcast_to(np.eye(4, 8), (3, 4, 8)).transpose(0, 2, 1))
+
+
+STACKS = (0, 1, _lapack._BLOCK - 1, _lapack._BLOCK, _lapack._BLOCK + 1, 96)
+
+
+@pytest.mark.parametrize("p", STACKS)
+def test_stacked_kernels_equal_per_band_calls(route, p):
+    # the stack's values are bit for bit those of each band called as a stack of one
+    rng = np.random.default_rng(p)
+    kernels = [(_lapack.band_eigvalsh, kd + 1) for kd in (1, 2, 3)]
+    for kernel, rows in kernels + [(_lapack.tridiagonal_singular_values, 3)]:
+        bands = rng.normal(size=(p, 9, rows))
+        stacked = kernel(bands.copy().transpose(0, 2, 1))
+        assert stacked.shape == (p, 9)
+        single = [kernel(band.copy()[None].transpose(0, 2, 1))[0] for band in bands]
+        assert np.array_equal(stacked, np.array(single).reshape(p, 9))
+
+
+@needs_library
+@pytest.mark.parametrize("routine, info_arg, kernel, rows", [
+    ("dsbev", 10, _lapack.band_eigvalsh, 4),
+    ("dgbbrd", 17, _lapack.tridiagonal_singular_values, 3),
+    ("dlasq1", 4, _lapack.tridiagonal_singular_values, 3),
+])
+def test_nonzero_info_on_a_middle_band_raises(routine, info_arg, kernel, rows, monkeypatch):
+    real, calls = _lapack._routines()[routine], []
+
+    def fails_third(*args):
+        real(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            args[info_arg].contents.value = -5
+
+    routines = {**_lapack._routines(), routine: fails_third}
+    monkeypatch.setattr(_lapack, "_routines", lambda: routines)
+    bands = np.random.default_rng(0).normal(size=(6, 12, rows))
+    with pytest.raises(NumericError, match=f"LAPACK {routine} failed with INFO = -5"):
+        kernel(bands.transpose(0, 2, 1))
+    assert len(calls) == 3
+
+
+def test_sweeps_across_blocks_equal_one_point_sweeps(route):
+    xis = np.arange(2 * _lapack._BLOCK + 3) * 0.025
+    for sweep, r in ((negativity_sweep, 0.6), (angle_sweep, 0.85)):
+        assert sweep(r, xis) == [sweep(r, [xi])[0] for xi in xis]
+
+
+def test_sweeps_of_an_empty_grid(route):
+    assert negativity_sweep(0.6, []) == [] and angle_sweep(0.85, []) == []
+
+
+def test_negativity_sweep_builds_the_terms_once(monkeypatch):
+    def rebuilds(*args):
+        raise AssertionError("negativity_sweep rebuilt the shared-state terms")
+
+    xis = np.arange(40) * 0.02
+    expected = negativity_sweep(0.6, xis)
+    monkeypatch.setattr(channel, "_shared_terms", rebuilds)
+    monkeypatch.setattr(entanglement, "_shared_terms", rebuilds, raising=False)
+    levels = []
+    monkeypatch.setattr(entanglement, "_shared_levels",
+                        lambda *args: levels.append(args) or channel._shared_levels(*args))
+    assert negativity_sweep(0.6, xis) == expected and len(levels) == 1
 
 
 @pytest.mark.parametrize("r", [0.0, 0.01])

@@ -37,6 +37,14 @@ def test_operator_validation():
         op.entries[0, 0] = 5  # stored read-only
 
 
+def test_constructor_copies_its_input():
+    m = np.eye(3)
+    op = DenseOperator(m)
+    assert m.flags.writeable and not op.entries.flags.writeable
+    m[0, 0] = 5.0
+    assert op.entries[0, 0] == 1.0 and not np.shares_memory(m, op.entries)
+
+
 def test_operator_dtype_follows_input():
     assert DenseOperator(np.eye(2, dtype=int)).entries.dtype == np.float64
     assert DenseOperator(SX).entries.dtype == np.complex128
