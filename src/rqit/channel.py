@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidBlochError, RQITError, SizeError, TruncationError
-from .linalg import DenseOperator, check_budget
+from .linalg import DenseOperator, _Frozen, check_budget
 
 DEFAULT_TRUNCATION_TOL = 1e-12
 SMALL_R_LIMIT = 0.3
@@ -29,15 +28,15 @@ SMALL_R_LIMIT = 0.3
 MAX_R = 170.0
 
 
-@dataclass(frozen=True)
-class AccelerationParam:
+class AccelerationParam(_Frozen):
     """Squeezing parameter r >= 0 of the Rindler-wedge mode transformation."""
 
-    r: float
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        if not self.r >= 0:
-            raise ValueError(f"squeezing parameter must be >= 0, got {self.r}")
+    def __init__(self, r: float):
+        if not r >= 0:
+            raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+        object.__setattr__(self, "r", r)
 
     @property
     def C(self) -> float:
@@ -74,8 +73,7 @@ def _as_accel(r) -> AccelerationParam:
     return r if isinstance(r, AccelerationParam) else AccelerationParam(float(r))
 
 
-@dataclass(frozen=True)
-class OrthogonalityParam:
+class OrthogonalityParam(_Frozen):
     """Overlap parameter xi in [0, 1) between the encoding states.
 
     The encoding basis is |+> = (|0>+|1>)/sqrt2 and
@@ -83,11 +81,12 @@ class OrthogonalityParam:
     orthogonal (|phi> = |->).
     """
 
-    xi: float
+    __slots__ = ("xi",)
 
-    def __post_init__(self):
-        if not 0.0 <= self.xi < 1.0:
-            raise ValueError(f"xi must lie in [0, 1), got {self.xi}")
+    def __init__(self, xi: float):
+        if not 0.0 <= xi < 1.0:
+            raise ValueError(f"xi must lie in [0, 1), got {xi}")
+        object.__setattr__(self, "xi", xi)
 
     def plus_state(self) -> np.ndarray:
         return np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -117,22 +116,22 @@ def _as_xi(xi) -> OrthogonalityParam:
     return xi if isinstance(xi, OrthogonalityParam) else OrthogonalityParam(float(xi))
 
 
-@dataclass(frozen=True)
-class FockCutoff:
+class FockCutoff(_Frozen):
     """Truncation level of the wedge-I Fock tower.
 
     Amplitude lists run over n = 0..n_max and the truncated one-particle
     tower reaches level n_max + 1, so operators live on n_max + 2 levels.
     """
 
-    n_max: int
-    tol: float = DEFAULT_TRUNCATION_TOL
+    __slots__ = ("n_max", "tol")
 
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be a positive integer, got {self.n_max}")
-        if not 0 < self.tol < 1:
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
+    def __init__(self, n_max: int, tol: float = DEFAULT_TRUNCATION_TOL):
+        if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
+            raise ValueError(f"n_max must be a positive integer, got {n_max}")
+        if not 0 < tol < 1:
+            raise ValueError(f"tol must lie in (0, 1), got {tol}")
+        object.__setattr__(self, "n_max", int(n_max))
+        object.__setattr__(self, "tol", tol)
 
     @property
     def levels(self) -> int:

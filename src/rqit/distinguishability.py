@@ -9,8 +9,7 @@ at a given acceleration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from .linalg import DenseOperator, check_budget, check_cost
 _TRACE_ATOL = 1e-6
 
 
-@dataclass(frozen=True)
-class AngleResult:
+class AngleResult(NamedTuple):
     xi: float
     r: float
     theta: float

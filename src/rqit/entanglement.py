@@ -10,8 +10,7 @@ which the test suite asserts).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,8 +22,7 @@ from .linalg import DenseOperator, check_budget, check_cost, partial_transpose, 
 _LOG_NEG_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class NegativityResult:
+class NegativityResult(NamedTuple):
     xi: float
     r: float
     log_negativity: float

@@ -45,8 +45,7 @@ that code's roundings: ``n @ n`` as BLAS ddot rounds it, powers by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,8 +101,7 @@ def generalized_bures_distance(rho: DenseOperator, sigma: DenseOperator) -> floa
     return 2.0 * (tr_product - fidelity(rho, sigma))
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(NamedTuple):
     """3x3 symmetric metric tensor at a state-space point, or a table of
     them: point (k, 3) and tensor (k, 3, 3).
 
@@ -116,8 +114,7 @@ class MetricValue:
     tensor: np.ndarray
 
 
-@dataclass(frozen=True)
-class CurvatureResult:
+class CurvatureResult(NamedTuple):
     """Numeric vs closed-form scalar curvature at a polar point.
 
     numeric_R comes solely from the finite-difference oracle and never

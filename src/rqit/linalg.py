@@ -24,7 +24,6 @@ banded sweep (``check_cost``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +66,34 @@ def check_cost(n_max: int, points: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DenseOperator:
+class _Frozen:
+    """Immutable slotted value: ``__init__`` sets each slot once; repr, ==, hash and pickle by value."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class DenseOperator(_Frozen):
     """Square matrix on a (possibly composite) truncated mode space.
 
     Attributes:
@@ -78,8 +103,8 @@ class DenseOperator:
         space_tag: ordered factor dimensions; their product equals dim.
     """
 
-    entries: np.ndarray
-    space_tag: tuple[int, ...]
+    __slots__ = ("entries", "space_tag")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
     def __init__(self, entries: np.ndarray, space_tag=None):
         self._adopt(np.array(entries, dtype=complex if np.iscomplexobj(entries) else float), space_tag)
@@ -103,6 +128,9 @@ class DenseOperator:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "space_tag", tag)
+
+    def __reduce__(self):
+        return DenseOperator._wrap, (self.entries, self.space_tag)
 
     @property
     def dim(self) -> int:

@@ -32,8 +32,7 @@ corrections, then changed to the Pauli basis) as the oracle for Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +56,7 @@ MC_CHUNK = 8_192
 _EXACT_CHUNK = 2**26
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
+class SchmidtDecomposition(NamedTuple):
     """Schmidt data of the inertial shared state.
 
     lambdas are sorted descending; alice_basis / rob_basis hold the Schmidt
@@ -125,8 +123,7 @@ def fidelity_bound(xi) -> float:
     return (sd.lambda0 + sd.lambda1) / _SQRT2
 
 
-@dataclass(frozen=True)
-class ProtocolKit:
+class ProtocolKit(NamedTuple):
     """POVMs on the sender's qubit pair and 2x2 receiver corrections."""
 
     povms: tuple[np.ndarray, ...]
@@ -249,8 +246,7 @@ def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
     return np.stack([q0, q1], axis=2)
 
 
-@dataclass(frozen=True)
-class FidelityEstimate:
+class FidelityEstimate(NamedTuple):
     """Monte-Carlo average fidelity; ``exact`` is the exact Haar average of the
     same channel, bit for bit ``average_fidelity_exact`` at the same inputs."""
 
@@ -398,8 +394,7 @@ class _ExactSum:
         return n / (1 << 1127)
 
 
-@dataclass(frozen=True)
-class FidelityResult:
+class FidelityResult(NamedTuple):
     xi: float
     r: float
     fidelity_mc: float
