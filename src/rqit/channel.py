@@ -184,7 +184,9 @@ def _as_cutoff(cutoff, r) -> FockCutoff:
         return FockCutoff.for_acceleration(r)
     if isinstance(cutoff, FockCutoff):
         return cutoff
-    return FockCutoff(int(cutoff))
+    if isinstance(cutoff, (float, np.floating)) and float(cutoff).is_integer():
+        cutoff = int(cutoff)  # 24.0 is the integer 24; 24.9 and True stay for FockCutoff to refuse
+    return FockCutoff(cutoff)
 
 
 def _log_t(a: AccelerationParam) -> float:
@@ -341,10 +343,18 @@ def _shared_etas(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff) 
 
 def _shared_levels(a: AccelerationParam, cut: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
     """The xi-free factors of ``_shared_terms``: rows (1, 1, s_n, s_n) that
-    scale the four eta, and the weights w_n, for n = 0..n_max."""
+    scale the four eta, and the weights w_n = t^n / (8 cosh^2 r), t = tanh^2 r,
+    for n = 0..n_max.
+
+    Powers of the rounded tanh r give t^n a relative error up to about n ulp;
+    exp(n ln t) with ``_log_t`` gives about eps (1 + n |ln t|), the smaller
+    where |ln t| < 1 (r above about 0.7), so it is used there.  Below, r = 0
+    (where ln t = -inf) included, the powers stay.
+    """
     n = np.arange(cut.n_max + 1)
     s = np.sqrt(n + 1.0) / a.C
-    return np.vstack([np.ones((2, len(n))), s, s]), np.power(a.T, 2 * n) / (8.0 * a.C**2)
+    t_n = np.exp(n * _log_t(a)) if a.T**2 > math.exp(-1.0) else np.power(a.T, 2 * n)
+    return np.vstack([np.ones((2, len(n))), s, s]), t_n / (8.0 * a.C**2)
 
 
 def _shared_deficit(ox: OrthogonalityParam, a: AccelerationParam, n_max: int) -> float:

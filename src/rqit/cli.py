@@ -214,6 +214,8 @@ def _cmd_validate(args) -> int:
     en1 = log_negativity(entangled_state(0.0, 0.6, cut6))
     en2 = log_negativity(entangled_state(0.0, 0.6, cut6.doubled()))
     add("cutoff_doubling_shift", en1 - en2, 0.0, 1e-8)
+    mc, = fidelity_sweep(0.6, [0.4], samples=200_000, seed=0)
+    add("mc_fidelity_shift", mc.fidelity_mc - mc.fidelity_exact, 0.0, 5 * mc.std_err)
 
     rows = []
     all_ok = True

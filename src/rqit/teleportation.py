@@ -41,8 +41,8 @@ from .errors import NumericError, SizeError
 from .linalg import DenseOperator, check_budget
 
 _SQRT2 = math.sqrt(2.0)
-# Largest work a fidelity_sweep may take, in samples: about 8-12 s at
-# 0.08-0.12 us a sample on a 2-core x86 host.  Each xi point counts its
+# Largest work a fidelity_sweep may take, in samples: about 6-9 s at
+# 0.06-0.09 us a sample on a 2-core x86 host.  Each xi point counts its
 # samples plus MC_POINT_CHARGE for its fixed work (the fidelity form and the
 # sampling set-up, 0.07-0.08 ms a point there); both values date from slower
 # code and are kept, so that the runs they admit stay the same.  The
@@ -50,9 +50,12 @@ _SQRT2 = math.sqrt(2.0)
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
 # Monte-Carlo samples drawn at a time: the sampling temporaries stay cache-sized.
-# Each chunk is also one _ExactSum.add, which is exact for at most 2**26 values.
+# Each chunk is also one _ExactSum.add, about 40 us for 8192 values in [0, 1]
+# there (two extraction levels).
 MC_CHUNK = 8_192
-# Largest array _ExactSum.add takes: 2**26 halves of magnitude <= 2**27 sum exactly in doubles.
+# Largest array _ExactSum.add takes: its two scratch arrays then hold 1 GiB, and
+# each extraction level still takes 25 bits (about 6 ns a value at 2**20 values
+# in [0, 1] there).
 _EXACT_CHUNK = 2**26
 
 
@@ -348,50 +351,48 @@ def average_fidelity_mc(
 class _ExactSum:
     """Exact running sum of float64 arrays; ``value()`` rounds it once.
 
-    ``np.frexp`` writes a finite double as f 2^e, with f = 0 or
-    0.5 <= |f| < 1, so it is M 2^(e - 53) with M = f 2^53 an integer below
-    2^53 in magnitude (subnormals included: e >= -1073).  ``add`` splits M
-    into H = floor(f 2^27) and L = (f 2^27 - H) 2^26 in [0, 2^26) and sums
-    both by e with ``np.bincount``: for at most 2^26 values every partial sum
-    is an integer of magnitude at most 2^53, so the double sums are exact.
-    The bins are kept as int64 (each grows by at most 2^27 a value, so they
-    hold 2^36 values), bin k holding e = k - 1074.  ``value()``
-    shifts them into one Python int N = sum_k (H_k 2^26 + L_k) 2^k and
-    returns N / 2^1127, which Python rounds correctly: the same double that
-    math.fsum gives for the same values, in any order and chunking.
+    ``add`` uses error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci.
+    Comput. 31, 189 (2008)): for n values below 2^E in magnitude and sigma =
+    2^(E + bit_length(n) + 1), q = (x + sigma) - sigma, x - q and ``q.sum()``
+    (in any order) are exact, and x - q is extracted again until it is zero.
+    Where sigma would overflow, the values of magnitude >= 1 go first, at an
+    exact scale 2^-shift.  The partials add up in one Python int, which
+    ``value()`` rounds once: math.fsum's double, in any order and chunking.
     """
 
     def __init__(self) -> None:
-        self._hi = np.zeros(1074 + 1025, dtype=np.int64)
-        self._lo = np.zeros(1074 + 1025, dtype=np.int64)
+        self._total = 0  # in units of 2^-1074
+        self._scratch = np.empty((2, 0))
 
     def add(self, x: np.ndarray) -> None:
-        """Add the values of the float64 array ``x``; NumericError on an
-        infinity or a NaN, which no bin could hold."""
+        """Add the values of the float64 array ``x``; NumericError on an infinity or a NaN."""
         if x.size > _EXACT_CHUNK:
             raise ValueError(f"an exact sum takes at most {_EXACT_CHUNK} values at a time, got {x.size}")
-        if not x.size:
-            return
-        f, e = np.frexp(x)
-        low, top = int(e.min()), int(e.max())
-        e -= low  # bins from the smallest exponent on: as many as the chunk spans
-        t = f * 2.0**27
-        hi = np.floor(t)
-        hi_bins = np.bincount(e, weights=hi)
-        if not np.isfinite(hi_bins).all():
+        top = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+        if not math.isfinite(top):
             raise NumericError("a Monte-Carlo sum met an infinity or a NaN")
-        t -= hi
-        t *= 2.0**26
-        self._hi[low + 1074:top + 1075] += hi_bins.astype(np.int64)
-        self._lo[low + 1074:top + 1075] += np.bincount(e, weights=t).astype(np.int64)
+        if self._scratch.shape[1] < x.size:
+            self._scratch = np.empty((2, x.size))
+        q, rest = self._scratch[:, :x.size]
+        width = x.size.bit_length() + 1
+        parts = [(x, top, 0)]
+        if (shift := math.frexp(top)[1] + width - 1023) > 0:  # sigma = 2^(E + width) would overflow
+            big = np.where(np.abs(x) >= 1.0, x, 0.0)
+            small = x - big
+            parts = [(big * 2.0**-shift, top * 2.0**-shift, shift), (small, float(np.abs(small).max()), 0)]
+        for y, top, scale in parts:
+            while top:
+                sigma = math.ldexp(1.0, math.frexp(top)[1] + width)
+                np.add(y, sigma, out=q)
+                q -= sigma
+                p, d = float(q.sum()).as_integer_ratio()  # d: a power of 2, at most 2^1074
+                self._total += p << (1075 + scale - d.bit_length())
+                y = np.subtract(y, q, out=rest)
+                top = max(float(y.max()), -float(y.min()))
 
     def value(self) -> float:
         """The sum of every value added so far, correctly rounded."""
-        used = np.flatnonzero(self._hi | self._lo)
-        n = 0
-        for k, hi, lo in zip(used.tolist(), self._hi[used].tolist(), self._lo[used].tolist()):
-            n += ((hi << 26) + lo) << k
-        return n / (1 << 1127)
+        return self._total / (1 << 1074)
 
 
 class FidelityResult(NamedTuple):

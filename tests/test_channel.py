@@ -21,6 +21,8 @@ from rqit.channel import (
     unruh_vacuum_amplitudes,
 )
 from rqit.cli import main
+from rqit.distinguishability import angle_sweep
+from rqit.entanglement import negativity_sweep
 from rqit.errors import InvalidBlochError, SizeError, TruncationError
 
 
@@ -65,6 +67,16 @@ def test_cutoff_rule():
         assert t2 ** (cut.n_max + 1) * ((cut.n_max + 2) - (cut.n_max + 1) * t2) <= cut.tol
     with pytest.raises(ValueError):
         FockCutoff(0)
+
+
+@pytest.mark.parametrize("sweep", [negativity_sweep, angle_sweep])
+def test_plain_number_cutoff_must_be_integral(sweep):
+    want = sweep(0.6, [0.3], FockCutoff(24))
+    for cutoff in (24, 24.0, np.int64(24), np.float64(24.0)):
+        assert sweep(0.6, [0.3], cutoff) == want, cutoff
+    for bad in (24.9, True, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sweep(0.6, [0.3], bad)
 
 
 def linear_scan_cutoff(r, tol=1e-12):

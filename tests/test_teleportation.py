@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqit import teleportation
-from rqit.channel import _SHARED_COMPONENTS, MAX_R, FockCutoff, _as_accel, _as_xi, _shared_terms, entangled_state
+from rqit.channel import (_SHARED_COMPONENTS, MAX_R, FockCutoff, _as_accel, _as_xi, _log_t, _shared_terms,
+                          entangled_state)
 from rqit.errors import NumericError, RQITError, SizeError
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
@@ -296,15 +297,17 @@ def channel_blocks(xi, r):
     w_0 |v_0><v_0| + w_1 |v_1'><v_1'|, with v_1' the level-1 part of |v_1>:
 
         v_0 = (eta_{+-}, eta_{-+}/C, eta_{--}, eta_{++}/C),  w_0 = 1/(8 C^2),
-        v_1' = (0, eta_{+-}, 0, eta_{--}),                    w_1 = T^2/(8 C^2),
+        v_1' = (0, eta_{+-}, 0, eta_{--}),                    w_1 = t/(8 C^2),
 
-    with C = cosh r and T = tanh r (see ``channel.entangled_state``).
+    with C = cosh r and t = tanh^2 r (see ``channel.entangled_state``).
     """
     ox, a = _as_xi(xi), _as_accel(r)
     s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._shared_terms
     v0 = np.array([ox.eta(+1, -1), ox.eta(-1, +1) * s, ox.eta(-1, -1), ox.eta(+1, +1) * s])
     v1 = np.array([0.0, ox.eta(+1, -1), 0.0, ox.eta(-1, -1)])
-    w0, w1 = 1.0 / (8.0 * a.C**2), a.T**2 / (8.0 * a.C**2)
+    # t rounded as in channel._shared_levels: exp(ln t) where |ln t| < 1, else tanh r squared
+    t = float(np.exp(_log_t(a))) if a.T**2 > math.exp(-1.0) else a.T**2
+    w0, w1 = 1.0 / (8.0 * a.C**2), t / (8.0 * a.C**2)
     shared = DenseOperator(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1), (2, 2))
     units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
     return apply_protocol(build_protocol(schmidt_decompose(xi)), shared, units)
@@ -609,6 +612,33 @@ def test_exact_sum_matches_fsum_in_any_chunking(values, cuts):
 def test_exact_sum_edge_cases(values):
     assert same_double(exact_sum([values]), math.fsum(values))
     assert same_double(exact_sum([values[::2], values[1::2]]), math.fsum(values))
+
+
+def real_size_chunks(n):
+    """Chunks of n values for the exact sum: exponents over the whole double
+    range, subnormals included, with the largest magnitude within 2^bit_length(n)
+    of overflow (where the extraction's sigma = 2^(E + bit_length(n) + 1) would
+    overflow), then exact cancellations around round-half-even ties."""
+    rng = np.random.default_rng(n)
+    edge = 2.0 ** (1024 - n.bit_length())  # n magnitudes below edge sum to at most DBL_MAX
+    wide = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 1025 - n.bit_length(), n))
+    wide[0] = -np.nextafter(edge, 0.0)
+    yield wide
+    yield np.abs(wide)
+    if n == 1:
+        yield from ([v] for v in (1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -(2.0**-1022)))
+        return
+    pairs = wide[:(n - 2) // 2]
+    for tie in ([1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [-1.0, -(2.0**-53) - 2.0**-105],
+                [np.nextafter(edge / 2, 0.0), edge * 2.0**-55]):
+        yield rng.permutation(np.concatenate([pairs, tie, -pairs]))
+
+
+@pytest.mark.parametrize("n", [1, teleportation.MC_CHUNK, 2**16])
+def test_exact_sum_matches_fsum_at_real_chunk_sizes(n):
+    for values in real_size_chunks(n):
+        assert len(values) == n
+        assert same_double(exact_sum([values]), math.fsum(values)), n
 
 
 def test_exact_sum_refuses_non_finite_and_oversized_chunks():
