@@ -101,8 +101,8 @@ def band_eigvalsh(ab: np.ndarray) -> np.ndarray:
     (p, n, kd + 1) ``band`` is such a stack.
 
     ``ab`` may be overwritten.  Without the library, each A_i^T is expanded
-    and ``eigvalsh`` reads its upper triangle: that prints the banded fig1
-    values, where the lower triangle of A moved a row in the 12th digit.
+    and ``eigvalsh`` reads its upper triangle; on fig1's bands (kd = 2) either
+    triangle prints the 12 digits of the banded fig1 values.
     """
     p, kd1, n = _stack(ab, "band storage")
     w = np.empty((p, n))

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .channel import DEFAULT_TRUNCATION_TOL, FockCutoff, entangled_state
 from .distinguishability import angle_sweep
-from .entanglement import log_negativity, negativity_sweep
+from .entanglement import negativity_sweep
 from .errors import RQITError
 from .geometry import curvature_comparison, metric_cartesian, numeric_metric, scalar_curvature_numeric
 from .teleportation import average_fidelity_exact, fidelity_sweep, run_protocol
@@ -199,7 +199,7 @@ def _cmd_validate(args) -> int:
         checks.append((name, float(value), float(reference), tol))
 
     cut0 = FockCutoff.for_acceleration(0.0, args.cutoff_tol)
-    add("bell_log_negativity", log_negativity(entangled_state(0.0, 0.0, cut0)), 1.0, 1e-10)
+    add("bell_log_negativity", negativity_sweep(0.0, [0.0], cut0)[0].log_negativity, 1.0, 1e-10)
     cut6 = FockCutoff.for_acceleration(0.6, args.cutoff_tol)
     add("state_trace", entangled_state(0.5, 0.6, cut6).trace().real, 1.0, 1e-10)
     ideal = run_protocol((1 / math.sqrt(2), 1j / math.sqrt(2)), 0.0, 0.0)
@@ -211,8 +211,13 @@ def _cmd_validate(args) -> int:
     add("orthogonal_angle", sweep0[0].theta, math.pi / 2, 1e-10)
     add("metric_origin", numeric_metric((0, 0, 0), 0.0).tensor[0, 0], 0.25, 1e-12)
     add("flat_curvature", scalar_curvature_numeric(0.5, math.pi / 2, 0.0), 24.0, 1e-3)
-    en1 = log_negativity(entangled_state(0.0, 0.6, cut6))
-    en2 = log_negativity(entangled_state(0.0, 0.6, cut6.doubled()))
+    # at xi = 0 rho^Gamma is 4 w_0 and blocks 4 [[w_{m-1} s_{m-1}^2, w_m s_m], [w_m s_m, w_{m+1}]] (PRL 95, 120404)
+    c, m = math.cosh(0.6), np.arange(cut6.n_max + 3)
+    w = np.where(m <= cut6.n_max, math.tanh(0.6) ** (2 * m) / (8 * c * c), 0.0)
+    a, b, d = 4 * np.roll(w * (m + 1) / (c * c), 1), 4 * w * np.sqrt(m + 1.0) / c, 4 * np.append(w[1:], 0.0)
+    exact = math.log2(4 * w[0] + np.sum(np.maximum(a + d, np.hypot(a - d, 2 * b))))
+    en1, en2 = (negativity_sweep(0.6, [0.0], cut)[0].log_negativity for cut in (cut6, cut6.doubled()))
+    add("fig1_xi0_closed_form", en1, exact, 1e-14)
     add("cutoff_doubling_shift", en1 - en2, 0.0, 1e-8)
     mc, = fidelity_sweep(0.6, [0.4], samples=200_000, seed=0)
     add("mc_fidelity_shift", mc.fidelity_mc - mc.fidelity_exact, 0.0, 5 * mc.std_err)

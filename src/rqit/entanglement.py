@@ -15,8 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import (FockCutoff, _SHARED_COMPONENTS, _as_accel, _as_cutoff, _as_xi, _shared_etas,
-                      _shared_levels)
+from .channel import FockCutoff, _as_accel, _as_cutoff, _as_xi, _shared_etas, _shared_levels
 from .linalg import DenseOperator, check_budget, check_cost, partial_transpose, trace_norm
 
 _LOG_NEG_FLOOR = 1e-12
@@ -45,40 +44,46 @@ def negativity_sweep(
 ) -> list[NegativityResult]:
     """One NegativityResult per grid point, in grid order.
 
-    In level-major order (index 2m + q for Fock level m and qubit q), each
-    term |v_n> of the shared state fills the four indices 2n..2n+3, so the
-    partial transpose rho^Gamma = sum_n w_n Gamma(|v_n><v_n|) is a real
-    symmetric band matrix with 3 sub-diagonals.  The entry of rho at
-    [(q_p, n + d_p), (q_q, n + d_q)] for components p, q of |v_n> moves to
-    rho^Gamma[2(n + d_p) + q_q, 2(n + d_q) + q_p]; the ten pairs that land on
-    or below the diagonal are scattered straight from the terms of
-    ``_shared_terms`` into lower band storage, and LAPACK ``dsbev`` (band
-    reduction, then root-free QR) returns its eigenvalues in O(n_max^2) time
-    and O(n_max) memory.  ``log_negativity(entangled_state(...))`` is the
-    dense route to the same value.  Only the eta of a term depend on xi, so
-    s_n and w_n are made once; each pair is scattered into the bands of a
-    block of ``_lapack._BLOCK`` points at once, and one ``band_eigvalsh``
-    call takes the block.  The cost bound is checked first, then each
-    point's trace, then the memory budget of a block.
+    Each term of the shared state is |v_n> = |x>|n> + s_n |y>|n+1>, with
+    x = (eta_{+-}, eta_{--}) and y = (eta_{-+}, eta_{++}), so rho^Gamma =
+    sum_n w_n Gamma(|v_n><v_n|) is block-tridiagonal in the Fock level m:
+    diagonal blocks w_m x x^T + w_{m-1} s_{m-1}^2 y y^T, and the rank-one
+    w_m s_m x y^T from level m to m + 1 (w_n = 0 outside 0..n_max).  In the
+    orthonormal basis (x, (-x_1, x_0)) / |x| of each level (|x| >= 1), x is
+    (|x|, 0) and y is (alpha, gamma) with alpha |x| = x.y and gamma |x| =
+    x_0 y_1 - x_1 y_0, so the coupling reaches the first vector of level m + 1
+    only: in level-major order (index 2m + q) rho^Gamma is a band with 2
+    sub-diagonals, the second zero at odd columns.  The rotation is
+    orthogonal, so LAPACK ``dsbev`` on that band returns the eigenvalues of
+    rho^Gamma in O(n_max^2) time and O(n_max) memory;
+    ``log_negativity(entangled_state(...))`` is the dense route to the same
+    value.  s_n and w_n are made once a sweep, and one ``band_eigvalsh`` call
+    takes a block of ``_lapack._BLOCK`` points.  The cost bound is checked
+    first, then each point's trace, then a block's memory budget.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "negativity_sweep")
     eta = np.array([_shared_etas(_as_xi(xi), a, cut) for xi in xi_grid]).reshape(-1, 4)
     block = min(len(eta), _lapack._BLOCK)
-    check_budget((block, 2 * cut.levels, 4), float, "negativity_sweep band stack")
-    factors, weights = _shared_levels(a, cut)
-    band = np.zeros((block, 2 * cut.levels, 4))
+    check_budget((block, 2 * cut.levels, 3), float, "negativity_sweep band stack")
+    factors, w = _shared_levels(a, cut)
+    ws, wss = w * factors[2], w * factors[2] * factors[2]
+    band = np.zeros((block, 2 * cut.levels, 3))
     norms = np.empty(len(eta))
     for lo in range(0, len(eta), _lapack._BLOCK):
         k = min(block, len(eta) - lo)
-        amps = eta[lo:lo + k, :, None] * factors
+        x0, x1, y0, y1 = eta[lo:lo + k].T[..., None]
+        xx, xy, xcy = x0 * x0 + x1 * x1, x0 * y0 + x1 * y1, x0 * y1 - x1 * y0
+        alpha, gamma = xy / np.sqrt(xx), xcy / np.sqrt(xx)
         band[:k] = 0.0
         ab = band[:k].transpose(0, 2, 1)
-        for p, (q_p, d_p) in enumerate(_SHARED_COMPONENTS):
-            for q, (q_q, d_q) in enumerate(_SHARED_COMPONENTS):
-                row, col = 2 * d_p + q_q, 2 * d_q + q_p
-                if row >= col:
-                    ab[:, row - col, col:col + 2 * len(weights):2] += weights * (amps[:, p] * amps[:, q])
+        here, up = ab[:, :, :2 * len(w)], ab[:, :, 2:]  # levels 0..n_max, and 1..n_max + 1
+        here[:, 0, 0::2] = w * xx
+        here[:, 1, 1::2] = ws * xcy
+        here[:, 2, 0::2] = ws * xy
+        up[:, 0, 0::2] += wss * (alpha * alpha)
+        up[:, 0, 1::2] = wss * (gamma * gamma)
+        up[:, 1, 0::2] = wss * (alpha * gamma)
         norms[lo:lo + k] = np.sum(np.abs(_lapack.band_eigvalsh(ab)), axis=1)
     return [NegativityResult(float(xi), a.r, _log_trace_norm(float(norm))) for xi, norm in zip(xi_grid, norms)]

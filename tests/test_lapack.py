@@ -65,7 +65,7 @@ def test_import_does_not_load_the_library():
     assert proc.stdout.strip() == "0"
 
 
-@on_both_routes(("kd", "n"), [(kd, n) for kd in (0, 1, 3) for n in (1, 2, 7, 60)])
+@on_both_routes(("kd", "n"), [(kd, n) for kd in (0, 1, 2, 3) for n in (1, 2, 7, 60)])
 def test_band_eigvalsh_matches_dense(route, kd, n):
     rng = np.random.default_rng(100 * n + kd)
     ab = np.asfortranarray(rng.normal(size=(kd + 1, n)))
