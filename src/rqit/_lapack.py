@@ -48,8 +48,8 @@ _SIGNATURES = {
     # N, D, E, WORK, INFO
     "dlasq1": (_INT, _ADDR, _ADDR, _ADDR, _INT),
 }
-# Points a sweep hands the kernels at once, so that its arrays stay O(n).
-_BLOCK = 16
+# Bytes of band storage a sweep hands the kernels at once, so that its arrays stay O(n).
+_BLOCK_BYTES = 128 * 1024
 
 
 @functools.cache
@@ -66,6 +66,11 @@ def _routines() -> dict | None:
     for routine, fn in found.items():
         fn.argtypes, fn.restype = _SIGNATURES[routine], None
     return found
+
+
+def points_per_block(band_shape: tuple[int, int]) -> int:
+    """Sweep points whose float64 bands of ``band_shape`` fit in _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * band_shape[0] * band_shape[1]))
 
 
 def _int(value: int):

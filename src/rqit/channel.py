@@ -116,6 +116,16 @@ def _as_xi(xi) -> OrthogonalityParam:
     return xi if isinstance(xi, OrthogonalityParam) else OrthogonalityParam(float(xi))
 
 
+def _xi_array(xi_grid) -> np.ndarray:
+    """A sweep's xi grid as one float64 array; OrthogonalityParam's ValueError
+    for its first value outside [0, 1), NaN included."""
+    xi = np.asarray(xi_grid, dtype=np.float64).reshape(len(xi_grid))
+    bad = ~((xi >= 0.0) & (xi < 1.0))
+    if bad.any():
+        OrthogonalityParam(float(xi[np.argmax(bad)]))  # raises
+    return xi
+
+
 class FockCutoff(_Frozen):
     """Truncation level of the wedge-I Fock tower.
 
@@ -326,19 +336,24 @@ def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff)
     budget.
     """
     check_budget((4, cut.n_max + 1), float, "shared-state terms")
-    eta = np.array(_shared_etas(ox, a, cut))
+    eta = _shared_etas(np.array([ox.xi]), a, cut)[0]
     factors, weights = _shared_levels(a, cut)
     return eta[:, None] * factors, weights
 
 
-def _shared_etas(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff) -> tuple[float, ...]:
-    """The four eta of ``_shared_terms``' rows, after its trace check."""
-    deficit = _shared_deficit(ox, a, cut.n_max)
-    if deficit > cut.tol:
-        raise TruncationError(
-            f"shared-state trace deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
-        )
-    return ox.eta(+1, -1), ox.eta(-1, -1), ox.eta(-1, +1), ox.eta(+1, +1)
+def _shared_etas(xi: np.ndarray, a: AccelerationParam, cut: FockCutoff) -> np.ndarray:
+    """The four eta of ``_shared_terms``' rows at each xi of a grid, (points, 4),
+    eta_{s1 s2} = 1 + s1 sqrt(1 + s2 xi) as ``OrthogonalityParam.eta`` rounds
+    it; TruncationError for the first point whose dropped trace exceeds the
+    cutoff tolerance."""
+    outer, inner = np.array(((1.0, -1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)))  # s1, s2 of each row
+    eta = 1.0 + outer * np.sqrt(1.0 + inner * xi[:, None])
+    deficit = _shared_deficit(eta, a, cut.n_max)
+    bad = deficit > cut.tol
+    if bad.any():
+        raise TruncationError(f"shared-state trace deficit {deficit[np.argmax(bad)]:.3e} exceeds tol "
+                              f"{cut.tol:.1e} at n_max {cut.n_max}")
+    return eta
 
 
 def _shared_levels(a: AccelerationParam, cut: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
@@ -357,17 +372,18 @@ def _shared_levels(a: AccelerationParam, cut: FockCutoff) -> tuple[np.ndarray, n
     return np.vstack([np.ones((2, len(n))), s, s]), t_n / (8.0 * a.C**2)
 
 
-def _shared_deficit(ox: OrthogonalityParam, a: AccelerationParam, n_max: int) -> float:
-    """Trace sum_{n > n_max} w_n |v_n|^2 of the terms the cutoff drops.
+def _shared_deficit(eta: np.ndarray, a: AccelerationParam, n_max: int) -> np.ndarray:
+    """Trace sum_{n > n_max} w_n |v_n|^2 of the terms the cutoff drops, for
+    each row of ``_shared_etas`` (points, 4).
 
     |v_n|^2 = (eta_{+-}^2 + eta_{--}^2) + (eta_{-+}^2 + eta_{++}^2)(n+1)/cosh^2 r,
     so the dropped trace is (1/8) of the two tails of ``_tail_weights``
-    weighted by those eta sums, which add up to 8.
+    weighted by those eta sums, which add up to 8.  ``np.float_power``
+    squares round as Python's ``eta ** 2`` (C ``pow``) does, not as eta * eta.
     """
     vacuum, one = _tail_weights(a, n_max)
-    low = ox.eta(+1, -1) ** 2 + ox.eta(-1, -1) ** 2
-    high = ox.eta(-1, +1) ** 2 + ox.eta(+1, +1) ** 2
-    return (low * vacuum + high * one) / 8.0
+    sq = np.float_power(eta, 2)
+    return ((sq[:, 0] + sq[:, 1]) * vacuum + (sq[:, 2] + sq[:, 3]) * one) / 8.0
 
 
 def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .channel import DEFAULT_TRUNCATION_TOL, FockCutoff, entangled_state
 from .distinguishability import angle_sweep
-from .entanglement import negativity_sweep
+from .entanglement import log_negativity, negativity_sweep
 from .errors import RQITError
 from .geometry import curvature_comparison, metric_cartesian, numeric_metric, scalar_curvature_numeric
 from .teleportation import average_fidelity_exact, fidelity_sweep, run_protocol
@@ -219,6 +219,12 @@ def _cmd_validate(args) -> int:
     en1, en2 = (negativity_sweep(0.6, [0.0], cut)[0].log_negativity for cut in (cut6, cut6.doubled()))
     add("fig1_xi0_closed_form", en1, exact, 1e-14)
     add("cutoff_doubling_shift", en1 - en2, 0.0, 1e-8)
+    # at xi != 0 alpha != 0, so every band entry is live; the dense state is the oracle
+    dense = log_negativity(entangled_state(0.5, 0.6, cut6))
+    add("fig1_dense_oracle", negativity_sweep(0.6, [0.5], cut6)[0].log_negativity, dense, 1e-12)
+    cut85 = FockCutoff.for_acceleration(0.85, args.cutoff_tol)
+    th1, th2 = (angle_sweep(0.85, [0.3], cut)[0].theta for cut in (cut85, cut85.doubled()))
+    add("fig3_cutoff_doubling_shift", th1 - th2, 0.0, 1e-8)
     mc, = fidelity_sweep(0.6, [0.4], samples=200_000, seed=0)
     add("mc_fidelity_shift", mc.fidelity_mc - mc.fidelity_exact, 0.0, 5 * mc.std_err)
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import (FockCutoff, OrthogonalityParam, _as_accel, _as_cutoff, _as_xi,
+from .channel import (FockCutoff, OrthogonalityParam, _as_accel, _as_cutoff, _xi_array,
                       unruh_one_particle_amplitudes, unruh_vacuum_amplitudes)
 from .errors import TruncationError
 from .geometry import root_fidelity
@@ -56,42 +56,46 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
         M[n+1, n] = a1 b2 c_{n+1} d_n,   M[n, n+1] = b1 a2 d_n c_{n+1},
 
     so its singular values give the angle.  M is written into general band
-    storage (3, n_max + 1) and LAPACK ``dgbbrd`` reduces it to bidiagonal
-    form in O(n_max); ``dlasq1`` then runs dqds on that, which finds every
-    singular value to high relative accuracy (Demmel & Kahan, SIAM J. Sci.
-    Stat. Comput. 11, 873 (1990); Fernando & Parlett, Numer. Math. 67, 191
-    (1994)), in O(n_max^2) time and O(n_max) memory, with no square root.
+    storage (3, n_max + 1); LAPACK ``dgbbrd`` reduces it to bidiagonal form
+    in O(n_max^2), since each bulge it chases runs to the end of the matrix,
+    and ``dlasq1`` then runs dqds on that, which finds every singular value
+    to high relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput.
+    11, 873 (1990); Fernando & Parlett, Numer. Math. 67, 191 (1994)), in
+    O(n_max^2) time and O(n_max) memory, with no square root.
     ``bures_angle`` of the two ``effective_qubit`` images is the dense route
     to the same angle, with the same checks: truncation, cost bound and unit
-    trace (Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2) at every point.  The bands
-    of a block of ``_lapack._BLOCK`` points are filled in one pass, after the
-    memory budget check, and taken by one kernel call.
+    trace (Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2) at every point.  The grid is
+    one float64 array, its traces checked in one pass; the bands of a block
+    of as many points as ``_lapack.points_per_block`` admits (the whole
+    default grid at once) are filled in one pass, after the memory budget
+    check, and taken by one kernel call.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "angle_sweep")
+    xi = _xi_array(xi_grid)
     c = unruh_vacuum_amplitudes(a, cut)
     d = unruh_one_particle_amplitudes(a, cut)
     cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
     vacuum, one = float(np.sum(cc)), float(np.sum(dd))
     a1, b1 = OrthogonalityParam(0.0).plus_state().real
-    phis = np.array([_as_xi(xi).phi_state().real for xi in xi_grid]).reshape(-1, 2)
-    for a2, b2 in phis:
-        for u, v in ((a1, b1), (a2, b2)):
-            tr = u * u * vacuum + v * v * one
-            if abs(tr - 1.0) > _TRACE_ATOL:
-                raise TruncationError(f"channel image trace {tr:.12g} misses 1 by more than {_TRACE_ATOL:.0e}")
-    block = min(len(phis), _lapack._BLOCK)
-    check_budget((block, cut.n_max + 1, 3), float, "angle_sweep band stack")
-    band = np.zeros((block, cut.n_max + 1, 3))
-    root_fids = np.empty(len(phis))
-    for lo in range(0, len(phis), _lapack._BLOCK):
-        k = min(block, len(phis) - lo)
-        a2, b2 = phis[lo:lo + k].T[:, :, None]
-        ab = band[:k].transpose(0, 2, 1)
-        ab[:, 0, 1:] = b1 * a2 * cd
-        ab[:, 1] = a1 * a2 * cc + b1 * b2 * dd
-        ab[:, 2, :-1] = a1 * b2 * cd
-        root_fids[lo:lo + k] = np.sum(_lapack.tridiagonal_singular_values(ab), axis=1)
-    return [AngleResult(float(xi), a.r, math.acos(float(np.clip(root_fid, 0.0, 1.0))))
-            for xi, root_fid in zip(xi_grid, root_fids)]
+    a2, b2 = np.sqrt((1.0 - xi) / 2.0), -np.sqrt((1.0 + xi) / 2.0)  # |phi>, rounded as phi_state rounds it
+    traces = a2 * a2 * vacuum + b2 * b2 * one
+    if len(xi):  # |+> first, as each point checked it first
+        traces = np.append(a1 * a1 * vacuum + b1 * b1 * one, traces)
+    bad = np.abs(traces - 1.0) > _TRACE_ATOL
+    if bad.any():
+        raise TruncationError(f"channel image trace {traces[np.argmax(bad)]:.12g} misses 1 by more than "
+                              f"{_TRACE_ATOL:.0e}")
+    per = _lapack.points_per_block((cut.n_max + 1, 3))
+    check_budget((min(len(xi), per), cut.n_max + 1, 3), float, "angle_sweep band stack")
+    root_fids = np.empty(len(xi))
+    for lo in range(0, len(xi), per):
+        u, v = a2[lo:lo + per, None], b2[lo:lo + per, None]
+        ab = np.zeros((len(u), cut.n_max + 1, 3)).transpose(0, 2, 1)
+        ab[:, 0, 1:] = b1 * u * cd
+        ab[:, 1] = a1 * u * cc + b1 * v * dd
+        ab[:, 2, :-1] = a1 * v * cd
+        root_fids[lo:lo + per] = np.sum(_lapack.tridiagonal_singular_values(ab), axis=1)
+    clipped = np.clip(root_fids, 0.0, 1.0).tolist()
+    return [AngleResult(x, a.r, math.acos(fid)) for x, fid in zip(xi.tolist(), clipped)]

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import FockCutoff, _as_accel, _as_cutoff, _as_xi, _shared_etas, _shared_levels
+from .channel import FockCutoff, _as_accel, _as_cutoff, _shared_etas, _shared_levels, _xi_array
 from .linalg import DenseOperator, check_budget, check_cost, partial_transpose, trace_norm
 
 _LOG_NEG_FLOOR = 1e-12
@@ -57,27 +57,27 @@ def negativity_sweep(
     orthogonal, so LAPACK ``dsbev`` on that band returns the eigenvalues of
     rho^Gamma in O(n_max^2) time and O(n_max) memory;
     ``log_negativity(entangled_state(...))`` is the dense route to the same
-    value.  s_n and w_n are made once a sweep, and one ``band_eigvalsh`` call
-    takes a block of ``_lapack._BLOCK`` points.  The cost bound is checked
-    first, then each point's trace, then a block's memory budget.
+    value.  The grid is one float64 array: s_n and w_n are made once a
+    sweep, the four eta of every point in one pass, and ``band_eigvalsh``
+    takes blocks of as many points as ``_lapack.points_per_block`` admits
+    (the whole default grid at once).  The cost bound is checked first, then
+    the grid's values and traces, then a block's memory budget.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "negativity_sweep")
-    eta = np.array([_shared_etas(_as_xi(xi), a, cut) for xi in xi_grid]).reshape(-1, 4)
-    block = min(len(eta), _lapack._BLOCK)
-    check_budget((block, 2 * cut.levels, 3), float, "negativity_sweep band stack")
+    xi = _xi_array(xi_grid)
+    eta = _shared_etas(xi, a, cut)
+    per = _lapack.points_per_block((2 * cut.levels, 3))
+    check_budget((min(len(xi), per), 2 * cut.levels, 3), float, "negativity_sweep band stack")
     factors, w = _shared_levels(a, cut)
     ws, wss = w * factors[2], w * factors[2] * factors[2]
-    band = np.zeros((block, 2 * cut.levels, 3))
-    norms = np.empty(len(eta))
-    for lo in range(0, len(eta), _lapack._BLOCK):
-        k = min(block, len(eta) - lo)
-        x0, x1, y0, y1 = eta[lo:lo + k].T[..., None]
+    norms = np.empty(len(xi))
+    for lo in range(0, len(xi), per):
+        x0, x1, y0, y1 = eta[lo:lo + per].T[..., None]
         xx, xy, xcy = x0 * x0 + x1 * x1, x0 * y0 + x1 * y1, x0 * y1 - x1 * y0
         alpha, gamma = xy / np.sqrt(xx), xcy / np.sqrt(xx)
-        band[:k] = 0.0
-        ab = band[:k].transpose(0, 2, 1)
+        ab = np.zeros((len(xx), 2 * cut.levels, 3)).transpose(0, 2, 1)
         here, up = ab[:, :, :2 * len(w)], ab[:, :, 2:]  # levels 0..n_max, and 1..n_max + 1
         here[:, 0, 0::2] = w * xx
         here[:, 1, 1::2] = ws * xcy
@@ -85,5 +85,5 @@ def negativity_sweep(
         up[:, 0, 0::2] += wss * (alpha * alpha)
         up[:, 0, 1::2] = wss * (gamma * gamma)
         up[:, 1, 0::2] = wss * (alpha * gamma)
-        norms[lo:lo + k] = np.sum(np.abs(_lapack.band_eigvalsh(ab)), axis=1)
-    return [NegativityResult(float(xi), a.r, _log_trace_norm(float(norm))) for xi, norm in zip(xi_grid, norms)]
+        norms[lo:lo + per] = np.sum(np.abs(_lapack.band_eigvalsh(ab)), axis=1)
+    return [NegativityResult(x, a.r, _log_trace_norm(norm)) for x, norm in zip(xi.tolist(), norms.tolist())]

@@ -11,6 +11,7 @@ from rqit.channel import (
     FockCutoff,
     OrthogonalityParam,
     _shared_deficit,
+    _shared_etas,
     _shared_terms,
     _tail_weights,
     effective_qubit,
@@ -181,7 +182,7 @@ def test_truncation_deficits_match_direct_sums():
                 ox = OrthogonalityParam(xi)
                 amps, weights = _shared_terms(ox, a, cut)
                 direct = 1.0 - weights @ np.sum(amps**2, axis=0)
-                assert abs(_shared_deficit(ox, a, n_max) - direct) <= 1e-14
+                assert abs(_shared_deficit(_shared_etas(np.array([xi]), a, cut), a, n_max)[0] - direct) <= 1e-14
 
 
 def test_minkowski_qubit_cases():

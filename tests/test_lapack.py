@@ -1,5 +1,6 @@
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from rqit.channel import FockCutoff, OrthogonalityParam, effective_qubit, entang
 from rqit.cli import main
 from rqit.distinguishability import angle_sweep, bures_angle
 from rqit.entanglement import log_negativity, negativity_sweep
-from rqit.errors import NumericError, SizeError
+from rqit.errors import NumericError, SizeError, TruncationError
 
 
 def bundled_library():
@@ -100,7 +101,7 @@ def test_band_storage_is_validated():
         _lapack.band_eigvalsh(np.broadcast_to(np.eye(4, 8), (3, 4, 8)).transpose(0, 2, 1))
 
 
-STACKS = (0, 1, _lapack._BLOCK - 1, _lapack._BLOCK, _lapack._BLOCK + 1, 96)
+STACKS = (0, 1, 15, 16, 17, 96)
 
 
 @pytest.mark.parametrize("p", STACKS)
@@ -139,10 +140,50 @@ def test_nonzero_info_on_a_middle_band_raises(routine, info_arg, kernel, rows, m
     assert len(calls) == 3
 
 
-def test_sweeps_across_blocks_equal_one_point_sweeps(route):
-    xis = np.arange(2 * _lapack._BLOCK + 3) * 0.025
-    for sweep, r in ((negativity_sweep, 0.6), (angle_sweep, 0.85)):
-        assert sweep(r, xis) == [sweep(r, [xi])[0] for xi in xis]
+def test_sweeps_across_blocks_equal_one_point_sweeps(route, monkeypatch):
+    # blocks of a few points, then of one (a band larger than the block bytes),
+    # so the 35-point grid crosses at least two block boundaries
+    xis = np.arange(35) * 0.025
+    sweeps = ((negativity_sweep, 0.6, 2 * FockCutoff.for_acceleration(0.6).levels),
+              (angle_sweep, 0.85, FockCutoff.for_acceleration(0.85).n_max + 1))
+    for block_bytes in (16 * 1024, 1):
+        monkeypatch.setattr(_lapack, "_BLOCK_BYTES", block_bytes)
+        for sweep, r, n in sweeps:
+            assert _lapack.points_per_block((n, 3)) < len(xis) / 2
+            assert sweep(r, xis) == [sweep(r, [xi])[0] for xi in xis]
+
+
+def test_default_grids_fit_one_block():
+    # the 96-point default fig1 and fig3 grids are one fill and one kernel call
+    assert _lapack.points_per_block((2 * FockCutoff.for_acceleration(0.6).levels, 3)) >= 96
+    assert _lapack.points_per_block((FockCutoff.for_acceleration(0.85).n_max + 1, 3)) >= 96
+
+
+@pytest.mark.parametrize("sweep", [negativity_sweep, angle_sweep])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1.0, -0.1])
+@pytest.mark.parametrize("at", [0, 3, 7])
+def test_sweeps_name_the_first_bad_xi(sweep, bad, at):
+    xis = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 2.0]  # the 2.0 after a bad value is not the one named
+    xis[at] = bad
+    with pytest.raises(ValueError, match=re.escape(f"xi must lie in [0, 1), got {bad}")):
+        sweep(0.6, xis)
+
+
+@pytest.mark.parametrize("sweep, r, xis, cut, message", [
+    (negativity_sweep, 0.9, [0.3, 0.5], FockCutoff(8),
+     "shared-state trace deficit 8.674e-03 exceeds tol 1.0e-12 at n_max 8"),
+    (negativity_sweep, 0.9, [0.1, 0.9, 0.2, 0.95], FockCutoff(8, tol=1e-2),
+     "shared-state trace deficit 1.029e-02 exceeds tol 1.0e-02 at n_max 8"),
+    (angle_sweep, 0.85, [0.3], FockCutoff(3, tol=0.9),
+     "channel image trace 0.893626301934 misses 1 by more than 1e-06"),
+    (angle_sweep, 0.85, [0.2, 0.95, 0.1, 0.99], FockCutoff(21, tol=1e-5),
+     "channel image trace 0.999998939459 misses 1 by more than 1e-06"),
+])
+def test_sweeps_name_the_first_truncated_point(sweep, r, xis, cut, message):
+    # the text one-point checks gave; of several failing points the first is named, not the worst
+    with pytest.raises(TruncationError) as err:
+        sweep(r, xis, cut)
+    assert str(err.value) == message
 
 
 def test_sweeps_of_an_empty_grid(route):
