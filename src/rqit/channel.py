@@ -89,27 +89,17 @@ class OrthogonalityParam(_Frozen):
         object.__setattr__(self, "xi", xi)
 
     def plus_state(self) -> np.ndarray:
-        return np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        h = _encoding_amplitudes(self.xi)[0]
+        return np.array([h, h], dtype=complex)
 
     def phi_state(self) -> np.ndarray:
-        return np.array(
-            [math.sqrt((1.0 - self.xi) / 2.0), -math.sqrt((1.0 + self.xi) / 2.0)],
-            dtype=complex,
-        )
+        return np.array(_encoding_amplitudes(self.xi)[1:], dtype=complex)
 
-    def overlap(self) -> float:
-        """<+|phi> = (sqrt((1-xi)/2) - sqrt((1+xi)/2)) / sqrt2, real."""
-        return float((self.plus_state().conj() @ self.phi_state()).real)
 
-    def eta(self, outer: int, inner: int) -> float:
-        """eta_{s1 s2} = 1 + s1*sqrt(1 + s2*xi) for signs s1, s2 in {+1, -1}."""
-        return 1.0 + outer * math.sqrt(1.0 + inner * self.xi)
-
-    def bloch_plus(self) -> np.ndarray:
-        return np.array([1.0, 0.0, 0.0])
-
-    def bloch_phi(self) -> np.ndarray:
-        return np.array([-math.sqrt(1.0 - self.xi**2), 0.0, -self.xi])
+def _encoding_amplitudes(xi):
+    """(h, a, b) with |+> = h(|0> + |1>) and |phi> = a|0> + b|1>: h = 1/sqrt2,
+    a = sqrt((1-xi)/2) and b = -sqrt((1+xi)/2), at one xi or at each xi of an array."""
+    return 1.0 / math.sqrt(2.0), np.sqrt((1.0 - xi) / 2.0), -np.sqrt((1.0 + xi) / 2.0)
 
 
 def _as_xi(xi) -> OrthogonalityParam:
@@ -343,9 +333,8 @@ def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff)
 
 def _shared_etas(xi: np.ndarray, a: AccelerationParam, cut: FockCutoff) -> np.ndarray:
     """The four eta of ``_shared_terms``' rows at each xi of a grid, (points, 4),
-    eta_{s1 s2} = 1 + s1 sqrt(1 + s2 xi) as ``OrthogonalityParam.eta`` rounds
-    it; TruncationError for the first point whose dropped trace exceeds the
-    cutoff tolerance."""
+    eta_{s1 s2} = 1 + s1 sqrt(1 + s2 xi); TruncationError for the first point
+    whose dropped trace exceeds the cutoff tolerance."""
     outer, inner = np.array(((1.0, -1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)))  # s1, s2 of each row
     eta = 1.0 + outer * np.sqrt(1.0 + inner * xi[:, None])
     deficit = _shared_deficit(eta, a, cut.n_max)

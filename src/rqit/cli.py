@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import DEFAULT_TRUNCATION_TOL, FockCutoff, entangled_state
+from .channel import DEFAULT_TRUNCATION_TOL, FockCutoff, entangled_state, unruh_one_particle_amplitudes
 from .distinguishability import angle_sweep
 from .entanglement import log_negativity, negativity_sweep
 from .errors import RQITError
@@ -201,6 +201,11 @@ def _cmd_validate(args) -> int:
     cut0 = FockCutoff.for_acceleration(0.0, args.cutoff_tol)
     add("bell_log_negativity", negativity_sweep(0.0, [0.0], cut0)[0].log_negativity, 1.0, 1e-10)
     cut6 = FockCutoff.for_acceleration(0.6, args.cutoff_tol)
+    # the cutoff rule from the dropped one-particle terms d_n^2 themselves: the first
+    # level (16 at least) whose tail sum_{n > N} d_n^2 is at most tol
+    d2 = (unruh_one_particle_amplitudes(0.6, cut6.doubled()) ** 2).tolist()
+    first = next(n for n in range(len(d2)) if math.fsum(d2[n + 1:]) <= cut6.tol)
+    add("cutoff_one_particle_tail", max(16, first), cut6.n_max, 0)
     add("state_trace", entangled_state(0.5, 0.6, cut6).trace().real, 1.0, 1e-10)
     ideal = run_protocol((1 / math.sqrt(2), 1j / math.sqrt(2)), 0.0, 0.0)
     psi = np.zeros(ideal.dim, dtype=complex)

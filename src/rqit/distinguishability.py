@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import (FockCutoff, OrthogonalityParam, _as_accel, _as_cutoff, _xi_array,
+from .channel import (FockCutoff, _as_accel, _as_cutoff, _encoding_amplitudes, _xi_array,
                       unruh_one_particle_amplitudes, unruh_vacuum_amplitudes)
 from .errors import TruncationError
 from .geometry import root_fidelity
@@ -78,11 +78,10 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     d = unruh_one_particle_amplitudes(a, cut)
     cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
     vacuum, one = float(np.sum(cc)), float(np.sum(dd))
-    a1, b1 = OrthogonalityParam(0.0).plus_state().real
-    a2, b2 = np.sqrt((1.0 - xi) / 2.0), -np.sqrt((1.0 + xi) / 2.0)  # |phi>, rounded as phi_state rounds it
+    h, a2, b2 = _encoding_amplitudes(xi)  # |+> = h(|0> + |1>), |phi> = a2|0> + b2|1>
     traces = a2 * a2 * vacuum + b2 * b2 * one
     if len(xi):  # |+> first, as each point checked it first
-        traces = np.append(a1 * a1 * vacuum + b1 * b1 * one, traces)
+        traces = np.append(h * h * vacuum + h * h * one, traces)
     bad = np.abs(traces - 1.0) > _TRACE_ATOL
     if bad.any():
         raise TruncationError(f"channel image trace {traces[np.argmax(bad)]:.12g} misses 1 by more than "
@@ -93,9 +92,9 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     for lo in range(0, len(xi), per):
         u, v = a2[lo:lo + per, None], b2[lo:lo + per, None]
         ab = np.zeros((len(u), cut.n_max + 1, 3)).transpose(0, 2, 1)
-        ab[:, 0, 1:] = b1 * u * cd
-        ab[:, 1] = a1 * u * cc + b1 * v * dd
-        ab[:, 2, :-1] = a1 * v * cd
+        ab[:, 0, 1:] = h * u * cd
+        ab[:, 1] = h * u * cc + h * v * dd
+        ab[:, 2, :-1] = h * v * cd
         root_fids[lo:lo + per] = np.sum(_lapack.tridiagonal_singular_values(ab), axis=1)
     clipped = np.clip(root_fids, 0.0, 1.0).tolist()
     return [AngleResult(x, a.r, math.acos(fid)) for x, fid in zip(xi.tolist(), clipped)]

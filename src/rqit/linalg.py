@@ -139,12 +139,6 @@ class DenseOperator(_Frozen):
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= atol)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(_hermitian_part(self.entries))[0])
-
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2

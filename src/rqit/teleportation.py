@@ -80,13 +80,6 @@ class SchmidtDecomposition(NamedTuple):
     def lambda1(self) -> float:
         return float(self.lambdas[1])
 
-    def state_vector(self) -> np.ndarray:
-        """Reconstruction sum_i lambda_i |phi_i>|theta_i> on (2) x (2)."""
-        out = np.zeros(4, dtype=complex)
-        for i in range(2):
-            out += self.lambdas[i] * np.kron(self.alice_basis[:, i], self.rob_basis[:, i])
-        return out
-
 
 def shared_state_vector(xi) -> np.ndarray:
     """|Psi> = (|+>|+> + |->|phi>)/sqrt2 on the two inertial qubits."""

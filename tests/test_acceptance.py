@@ -35,7 +35,8 @@ import time
 import numpy as np
 import pytest
 
-from rqit.channel import FockCutoff, effective_qubit, minkowski_qubit
+from oracles import full_tower_blocks, haar_average, random_subnormalized
+from rqit.channel import FockCutoff, effective_qubit, entangled_state, minkowski_qubit
 from rqit.distinguishability import angle_sweep
 from rqit.entanglement import log_negativity, negativity_sweep
 from rqit.geometry import (
@@ -47,26 +48,16 @@ from rqit.geometry import (
 )
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
-    apply_protocol,
     average_fidelity_exact,
     average_fidelity_mc,
-    build_protocol,
     fidelity_bound,
-    schmidt_decompose,
 )
-from rqit.channel import entangled_state
 
 MC_SAMPLES = 200_000
 
 
 def _report(tag, ok, detail):
     print(f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def _random_subnormalized(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    return DenseOperator(m / np.trace(m).real * rng.uniform(0.2, 1.0))
 
 
 def test_criterion_1_bell_limit():
@@ -334,8 +325,8 @@ def test_criterion_7_curvature_baseline_and_deformation():
 def test_criterion_8_symmetry():
     rng = np.random.default_rng(31)
     for _ in range(200):
-        rho = _random_subnormalized(rng, 3)
-        sigma = _random_subnormalized(rng, 3)
+        rho = random_subnormalized(rng, 3)
+        sigma = random_subnormalized(rng, 3)
         assert abs(
             generalized_bures_distance(rho, sigma) - generalized_bures_distance(sigma, rho)
         ) <= 1e-9
@@ -345,8 +336,8 @@ def test_criterion_8_symmetry():
 def test_criterion_8_positivity():
     rng = np.random.default_rng(37)
     for _ in range(200):
-        rho = _random_subnormalized(rng, 3)
-        sigma = _random_subnormalized(rng, 3)
+        rho = random_subnormalized(rng, 3)
+        sigma = random_subnormalized(rng, 3)
         d = generalized_bures_distance(rho, sigma)
         assert d >= -1e-9
         assert d > 1e-9  # distinct random draws separate
@@ -357,8 +348,8 @@ def test_criterion_8_positivity():
 def test_criterion_8_fidelity_trace_bound():
     rng = np.random.default_rng(41)
     for _ in range(1000):
-        rho = _random_subnormalized(rng, 3)
-        sigma = _random_subnormalized(rng, 3)
+        rho = random_subnormalized(rng, 3)
+        sigma = random_subnormalized(rng, 3)
         assert fidelity(rho, sigma) <= rho.trace().real * sigma.trace().real + 1e-9
     _report("8-bound", True, "F <= Tr rho Tr sigma on 1000 random pairs")
 
@@ -376,9 +367,9 @@ def test_criterion_8_triangle_inequality():
     rng = np.random.default_rng(43)
     failures = 0
     for _ in range(1000):
-        rho = _random_subnormalized(rng, 3)
-        sigma = _random_subnormalized(rng, 3)
-        tau = _random_subnormalized(rng, 3)
+        rho = random_subnormalized(rng, 3)
+        sigma = random_subnormalized(rng, 3)
+        tau = random_subnormalized(rng, 3)
         lhs = generalized_bures_distance(rho, sigma)
         rhs = generalized_bures_distance(rho, tau) + generalized_bures_distance(sigma, tau)
         failures += lhs > rhs + 1e-9
@@ -401,8 +392,8 @@ def test_criterion_8_monotonicity():
         )
         assert after <= before + 1e-9
     for _ in range(50):
-        rho = _random_subnormalized(rng, 3)
-        sigma = _random_subnormalized(rng, 3)
+        rho = random_subnormalized(rng, 3)
+        sigma = random_subnormalized(rng, 3)
         u = rng.normal(size=3) + 1j * rng.normal(size=3)
         u /= np.linalg.norm(u)
         p = np.outer(u, u.conj())
@@ -422,14 +413,6 @@ def test_criterion_8_monotonicity():
     assert elapsed < 60
 
 
-def _full_tower_fidelity(xi, r, cut):
-    """Exact Haar average from the protocol applied to the dense truncated
-    state, through the second moment (I + SWAP)/6 on the channel blocks."""
-    kit = build_protocol(schmidt_decompose(xi))
-    e = apply_protocol(kit, entangled_state(xi, r, cut), np.eye(4).reshape(2, 2, 2, 2))[..., :2, :2]
-    return (np.einsum("iikk->", e).real + np.einsum("ijij->", e).real) / 6.0
-
-
 def test_criterion_9_cutoff_convergence():
     checks = {}
     cut6 = FockCutoff.for_acceleration(0.6, 1e-12)
@@ -440,7 +423,7 @@ def test_criterion_9_cutoff_convergence():
     # fig2's average takes no cutoff; the dense full tower must agree with it at both
     free = average_fidelity_exact(0.3, 0.6)
     checks["fidelity(r=0.6)"] = max(
-        abs(free - _full_tower_fidelity(0.3, 0.6, cut)) for cut in (cut6, cut6.doubled())
+        abs(free - haar_average(full_tower_blocks(0.3, 0.6, cut))) for cut in (cut6, cut6.doubled())
     )
     cut85 = FockCutoff.for_acceleration(0.85, 1e-12)
     checks["angle(r=0.85)"] = abs(

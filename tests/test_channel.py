@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import bloch_pair, dense_entangled_state, eta, is_hermitian, min_eigenvalue
 from rqit.channel import (
     AccelerationParam,
     FockCutoff,
@@ -49,11 +50,19 @@ def test_orthogonality_param():
     # xi = 0 reproduces |phi> = |->
     minus = np.array([1, -1]) / math.sqrt(2)
     np.testing.assert_allclose(ox.phi_state().real, minus, atol=1e-15)
-    assert abs(ox.overlap()) < 1e-14
+    assert abs(ox.plus_state().conj() @ ox.phi_state()) < 1e-14
+    assert eta(0.5, +1, +1) == pytest.approx(1 + math.sqrt(1.5))
+    assert eta(0.5, -1, -1) == pytest.approx(1 - math.sqrt(0.5))
+    # the library's one eta formula, rows (+-, --, -+, ++) of the shared terms, rounds as the scalar one
+    a, cut = AccelerationParam(0.6), FockCutoff(24)
+    for xi in (0.0, 0.3, 0.5, 0.9):
+        want = [eta(xi, s1, s2) for s1, s2 in ((1, -1), (-1, -1), (-1, 1), (1, 1))]
+        assert _shared_etas(np.array([xi]), a, cut)[0].tolist() == want, xi
+    # the states' Bloch vectors are the oracle's, on the unit sphere
     o5 = OrthogonalityParam(0.5)
-    assert o5.eta(+1, +1) == pytest.approx(1 + math.sqrt(1.5))
-    assert o5.eta(-1, -1) == pytest.approx(1 - math.sqrt(0.5))
-    assert np.linalg.norm(o5.bloch_phi()) == pytest.approx(1.0)
+    for state, bloch in zip((o5.plus_state(), o5.phi_state()), bloch_pair(0.5)):
+        assert np.linalg.norm(bloch) == pytest.approx(1.0)
+        np.testing.assert_allclose(np.outer(state, state.conj()), minkowski_qubit(bloch).entries, atol=1e-15)
 
 
 def test_cutoff_rule():
@@ -223,8 +232,8 @@ def test_effective_qubit_trace_and_psd():
         t2 = math.tanh(r) ** 2
         bound = t2 ** (cut.n_max + 1) * ((cut.n_max + 2) - (cut.n_max + 1) * t2)
         assert abs(rho.trace().real - 1.0) <= bound + 1e-15
-        assert rho.min_eigenvalue() > -1e-10
-        assert rho.is_hermitian(atol=0)
+        assert min_eigenvalue(rho) > -1e-10
+        assert is_hermitian(rho, atol=0)
 
 
 def test_effective_qubit_matches_small_r_block():
@@ -250,24 +259,6 @@ def test_channel_linearity():
         mixed = effective_qubit(w * n1 + (1 - w) * n2, r, cut).entries
         parts = w * effective_qubit(n1, r, cut).entries + (1 - w) * effective_qubit(n2, r, cut).entries
         np.testing.assert_allclose(mixed, parts, atol=1e-10)
-
-
-def dense_entangled_state(xi, r, cut):
-    """Reference builder: one dense rank-one update per term |v_n>."""
-    ox, a = OrthogonalityParam(xi), AccelerationParam(r)
-    nlev = cut.levels
-    epm, emm = ox.eta(+1, -1), ox.eta(-1, -1)
-    emp, epp = ox.eta(-1, +1), ox.eta(+1, +1)
-    rho = np.zeros((2 * nlev, 2 * nlev), dtype=complex)
-    for n in range(cut.n_max + 1):
-        v = np.zeros(2 * nlev, dtype=complex)
-        v[n] = epm
-        v[nlev + n] = emm
-        s = math.sqrt(n + 1.0) / a.C
-        v[n + 1] += emp * s
-        v[nlev + n + 1] += epp * s
-        rho += a.T ** (2 * n) * np.outer(v, v.conj())
-    return rho / (8.0 * a.C**2)
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.3, 0.9])
@@ -318,8 +309,8 @@ def test_entangled_state_normalization():
     for xi, r in ((0.0, 0.0), (0.3, 0.6), (0.9, 0.85), (0.5, 0.2)):
         rho = entangled_state(xi, r)
         assert abs(rho.trace().real - 1.0) < 1e-10
-        assert rho.is_hermitian(atol=0)
-        assert rho.min_eigenvalue() > -1e-10
+        assert is_hermitian(rho, atol=0)
+        assert min_eigenvalue(rho) > -1e-10
 
 
 def test_entangled_state_alice_reduced_maximally_mixed():

@@ -224,7 +224,7 @@ def test_validate_command(tmp_path, capsys):
     out = tmp_path / "validate.csv"
     assert run_cli(["validate", "-o", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert stdout.count("PASS") == 12 and "FAIL" not in stdout
+    assert stdout.count("PASS") == 13 and "FAIL" not in stdout
 
 
 @pytest.mark.parametrize(

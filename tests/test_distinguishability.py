@@ -3,31 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from rqit.channel import FockCutoff, OrthogonalityParam, effective_qubit, minkowski_qubit
+from oracles import bloch_pair, dense_bures_angle, haar_unitary, overlap_formula, random_density
+from rqit.channel import FockCutoff, effective_qubit, minkowski_qubit
 from rqit.distinguishability import angle_sweep, bures_angle
 from rqit.errors import SizeError, TruncationError
 from rqit.linalg import DenseOperator
 
 
-def overlap_formula(xi):
-    return (math.sqrt((1 - xi) / 2) - math.sqrt((1 + xi) / 2)) / math.sqrt(2)
-
-
-def random_density(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    return DenseOperator(m / np.trace(m).real)
-
-
-def haar_unitary(rng, d):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_identical_states():
     rng = np.random.default_rng(0)
-    rho = random_density(rng, 4)
+    rho = DenseOperator(random_density(rng, 4))
     assert bures_angle(rho, rho) == pytest.approx(0.0, abs=1e-7)
 
 
@@ -40,8 +25,7 @@ def test_orthogonal_pure_states():
 def test_inertial_pure_state_overlap():
     # at r = 0 the angle is arccos |<+|phi>|
     xi = 0.5
-    plus = minkowski_qubit((1, 0, 0))
-    phi = minkowski_qubit((-math.sqrt(1 - xi**2), 0, -xi))
+    plus, phi = (minkowski_qubit(n) for n in bloch_pair(xi))
     expected = math.acos(abs(overlap_formula(xi)))
     assert bures_angle(plus, phi) == pytest.approx(expected, abs=1e-10)
 
@@ -79,13 +63,13 @@ def test_sweep_cutoff_stability():
 def test_symmetry_on_random_pairs():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        rho, sigma = random_density(rng, 5), random_density(rng, 5)
+        rho, sigma = DenseOperator(random_density(rng, 5)), DenseOperator(random_density(rng, 5))
         assert abs(bures_angle(rho, sigma) - bures_angle(sigma, rho)) < 1e-9
 
 
 def test_unitary_invariance():
     rng = np.random.default_rng(2)
-    rho, sigma = random_density(rng, 4), random_density(rng, 4)
+    rho, sigma = DenseOperator(random_density(rng, 4)), DenseOperator(random_density(rng, 4))
     base = bures_angle(rho, sigma)
     for _ in range(3):
         u = haar_unitary(rng, 4)
@@ -103,8 +87,7 @@ def test_channel_images_share_labels():
     # both arguments pass through the identical channel; swapping them is harmless
     r = 0.6
     cut = FockCutoff.for_acceleration(r)
-    plus_img = effective_qubit((1, 0, 0), r, cut)
-    phi_img = effective_qubit((-math.sqrt(1 - 0.25), 0, -0.5), r, cut)
+    plus_img, phi_img = (effective_qubit(n, r, cut) for n in bloch_pair(0.5))
     assert bures_angle(plus_img, phi_img) == pytest.approx(
         bures_angle(phi_img, plus_img), abs=1e-9
     )
@@ -113,8 +96,7 @@ def test_channel_images_share_labels():
 @pytest.mark.parametrize("xi", [0.0, 0.3, 0.9])
 @pytest.mark.parametrize("r", [0.0, 0.6, 1.5])
 def test_real_storage_matches_complex(xi, r):
-    ox = OrthogonalityParam(xi)
-    pair = [effective_qubit(ox.bloch_plus(), r), effective_qubit(ox.bloch_phi(), r)]
+    pair = [effective_qubit(n, r) for n in bloch_pair(xi)]
     assert all(op.entries.dtype == np.float64 for op in pair)
     oracle = [DenseOperator(op.entries.astype(complex)) for op in pair]
     assert bures_angle(*pair) == pytest.approx(bures_angle(*oracle), abs=1e-12)
@@ -132,22 +114,18 @@ def test_factor_form_sweep_matches_dense_oracle(r, doubled):
     xis = [0.0, 0.3, 0.9]
     swept = angle_sweep(r, xis, cut)
     for xi, res in zip(xis, swept):
-        ox = OrthogonalityParam(xi)
-        dense = bures_angle(effective_qubit(ox.bloch_plus(), r, cut),
-                            effective_qubit(ox.bloch_phi(), r, cut))
         assert res.xi == xi and res.r == r
-        assert abs(res.theta - dense) <= 1e-12
+        assert abs(res.theta - dense_bures_angle(xi, r, cut)) <= 1e-12
 
 
 def test_band_sweep_matches_dense_at_large_r():
     # r = 2.5 (n_max 1153).  The dense route square-roots eigenvalues at roundoff
     # level: it is 5e-10 off a 40-digit value at r = 2 and 2.8e-10 to 5.6e-10 off
     # the sweep here, so the tolerance is 1e-9, not the 1e-12 used up to r = 1.5.
-    r, ox = 2.5, OrthogonalityParam(0.4)
+    r = 2.5
     cut = FockCutoff.for_acceleration(r)
-    swept, = angle_sweep(r, [ox.xi], cut)
-    dense = bures_angle(effective_qubit(ox.bloch_plus(), r, cut), effective_qubit(ox.bloch_phi(), r, cut))
-    assert abs(swept.theta - dense) <= 1e-9
+    swept, = angle_sweep(r, [0.4], cut)
+    assert abs(swept.theta - dense_bures_angle(0.4, r, cut)) <= 1e-9
 
 
 def test_sweep_checks_before_building():

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import exact_log_negativity_at_xi_zero, haar_unitary, random_density
 from rqit.channel import FockCutoff, entangled_state
 from rqit.entanglement import log_negativity, negativity_sweep
 from rqit.linalg import DenseOperator, partial_transpose, trace_norm
-
-
-def haar_unitary(rng, d=2):
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def test_bell_projector():
@@ -19,12 +14,7 @@ def test_bell_projector():
 
 def test_product_state_is_ppt():
     rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho_a = a @ a.conj().T
-    rho_b = b @ b.conj().T
-    prod = DenseOperator(np.kron(rho_a / np.trace(rho_a).real, rho_b / np.trace(rho_b).real),
-                         space_tag=(2, 3))
+    prod = DenseOperator(np.kron(random_density(rng, 2), random_density(rng, 3)), space_tag=(2, 3))
     assert log_negativity(prod) == 0.0
 
 
@@ -104,28 +94,6 @@ def test_band_sweep_matches_dense_at_large_r():
     cut = FockCutoff.for_acceleration(2.5)
     swept, = negativity_sweep(2.5, [0.4], cut)
     assert swept.log_negativity == pytest.approx(log_negativity(entangled_state(0.4, 2.5, cut)), abs=1e-12)
-
-
-def exact_log_negativity_at_xi_zero(r, n_max, mp):
-    """fig1 at xi = 0 from the 2x2-block closed form, in mpmath over the same
-    truncation n = 0..n_max as the code.
-
-    At xi = 0, eta_{--} = eta_{-+} = 0, so |v_n> = 2|0,n> + 2 s_n |1,n+1>.
-    rho^Gamma then splits into the lone entry 4 w_0 on |0,0> and, for each m,
-    the block on {|1,m>, |0,m+1>} with diagonal 4 w_{m-1} s_{m-1}^2 and
-    4 w_{m+1} and off-diagonal 4 w_m s_m (w_n = 0 outside 0..n_max).  A real
-    symmetric 2x2 block [[a, b], [b, c]] with a, c >= 0 has trace norm
-    max(a + c, sqrt((a - c)^2 + 4 b^2)).
-    """
-    with mp.workdps(40):
-        ch, th = mp.cosh(mp.mpf(r)), mp.tanh(mp.mpf(r))
-        w = [th ** (2 * n) / (8 * ch**2) if n <= n_max else mp.mpf(0) for n in range(n_max + 3)]
-        s2 = [(n + 1) / ch**2 for n in range(n_max + 3)]
-        norm = 4 * w[0]
-        for m in range(n_max + 2):  # w[-1] is 0: block 0 has no |1,0> diagonal
-            a, b, c = 4 * w[m - 1] * s2[m - 1], 4 * w[m] * mp.sqrt(s2[m]), 4 * w[m + 1]
-            norm += max(a + c, mp.sqrt((a - c) ** 2 + 4 * b**2))
-        return float(mp.log(norm, 2))
 
 
 @pytest.mark.parametrize("r", [0.6, 2.0, 2.5, 3.0, 3.5])

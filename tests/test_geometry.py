@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import bloch_of_polar, exact_curvature_jets, exact_scalar_curvature, random_density
 from rqit import geometry, linalg
 from rqit.channel import FockCutoff, _small_r_stack, effective_qubit, minkowski_qubit, small_r_qubit
 from rqit.errors import BoundaryError, ChartError, InvalidBlochError, NotPSDError
@@ -24,23 +25,15 @@ from rqit.geometry import (
 from rqit.linalg import DenseOperator
 
 
-def random_psd(rng, d, trace=None):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    if trace is not None:
-        m = m / np.trace(m).real * trace
-    return DenseOperator(m)
-
-
 def test_fidelity_self_unit_trace():
     rng = np.random.default_rng(0)
-    rho = random_psd(rng, 4, trace=1.0)
+    rho = DenseOperator(random_density(rng, 4))
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fidelity_self_subnormalized():
     rng = np.random.default_rng(1)
-    rho = random_psd(rng, 3, trace=0.6)
+    rho = DenseOperator(random_density(rng, 3, 0.6))
     assert fidelity(rho, rho) == pytest.approx(0.36, abs=1e-10)
 
 
@@ -58,17 +51,17 @@ def test_fidelity_bounded_by_trace_product():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         d = int(rng.integers(2, 5))
-        rho = random_psd(rng, d, trace=rng.uniform(0.1, 1.0))
-        sigma = random_psd(rng, d, trace=rng.uniform(0.1, 1.0))
+        rho = DenseOperator(random_density(rng, d, rng.uniform(0.1, 1.0)))
+        sigma = DenseOperator(random_density(rng, d, rng.uniform(0.1, 1.0)))
         assert fidelity(rho, sigma) <= rho.trace().real * sigma.trace().real + 1e-9
 
 
 def test_distance_trivial_cases():
     rng = np.random.default_rng(4)
-    rho = random_psd(rng, 3, trace=0.8)
+    rho = DenseOperator(random_density(rng, 3, 0.8))
     assert abs(generalized_bures_distance(rho, rho)) < 1e-10
-    unit1 = random_psd(rng, 3, trace=1.0)
-    unit2 = random_psd(rng, 3, trace=1.0)
+    unit1 = DenseOperator(random_density(rng, 3))
+    unit2 = DenseOperator(random_density(rng, 3))
     d = generalized_bures_distance(unit1, unit2)
     assert d == pytest.approx(2 * (1 - fidelity(unit1, unit2)), abs=1e-12)
 
@@ -76,8 +69,8 @@ def test_distance_trivial_cases():
 def test_distance_symmetric_and_nonnegative():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        rho = random_psd(rng, 3, trace=rng.uniform(0.2, 1.0))
-        sigma = random_psd(rng, 3, trace=rng.uniform(0.2, 1.0))
+        rho = DenseOperator(random_density(rng, 3, rng.uniform(0.2, 1.0)))
+        sigma = DenseOperator(random_density(rng, 3, rng.uniform(0.2, 1.0)))
         dab = generalized_bures_distance(rho, sigma)
         dba = generalized_bures_distance(sigma, rho)
         assert abs(dab - dba) < 1e-9
@@ -89,7 +82,7 @@ def test_distance_vanishes_on_scalar_multiples():
     # the trace-aware form is blind along rays: D(rho, c rho) = 0; this is
     # what lets the subnormalized low-acceleration family carry a metric
     rng = np.random.default_rng(6)
-    rho = random_psd(rng, 3, trace=1.0)
+    rho = DenseOperator(random_density(rng, 3))
     scaled = DenseOperator(0.5 * rho.entries)
     assert abs(generalized_bures_distance(rho, scaled)) < 1e-10
 
@@ -132,9 +125,9 @@ def test_triangle_inequality_counterexample_unit_traces():
 def test_triangle_inequality_on_random_subnormalized_triples():
     rng = np.random.default_rng(7)
     for _ in range(1000):
-        rho = random_psd(rng, 3, trace=rng.uniform(0.2, 1.0))
-        sigma = random_psd(rng, 3, trace=rng.uniform(0.2, 1.0))
-        tau = random_psd(rng, 3, trace=rng.uniform(0.2, 1.0))
+        rho = DenseOperator(random_density(rng, 3, rng.uniform(0.2, 1.0)))
+        sigma = DenseOperator(random_density(rng, 3, rng.uniform(0.2, 1.0)))
+        tau = DenseOperator(random_density(rng, 3, rng.uniform(0.2, 1.0)))
         lhs = generalized_bures_distance(rho, sigma)
         rhs = generalized_bures_distance(rho, tau) + generalized_bures_distance(sigma, tau)
         assert lhs <= rhs + 1e-9
@@ -164,8 +157,8 @@ def test_monotone_under_acceleration_channel():
 def test_monotone_under_random_pinchings():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        rho = random_psd(rng, 3, trace=rng.uniform(0.3, 1.0))
-        sigma = random_psd(rng, 3, trace=rng.uniform(0.3, 1.0))
+        rho = DenseOperator(random_density(rng, 3, rng.uniform(0.3, 1.0)))
+        sigma = DenseOperator(random_density(rng, 3, rng.uniform(0.3, 1.0)))
         u = rng.normal(size=3) + 1j * rng.normal(size=3)
         u = u / np.linalg.norm(u)
         p = np.outer(u, u.conj())
@@ -728,48 +721,6 @@ def test_numeric_metric_boundary_guard():
     assert np.max(np.abs(numeric_metric(n, 0.0).tensor - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def exact_curvature_jets(n, r):
-    """``metric_cartesian``'s tensor at the Bloch vectors n (k, 3) with its
-    exact derivatives: g (k, 3, 3), dg (k, 3, 3, 3) with dg[:, c] = d_c g and
-    ddg (k, 3, 3, 3, 3) with ddg[:, a, b] = d_a d_b g.
-
-    g = K [I + T^2 e_z e_z^T + f n n^T], K = 1/(4 C^4), f = u - T^2 w u^2,
-    u = 1/(1 - n^2) and w = (1 + z)^2; the jets follow by the product rule
-    from du = 2 n u^2, ddu = 2 I u^2 + 8 n n^T u^3 and the same for u^2 and w.
-    """
-    C, T2 = math.cosh(r), math.tanh(r) ** 2
-    eye, ez = np.eye(3), np.eye(3)[2]
-    u = (1.0 / (1.0 - np.einsum("ki,ki->k", n, n)))[:, None, None]
-    nn = n[:, :, None] * n[:, None, :]
-    du, ddu = 2.0 * n * u[:, 0] ** 2, 2.0 * eye * u**2 + 8.0 * nn * u**3
-    u2, du2, ddu2 = u[:, :, 0] ** 2, 4.0 * n * u[:, 0] ** 3, 4.0 * eye * u**3 + 24.0 * nn * u**4
-    w, dw, ddw = (1.0 + n[:, 2:]) ** 2, 2.0 * (1.0 + n[:, 2:]) * ez, 2.0 * np.outer(ez, ez)
-    f = u[:, :, 0] - T2 * w * u2
-    df = du - T2 * (dw * u2 + w * du2)
-    ddf = ddu - T2 * (ddw * u2[:, :, None] + dw[:, :, None] * du2[:, None, :]
-                      + du2[:, :, None] * dw[:, None, :] + w[:, :, None] * ddu2)
-    # n n^T: d_c (n n^T) = e_c n^T + n e_c^T, d_a d_b (n n^T) = e_a e_b^T + e_b e_a^T
-    dnn = np.einsum("ci,kj->kcij", eye, n) + np.einsum("ki,cj->kcij", n, eye)
-    ddnn = np.einsum("ai,bj->abij", eye, eye) + np.einsum("bi,aj->abij", eye, eye)
-    g = eye + T2 * np.outer(ez, ez) + f[:, :, None] * nn
-    dg = df[:, :, None, None] * nn[:, None] + f[:, :, None, None] * dnn
-    ddg = (ddf[:, :, :, None, None] * nn[:, None, None] + f[:, :, None, None, None] * ddnn
-           + df[:, :, None, None, None] * dnn[:, None] + df[:, None, :, None, None] * dnn[:, :, None])
-    return tuple(x / (4.0 * C**4) for x in (g, dg, ddg))
-
-
-def bloch_of_polar(xi_c, theta, phi=0.5):
-    """Bloch vectors (k, 3) at the polar points of the arrays xi_c, theta (k,)."""
-    st = np.sin(theta)
-    return xi_c[:, None] * np.stack([st * math.cos(phi), st * math.sin(phi), np.cos(theta)], axis=1)
-
-
-def exact_scalar_curvature(xi_c, theta, r, phi=0.5):
-    """Scalar curvature (k,) of the Cartesian closed form from its exact jets
-    at the polar points; R is a scalar, so the Cartesian value is the polar one."""
-    return geometry._scalar_curvature(*exact_curvature_jets(bloch_of_polar(xi_c, theta, phi), r))
-
-
 def test_exact_curvature_jets_are_the_cartesian_metric_and_give_24_at_rest():
     xi, theta = np.array(polar_grid(9)).T
     n = bloch_of_polar(xi, theta)
@@ -883,6 +834,6 @@ def test_curvature_comparison_reports_discrepancy():
 
 def test_root_fidelity_symmetry():
     rng = np.random.default_rng(14)
-    rho = random_psd(rng, 4, trace=0.7)
-    sigma = random_psd(rng, 4, trace=0.9)
+    rho = DenseOperator(random_density(rng, 4, 0.7))
+    sigma = DenseOperator(random_density(rng, 4, 0.9))
     assert root_fidelity(rho, sigma) == pytest.approx(root_fidelity(sigma, rho), abs=1e-9)

@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import dense_bures_angle
 from rqit import _lapack, channel, entanglement
-from rqit.channel import FockCutoff, OrthogonalityParam, effective_qubit, entangled_state
+from rqit.channel import FockCutoff, entangled_state
 from rqit.cli import main
-from rqit.distinguishability import angle_sweep, bures_angle
+from rqit.distinguishability import angle_sweep
 from rqit.entanglement import log_negativity, negativity_sweep
 from rqit.errors import NumericError, SizeError, TruncationError
 
@@ -212,9 +213,7 @@ def test_smallest_cutoff(route, r):
     for xi, res in zip(xis, negativity_sweep(r, xis, cut)):
         assert res.log_negativity == pytest.approx(log_negativity(entangled_state(xi, r, cut)), abs=1e-12)
     for xi, res in zip(xis, angle_sweep(r, xis, cut)):
-        ox = OrthogonalityParam(xi)
-        dense = bures_angle(effective_qubit(ox.bloch_plus(), r, cut), effective_qubit(ox.bloch_phi(), r, cut))
-        assert res.theta == pytest.approx(dense, abs=1e-12)
+        assert res.theta == pytest.approx(dense_bures_angle(xi, r, cut), abs=1e-12)
 
 
 def csv_rows(path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_hermitian, random_density, random_hermitian
 from rqit.errors import NotPSDError
 from rqit.linalg import (
     DenseOperator,
@@ -13,17 +14,6 @@ from rqit.linalg import (
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 BELL = 0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
-
-
-def random_hermitian(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (a + a.conj().T) / 2
-
-
-def random_density(rng, d, trace=1.0):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T
-    return m / np.trace(m).real * trace
 
 
 def test_operator_validation():
@@ -147,4 +137,4 @@ def test_partial_transpose_preserves_trace_and_hermiticity(seed):
     op = DenseOperator(rho, space_tag=(3, 2))
     pt = partial_transpose(op, rng.integers(0, 2))
     assert abs(pt.trace() - op.trace()) < 1e-12
-    assert pt.is_hermitian()
+    assert is_hermitian(pt)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (bloch_form, channel_blocks, eta, full_tower_blocks, haar_average, is_hermitian,
+                     min_eigenvalue, mp_exact_fidelity, mp_fidelity_form, object_channel_blocks, overlap_formula,
+                     scatter_crop_channel_blocks, state_vector)
 from rqit import teleportation
-from rqit.channel import (_SHARED_COMPONENTS, MAX_R, FockCutoff, _as_accel, _as_xi, _log_t, _shared_terms,
-                          entangled_state)
+from rqit.channel import MAX_R, FockCutoff, _as_accel, entangled_state
 from rqit.errors import NumericError, RQITError, SizeError
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
@@ -31,10 +33,6 @@ from rqit.teleportation import (
 )
 
 SQRT2 = math.sqrt(2.0)
-
-
-def overlap_formula(xi):
-    return (math.sqrt((1 - xi) / 2) - math.sqrt((1 + xi) / 2)) / SQRT2
 
 
 def exact_closed_form(xi):
@@ -61,7 +59,7 @@ def test_schmidt_coefficients_closed_form():
 def test_schmidt_reconstruction_and_orthonormality():
     for xi in (0.0, 0.3, 0.8):
         sd = schmidt_decompose(xi)
-        np.testing.assert_allclose(sd.state_vector(), shared_state_vector(xi), atol=1e-10)
+        np.testing.assert_allclose(state_vector(sd), shared_state_vector(xi), atol=1e-10)
         for basis in (sd.alice_basis, sd.rob_basis):
             np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
 
@@ -229,8 +227,8 @@ def test_protocol_output_is_density():
         xi, r = rng.uniform(0, 0.9), rng.uniform(0, 0.8)
         out = run_protocol(amps, xi, r)
         assert abs(out.trace().real - 1.0) < 1e-10
-        assert out.is_hermitian()
-        assert out.min_eigenvalue() > -1e-10
+        assert is_hermitian(out)
+        assert min_eigenvalue(out) > -1e-10
 
 
 def test_run_protocol_rejects_unnormalized():
@@ -282,67 +280,6 @@ def test_haar_sampler_matches_complex_temporary_construction():
 
 FORM_POINTS = ((0.0, 0.0), (0.4, 0.6), (0.9, 0.85), (0.3, 1.5))
 EPS = np.finfo(float).eps
-# column c is vec(sigma_c / 2), in the (ij) order of E4, for sigma_0 = 1 and the Pauli x, y, z
-PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]]) / 2
-
-
-def channel_blocks(xi, r):
-    """E[i, j] = top-left 2x2 block of the protocol channel on |i><j|: the
-    generic route, kept as the oracle for _fidelity_form.
-
-    Only Fock levels {0, 1} of the output are read, and the receiver
-    operations act as the identity above them, so the protocol is applied
-    once, to the stacked matrix units, with the levels {0, 1} block of the
-    shared state alone.  On (qubit, level) in {0, 1} x {0, 1} that block is
-    w_0 |v_0><v_0| + w_1 |v_1'><v_1'|, with v_1' the level-1 part of |v_1>:
-
-        v_0 = (eta_{+-}, eta_{-+}/C, eta_{--}, eta_{++}/C),  w_0 = 1/(8 C^2),
-        v_1' = (0, eta_{+-}, 0, eta_{--}),                    w_1 = t/(8 C^2),
-
-    with C = cosh r and t = tanh^2 r (see ``channel.entangled_state``).
-    """
-    ox, a = _as_xi(xi), _as_accel(r)
-    s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._shared_terms
-    v0 = np.array([ox.eta(+1, -1), ox.eta(-1, +1) * s, ox.eta(-1, -1), ox.eta(+1, +1) * s])
-    v1 = np.array([0.0, ox.eta(+1, -1), 0.0, ox.eta(-1, -1)])
-    # t rounded as in channel._shared_levels: exp(ln t) where |ln t| < 1, else tanh r squared
-    t = float(np.exp(_log_t(a))) if a.T**2 > math.exp(-1.0) else a.T**2
-    w0, w1 = 1.0 / (8.0 * a.C**2), t / (8.0 * a.C**2)
-    shared = DenseOperator(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1), (2, 2))
-    units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
-    return apply_protocol(build_protocol(schmidt_decompose(xi)), shared, units)
-
-
-def bloch_form(e):
-    """Real 4x4 Q with <psi| sigma_R(|psi><psi|) |psi> = x^T Q x on x = (1, n).
-
-    n is the Bloch vector of psi.  With E4 the channel blocks E[i, j][k, l]
-    as a 4x4 matrix over the pairs (ij) and (kl), the fidelity is
-    Re sum_b (w E4)_b conj(w)_b on w = vec(|psi><psi|), and
-    rho = (1 + n.sigma)/2 gives w = T x with T = PAULI_HALF, so
-    Q = Re(T^T E4 conj(T)).  Object arrays (sympy, mpmath) keep their
-    complex entries: numpy's .real leaves them as they are.
-    """
-    return (PAULI_HALF.T @ e.reshape(4, 4) @ PAULI_HALF.conj()).real
-
-
-def object_channel_blocks(etas, c, t, alice, rob):
-    """channel_blocks on object arrays (sympy symbols or mpmath numbers).
-
-    etas = (eta_{+-}, eta_{-+}, eta_{--}, eta_{++}), c = cosh r, t = tanh r,
-    and alice and rob are real Schmidt bases as columns: build_protocol's
-    kit and apply_protocol's contraction, on the levels {0, 1} block.
-    """
-    epm, emp, emm, epp = etas
-    v0 = np.array([epm, emp / c, emm, epp / c], dtype=object)
-    v1 = np.array([0, epm, 0, emm], dtype=object)
-    rho4 = ((np.outer(v0, v0) + t**2 * np.outer(v1, v1)) / (8 * c**2)).reshape(2, 2, 2, 2)
-    units = np.eye(4, dtype=int).astype(object).reshape(2, 2, 2, 2)
-    kit = build_protocol(SchmidtDecomposition(None, alice, rob))
-    e = 0
-    for pi, b in zip(kit.povms, kit.local_ops):
-        e = e + b @ np.einsum("qapc,ijpq,ckal->ijkl", pi.reshape(2, 2, 2, 2), units, rho4) @ b.T
-    return e
 
 
 def bloch_vectors(samples, seed, start=0):
@@ -366,17 +303,6 @@ def draw_form_values(form, samples, seed, start=0):
     out = np.empty(samples)
     _draw_form_values(form, _philox(seed, start), out)
     return out
-
-
-def haar_average(e):
-    """Haar average of the channel blocks E[i, j] = E(|i><j|) from the second
-    moment integral P (x) P dmu = (I + SWAP)/6:
-
-        f = ( sum_i Tr E_ii + sum_ij (E_ij)[i, j] ) / 6.
-    """
-    t1 = sum(np.trace(e[i, i]).real for i in range(2))
-    t2 = sum(e[i, j][i, j].real for i in range(2) for j in range(2))
-    return float((t1 + t2) / 6.0)
 
 
 def test_bloch_form_matches_five_operand_einsum():
@@ -436,22 +362,11 @@ def test_bloch_form_is_diagonal_identically_in_eta_c_t():
     # the symbolic blocks are the oracle's, at the code's (real) Schmidt bases
     blocks = sp.lambdify([*etas, c, t, *alice.ravel(), *rob.ravel()], sp.Array(e.tolist()))
     for xi, r in ((0.0, 0.6), (0.4, 0.6), (0.9, 2.0)):
-        sd, ox, a = schmidt_decompose(xi), _as_xi(xi), _as_accel(r)
+        sd, a = schmidt_decompose(xi), _as_accel(r)
         assert not sd.alice_basis.imag.any() and not sd.rob_basis.imag.any()
-        got = blocks(ox.eta(1, -1), ox.eta(-1, 1), ox.eta(-1, -1), ox.eta(1, 1), a.C, a.T,
+        got = blocks(eta(xi, 1, -1), eta(xi, -1, 1), eta(xi, -1, -1), eta(xi, 1, 1), a.C, a.T,
                      *sd.alice_basis.real.ravel(), *sd.rob_basis.real.ravel())
         np.testing.assert_allclose(np.array(got, dtype=float), channel_blocks(xi, r), rtol=0, atol=1e-15)
-
-
-def mp_fidelity_form(xi, r):
-    """_fidelity_form's four entries in mpmath, at the working precision."""
-    mpmath = pytest.importorskip("mpmath")
-    xi, x = mpmath.mpf(xi), 1 / mpmath.cosh(mpmath.mpf(r))
-    u, v = mpmath.sqrt(1 - xi), mpmath.sqrt(1 + xi)
-    return ((2 - xi) * x**2 / 4 + xi * x**4 / 4,
-            (u + v) * ((1 + u * v) * x**3 + (1 - u * v) * x**4) / 8,
-            (u + v) * x**3 / 4,
-            ((1 - u * v) * x**3 + (1 + u * v) * x**4) / 4)
 
 
 def test_fidelity_form_equals_generic_route_at_50_digits():
@@ -690,24 +605,11 @@ def test_exact_closed_form_at_zero_acceleration():
         assert average_fidelity_exact(xi, 0.0) == pytest.approx(exact_closed_form(xi), abs=1e-12)
 
 
-def full_tower_blocks(kit, shared):
-    """Top-left 2x2 blocks of the protocol output on the four matrix units."""
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            blocks[i, j] = apply_protocol(kit, shared, unit)[:2, :2]
-    return blocks
-
-
 def test_channel_blocks_match_full_tower():
     for xi, r in ((0.0, 0.0), (0.3, 0.6), (0.9, 0.85), (0.5, 1.5)):
         cut = FockCutoff.for_acceleration(r)
         assert cut.n_max <= 200
-        kit = build_protocol(schmidt_decompose(xi))
-        full = full_tower_blocks(kit, entangled_state(xi, r, cut))
-        np.testing.assert_allclose(channel_blocks(xi, r), full, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(channel_blocks(xi, r), full_tower_blocks(xi, r, cut), rtol=0, atol=1e-12)
 
 
 def test_exact_fidelity_reaches_large_r():
@@ -717,30 +619,6 @@ def test_exact_fidelity_reaches_large_r():
         assert 0.0 < average_fidelity_exact(0.4, r) < 1.0, r
     with pytest.raises(RQITError, match="exceeds"):
         average_fidelity_exact(0.4, MAX_R + 1.0)
-
-
-def scatter_crop_channel_blocks(xi, r, cutoff):
-    """The channel blocks built the long way: the terms |v_0> and |v_1> of the
-    truncated tower scattered into a dense (2) x (3 levels) state, cropped to
-    levels {0, 1}, and the protocol applied to one matrix unit at a time."""
-    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff)
-    amps, weights = amps[:, :2], weights[:2]
-    rho = np.zeros((6, 6))
-    n = np.arange(2)
-    offsets = [q * 3 + d for q, d in _SHARED_COMPONENTS]
-    for p, row in enumerate(offsets):
-        for q, col in enumerate(offsets):
-            rho[row + n, col + n] += weights * (amps[p] * amps[q])
-    low = rho.reshape(2, 3, 2, 3)[:, :2, :, :2]
-    shared = DenseOperator(low.reshape(4, 4), (2, 2))
-    kit = build_protocol(schmidt_decompose(xi))
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            blocks[i, j] = apply_protocol(kit, shared, unit)
-    return blocks
 
 
 def test_channel_blocks_equal_scatter_crop_construction():
@@ -770,16 +648,14 @@ def test_exact_gauge_invariance():
     # leaves the decomposed state, hence the protocol average, unchanged
     xi, r = 0.4, 0.5
     cut = FockCutoff.for_acceleration(r)
-    shared = entangled_state(xi, r, cut)
     base = average_fidelity_exact(xi, r)
     rng = np.random.default_rng(8)
     sd = schmidt_decompose(xi)
     for _ in range(3):
         ph = np.exp(1j * rng.uniform(0, 2 * math.pi, size=2))
         gauged = SchmidtDecomposition(sd.lambdas, sd.alice_basis * ph, sd.rob_basis * ph.conj())
-        np.testing.assert_allclose(gauged.state_vector(), sd.state_vector(), atol=1e-12)
-        blocks = full_tower_blocks(build_protocol(gauged), shared)
-        assert haar_average(blocks) == pytest.approx(base, abs=1e-12)
+        np.testing.assert_allclose(state_vector(gauged), state_vector(sd), atol=1e-12)
+        assert haar_average(full_tower_blocks(xi, r, cut, gauged)) == pytest.approx(base, abs=1e-12)
 
 
 def test_fidelity_monotone_in_acceleration():
@@ -840,57 +716,6 @@ def test_fidelity_sweep_checks_work_bound_before_building(monkeypatch):
         fidelity_sweep(2 * MAX_R, np.zeros(points), samples=1)
     with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
         fidelity_sweep(0.6, [0.4], samples=MC_WORK_BOUND)
-
-
-def mp_exact_fidelity(xi, r):
-    """fig2's exact average at 40 digits, from the physics alone.
-
-    Rob's |0> maps to sum_n c_n |n>_I |n>_II and |1> to sum_n d_n |n+1>_I |n>_II
-    (c_n = tanh^n r / cosh r, d_n = sqrt(n+1) tanh^n r / cosh^2 r).  Tracing
-    wedge II leaves one term per n, and on Fock levels {0, 1} only the term
-    n = 0 and the level-1 part of n = 1 remain.  The Schmidt form is
-    |Psi> = (|0>(|+> + |phi>) + |1>(|+> - |phi>))/2; for xi > 0, <+|phi> < 0,
-    so |1> carries the larger coefficient.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        xi, r = mpmath.mpf(xi), mpmath.mpf(r)
-        h = 1 / mpmath.sqrt(2)
-        plus, minus = mpmath.matrix([h, h]), mpmath.matrix([h, -h])
-        phi = mpmath.matrix([mpmath.sqrt((1 - xi) / 2), -mpmath.sqrt((1 + xi) / 2)])
-        psi = [[(plus[a] * plus[b] + minus[a] * phi[b]) * h for b in range(2)] for a in range(2)]
-        c0, c1, d0 = 1 / mpmath.cosh(r), mpmath.tanh(r) / mpmath.cosh(r), 1 / mpmath.cosh(r) ** 2
-        # index 2a + k for Alice's qubit a and Rob's Fock level k
-        v0 = mpmath.matrix([psi[0][0] * c0, psi[0][1] * d0, psi[1][0] * c0, psi[1][1] * d0])
-        v1 = mpmath.matrix([0, psi[0][0] * c1, 0, psi[1][0] * c1])
-        rho = v0 * v0.T + v1 * v1.T
-        t0, t1 = plus - phi, plus + phi
-        t0, t1 = t0 / mpmath.norm(t0), t1 / mpmath.norm(t1)
-        e0, e1 = mpmath.matrix([1, 0]), mpmath.matrix([0, 1])
-        a0, a1 = e1, e0
-
-        def kron(x, y):
-            return mpmath.matrix([x[i] * y[j] for i in range(2) for j in range(2)])
-
-        us = (kron(e0, a0) + kron(e1, a1), kron(e0, a0) - kron(e1, a1),
-              kron(e0, a1) + kron(e1, a0), kron(e0, a1) - kron(e1, a0))
-        bs = (e0 * t0.T + e1 * t1.T, e0 * t0.T - e1 * t1.T, e1 * t0.T + e0 * t1.T, e1 * t0.T - e0 * t1.T)
-        total = 0
-        for i in range(2):
-            for j in range(2):
-                # output on |i><j|: sum_m B_m M_m B_m^T with Pi_m = u_m u_m^T / 2 and
-                # M_m[k, l] = sum_{a, c} Pi_m[(j a), (i c)] rho[(c k), (a l)]
-                out = mpmath.zeros(2, 2)
-                for u, b in zip(us, bs):
-                    m = mpmath.matrix(2, 2)
-                    for k in range(2):
-                        for l in range(2):
-                            m[k, l] = sum(u[2 * j + a] * u[2 * i + c] / 2 * rho[2 * c + k, 2 * a + l]
-                                          for a in range(2) for c in range(2))
-                    out += b * m * b.T
-                # Haar second moment (I + SWAP)/6: Tr E_ii and E_ij[i, j]
-                total += (out[0, 0] + out[1, 1] if i == j else 0) + out[i, j]
-        return total / 6
 
 
 def test_exact_column_matches_mpmath():
