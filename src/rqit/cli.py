@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import DEFAULT_TRUNCATION_TOL, FockCutoff, entangled_state, unruh_one_particle_amplitudes
+from .channel import (DEFAULT_TRUNCATION_TOL, FockCutoff, _as_accel, _shared_deficit, _shared_etas, _shared_levels,
+                      _unit_trace_atol, entangled_state, unruh_one_particle_amplitudes)
 from .distinguishability import angle_sweep
 from .entanglement import log_negativity, negativity_sweep
 from .errors import RQITError
@@ -206,7 +207,12 @@ def _cmd_validate(args) -> int:
     d2 = (unruh_one_particle_amplitudes(0.6, cut6.doubled()) ** 2).tolist()
     first = next(n for n in range(len(d2)) if math.fsum(d2[n + 1:]) <= cut6.tol)
     add("cutoff_one_particle_tail", max(16, first), cut6.n_max, 0)
-    add("state_trace", entangled_state(0.5, 0.6, cut6).trace().real, 1.0, 1e-10)
+    # fig1's band terms at xi = 0.5: their trace sum_n w_n |v_n|^2 plus the closed-form dropped trace
+    a6 = _as_accel(0.6)
+    eta = _shared_etas(np.array([0.5]), a6, cut6)
+    factors, w = _shared_levels(a6, cut6)
+    trace = float(((eta.T * factors) ** 2).sum(axis=0) @ w)
+    add("state_trace", trace + _shared_deficit(eta, a6, cut6.n_max)[0], 1.0, _unit_trace_atol(cut6.n_max))
     ideal = run_protocol((1 / math.sqrt(2), 1j / math.sqrt(2)), 0.0, 0.0)
     psi = np.zeros(ideal.dim, dtype=complex)
     psi[0], psi[1] = 1 / math.sqrt(2), 1j / math.sqrt(2)

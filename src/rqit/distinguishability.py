@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import (FockCutoff, _as_accel, _as_cutoff, _encoding_amplitudes, _xi_array,
-                      unruh_one_particle_amplitudes, unruh_vacuum_amplitudes)
+from .channel import (FockCutoff, _as_accel, _as_cutoff, _encoding_amplitudes, _tail_weights, _unit_trace_atol,
+                      _xi_array, unruh_one_particle_amplitudes, unruh_vacuum_amplitudes)
 from .errors import TruncationError
 from .geometry import root_fidelity
 from .linalg import DenseOperator, check_budget, check_cost
@@ -63,8 +63,11 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     11, 873 (1990); Fernando & Parlett, Numer. Math. 67, 191 (1994)), in
     O(n_max^2) time and O(n_max) memory, with no square root.
     ``bures_angle`` of the two ``effective_qubit`` images is the dense route
-    to the same angle, with the same checks: truncation, cost bound and unit
-    trace (Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2) at every point.  The grid is
+    to the same angle, which holds its inputs to unit trace within a fixed
+    1e-6.  Here, after the truncation and cost checks, the trace
+    Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2 of every image plus its closed-form
+    tail a^2 sum_{n > n_max} c_n^2 + b^2 sum_{n > n_max} d_n^2 must be 1
+    within ``_unit_trace_atol``, at any cutoff tolerance.  The grid is
     one float64 array, its traces checked in one pass; the bands of a block
     of as many points as ``_lapack.points_per_block`` admits (the whole
     default grid at once) are filled in one pass, after the memory budget
@@ -79,13 +82,18 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
     vacuum, one = float(np.sum(cc)), float(np.sum(dd))
     h, a2, b2 = _encoding_amplitudes(xi)  # |+> = h(|0> + |1>), |phi> = a2|0> + b2|1>
-    traces = a2 * a2 * vacuum + b2 * b2 * one
+    aa, bb = a2 * a2, b2 * b2
     if len(xi):  # |+> first, as each point checked it first
-        traces = np.append(h * h * vacuum + h * h * one, traces)
-    bad = np.abs(traces - 1.0) > _TRACE_ATOL
+        aa, bb = np.append(h * h, aa), np.append(h * h, bb)
+    tail_vacuum, tail_one = _tail_weights(a, cut.n_max)
+    traces, tails = aa * vacuum + bb * one, aa * tail_vacuum + bb * tail_one
+    misses = traces + tails - 1.0
+    atol = _unit_trace_atol(cut.n_max)
+    bad = np.abs(misses) > atol
     if bad.any():
-        raise TruncationError(f"channel image trace {traces[np.argmax(bad)]:.12g} misses 1 by more than "
-                              f"{_TRACE_ATOL:.0e}")
+        i = np.argmax(bad)
+        raise TruncationError(f"channel image trace {traces[i]:.12g} plus its dropped tail {tails[i]:.6g} "
+                              f"misses 1 by {misses[i]:.3g}, more than {atol:.3g}")
     per = _lapack.points_per_block((cut.n_max + 1, 3))
     check_budget((min(len(xi), per), cut.n_max + 1, 3), float, "angle_sweep band stack")
     root_fids = np.empty(len(xi))

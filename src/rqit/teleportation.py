@@ -14,9 +14,10 @@ independent) protocol is then driven with the accelerated shared state.
 The average fidelity over Haar-random pure inputs |psi> = U|+> is the
 sphere average of a real quadratic form x^T Q x on x = (1, n), n the Bloch
 vector of psi, computed two ways: Monte Carlo over n with counter-based
-sampling (Philox; sample k reads two of the four uniform doubles of counter
-step k, so any chunked or parallel schedule reproduces identical values),
-and exactly, as Q00 + tr Q_nn / 3 (<n> = 0 and <n n^T> = 1/3).
+sampling (Philox; sample k reads doubles 2k and 2k + 1 of the stream, so one
+counter step of four doubles serves two samples, and any chunked or parallel
+schedule reproduces identical values), and exactly, as Q00 + tr Q_nn / 3
+(<n> = 0 and <n n^T> = 1/3).
 
 Q is known in closed form (``_fidelity_form``).  The receiver's output on
 Fock levels {0, 1}, the only levels the fidelity reads, depends only on
@@ -41,8 +42,8 @@ from .errors import NumericError, SizeError
 from .linalg import DenseOperator, check_budget
 
 _SQRT2 = math.sqrt(2.0)
-# Largest work a fidelity_sweep may take, in samples: about 6-9 s at
-# 0.06-0.09 us a sample on a 2-core x86 host.  Each xi point counts its
+# Largest work a fidelity_sweep may take, in samples: about 5.5-7 s at
+# 0.055-0.07 us a sample on a 2-core x86 host.  Each xi point counts its
 # samples plus MC_POINT_CHARGE for its fixed work (the fidelity form and the
 # sampling set-up, 0.07-0.08 ms a point there); both values date from slower
 # code and are kept, so that the runs they admit stay the same.  The
@@ -272,11 +273,12 @@ def _draw_form_values(form: tuple[float, float, float, float], stream: np.random
                       out: np.ndarray) -> None:
     """x^T Q x, Q = diag(form), at the next ``out.size`` Bloch vectors of ``stream``,
     into ``out``: Q00 + Qzz z^2 + (1 - z)(1 + z)(Qyy + (Qxx - Qyy) cos^2 phi),
-    z = 2 u0 - 1 and phi = 2 pi u1 from the first two doubles of a sample's
-    counter step (Archimedes: z is uniform on [-1, 1]).  Draws continue the stream.
+    z = 2 u0 - 1 and phi = 2 pi u1 from the next two doubles of the stream, so
+    one counter step of four doubles serves two samples (Archimedes: z is uniform
+    on [-1, 1]).  Draws continue the stream, mid-step too.
     """
     q00, qxx, qyy, qzz = form
-    u = stream.random((out.size, 4))
+    u = stream.random((out.size, 2))
     z = u[:, 0] * 2.0
     z -= 1.0
     c = u[:, 1] * (2.0 * np.pi)
@@ -309,7 +311,9 @@ def average_fidelity_mc(
 
     Samples are drawn ``MC_CHUNK`` at a time from one Philox stream, which
     bounds the working memory and never changes a result: sample k always
-    consumes counter step k.  The per-sample values are kept at 8 bytes a
+    reads doubles 2k and 2k + 1 of the stream, words 2(k mod 2) and
+    2(k mod 2) + 1 of counter step k // 2, and the generator keeps the unread
+    words of a step between chunks.  The per-sample values are kept at 8 bytes a
     sample.  The mean and the variance are exact sums of them and of the
     squared deviations (``_ExactSum``), each rounded once, so they are the
     correctly rounded sums that math.fsum gives, whatever the chunking.

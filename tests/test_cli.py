@@ -227,6 +227,35 @@ def test_validate_command(tmp_path, capsys):
     assert stdout.count("PASS") == 13 and "FAIL" not in stdout
 
 
+CUTOFF_TOLS = ("1e-12", "1e-9", "2e-6", "3e-6", "1e-3", "0.5")
+
+
+@pytest.mark.parametrize("r", ["0.85", "1.5"])
+def test_band_figures_take_every_cutoff_tolerance(r, tmp_path):
+    # --cutoff-tol is documented on (0, 1), and the unit-trace checks hold each trace plus
+    # its closed-form tail to 1, so a loose cutoff is no numeric failure.  fig1 moves by at
+    # most 2 tol / ((1 - tol) ln 2) from its value at 1e-12: the terms Delta >= 0 between
+    # the two cutoffs have ||Delta^Gamma||_1 <= 2 tr Delta <= 2 tol, and the trace norms
+    # are at least the traces, 1 - tol
+    tables = {}
+    for command in ("fig1", "fig3"):
+        for tol in CUTOFF_TOLS:
+            out = tmp_path / f"{command}-{tol}.csv"
+            assert run_cli([command, "--r", r, "--cutoff-tol", tol, "-o", str(out)]) == 0, (command, tol)
+            tables[command, tol] = np.array(read_csv(out)[1])
+    tight = tables["fig1", "1e-12"][:, 1]
+    for tol in CUTOFF_TOLS:
+        bound = 2 * float(tol) / ((1 - float(tol)) * math.log(2)) + 1e-12
+        assert np.abs(tables["fig1", tol][:, 1] - tight).max() <= bound, tol
+        assert np.isfinite(tables["fig3", tol]).all(), tol
+
+
+def test_validate_passes_at_a_loose_cutoff_tolerance(capsys):
+    assert run_cli(["validate", "--cutoff-tol", "1e-9", "-o", "-"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13 and all(line.startswith("PASS  ") for line in lines), lines
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -316,7 +345,7 @@ def test_header_keys_and_order(argv, extras, tmp_path, capsys):
         ["fig3", "--r", "1000", "--n-max", "50", "--xi", "0:0:1"],
         ["metric", "--r", "1000", "--points", "2"],
         ["curvature", "--r", "400"],
-        ["fig3", "--r", "0.85", "--n-max", "3", "--cutoff-tol", "0.9", "--xi", "0.3:0.3:0"],
+        ["fig3", "--r", "0.85", "--n-max", "3", "--cutoff-tol", "0.1", "--xi", "0.3:0.3:0"],
         # no cutoff exists at r = 20, and the run is over the fig2 work bound too
         ["fig2", "--r", "20", "--samples", "60000000"],
     ],
@@ -324,8 +353,9 @@ def test_header_keys_and_order(argv, extras, tmp_path, capsys):
          "curvature-r-400", "fig3-image-trace", "fig2-no-cutoff-and-over-work-bound"],
 )
 def test_numeric_failure_exits_3(argv, capsys):
-    # a cutoff far too small for the acceleration (at r = 1000 tanh r rounds to 1),
-    # or an r above channel.MAX_R
+    # a cutoff far too small for the acceleration or the tolerance (fig3's image drops
+    # a one-particle tail of 0.16 at n_max 3; at r = 1000 tanh r rounds to 1), or an r
+    # above channel.MAX_R
     assert run_cli(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1

@@ -7,6 +7,7 @@ from oracles import bloch_pair, dense_bures_angle, haar_unitary, overlap_formula
 from rqit.channel import FockCutoff, effective_qubit, minkowski_qubit
 from rqit.distinguishability import angle_sweep, bures_angle
 from rqit.errors import SizeError, TruncationError
+from rqit.geometry import root_fidelity
 from rqit.linalg import DenseOperator
 
 
@@ -134,6 +135,9 @@ def test_sweep_checks_before_building():
         angle_sweep(0.6, [0.3], FockCutoff(10**6))
     with pytest.raises(TruncationError, match="vacuum norm deficit"):
         angle_sweep(0.85, [0.3], FockCutoff(4))
-    # the truncation checks pass at tol 0.9, but the images miss unit trace
-    with pytest.raises(TruncationError, match="channel image trace"):
-        angle_sweep(0.85, [0.3], FockCutoff(3, tol=0.9))
+    # at tol 0.9 the truncation checks pass and the images hold 0.89 of their trace, which
+    # with the closed-form tail makes 1: the angle is that of the truncated images
+    cut = FockCutoff(3, tol=0.9)
+    plus, phi = bloch_pair(0.3)
+    fid = root_fidelity(effective_qubit(plus, 0.85, cut), effective_qubit(phi, 0.85, cut))
+    assert abs(angle_sweep(0.85, [0.3], cut)[0].theta - math.acos(fid)) <= 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_bures_angle
-from rqit import _lapack, channel, entanglement
+from rqit import _lapack, channel, distinguishability, entanglement
 from rqit.channel import FockCutoff, entangled_state
 from rqit.cli import main
 from rqit.distinguishability import angle_sweep
@@ -170,18 +170,38 @@ def test_sweeps_name_the_first_bad_xi(sweep, bad, at):
         sweep(0.6, xis)
 
 
-@pytest.mark.parametrize("sweep, r, xis, cut, message", [
+def squared_tail_head(a, n_max):
+    """_tail_weights with t^(N+1) squared: both tails far too small."""
+    vacuum, one = channel._tail_weights(a, n_max)
+    return vacuum * vacuum, one * vacuum
+
+
+def tails_in_the_wrong_tower(a, n_max):
+    """_tail_weights with 1e-13 of the one-particle tail booked to the vacuum
+    tail: an image a|0> + b|1> then misses by 1e-13 |a^2 - b^2|, which is 0 at
+    |+> and 1e-13 xi at |phi>."""
+    vacuum, one = channel._tail_weights(a, n_max)
+    return vacuum + 1e-13, one - 1e-13
+
+
+@pytest.mark.parametrize("sweep, r, xis, cut, message, tails", [
     (negativity_sweep, 0.9, [0.3, 0.5], FockCutoff(8),
-     "shared-state trace deficit 8.674e-03 exceeds tol 1.0e-12 at n_max 8"),
+     "shared-state trace deficit 8.674e-03 exceeds tol 1.0e-12 at n_max 8", None),
     (negativity_sweep, 0.9, [0.1, 0.9, 0.2, 0.95], FockCutoff(8, tol=1e-2),
-     "shared-state trace deficit 1.029e-02 exceeds tol 1.0e-02 at n_max 8"),
+     "shared-state trace deficit 1.029e-02 exceeds tol 1.0e-02 at n_max 8", None),
     (angle_sweep, 0.85, [0.3], FockCutoff(3, tol=0.9),
-     "channel image trace 0.893626301934 misses 1 by more than 1e-06"),
+     "channel image trace 0.893626301934 plus its dropped tail 0.0055336 misses 1 by -0.101, more than 7.11e-15",
+     squared_tail_head),
     (angle_sweep, 0.85, [0.2, 0.95, 0.1, 0.99], FockCutoff(21, tol=1e-5),
-     "channel image trace 0.999998939459 misses 1 by more than 1e-06"),
+     "channel image trace 0.999998939459 plus its dropped tail 1.06054e-06 misses 1 by -9.57e-14, "
+     "more than 3.91e-14", tails_in_the_wrong_tower),
 ])
-def test_sweeps_name_the_first_truncated_point(sweep, r, xis, cut, message):
-    # the text one-point checks gave; of several failing points the first is named, not the worst
+def test_sweeps_name_the_first_truncated_point(sweep, r, xis, cut, message, tails, monkeypatch):
+    # the text one-point checks gave; of several failing points the first is named, not the worst.
+    # angle_sweep holds each image trace plus its closed-form tail to 1 at any cutoff
+    # tolerance, so only a wrong tail trips it: here one swapped in for the sweep's
+    if tails:
+        monkeypatch.setattr(distinguishability, "_tail_weights", tails)
     with pytest.raises(TruncationError) as err:
         sweep(r, xis, cut)
     assert str(err.value) == message

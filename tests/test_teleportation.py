@@ -282,13 +282,25 @@ FORM_POINTS = ((0.0, 0.0), (0.4, 0.6), (0.9, 0.85), (0.3, 1.5))
 EPS = np.finfo(float).eps
 
 
+def raw_doubles(words):
+    """Uniform doubles from raw Philox-4x64 words, as numpy's Generator.random
+    makes them: the top 53 bits of a word times 2^-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 def bloch_vectors(samples, seed, start=0):
     """The general-form reference sampler: unit vectors n = (s cos phi,
-    s sin phi, z), s = sqrt((1 - z)(1 + z)), one a row, from the counter
-    steps that _draw_form_values reads (sample k: u0 and u1 of step start + k)."""
-    u = _philox(seed, start).random((samples, 4))
-    z = 2.0 * u[:, 0] - 1.0
-    phi = 2.0 * np.pi * u[:, 1]
+    s sin phi, z), s = sqrt((1 - z)(1 + z)), one a row, from the raw words
+    that _draw_form_values reads: sample k takes u0 and u1 from words 2k and
+    2k + 1 of the stream keyed by seed, so a counter step serves two samples."""
+    words = np.random.Philox(key=seed).random_raw(2 * (start + samples))[2 * start:]
+    u = raw_doubles(words).reshape(samples, 2)
+    return bloch_from_doubles(u[:, 0], u[:, 1])
+
+
+def bloch_from_doubles(u0, u1):
+    z = 2.0 * u0 - 1.0
+    phi = 2.0 * np.pi * u1
     s = np.sqrt((1.0 - z) * (1.0 + z))
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
@@ -299,9 +311,13 @@ def form_values(q, n):
 
 
 def draw_form_values(form, samples, seed, start=0):
-    """_draw_form_values on samples [start, start + samples) of the stream keyed by seed."""
+    """_draw_form_values on samples [start, start + samples) of the stream keyed
+    by seed; an odd start begins halfway through counter step start // 2."""
     out = np.empty(samples)
-    _draw_form_values(form, _philox(seed, start), out)
+    stream = _philox(seed, start // 2)
+    if start % 2:
+        stream.random(2)
+    _draw_form_values(form, stream, out)
     return out
 
 
@@ -419,6 +435,28 @@ def test_diagonal_samples_equal_general_form_on_the_same_counter_steps():
         got = draw_form_values(form, 20_000, seed=7, start=3)
         want = form_values(q, bloch_vectors(20_000, seed=7, start=3))
         assert np.abs(got - want).max() <= 8 * EPS * np.abs(q).max(), (xi, r)
+
+
+def test_two_samples_share_each_counter_step():
+    # the four words of counter step j, read from a generator advanced by j
+    # steps, give samples 2j and 2j + 1
+    form = _fidelity_form(0.4, 0.6)
+    q = np.diag(form)
+    values = draw_form_values(form, 2 * 64, seed=7)
+    for j in (0, 1, 17, 63):
+        bit = np.random.Philox(key=7)
+        bit.advance(j)
+        u = raw_doubles(bit.random_raw(4))
+        want = form_values(q, bloch_from_doubles(u[0::2], u[1::2]))
+        assert np.abs(values[2 * j:2 * j + 2] - want).max() <= 8 * EPS * np.abs(q).max(), j
+
+
+def test_form_values_are_uncorrelated_at_lag_one():
+    # a layout that fed two samples the same two doubles would correlate
+    # neighbours by about 1/2
+    count = 200_000
+    values = draw_form_values(_fidelity_form(0.4, 0.6), count, seed=13)
+    assert abs(np.corrcoef(values[:-1], values[1:])[0, 1]) <= 5 / math.sqrt(count)
 
 
 def test_draw_form_values_continues_the_stream():
