@@ -60,7 +60,6 @@ from .teleportation import (
     fidelity_bound,
     fidelity_sweep,
     haar_qubit_unitaries,
-    run_protocol,
     schmidt_decompose,
 )
 

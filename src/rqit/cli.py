@@ -22,19 +22,22 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import (DEFAULT_TRUNCATION_TOL, FockCutoff, _as_accel, _shared_deficit, _shared_etas, _shared_levels,
-                      _unit_trace_atol, entangled_state, unruh_one_particle_amplitudes)
+from .channel import (DEFAULT_TRUNCATION_TOL, FockCutoff, _as_accel, _encoding_amplitudes, _shared_deficit,
+                      _shared_etas, _shared_levels, _tail_weights, _unit_trace_atol, unruh_one_particle_amplitudes)
 from .distinguishability import angle_sweep
-from .entanglement import log_negativity, negativity_sweep
+from .entanglement import negativity_sweep
 from .errors import RQITError
 from .geometry import curvature_comparison, metric_cartesian, numeric_metric, scalar_curvature_numeric
-from .teleportation import average_fidelity_exact, fidelity_sweep, run_protocol
+from .teleportation import average_fidelity_exact, fidelity_sweep
 
 CURVATURE_GEOMETRY = "cartesian_pullback"
 H_OFFDIAG_SYMBOL = "xi_c"
 # Largest xi grid, metric table and curvature grid (--grid squared) a command
 # takes on; checked from the options before any work.
 MAX_GRID_POINTS = 100_000
+# validate's fig1 at xi = 0.5, r = 0.6 (the double nearest 0.6), n_max 24: log2 ||rho^Gamma||_1
+# from the Minkowski amplitudes in 50-digit mpmath (tests/oracles.py, mp_log_negativity)
+FIG1_XI05_R06_N24 = "0.6366301750435001267699338136836555022648"
 
 
 class UsageError(Exception):
@@ -213,10 +216,6 @@ def _cmd_validate(args) -> int:
     factors, w = _shared_levels(a6, cut6)
     trace = float(((eta.T * factors) ** 2).sum(axis=0) @ w)
     add("state_trace", trace + _shared_deficit(eta, a6, cut6.n_max)[0], 1.0, _unit_trace_atol(cut6.n_max))
-    ideal = run_protocol((1 / math.sqrt(2), 1j / math.sqrt(2)), 0.0, 0.0)
-    psi = np.zeros(ideal.dim, dtype=complex)
-    psi[0], psi[1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
-    add("ideal_teleportation", (psi.conj() @ ideal.entries @ psi).real, 1.0, 1e-10)
     add("exact_fidelity_bell", average_fidelity_exact(0.0, 0.0), 1.0, 1e-12)
     sweep0 = angle_sweep(0.0, [0.0])
     add("orthogonal_angle", sweep0[0].theta, math.pi / 2, 1e-10)
@@ -229,13 +228,24 @@ def _cmd_validate(args) -> int:
     exact = math.log2(4 * w[0] + np.sum(np.maximum(a + d, np.hypot(a - d, 2 * b))))
     en1, en2 = (negativity_sweep(0.6, [0.0], cut)[0].log_negativity for cut in (cut6, cut6.doubled()))
     add("fig1_xi0_closed_form", en1, exact, 1e-14)
-    add("cutoff_doubling_shift", en1 - en2, 0.0, 1e-8)
-    # at xi != 0 alpha != 0, so every band entry is live; the dense state is the oracle
-    dense = log_negativity(entangled_state(0.5, 0.6, cut6))
-    add("fig1_dense_oracle", negativity_sweep(0.6, [0.5], cut6)[0].log_negativity, dense, 1e-12)
-    cut85 = FockCutoff.for_acceleration(0.85, args.cutoff_tol)
-    th1, th2 = (angle_sweep(0.85, [0.3], cut)[0].theta for cut in (cut85, cut85.doubled()))
-    add("fig3_cutoff_doubling_shift", th1 - th2, 0.0, 1e-8)
+    # doubling adds terms Delta >= 0 with a qubit factor: ||Delta^Gamma||_1 <= 2 tr Delta <= 2 D, D the trace
+    # beyond n_max, and both trace norms are >= 1 - D; rounding takes the unit-trace rule at 2 n_max
+    dropped = _shared_deficit(_shared_etas(np.zeros(1), a6, cut6), a6, cut6.n_max)[0]
+    add("cutoff_doubling_shift", en1 - en2, 0.0,
+        2 * dropped / ((1 - dropped) * math.log(2)) + _unit_trace_atol(2 * cut6.n_max))
+    add("fig1_xi05_exact", negativity_sweep(0.6, [0.5], FockCutoff(24))[0].log_negativity,
+        float(FIG1_XI05_R06_N24), 1e-14)
+    # doubling appends columns E, G to angle_sweep's A_+, A_phi: M' = [[M, A_+^T G], [E^T A_phi, E^T G]]; the
+    # corners are single entries |b_+ a_phi|, |a_+ b_phi| times c_{N+1} d_N and ||E^T G||_1 <= ||E||_F ||G||_F, the
+    # root of the two dropped traces; with the unit-trace rule for rounding that bounds |dF|, and |dtheta| <= |dF| / sin
+    # theta at the larger F
+    a85, cut85 = _as_accel(0.85), FockCutoff.for_acceleration(0.85, args.cutoff_tol)
+    th1, th2 = (angle_sweep(a85, [0.3], cut)[0].theta for cut in (cut85, cut85.doubled()))
+    (h, a2, b2), (vac, one), n = _encoding_amplitudes(0.3), _tail_weights(a85, cut85.n_max), cut85.n_max
+    corners = h * (abs(a2) + abs(b2)) * a85.T ** (2 * n + 1) * math.sqrt(n + 1) / a85.C**3
+    tails = math.sqrt(h * h * (vac + one) * (a2 * a2 * vac + b2 * b2 * one))
+    add("fig3_cutoff_doubling_shift", th1 - th2, 0.0,
+        (corners + tails + _unit_trace_atol(2 * n)) / math.sin(min(th1, th2)))
     mc, = fidelity_sweep(0.6, [0.4], samples=200_000, seed=0)
     add("mc_fidelity_shift", mc.fidelity_mc - mc.fidelity_exact, 0.0, 5 * mc.std_err)
 

@@ -11,10 +11,11 @@ instead of relying on caller bookkeeping.
 Within this module, Hermitian eigendecomposition (``numpy.linalg.eigh``) is
 the primitive behind the matrix square root, the trace norm and positivity
 checks; no general non-Hermitian decompositions are used.  These dense
-routines are the library API and the test oracles: the fig1 and fig3 sweeps
+routines (and ``root_fidelity``'s SVD) are library API and test oracles,
+and no command runs them: the fig1 and fig3 sweeps, and ``rqit validate``,
 use the banded LAPACK kernels of ``_lapack`` instead (symmetric band
 eigenvalues, tridiagonal singular values, each with its own dense
-``eigvalsh`` or ``svd`` fallback), and ``root_fidelity`` an SVD.
+``eigvalsh`` or ``svd`` fallback).
 
 The module also holds the two budgets checked before any work: the memory
 budget of one dense array (``check_budget``) and the work budget of a

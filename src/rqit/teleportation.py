@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import FockCutoff, _as_accel, _as_cutoff, _as_xi, entangled_state
+from .channel import _as_accel, _as_xi
 from .errors import NumericError, SizeError
 from .linalg import DenseOperator, check_budget
 
@@ -175,20 +175,6 @@ def apply_protocol(kit: ProtocolKit, shared: DenseOperator, input_op: np.ndarray
         cond[..., :2] = cond[..., :2] @ b.conj().T
         out += cond
     return out
-
-
-def run_protocol(input_state: Sequence[complex], xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
-    """Teleport the pure state (alpha, beta); returns the receiver's state."""
-    amps = np.asarray(input_state, dtype=complex)
-    if amps.shape != (2,):
-        raise ValueError(f"input state must have 2 amplitudes, got shape {amps.shape}")
-    if abs(float(np.vdot(amps, amps).real) - 1.0) > 1e-10:
-        raise ValueError("input amplitudes must be normalized")
-    cut = _as_cutoff(cutoff, r)
-    kit = build_protocol(schmidt_decompose(xi))
-    shared = entangled_state(xi, r, cut)
-    out = apply_protocol(kit, shared, np.outer(amps, amps.conj()))
-    return DenseOperator(out, (cut.levels,))
 
 
 def _fidelity_form(xi, r) -> tuple[float, float, float, float]:

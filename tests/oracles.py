@@ -9,21 +9,24 @@ the exact way, and each is defined once, for every test module to import:
   matrices and Haar unitaries;
 * the encoding pair |+>, |phi> and the shared state's eta, as formulas;
 * dense and generic routes: the shared state by rank-one updates, fig3's
-  Bures angle of two dense channel images, and the teleportation channel's
-  blocks on Fock levels {0, 1} with their Bloch form and Haar average;
-* exact values in mpmath and sympy: fig1 at xi = 0, fig2's form and
-  average, and the jets and scalar curvature of the closed-form metric.
+  Bures angle of two dense channel images, the protocol run on a given
+  input state, and the teleportation channel's blocks on Fock levels
+  {0, 1} with their Bloch form and Haar average;
+* exact values in mpmath and sympy: fig1 at xi = 0 and, from the partial
+  transpose itself, at any xi, fig2's form and average, and the jets and
+  scalar curvature of the closed-form metric.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from rqit import geometry
-from rqit.channel import (_SHARED_COMPONENTS, _as_accel, _as_xi, _log_t, _shared_terms, effective_qubit,
-                          entangled_state)
-from rqit.distinguishability import bures_angle
+from rqit.channel import (_SHARED_COMPONENTS, FockCutoff, _as_accel, _as_cutoff, _as_xi, _log_t, _shared_terms,
+                          effective_qubit, entangled_state)
+from rqit.geometry import root_fidelity
 from rqit.linalg import HERMITIAN_ATOL, DenseOperator
 from rqit.teleportation import SchmidtDecomposition, apply_protocol, build_protocol, schmidt_decompose
 
@@ -76,9 +79,12 @@ def bloch_pair(xi):
 
 
 def dense_bures_angle(xi, r, cut=None):
-    """fig3's dense route: bures_angle of the effective_qubit images of |+> and |phi>."""
+    """fig3's dense route: acos of the root fidelity of the effective_qubit images of
+    |+> and |phi>, clipped to [0, 1] as angle_sweep clips it.  Unlike bures_angle it
+    takes images that miss unit trace by a loose cutoff's tail."""
     plus, phi = bloch_pair(xi)
-    return bures_angle(effective_qubit(plus, r, cut), effective_qubit(phi, r, cut))
+    fid = root_fidelity(effective_qubit(plus, r, cut), effective_qubit(phi, r, cut))
+    return math.acos(float(np.clip(fid, 0.0, 1.0)))
 
 
 def state_vector(sd):
@@ -202,6 +208,20 @@ def full_tower_blocks(xi, r, cut, schmidt=None):
     return apply_protocol(kit, entangled_state(xi, r, cut), _UNITS)[..., :2, :2]
 
 
+def run_protocol(input_state: Sequence[complex], xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
+    """Teleport the pure state (alpha, beta); returns the receiver's state."""
+    amps = np.asarray(input_state, dtype=complex)
+    if amps.shape != (2,):
+        raise ValueError(f"input state must have 2 amplitudes, got shape {amps.shape}")
+    if abs(float(np.vdot(amps, amps).real) - 1.0) > 1e-10:
+        raise ValueError("input amplitudes must be normalized")
+    cut = _as_cutoff(cutoff, r)
+    kit = build_protocol(schmidt_decompose(xi))
+    shared = entangled_state(xi, r, cut)
+    out = apply_protocol(kit, shared, np.outer(amps, amps.conj()))
+    return DenseOperator(out, (cut.levels,))
+
+
 # column c is vec(sigma_c / 2), in the (ij) order of E4, for sigma_0 = 1 and the Pauli x, y, z
 PAULI_HALF = np.array([[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]]) / 2
 
@@ -253,6 +273,35 @@ def exact_log_negativity_at_xi_zero(r, n_max, mp):
             a, b, c = 4 * w[m - 1] * s2[m - 1], 4 * w[m] * mp.sqrt(s2[m]), 4 * w[m + 1]
             norm += max(a + c, mp.sqrt((a - c) ** 2 + 4 * b**2))
         return float(mp.log(norm, 2))
+
+
+def mp_log_negativity(xi, r, n_max, dps=40):
+    """fig1 in mpmath at ``dps`` digits: log2 of the trace norm of rho^Gamma over the
+    truncation n = 0..n_max, from the physics alone.
+
+    |Psi> = sum_ab psi_ab |a>|b> with psi_ab = (<a|+><b|+> + <a|-><b|phi>)/sqrt2; Rob's
+    |0> maps to sum_n c_n |n>_I |n>_II and |1> to sum_n d_n |n+1>_I |n>_II.  Tracing
+    wedge II leaves rho = sum_n |u_n><u_n| with u_n = sum_a |a>(psi_a0 c_n |n> + psi_a1 d_n |n+1>),
+    which is transposed on Alice's qubit and diagonalised with ``mpmath.eigsy``.  xi and r
+    are read as the doubles they are (``mpf(0.6)``, not ``mpf('0.6')``).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        xi, r = mpmath.mpf(xi), mpmath.mpf(r)
+        h = 1 / mpmath.sqrt(2)
+        plus, minus = (h, h), (h, -h)
+        phi = (mpmath.sqrt((1 - xi) / 2), -mpmath.sqrt((1 + xi) / 2))
+        psi = [[(plus[a] * plus[b] + minus[a] * phi[b]) * h for b in range(2)] for a in range(2)]
+        ch, th = mpmath.cosh(r), mpmath.tanh(r)
+        levels = n_max + 2
+        pt = mpmath.zeros(2 * levels, 2 * levels)  # index a * levels + k: Alice's qubit a, Rob's level k
+        for n in range(n_max + 1):
+            c, d = th**n / ch, th**n * mpmath.sqrt(n + 1) / ch**2
+            u = {(a, k): psi[a][b] * amp for a in range(2) for b, k, amp in ((0, n, c), (1, n + 1, d))}
+            for (a, k), x in u.items():
+                for (b, l), y in u.items():
+                    pt[b * levels + k, a * levels + l] += x * y  # rho[(a k), (b l)], transposed on a
+        return mpmath.log(sum(abs(e) for e in mpmath.eigsy(pt, eigvals_only=True)), 2)
 
 
 def mp_fidelity_form(xi, r):

