@@ -33,7 +33,6 @@ from .geometry import (
     CurvatureResult,
     MetricValue,
     curvature_comparison,
-    fidelity,
     generalized_bures_distance,
     metric_cartesian,
     metric_polar,

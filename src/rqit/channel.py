@@ -88,13 +88,6 @@ class OrthogonalityParam(_Frozen):
             raise ValueError(f"xi must lie in [0, 1), got {xi}")
         object.__setattr__(self, "xi", xi)
 
-    def plus_state(self) -> np.ndarray:
-        h = _encoding_amplitudes(self.xi)[0]
-        return np.array([h, h], dtype=complex)
-
-    def phi_state(self) -> np.ndarray:
-        return np.array(_encoding_amplitudes(self.xi)[1:], dtype=complex)
-
 
 def _encoding_amplitudes(xi):
     """(h, a, b) with |+> = h(|0> + |1>) and |phi> = a|0> + b|1>: h = 1/sqrt2,
@@ -319,32 +312,14 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
     return DenseOperator._wrap(rho, (nlev,))
 
 
-# (qubit, Fock-level offset from n) of the rows of ``_shared_terms``' amps:
-# |0,n>, |1,n>, |0,n+1>, |1,n+1>
+# (qubit, Fock-level offset from n) of the four components of the term |v_n>
+# (``entangled_state``): |0,n>, |1,n>, |0,n+1>, |1,n+1>
 _SHARED_COMPONENTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _shared_terms(ox: OrthogonalityParam, a: AccelerationParam, cut: FockCutoff):
-    """The terms n = 0..n_max of the shared state rho = sum_n w_n |v_n><v_n|.
-
-    Returns ``(amps, weights)``.  Rows 0..3 of ``amps`` hold the components
-    of |v_n> on |0,n>, |1,n>, |0,n+1> and |1,n+1>:
-
-        (eta_{+-}, eta_{--}, eta_{-+} s_n, eta_{++} s_n),  s_n = sqrt(n+1)/cosh r,
-
-    and ``weights`` holds w_n = tanh^{2n} r / (8 cosh^2 r).  Raises
-    TruncationError when the trace of the terms misses 1 by more than the
-    cutoff tolerance, and SizeError when ``amps`` would exceed the memory
-    budget.
-    """
-    check_budget((4, cut.n_max + 1), float, "shared-state terms")
-    eta = _shared_etas(np.array([ox.xi]), a, cut)[0]
-    factors, weights = _shared_levels(a, cut)
-    return eta[:, None] * factors, weights
-
-
 def _shared_etas(xi: np.ndarray, a: AccelerationParam, cut: FockCutoff) -> np.ndarray:
-    """The four eta of ``_shared_terms``' rows at each xi of a grid, (points, 4),
+    """The four eta that scale the components of each term |v_n> (``_SHARED_COMPONENTS``)
+    at each xi of a grid, (points, 4): eta_{+-}, eta_{--}, eta_{-+}, eta_{++}, with
     eta_{s1 s2} = 1 + s1 sqrt(1 + s2 xi); TruncationError for the first point
     whose dropped trace exceeds the cutoff tolerance."""
     outer, inner = np.array(((1.0, -1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)))  # s1, s2 of each row
@@ -358,9 +333,9 @@ def _shared_etas(xi: np.ndarray, a: AccelerationParam, cut: FockCutoff) -> np.nd
 
 
 def _shared_levels(a: AccelerationParam, cut: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
-    """The xi-free factors of ``_shared_terms``: rows (1, 1, s_n, s_n) that
-    scale the four eta, and the weights w_n = t^n / (8 cosh^2 r), t = tanh^2 r,
-    for n = 0..n_max.
+    """The xi-free factors of the terms |v_n>: rows (1, 1, s_n, s_n),
+    s_n = sqrt(n+1)/cosh r, that scale the four ``_shared_etas``, and the
+    weights w_n = t^n / (8 cosh^2 r), t = tanh^2 r, for n = 0..n_max.
 
     Powers of the rounded tanh r give t^n a relative error up to about n ulp;
     exp(n ln t) with ``_log_t`` gives about eps (1 + n |ln t|), the smaller
@@ -406,12 +381,16 @@ def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
     16 component pairs of |v_n> into one diagonal, for every n in one array
     operation, with no rank-one update per level; terms n and n-1 share
     entries on level n, which the scatters add.  The trace check runs on
-    the terms before assembly, and the memory budget before either.
+    the terms before assembly (``_shared_etas``), and the memory budget
+    before either.
     """
     cut = _as_cutoff(cutoff, r)
     nlev = cut.levels
     check_budget((2 * nlev, 2 * nlev), float, "entangled_state")
-    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cut)
+    ox, a = _as_xi(xi), _as_accel(r)
+    eta = _shared_etas(np.array([ox.xi]), a, cut)[0]
+    factors, weights = _shared_levels(a, cut)
+    amps = eta[:, None] * factors
     rho = np.zeros((2 * nlev, 2 * nlev))
     n = np.arange(cut.n_max + 1)
     offsets = [q * nlev + d for q, d in _SHARED_COMPONENTS]

@@ -38,6 +38,9 @@ MAX_GRID_POINTS = 100_000
 # validate's fig1 at xi = 0.5, r = 0.6 (the double nearest 0.6), n_max 24: log2 ||rho^Gamma||_1
 # from the Minkowski amplitudes in 50-digit mpmath (tests/oracles.py, mp_log_negativity)
 FIG1_XI05_R06_N24 = "0.6366301750435001267699338136836555022648"
+# validate's fig3 at xi = 0.3, r = 0.85 (the doubles nearest both), n_max 41: the Bures angle from the
+# Minkowski amplitudes in 50-digit mpmath (tests/oracles.py, mp_bures_angle)
+FIG3_XI03_R085_N41 = "1.008335629061860469773807352359329686466"
 
 
 class UsageError(Exception):
@@ -246,6 +249,7 @@ def _cmd_validate(args) -> int:
     tails = math.sqrt(h * h * (vac + one) * (a2 * a2 * vac + b2 * b2 * one))
     add("fig3_cutoff_doubling_shift", th1 - th2, 0.0,
         (corners + tails + _unit_trace_atol(2 * n)) / math.sin(min(th1, th2)))
+    add("fig3_xi03_exact", angle_sweep(a85, [0.3], FockCutoff(41))[0].theta, float(FIG3_XI03_R085_N41), 1e-14)
     mc, = fidelity_sweep(0.6, [0.4], samples=200_000, seed=0)
     add("mc_fidelity_shift", mc.fidelity_mc - mc.fidelity_exact, 0.0, 5 * mc.std_err)
 

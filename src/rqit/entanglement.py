@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _lapack
 from .channel import FockCutoff, _as_accel, _as_cutoff, _shared_etas, _shared_levels, _xi_array
-from .linalg import DenseOperator, check_budget, check_cost, partial_transpose, trace_norm
+from .linalg import DenseOperator, check_cost, partial_transpose, trace_norm
 
 _LOG_NEG_FLOOR = 1e-12
 
@@ -61,7 +61,8 @@ def negativity_sweep(
     sweep, the four eta of every point in one pass, and ``band_eigvalsh``
     takes blocks of as many points as ``_lapack.points_per_block`` admits
     (the whole default grid at once).  The cost bound is checked first, then
-    the grid's values and traces, then a block's memory budget.
+    the grid's values and traces; under the cost bound a block holds at most
+    max(128 KiB, one band), 680 KB at n_max 14142.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
@@ -69,7 +70,6 @@ def negativity_sweep(
     xi = _xi_array(xi_grid)
     eta = _shared_etas(xi, a, cut)
     per = _lapack.points_per_block((2 * cut.levels, 3))
-    check_budget((min(len(xi), per), 2 * cut.levels, 3), float, "negativity_sweep band stack")
     factors, w = _shared_levels(a, cut)
     ws, wss = w * factors[2], w * factors[2] * factors[2]
     norms = np.empty(len(xi))

@@ -6,7 +6,8 @@ construction is generalized to
     D(rho, sigma) = 2 [ Tr rho Tr sigma - F(rho, sigma) ],
     F(rho, sigma) = Tr[ sqrt( rho^(1/2) sigma rho^(1/2) ) ]^2,
 
-which vanishes on coinciding states regardless of their trace.  The squared
+which vanishes on coinciding states regardless of their trace; F is the
+square of ``root_fidelity``, which the module exposes on its own.  The squared
 line element is ds^2 = D(rho, rho + drho)/2; the factor 1/2 reproduces the
 standard qubit Bures metric (1/4)[dn^2 + dS^2/(1-n^2)] at r = 0.
 
@@ -80,15 +81,6 @@ def root_fidelity(rho: DenseOperator, sigma: DenseOperator) -> float:
     return float(np.sum(np.linalg.svd(product, compute_uv=False)))
 
 
-def fidelity(rho: DenseOperator, sigma: DenseOperator) -> float:
-    """F = Tr[ sqrt( rho^(1/2) sigma rho^(1/2) ) ]^2.
-
-    For subnormalized states F(rho, rho) = (Tr rho)^2 and
-    F(rho, sigma) <= Tr rho Tr sigma.
-    """
-    return root_fidelity(rho, sigma) ** 2
-
-
 def generalized_bures_distance(rho: DenseOperator, sigma: DenseOperator) -> float:
     """D = 2 [ Tr rho Tr sigma - F(rho, sigma) ], the trace-aware distance.
 
@@ -96,9 +88,11 @@ def generalized_bures_distance(rho: DenseOperator, sigma: DenseOperator) -> floa
     CPTP maps.  Note D is a squared-distance-like quantity (it is the
     second-order line element up to the factor 2); it does not itself obey
     the triangle inequality, see the test suite for counterexamples.
+    F is the squared ``root_fidelity``; for subnormalized states
+    F(rho, rho) = (Tr rho)^2 and F(rho, sigma) <= Tr rho Tr sigma.
     """
     tr_product = rho.trace().real * sigma.trace().real
-    return 2.0 * (tr_product - fidelity(rho, sigma))
+    return 2.0 * (tr_product - root_fidelity(rho, sigma) ** 2)
 
 
 class MetricValue(NamedTuple):

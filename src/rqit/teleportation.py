@@ -1,8 +1,9 @@
 """Schmidt-basis teleportation through the accelerated shared state.
 
 The inertial parties prepare |Psi> = (|+>|+> + |->|phi>)/sqrt2, write it in
-the Schmidt basis sum_i lambda_i |phi_i>|theta_i>, and use the protocol that
-is optimal for that state: four Bell-type POVMs on the sender's qubit pair,
+the Schmidt basis sum_i lambda_i |phi_i>|theta_i> (in closed form: the sender
+vectors are |1>, |0> at every xi, ``schmidt_decompose``), and use the protocol
+that is optimal for that state: four Bell-type POVMs on the sender's qubit pair,
 
     Pi^1..4 = chi[(|0>|phi_i> +/- |1>|phi_j>)/sqrt2],
 
@@ -37,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import _as_accel, _as_xi
+from .channel import _as_accel, _as_xi, _encoding_amplitudes
 from .errors import NumericError, SizeError
 from .linalg import DenseOperator, check_budget
 
@@ -64,9 +65,10 @@ class SchmidtDecomposition(NamedTuple):
     """Schmidt data of the inertial shared state.
 
     lambdas are sorted descending; alice_basis / rob_basis hold the Schmidt
-    vectors as columns.  Phase convention: lambdas real non-negative and the
-    first nonzero component of each sender vector real positive, making the
-    downstream protocol construction deterministic.
+    vectors as columns.  Phase convention: every entry is real, and the
+    sender basis is (|1>, |0>) at every xi, including the degenerate xi = 0,
+    where any pair of bases serves, so the downstream protocol construction
+    is deterministic.
     """
 
     lambdas: np.ndarray
@@ -82,30 +84,21 @@ class SchmidtDecomposition(NamedTuple):
         return float(self.lambdas[1])
 
 
-def shared_state_vector(xi) -> np.ndarray:
-    """|Psi> = (|+>|+> + |->|phi>)/sqrt2 on the two inertial qubits."""
-    ox = _as_xi(xi)
-    plus = ox.plus_state()
-    minus = np.array([1.0, -1.0], dtype=complex) / _SQRT2
-    return (np.kron(plus, plus) + np.kron(minus, ox.phi_state())) / _SQRT2
-
-
 def schmidt_decompose(xi) -> SchmidtDecomposition:
-    """Schmidt decomposition of the inertial shared state.
+    """Schmidt decomposition of the inertial shared state, in closed form.
 
-    The coefficients obey lambda_{0,1} = sqrt((1 +/- |<+|phi>|)/2).
+    |Psi> = (|0>(|+> + |phi>) + |1>(|+> - |phi>))/2, and with s = <+|phi> <= 0
+    the sender's reduced state is (1 + s Z)/2.  So lambda_{0,1} =
+    sqrt((1 -/+ s)/2), the sender vectors are |1>, |0>, and the receiver
+    vectors are theta_0 = (|+> - |phi>)/(2 lambda_0) and theta_1 =
+    (|+> + |phi>)/(2 lambda_1); lambda_1 >= 0.38 on [0, 1).
     """
-    psi = shared_state_vector(xi)
-    m = psi.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
-    alice = u.copy()
-    rob = vh.T.copy()  # column i holds the components of |theta_i>
-    for i in range(2):
-        k = int(np.argmax(np.abs(alice[:, i]) > 1e-12))
-        phase = alice[k, i] / abs(alice[k, i])
-        alice[:, i] /= phase
-        rob[:, i] *= phase
-    return SchmidtDecomposition(s, alice, rob)
+    h, a, b = _encoding_amplitudes(_as_xi(xi).xi)  # |+> = h(|0> + |1>), |phi> = a|0> + b|1>
+    s = h * (a + b)
+    lambdas = np.sqrt([(1.0 - s) / 2.0, (1.0 + s) / 2.0])
+    plus, phi = np.array([h, h]), np.array([a, b])
+    rob = np.stack([(plus - phi) / (2.0 * lambdas[0]), (plus + phi) / (2.0 * lambdas[1])], axis=1)
+    return SchmidtDecomposition(lambdas, np.array([[0.0, 1.0], [1.0, 0.0]]), rob)
 
 
 def fidelity_bound(xi) -> float:

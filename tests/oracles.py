@@ -7,14 +7,16 @@ the exact way, and each is defined once, for every test module to import:
 
 * random inputs: Ginibre densities, subnormalized or not, Hermitian
   matrices and Haar unitaries;
-* the encoding pair |+>, |phi> and the shared state's eta, as formulas;
-* dense and generic routes: the shared state by rank-one updates, fig3's
-  Bures angle of two dense channel images, the protocol run on a given
-  input state, and the teleportation channel's blocks on Fock levels
-  {0, 1} with their Bloch form and Haar average;
+* the encoding pair |+>, |phi>, the inertial shared state vector and the
+  shared state's eta, as formulas, and the Schmidt data by an SVD;
+* dense and generic routes: the fidelity, the shared state's terms and
+  the shared state by rank-one updates, fig3's Bures angle of two dense
+  channel images, the protocol run on a given input state, and the
+  teleportation channel's blocks on Fock levels {0, 1} with their Bloch
+  form and Haar average;
 * exact values in mpmath and sympy: fig1 at xi = 0 and, from the partial
-  transpose itself, at any xi, fig2's form and average, and the jets and
-  scalar curvature of the closed-form metric.
+  transpose itself, at any xi, fig3 from the factor form, fig2's form and
+  average, and the jets and scalar curvature of the closed-form metric.
 """
 
 import math
@@ -24,11 +26,13 @@ import numpy as np
 import pytest
 
 from rqit import geometry
-from rqit.channel import (_SHARED_COMPONENTS, FockCutoff, _as_accel, _as_cutoff, _as_xi, _log_t, _shared_terms,
-                          effective_qubit, entangled_state)
+from rqit.channel import (_SHARED_COMPONENTS, FockCutoff, _as_accel, _as_cutoff, _as_xi, _log_t, _shared_etas,
+                          _shared_levels, effective_qubit, entangled_state)
 from rqit.geometry import root_fidelity
 from rqit.linalg import HERMITIAN_ATOL, DenseOperator
 from rqit.teleportation import SchmidtDecomposition, apply_protocol, build_protocol, schmidt_decompose
+
+_SQRT2 = math.sqrt(2.0)
 
 # Random inputs.  Each maker draws its normals first, real part then imaginary part.
 
@@ -78,6 +82,40 @@ def bloch_pair(xi):
     return np.array([1.0, 0.0, 0.0]), np.array([-math.sqrt(1.0 - xi**2), 0.0, -xi])
 
 
+def plus_state(xi):
+    """|+> as a complex vector; it does not depend on xi."""
+    return np.array([1.0, 1.0], dtype=complex) / _SQRT2
+
+
+def phi_state(xi):
+    """|phi> as a complex vector."""
+    return np.array([math.sqrt((1.0 - xi) / 2.0), -math.sqrt((1.0 + xi) / 2.0)], dtype=complex)
+
+
+def shared_state_vector(xi):
+    """|Psi> = (|+>|+> + |->|phi>)/sqrt2 on the two inertial qubits."""
+    plus = plus_state(xi)
+    minus = np.array([1.0, -1.0], dtype=complex) / _SQRT2
+    return (np.kron(plus, plus) + np.kron(minus, phi_state(xi))) / _SQRT2
+
+
+def svd_schmidt_decompose(xi):
+    """The Schmidt data by an SVD of the 2x2 amplitude matrix of ``shared_state_vector``,
+    the oracle of the closed form ``schmidt_decompose``: the phase of each pair fixed so
+    that the first sender component above 1e-12 in magnitude is real positive."""
+    psi = shared_state_vector(xi)
+    m = psi.reshape(2, 2)
+    u, s, vh = np.linalg.svd(m)
+    alice = u.copy()
+    rob = vh.T.copy()  # column i holds the components of |theta_i>
+    for i in range(2):
+        k = int(np.argmax(np.abs(alice[:, i]) > 1e-12))
+        phase = alice[k, i] / abs(alice[k, i])
+        alice[:, i] /= phase
+        rob[:, i] *= phase
+    return SchmidtDecomposition(s, alice, rob)
+
+
 def dense_bures_angle(xi, r, cut=None):
     """fig3's dense route: acos of the root fidelity of the effective_qubit images of
     |+> and |phi>, clipped to [0, 1] as angle_sweep clips it.  Unlike bures_angle it
@@ -93,6 +131,15 @@ def state_vector(sd):
 
 
 # Density-operator properties of a DenseOperator.
+
+
+def fidelity(rho, sigma):
+    """F = Tr[ sqrt( rho^(1/2) sigma rho^(1/2) ) ]^2, the squared root fidelity.
+
+    For subnormalized states F(rho, rho) = (Tr rho)^2 and
+    F(rho, sigma) <= Tr rho Tr sigma.
+    """
+    return root_fidelity(rho, sigma) ** 2
 
 
 def is_hermitian(op, atol=HERMITIAN_ATOL):
@@ -125,6 +172,23 @@ def dense_entangled_state(xi, r, cut):
     return rho / (8.0 * a.C**2)
 
 
+def shared_terms(ox, a, cut):
+    """The terms n = 0..n_max of the shared state rho = sum_n w_n |v_n><v_n|.
+
+    Returns ``(amps, weights)``.  Rows 0..3 of ``amps`` hold the components
+    of |v_n> on |0,n>, |1,n>, |0,n+1> and |1,n+1>:
+
+        (eta_{+-}, eta_{--}, eta_{-+} s_n, eta_{++} s_n),  s_n = sqrt(n+1)/cosh r,
+
+    and ``weights`` holds w_n = tanh^{2n} r / (8 cosh^2 r), from the library's
+    own ``_shared_etas`` and ``_shared_levels``.  Raises TruncationError when
+    the trace of the terms misses 1 by more than the cutoff tolerance.
+    """
+    eta = _shared_etas(np.array([ox.xi]), a, cut)[0]
+    factors, weights = _shared_levels(a, cut)
+    return eta[:, None] * factors, weights
+
+
 # the stacked matrix units |i><j| of a qubit, (2, 2, 2, 2)
 _UNITS = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
 
@@ -145,7 +209,7 @@ def channel_blocks(xi, r):
     with C = cosh r and t = tanh^2 r (see ``channel.entangled_state``).
     """
     xi, a = _as_xi(xi).xi, _as_accel(r)
-    s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._shared_terms
+    s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._shared_levels
     v0 = np.array([eta(xi, +1, -1), eta(xi, -1, +1) * s, eta(xi, -1, -1), eta(xi, +1, +1) * s])
     v1 = np.array([0.0, eta(xi, +1, -1), 0.0, eta(xi, -1, -1)])
     # t rounded as in channel._shared_levels: exp(ln t) where |ln t| < 1, else tanh r squared
@@ -178,7 +242,7 @@ def scatter_crop_channel_blocks(xi, r, cutoff):
     """The channel blocks built the long way: the terms |v_0> and |v_1> of the
     truncated tower scattered into a dense (2) x (3 levels) state, cropped to
     levels {0, 1}, and the protocol applied to one matrix unit at a time."""
-    amps, weights = _shared_terms(_as_xi(xi), _as_accel(r), cutoff)
+    amps, weights = shared_terms(_as_xi(xi), _as_accel(r), cutoff)
     amps, weights = amps[:, :2], weights[:2]
     rho = np.zeros((6, 6))
     n = np.arange(2)
@@ -302,6 +366,34 @@ def mp_log_negativity(xi, r, n_max, dps=40):
                 for (b, l), y in u.items():
                     pt[b * levels + k, a * levels + l] += x * y  # rho[(a k), (b l)], transposed on a
         return mpmath.log(sum(abs(e) for e in mpmath.eigsy(pt, eigvals_only=True)), 2)
+
+
+def mp_bures_angle(xi, r, n_max, dps=50):
+    """fig3 in mpmath at ``dps`` digits: the Bures angle between the wedge-I images of
+    |+> and |phi> over the truncation n = 0..n_max, from the physics alone.
+
+    Rob's a|0> + b|1> maps to sum_n |n>_II (a c_n |n>_I + b d_n |n+1>_I), with
+    c_n = tanh^n r / cosh r and d_n = sqrt(n+1) tanh^n r / cosh^2 r, so its image is
+    A A^T with column n of A equal to a c_n e_n + b d_n e_{n+1}.  The root fidelity of
+    two such images is the sum of the singular values of M = A_+^T A_phi (Jozsa,
+    J. Mod. Opt. 41, 2315 (1994)), taken with ``mpmath.svd_r``.  xi and r are read as
+    the doubles they are.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        xi, r = mpmath.mpf(xi), mpmath.mpf(r)
+        ch, th = mpmath.cosh(r), mpmath.tanh(r)
+        h = 1 / mpmath.sqrt(2)
+
+        def factor(a, b):
+            m = mpmath.zeros(n_max + 2, n_max + 1)
+            for n in range(n_max + 1):
+                m[n, n] = a * th**n / ch
+                m[n + 1, n] = b * th**n * mpmath.sqrt(n + 1) / ch**2
+            return m
+
+        m = factor(h, h).T * factor(mpmath.sqrt((1 - xi) / 2), -mpmath.sqrt((1 + xi) / 2))
+        return mpmath.acos(sum(mpmath.svd_r(m, compute_uv=False)))
 
 
 def mp_fidelity_form(xi, r):

@@ -35,12 +35,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import full_tower_blocks, haar_average, random_subnormalized
+from oracles import fidelity, full_tower_blocks, haar_average, random_subnormalized
 from rqit.channel import FockCutoff, effective_qubit, entangled_state, minkowski_qubit
 from rqit.distinguishability import angle_sweep
 from rqit.entanglement import log_negativity, negativity_sweep
 from rqit.geometry import (
-    fidelity,
     generalized_bures_distance,
     metric_cartesian,
     numeric_metric,

@@ -2,9 +2,11 @@
 pickling and validation, and that importing rqit generates no code."""
 
 import copy
+import importlib.util
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,3 +203,16 @@ def test_import_generates_no_dataclass():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[] True"
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer looks each traced function up with getattr, so a name moved
+    # out of its module would stop every traced run; tracer.py imports only the stdlib
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.FUNCTIONS
+    for qual in tracer.FUNCTIONS:
+        module, name = qual.split(".")
+        assert callable(getattr(importlib.import_module(f"rqit.{module}"), name, None)), qual

@@ -6,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bloch_pair, dense_entangled_state, eta, is_hermitian, min_eigenvalue
+from oracles import (bloch_pair, dense_entangled_state, eta, is_hermitian, min_eigenvalue, phi_state, plus_state,
+                     shared_terms)
 from rqit.channel import (
     AccelerationParam,
     FockCutoff,
     OrthogonalityParam,
+    _encoding_amplitudes,
     _shared_deficit,
     _shared_etas,
-    _shared_terms,
     _tail_weights,
     effective_qubit,
     entangled_state,
@@ -46,11 +47,11 @@ def test_omega_round_trip():
 def test_orthogonality_param():
     with pytest.raises(ValueError):
         OrthogonalityParam(1.0)
-    ox = OrthogonalityParam(0.0)
+    assert OrthogonalityParam(0.0).xi == 0.0
     # xi = 0 reproduces |phi> = |->
     minus = np.array([1, -1]) / math.sqrt(2)
-    np.testing.assert_allclose(ox.phi_state().real, minus, atol=1e-15)
-    assert abs(ox.plus_state().conj() @ ox.phi_state()) < 1e-14
+    np.testing.assert_allclose(phi_state(0.0).real, minus, atol=1e-15)
+    assert abs(plus_state(0.0).conj() @ phi_state(0.0)) < 1e-14
     assert eta(0.5, +1, +1) == pytest.approx(1 + math.sqrt(1.5))
     assert eta(0.5, -1, -1) == pytest.approx(1 - math.sqrt(0.5))
     # the library's one eta formula, rows (+-, --, -+, ++) of the shared terms, rounds as the scalar one
@@ -58,9 +59,12 @@ def test_orthogonality_param():
     for xi in (0.0, 0.3, 0.5, 0.9):
         want = [eta(xi, s1, s2) for s1, s2 in ((1, -1), (-1, -1), (-1, 1), (1, 1))]
         assert _shared_etas(np.array([xi]), a, cut)[0].tolist() == want, xi
+    # the library's encoding amplitudes, which fig3 and the Schmidt data read, are the oracle states'
+    for xi in (0.0, 0.3, 0.5, 0.9):
+        h, a2, b2 = _encoding_amplitudes(xi)
+        assert [h, h, a2, b2] == [*plus_state(xi).real, *phi_state(xi).real], xi
     # the states' Bloch vectors are the oracle's, on the unit sphere
-    o5 = OrthogonalityParam(0.5)
-    for state, bloch in zip((o5.plus_state(), o5.phi_state()), bloch_pair(0.5)):
+    for state, bloch in zip((plus_state(0.5), phi_state(0.5)), bloch_pair(0.5)):
         assert np.linalg.norm(bloch) == pytest.approx(1.0)
         np.testing.assert_allclose(np.outer(state, state.conj()), minkowski_qubit(bloch).entries, atol=1e-15)
 
@@ -145,8 +149,6 @@ def test_size_budget_checked_before_allocation():
         entangled_state(0.4, 0.6, huge)
     with pytest.raises(SizeError, match="effective_qubit"):
         effective_qubit((1, 0, 0), 0.6, huge)
-    with pytest.raises(SizeError, match="shared-state terms"):
-        _shared_terms(OrthogonalityParam(0.4), AccelerationParam(0.6), huge)
 
 
 def test_vacuum_amplitudes():
@@ -189,7 +191,7 @@ def test_truncation_deficits_match_direct_sums():
             assert abs(one - (1.0 - np.sum(unruh_one_particle_amplitudes(r, cut) ** 2))) <= 1e-14
             for xi in (0.0, 0.3, 0.9):
                 ox = OrthogonalityParam(xi)
-                amps, weights = _shared_terms(ox, a, cut)
+                amps, weights = shared_terms(ox, a, cut)
                 direct = 1.0 - weights @ np.sum(amps**2, axis=0)
                 assert abs(_shared_deficit(_shared_etas(np.array([xi]), a, cut), a, n_max)[0] - direct) <= 1e-14
 

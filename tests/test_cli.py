@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import mp_log_negativity
+from oracles import mp_bures_angle, mp_log_negativity
 from rqit import cli, geometry, teleportation
 from rqit.cli import main
 
@@ -225,7 +225,7 @@ def test_validate_command(tmp_path, capsys):
     out = tmp_path / "validate.csv"
     assert run_cli(["validate", "-o", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert stdout.count("PASS") == 12 and "FAIL" not in stdout
+    assert stdout.count("PASS") == 13 and "FAIL" not in stdout
 
 
 def test_validate_constant_is_the_partial_transpose_oracle():
@@ -235,6 +235,15 @@ def test_validate_constant_is_the_partial_transpose_oracle():
     with mpmath.workdps(40):
         oracle = mp_log_negativity(0.5, 0.6, 24)
         assert abs(mpmath.mpf(cli.FIG1_XI05_R06_N24) - oracle) < mpmath.mpf(10) ** -38
+
+
+def test_validate_fig3_constant_is_the_factor_form_oracle():
+    # the 40-digit fig3 value that validate checks at xi = 0.3 is acos of the mpmath singular
+    # values of A_+^T A_phi built from the Minkowski amplitudes; the band is 3.4e-16 from it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        oracle = mp_bures_angle(0.3, 0.85, 41)
+        assert abs(mpmath.mpf(cli.FIG3_XI03_R085_N41) - oracle) < mpmath.mpf(10) ** -38
 
 
 CUTOFF_TOLS = ("1e-12", "1e-9", "2e-6", "3e-6", "1e-3", "0.5")
@@ -265,7 +274,7 @@ def test_validate_passes_at_a_loose_cutoff_tolerance(capsys):
     for tol in CUTOFF_TOLS:
         assert run_cli(["validate", "--cutoff-tol", tol, "-o", "-"]) == 0, tol
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 12 and all(line.startswith("PASS  ") for line in lines), (tol, lines)
+        assert len(lines) == 13 and all(line.startswith("PASS  ") for line in lines), (tol, lines)
 
 
 # the dense layer and the teleportation protocol, which the tests keep as oracles

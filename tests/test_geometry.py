@@ -6,13 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import bloch_of_polar, exact_curvature_jets, exact_scalar_curvature, random_density
+from oracles import bloch_of_polar, exact_curvature_jets, exact_scalar_curvature, fidelity, random_density
 from rqit import geometry, linalg
 from rqit.channel import FockCutoff, _small_r_stack, effective_qubit, minkowski_qubit, small_r_qubit
 from rqit.errors import BoundaryError, ChartError, InvalidBlochError, NotPSDError
 from rqit.geometry import (
     curvature_comparison,
-    fidelity,
     generalized_bures_distance,
     metric_cartesian,
     metric_polar,

@@ -1,4 +1,5 @@
 import glob
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_bures_angle
-from rqit import _lapack, channel, distinguishability, entanglement
+from rqit import _lapack, channel, distinguishability, entanglement, linalg
 from rqit.channel import FockCutoff, entangled_state
 from rqit.cli import main
 from rqit.distinguishability import angle_sweep
@@ -212,17 +213,30 @@ def test_sweeps_of_an_empty_grid(route):
 
 
 def test_negativity_sweep_builds_the_terms_once(monkeypatch):
-    def rebuilds(*args):
-        raise AssertionError("negativity_sweep rebuilt the shared-state terms")
-
+    # the xi-free factors once a sweep, and the four eta of every point in one call
     xis = np.arange(40) * 0.02
     expected = negativity_sweep(0.6, xis)
-    monkeypatch.setattr(channel, "_shared_terms", rebuilds)
-    monkeypatch.setattr(entanglement, "_shared_terms", rebuilds, raising=False)
-    levels = []
-    monkeypatch.setattr(entanglement, "_shared_levels",
-                        lambda *args: levels.append(args) or channel._shared_levels(*args))
-    assert negativity_sweep(0.6, xis) == expected and len(levels) == 1
+    calls = []
+    for name in ("_shared_levels", "_shared_etas"):
+        built = getattr(channel, name)
+        monkeypatch.setattr(entanglement, name, lambda *args, built=built: calls.append(built) or built(*args))
+    assert negativity_sweep(0.6, xis) == expected
+    assert calls == [channel._shared_etas, channel._shared_levels]
+
+
+def test_band_stacks_stay_under_the_memory_budget():
+    # the sweeps check no memory budget for their band stacks: check_cost admits one point
+    # up to n_max = isqrt(WORK_BUDGET), and points_per_block keeps a block at or under
+    # max(_BLOCK_BYTES, one band), 680 KB for fig1 and 340 KB for fig3 there
+    top = math.isqrt(linalg.WORK_BUDGET)
+    linalg.check_cost(top, 1, "one point")
+    with pytest.raises(SizeError):
+        linalg.check_cost(top + 1, 1, "one point")
+    for n_max in (1, 24, 1443, top):
+        for rows in (2 * (n_max + 2), n_max + 1):  # negativity_sweep's and angle_sweep's bands
+            band = 8 * rows * 3
+            assert _lapack.points_per_block((rows, 3)) * band <= max(_lapack._BLOCK_BYTES, band), (n_max, rows)
+    assert max(_lapack._BLOCK_BYTES, 8 * 3 * 2 * (top + 2)) <= linalg.MEMORY_BUDGET
 
 
 @pytest.mark.parametrize("r", [0.0, 0.01])

