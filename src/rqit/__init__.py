@@ -30,9 +30,7 @@ from .errors import (
     TruncationError,
 )
 from .geometry import (
-    CurvatureResult,
     MetricValue,
-    curvature_comparison,
     generalized_bures_distance,
     metric_cartesian,
     metric_polar,

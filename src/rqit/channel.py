@@ -23,6 +23,8 @@ from .errors import InvalidBlochError, RQITError, SizeError, TruncationError
 from .linalg import DenseOperator, _Frozen, check_budget
 
 DEFAULT_TRUNCATION_TOL = 1e-12
+# Below the smallest normal double the tails that set and check a cutoff are subnormal, off by up to 100%.
+MIN_TRUNCATION_TOL = float(np.finfo(float).tiny)
 SMALL_R_LIMIT = 0.3
 # Up to here cosh^4 r, the highest power of cosh r taken, and its reciprocal are normal doubles.
 MAX_R = 170.0
@@ -123,6 +125,8 @@ class FockCutoff(_Frozen):
             raise ValueError(f"n_max must be a positive integer, got {n_max}")
         if not 0 < tol < 1:
             raise ValueError(f"tol must lie in (0, 1), got {tol}")
+        if tol < MIN_TRUNCATION_TOL:
+            raise ValueError(f"tol must be >= the smallest normal double {MIN_TRUNCATION_TOL!r}, got {tol}")
         object.__setattr__(self, "n_max", int(n_max))
         object.__setattr__(self, "tol", tol)
 

@@ -22,12 +22,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import (DEFAULT_TRUNCATION_TOL, FockCutoff, _as_accel, _encoding_amplitudes, _shared_deficit,
-                      _shared_etas, _shared_levels, _tail_weights, _unit_trace_atol, unruh_one_particle_amplitudes)
+from .channel import (DEFAULT_TRUNCATION_TOL, MIN_TRUNCATION_TOL, FockCutoff, _as_accel, _encoding_amplitudes,
+                      _shared_deficit, _shared_etas, _shared_levels, _tail_weights, _unit_trace_atol,
+                      unruh_one_particle_amplitudes)
 from .distinguishability import angle_sweep
 from .entanglement import negativity_sweep
 from .errors import RQITError
-from .geometry import curvature_comparison, metric_cartesian, numeric_metric, scalar_curvature_numeric
+from .geometry import metric_cartesian, numeric_metric, scalar_curvature_closed_form, scalar_curvature_numeric
 from .teleportation import average_fidelity_exact, fidelity_sweep
 
 CURVATURE_GEOMETRY = "cartesian_pullback"
@@ -189,11 +190,11 @@ def _cmd_metric(args) -> int:
 def _cmd_curvature(args) -> int:
     if not 2 <= args.grid <= math.isqrt(MAX_GRID_POINTS):
         raise UsageError(f"--grid must lie in [2, {math.isqrt(MAX_GRID_POINTS)}], got {args.grid}")
-    xi_vals = np.linspace(0.2, 0.8, args.grid)
-    th_vals = np.linspace(0.4, math.pi - 0.4, args.grid)
-    points = [(xi, th) for xi in xi_vals for th in th_vals]
-    rows = [(*c.point, c.numeric_R, c.closed_form_R, c.discrepancy)
-            for c in curvature_comparison(points, args.r)]
+    xi = np.repeat(np.linspace(0.2, 0.8, args.grid), args.grid)
+    th = np.tile(np.linspace(0.4, math.pi - 0.4, args.grid), args.grid)
+    numeric = scalar_curvature_numeric(xi, th, args.r)
+    closed = scalar_curvature_closed_form(xi, th, args.r)
+    rows = np.column_stack([xi, th, numeric, closed, numeric - closed])
     _write_csv(args, ["xi_c", "theta", "numeric_R", "closed_form_R", "discrepancy"], rows,
                grid=args.grid, curvature_geometry=CURVATURE_GEOMETRY, h_offdiag_symbol=H_OFFDIAG_SYMBOL)
     return 0
@@ -335,8 +336,8 @@ def _check_args(args) -> None:
     if hasattr(args, "r"):
         args.r = r + 0.0
     tol = getattr(args, "cutoff_tol", DEFAULT_TRUNCATION_TOL)
-    if not 0 < tol < 1:
-        raise UsageError(f"--cutoff-tol must lie in (0, 1), got {tol}")
+    if not MIN_TRUNCATION_TOL <= tol < 1:
+        raise UsageError(f"--cutoff-tol must lie in [{MIN_TRUNCATION_TOL!r}, 1), got {tol}")
     for name, minimum in (("n_max", 0), ("samples", 1), ("seed", 0), ("points", 1)):
         value = getattr(args, name, minimum)
         if value < minimum:

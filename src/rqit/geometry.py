@@ -24,8 +24,8 @@ Curvature.  The scalar curvature is computed by finite-difference
 Christoffel symbols of the polar pullback of the validated Cartesian form
 above, in the chart (xi_c, theta, phi).  The closed-form polar tensor
 g + h (``metric_polar``) and the closed-form curvature (24 + dR) cosh^4 r
-are provided alongside so their discrepancy against the numeric oracle
-can be reported.
+are provided alongside; the ``curvature`` command tabulates both curvatures
+and their difference.
 
 Tables.  ``metric_cartesian``, ``numeric_metric`` and both curvatures
 take one point or a table of points along a leading axis; the one-point
@@ -46,7 +46,7 @@ that code's roundings: ``n @ n`` as BLAS ddot rounds it, powers by
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,20 +106,6 @@ class MetricValue(NamedTuple):
     point: np.ndarray
     chart: str
     tensor: np.ndarray
-
-
-class CurvatureResult(NamedTuple):
-    """Numeric vs closed-form scalar curvature at a polar point.
-
-    numeric_R comes solely from the finite-difference oracle and never
-    from the closed form; discrepancy = numeric_R - closed_form_R.
-    """
-
-    point: np.ndarray
-    r: float
-    numeric_R: float
-    closed_form_R: float
-    discrepancy: float
 
 
 def metric_cartesian(bloch, r) -> MetricValue:
@@ -385,16 +371,3 @@ def scalar_curvature_closed_form(xi_c, theta, r):
     cross = 8.0 * xi_c * (2.0 * xi_c - 3.0) * ct * mid * c2t
     out = (24.0 + 2.0 * a.T**2 / (x2 * (x2 - 1.0)) * (lead - cross)) * a.C**4
     return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def curvature_comparison(points: Sequence[tuple[float, float]], r) -> list[CurvatureResult]:
-    """Numeric oracle vs closed form over polar points; discrepancies reported.
-
-    Each column comes from one table call.
-    """
-    a = _as_accel(r)
-    xi, theta = np.array(points, dtype=float).reshape(-1, 2).T
-    numeric = scalar_curvature_numeric(xi, theta, a).tolist()
-    closed = scalar_curvature_closed_form(xi, theta, a).tolist()
-    return [CurvatureResult(np.array(p, dtype=float), a.r, num, cl, num - cl)
-            for p, num, cl in zip(points, numeric, closed)]

@@ -14,7 +14,6 @@ import pytest
 from rqit import (
     AccelerationParam,
     AngleResult,
-    CurvatureResult,
     DenseOperator,
     FidelityEstimate,
     FidelityResult,
@@ -40,7 +39,6 @@ VALUES = {
     SchmidtDecomposition: (("lambdas", "alice_basis", "rob_basis"), (_A[:2], _C, _C)),
     ProtocolKit: (("povms", "local_ops"), ((_C, _C), (_C,))),
     MetricValue: (("point", "chart", "tensor"), (_A, "bloch", _B)),
-    CurvatureResult: (("point", "r", "numeric_R", "closed_form_R", "discrepancy"), (_A, 0.1, 24.1, 24.0, 0.1)),
     AccelerationParam: (("r",), (0.6,)),
     OrthogonalityParam: (("xi",), (0.3,)),
     FockCutoff: (("n_max", "tol"), (24, 1e-9)),
@@ -49,7 +47,7 @@ VALUES = {
 CLASSES = list(VALUES)
 HASHABLE = [NegativityResult, AngleResult, FidelityResult, FidelityEstimate,
             AccelerationParam, OrthogonalityParam, FockCutoff]
-HOLDS_ARRAYS = [SchmidtDecomposition, ProtocolKit, MetricValue, CurvatureResult]
+HOLDS_ARRAYS = [SchmidtDecomposition, ProtocolKit, MetricValue]
 
 
 def make(cls):
@@ -166,6 +164,8 @@ def test_dense_operator_round_trip_stays_read_only():
         (lambda: OrthogonalityParam(1.0), "xi must lie in [0, 1), got 1.0"),
         (lambda: FockCutoff(0), "n_max must be a positive integer, got 0"),
         (lambda: FockCutoff(5, tol=1), "tol must lie in (0, 1), got 1"),
+        (lambda: FockCutoff(5, tol=1e-322),
+         "tol must be >= the smallest normal double 2.2250738585072014e-308, got 1e-322"),
     ],
 )
 def test_validation_messages(build, message):

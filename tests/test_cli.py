@@ -255,7 +255,7 @@ def test_band_figures_take_every_cutoff_tolerance(r, tmp_path):
     # its closed-form tail to 1, so a loose cutoff is no numeric failure.  fig1 moves by at
     # most 2 tol / ((1 - tol) ln 2) from its value at 1e-12: the terms Delta >= 0 between
     # the two cutoffs have ||Delta^Gamma||_1 <= 2 tr Delta <= 2 tol, and the trace norms
-    # are at least the traces, 1 - tol
+    # are at least the traces, 1 - tol.  E_N >= 0, so no row is negative at any tolerance
     tables = {}
     for command in ("fig1", "fig3"):
         for tol in CUTOFF_TOLS:
@@ -266,12 +266,14 @@ def test_band_figures_take_every_cutoff_tolerance(r, tmp_path):
     for tol in CUTOFF_TOLS:
         bound = 2 * float(tol) / ((1 - float(tol)) * math.log(2)) + 1e-12
         assert np.abs(tables["fig1", tol][:, 1] - tight).max() <= bound, tol
+        assert (tables["fig1", tol][:, 1] >= 0).all(), tol
         assert np.isfinite(tables["fig3", tol]).all(), tol
 
 
 def test_validate_passes_at_a_loose_cutoff_tolerance(capsys):
-    # the doubling shifts are held to bounds from the closed-form tails, which grow with the tolerance
-    for tol in CUTOFF_TOLS:
+    # the doubling shifts are held to bounds from the closed-form tails, which grow with the tolerance;
+    # the smallest tolerance accepted, the smallest normal double, passes too (below it the tails are subnormal)
+    for tol in (*CUTOFF_TOLS, repr(sys.float_info.min)):
         assert run_cli(["validate", "--cutoff-tol", tol, "-o", "-"]) == 0, tol
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 13 and all(line.startswith("PASS  ") for line in lines), (tol, lines)
@@ -313,6 +315,7 @@ def test_cli_runs_no_dense_route(monkeypatch, tmp_path):
         ["fig1", "--r", "inf"],
         ["fig1", "--n-max", "-3"],
         ["fig1", "--cutoff-tol", "0"],
+        ["fig1", "--cutoff-tol", "1e-322"],
         ["fig2", "--seed", "-1"],
         ["metric", "--points", "-1"],
         ["fig3", "--xi", "0:0.5:1e-9"],
@@ -320,7 +323,7 @@ def test_cli_runs_no_dense_route(monkeypatch, tmp_path):
         ["metric", "--points", "1000000000"],
     ],
     ids=["grid-step", "grid-step-inf", "grid-syntax", "grid-xi-one", "r-nan", "r-inf", "n-max-negative",
-         "cutoff-tol-zero", "seed-negative", "points-negative", "grid-too-many-points",
+         "cutoff-tol-zero", "cutoff-tol-subnormal", "seed-negative", "points-negative", "grid-too-many-points",
          "curvature-grid-too-many-points", "metric-too-many-points"],
 )
 def test_invalid_input_exits_2(argv, capsys):
@@ -487,6 +490,22 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "columns=xi,theta" in proc.stdout
+
+
+def test_commands_need_only_numpy(tmp_path):
+    # the package depends on numpy alone: every command runs with the test and oracle
+    # libraries made unimportable
+    code = (
+        "import sys\n"
+        "for name in ('mpmath', 'sympy', 'hypothesis', 'scipy', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "from rqit.cli import main\n"
+        "argvs = [['fig1'], ['fig3'], ['fig2', '--samples', '2000'], ['metric'], ['curvature'], ['validate']]\n"
+        "print([main([*argv, '-o', sys.argv[1] + '/' + argv[0] + '.csv']) for argv in argvs])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]", proc.stdout
 
 
 

@@ -11,7 +11,6 @@ from rqit import geometry, linalg
 from rqit.channel import FockCutoff, _small_r_stack, effective_qubit, minkowski_qubit, small_r_qubit
 from rqit.errors import BoundaryError, ChartError, InvalidBlochError, NotPSDError
 from rqit.geometry import (
-    curvature_comparison,
     generalized_bures_distance,
     metric_cartesian,
     metric_polar,
@@ -531,7 +530,6 @@ def test_stacked_curvature_is_bit_identical_to_per_point_stencil(grid, r):
     xi, theta = np.array(points).T
     want = np.array([per_point_scalar_curvature(x, t, r) for x, t in points])
     assert np.array_equal(scalar_curvature_numeric(xi, theta, r), want)
-    assert np.array_equal([c.numeric_R for c in curvature_comparison(points, r)], want)
     x, t = points[grid + 1]
     one = scalar_curvature_numeric(x, t, r)
     assert type(one) is float and one == per_point_scalar_curvature(x, t, r)
@@ -565,7 +563,6 @@ def test_closed_form_curvature_table_is_bit_identical_to_per_point_formula(grid,
     assert np.array_equal(scalar_curvature_closed_form(xi, theta, r), want)
     assert np.array_equal(scalar_curvature_closed_form(xi.reshape(-1, 1), theta.reshape(-1, 1), r),
                           want.reshape(-1, 1))
-    assert np.array_equal([c.closed_form_R for c in curvature_comparison(points, r)], want)
     x, t = points[grid + 1]
     one = scalar_curvature_closed_form(x, t, r)
     assert type(one) is float and one == per_point_scalar_curvature_closed_form(x, t, r)
@@ -820,15 +817,6 @@ def test_curvature_closed_form_pole_guard():
         for curvature in (scalar_curvature_closed_form, scalar_curvature_numeric):
             with pytest.raises(ChartError):
                 curvature(xi_c, theta, 0.1)
-
-
-def test_curvature_comparison_reports_discrepancy():
-    points = [(0.4, 1.0), (0.6, 2.0)]
-    res = curvature_comparison(points, 0.1)
-    assert len(res) == 2
-    for item in res:
-        assert item.discrepancy == pytest.approx(item.numeric_R - item.closed_form_R, abs=1e-12)
-        assert math.isfinite(item.numeric_R) and math.isfinite(item.closed_form_R)
 
 
 def test_root_fidelity_symmetry():
