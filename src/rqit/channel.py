@@ -231,7 +231,8 @@ def unruh_vacuum_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
     """Coefficients c_n = tanh^n r / cosh r of |0>_M on |n>_I |n>_II.
 
     Raises TruncationError when the norm of the dropped terms n > n_max,
-    1 - sum c_n^2, exceeds the cutoff tolerance.
+    sum_{n > n_max} c_n^2 (the closed form of ``_tail_weights``), exceeds
+    the cutoff tolerance.
     """
     a, cut = _as_accel(r), _as_cutoff(cutoff, r)
     deficit = _tail_weights(a, cut.n_max)[0]
@@ -244,7 +245,12 @@ def unruh_vacuum_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
 
 
 def unruh_one_particle_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
-    """Coefficients d_n = tanh^n r sqrt(n+1) / cosh^2 r of |1>_M on |n+1>_I |n>_II."""
+    """Coefficients d_n = tanh^n r sqrt(n+1) / cosh^2 r of |1>_M on |n+1>_I |n>_II.
+
+    Raises TruncationError when the norm of the dropped terms n > n_max,
+    sum_{n > n_max} d_n^2 (the closed form of ``_tail_weights``), exceeds
+    the cutoff tolerance.
+    """
     a, cut = _as_accel(r), _as_cutoff(cutoff, r)
     deficit = _tail_weights(a, cut.n_max)[1]
     if deficit > cut.tol:

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -42,6 +43,8 @@ FIG1_XI05_R06_N24 = "0.6366301750435001267699338136836555022648"
 # validate's fig3 at xi = 0.3, r = 0.85 (the doubles nearest both), n_max 41: the Bures angle from the
 # Minkowski amplitudes in 50-digit mpmath (tests/oracles.py, mp_bures_angle)
 FIG3_XI03_R085_N41 = "1.008335629061860469773807352359329686466"
+# CSV rows formatted and written at a time, so the text in memory stays that of a block
+_CSV_BLOCK = 4096
 
 
 class UsageError(Exception):
@@ -97,16 +100,14 @@ def _write_csv(args, columns, rows, xi_grid=(0.0, 0.0, 0.0), **extras) -> None:
         ("output", args.output),
         *extras.items(),
     ]
-    lines = [f"# {k}={v}" for k, v in items]
-    lines.append("# columns=" + ",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    head = "".join(f"# {k}={v}\n" for k, v in items) + "# columns=" + ",".join(columns) + "\n"
+    # one %-template a row gives the bytes of _fmt on each value, nan, inf and -0 included
+    template = ",".join(["%.12g"] * len(columns)) + "\n"
+    with (contextlib.nullcontext(sys.stdout) if args.output == "-"
+          else open(args.output, "w", encoding="utf-8", newline="\n")) as fh:
+        fh.write(head)
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            fh.write("".join([template % tuple(row) for row in rows[lo:lo + _CSV_BLOCK]]))
 
 
 def _write_svg(path: str, xs, ys, xlabel: str, ylabel: str) -> None:
@@ -173,10 +174,10 @@ def _cmd_metric(args) -> int:
     cols += [f"g_{c}" for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
     cols += [f"gnum_{c}" for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
     cols += ["max_abs_err", "scale_rel_err"]
-    points = []
-    for _ in range(args.points):
+    points = np.empty((args.points, 3))
+    for k in range(args.points):
         v = rng.normal(size=3)
-        points.append(v / np.linalg.norm(v) * rng.uniform(0.0, args.max_norm))
+        points[k] = v / np.linalg.norm(v) * rng.uniform(0.0, args.max_norm)
     closed = metric_cartesian(points, args.r).tensor
     numeric = numeric_metric(points, args.r).tensor
     err = np.max(np.abs(numeric - closed), axis=(1, 2))

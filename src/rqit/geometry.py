@@ -30,9 +30,10 @@ and their difference.
 Tables.  ``metric_cartesian``, ``numeric_metric`` and both curvatures
 take one point or a table of points along a leading axis; the one-point
 call is the table of one, with no second code path.  The stacked kernels
-evaluate a table in blocks of ``_BLOCK`` points, so their temporaries
-stay bounded whatever its length; the closed-form curvature, a few arrays
-as long as the table, takes it whole.  The numeric curvature of a block
+evaluate a table in blocks of ``_BLOCK`` points, 32, so their temporaries
+stay bounded whatever its length and the default tables are one block
+each; the closed-form curvature, a few arrays as long as the table, takes
+it whole.  The numeric curvature of a block
 takes every stencil point of every point at both Richardson steps (38 a
 point) from one ``_pullback_stack`` call, differences them elementwise
 and contracts them in one stacked ``_scalar_curvature``.
@@ -41,6 +42,9 @@ block.  The closed-form tables and the curvature are bit-identical to the
 one-point scalar code these kernels replaced, because each kernel keeps
 that code's roundings: ``n @ n`` as BLAS ddot rounds it, powers by
 ``pow`` as float64 scalars take them, and sines and cosines from ``math``.
+``math`` is called once per distinct float64 bit pattern of an angle
+column (``_math_once``): the 38 stencil points of a curvature point share
+5 polar and 5 azimuthal angles, and a curvature table one azimuth.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ CHART_MARGIN = 1e-6
 CURVATURE_STEP = 1e-4
 # Points per block of a stacked table (see ``_by_blocks``).  A point takes
 # about 16 kB of temporaries for the curvature and 2 kB for the numeric
-# metric.  Blocks of 8 keep every array under about 30 kB, which the free
-# chunks of a warm heap hold; blocks of 64 ran 1.3-1.7x faster per point on
-# long tables but grew the peak RSS of the default tables by 0.1-0.4 MB.
-_BLOCK = 8
+# metric.  At 32 the default tables (20 metric points, a 5x5 curvature grid)
+# are one block each, and a block's largest array, the (1216, 3, 3)
+# curvature stencil tensor, is 87.5 kB: under glibc's 128 KiB mmap
+# threshold, so it comes from the heap (at 64 it would be 175 kB).
+_BLOCK = 32
 
 
 def root_fidelity(rho: DenseOperator, sigma: DenseOperator) -> float:
@@ -182,17 +187,28 @@ def metric_polar(xi_c: float, theta: float, r) -> MetricValue:
     return MetricValue(q, "polar", g / (4.0 * a.C**4))
 
 
+def _math_once(x: np.ndarray, *fs) -> tuple[np.ndarray, ...]:
+    """Each ``math`` function of fs at each element of the float64 array x (k,),
+    called once per distinct bit pattern and scattered back.  Bit patterns
+    keep -0.0 apart from 0.0 and NaN payloads apart, so every element gets
+    each f of its own double."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    return tuple(np.array([f(v) for v in distinct])[inverse] for f in fs)
+
+
 def _polar_trig(q: np.ndarray) -> tuple[np.ndarray, ...]:
     """(xi_c, sin theta, cos theta, sin phi, cos phi) at the polar points
     q (k, 3); the first point outside the chart raises ChartError.
 
-    The sines and cosines come from ``math`` row by row, as one point took
-    them: numpy's vectorized ones may round differently.  ``math`` refuses
-    infinite angles, so they enter as NaN, which fails the chart test.
+    The sines and cosines come from ``math``, as one point took them:
+    numpy's vectorized ones may round differently.  ``_math_once`` calls it
+    once per distinct angle.  ``math`` refuses infinite angles, so they
+    enter as NaN, which fails the chart test.
     """
     xi_c, theta, phi = q.T
-    st, ct, sp, cp = (np.array([f(x) for x in np.where(np.isinf(angle), np.nan, angle).tolist()])
-                      for angle in (theta, phi) for f in (math.sin, math.cos))
+    (st, ct), (sp, cp) = (_math_once(np.where(np.isinf(angle), np.nan, angle), math.sin, math.cos)
+                          for angle in (theta, phi))
     radial = (CHART_MARGIN < xi_c) & (xi_c < 1.0 - BOUNDARY_MARGIN)
     polar = st > CHART_MARGIN
     bad = np.flatnonzero(~(radial & polar & np.isfinite(phi)))
@@ -363,7 +379,7 @@ def scalar_curvature_closed_form(xi_c, theta, r):
     a = _as_accel(r)
     points, shape = _polar_points(xi_c, theta)
     xi_c, _, ct = _polar_trig(points)[:3]
-    c2t = np.array([math.cos(2.0 * t) for t in points[:, 1].tolist()])
+    c2t, = _math_once(2.0 * points[:, 1], math.cos)
     x2 = np.float_power(xi_c, 2)
     x4, x6 = np.float_power(x2, 2), np.float_power(x2, 3)
     lead = 4.0 + 8.0 * x2 - 15.0 * x4 + 5.0 * x6

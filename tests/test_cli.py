@@ -6,9 +6,11 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,6 +196,35 @@ def assert_golden_bytes(name, argv, tmp_path):
         return [line for line in path.read_bytes().split(b"\n") if not line.startswith(b"# output=")]
 
     assert body(out) == body(GOLDEN / name)
+
+
+def test_csv_rows_take_fmt_bytes(tmp_path):
+    # one %-template a row prints what _fmt prints of each value
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 1 / 3, -2.5, 7, np.float64(0.1), True]
+    rows = [values, values[::-1]]
+    out = tmp_path / "special.csv"
+    cli._write_csv(SimpleNamespace(command="fig1", output=str(out)), [f"c{i}" for i in range(len(values))], rows)
+    lines = out.read_text(encoding="utf-8").split("\n")
+    assert lines[-1] == ""
+    assert lines[-3:-1] == [",".join(cli._fmt(v) for v in row) for row in rows]
+
+
+def test_csv_is_written_in_blocks_of_rows(tmp_path):
+    # 50 000 rows of 17 columns make a 12.8 MB file; only a block of rows is held as text
+    rows = np.random.default_rng(0).uniform(-1.0, 1.0, (50_000, 17))
+    out = tmp_path / "big.csv"
+    args = SimpleNamespace(command="metric", output=str(out))
+    tracemalloc.start()
+    try:
+        cli._write_csv(args, [f"c{i}" for i in range(17)], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 12_000_000
+    assert peak < size / 4
+    with open(out, encoding="utf-8") as fh:
+        assert [line for line in fh if not line.startswith("#")][-1] == ",".join(map(cli._fmt, rows[-1])) + "\n"
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path):

@@ -2,6 +2,8 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -613,10 +615,9 @@ def test_block_size_leaves_tables_bit_identical(monkeypatch):
         assert np.array_equal(got, want)
 
 
-def test_table_memory_does_not_grow_with_points(monkeypatch):
-    # blocks of 8 points: fully stacked, each point would add over 10 kB of
-    # temporaries; in blocks only its inputs and outputs grow (~100 bytes)
-    monkeypatch.setattr(geometry, "_BLOCK", 8)
+def test_table_memory_does_not_grow_with_points():
+    # at the shipped block size: fully stacked, each point would add over
+    # 10 kB of temporaries; in blocks only its inputs and outputs grow (~100 bytes)
     rng = np.random.default_rng(18)
 
     def peak(fn, arg):
@@ -631,9 +632,69 @@ def test_table_memory_does_not_grow_with_points(monkeypatch):
     curvature = lambda q: scalar_curvature_numeric(q[:, 0], q[:, 1], 0.1)  # noqa: E731
     metric = lambda n: numeric_metric(n, 0.05)  # noqa: E731
     polar = lambda k: np.column_stack([rng.uniform(0.2, 0.8, k), rng.uniform(0.4, 2.7, k)])  # noqa: E731
+    few, many = 2 * geometry._BLOCK, 18 * geometry._BLOCK
     for fn, make in ((curvature, polar), (metric, lambda k: ball_points(rng, k, 0.7))):
-        small, big = peak(fn, make(16)), peak(fn, make(144))
-        assert big - small < 128 * 400
+        small, big = peak(fn, make(few)), peak(fn, make(many))
+        assert big - small < (many - few) * 400
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_math_once_matches_math_per_element():
+    # repeated angles, both zeros and two NaN payloads: each element gets math of its own double
+    payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    x = np.array([0.5, -0.0, 0.0, 0.5, math.nan, payload, 1e-300, -0.0, 0.5, 3.0, payload])
+    for f, got in zip((math.sin, math.cos), geometry._math_once(x, math.sin, math.cos)):
+        assert np.array_equal(bits(got), bits([f(v) for v in x.tolist()]))
+    assert geometry._math_once(np.array([]), math.sin)[0].shape == (0,)
+
+
+def test_polar_trig_matches_math_per_point():
+    # a stencil-shaped table: 38 points a centre sharing 5 angles of each kind, phi = 0.0 and -0.0 among them
+    centres = np.array([(x, t, p) for x, t in polar_grid(4) for p in (0.0, 0.5)])
+    steps = np.array([geometry.CURVATURE_STEP, geometry.CURVATURE_STEP / 2.0])
+    q = (centres[:, None, None, :] + geometry._STENCIL * steps[:, None, None]).reshape(-1, 3)
+    q[::7, 2] = -0.0
+    got = geometry._polar_trig(q)
+    want = [q[:, 0]] + [[f(v) for v in q[:, c].tolist()] for c in (1, 2) for f in (math.sin, math.cos)]
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g), bits(w))
+    # a bad point among repeated angles gives the one-point messages
+    for c, value, message in ((1, math.nan, "^polar angle theta = nan too close to the axis$"),
+                              (1, math.inf, "^polar angle theta = inf too close to the axis$"),
+                              (1, -math.inf, "^polar angle theta = -inf too close to the axis$"),
+                              (2, math.nan, "^azimuth phi = nan is not finite$"),
+                              (2, math.inf, "^azimuth phi = inf is not finite$"),
+                              (2, -math.inf, "^azimuth phi = -inf is not finite$")):
+        bad = q.copy()
+        bad[40, c] = value
+        with pytest.raises(ChartError, match=message):
+            geometry._polar_trig(bad)
+
+
+def test_curvature_calls_trig_once_per_distinct_angle(monkeypatch):
+    # the default 5x5 curvature grid: 25 distinct theta and 5 distinct phi
+    # over the stencils, 60 sines and cosines
+    calls = Counter()
+
+    def counted(f):
+        def call(x):
+            calls[f.__name__] += 1
+            return f(x)
+        return call
+
+    monkeypatch.setattr(geometry, "math", SimpleNamespace(sin=counted(math.sin), cos=counted(math.cos)))
+    xi, theta = np.array(polar_grid(5)).T
+    numeric = scalar_curvature_numeric(xi, theta, 0.1)
+    assert sum(calls.values()) <= 60
+    calls.clear()
+    closed = scalar_curvature_closed_form(xi, theta, 0.1)
+    assert sum(calls.values()) <= 17  # sin and cos of 5 theta and 1 phi, cos of 5 2theta
+    monkeypatch.undo()
+    assert np.array_equal(numeric, scalar_curvature_numeric(xi, theta, 0.1))
+    assert np.array_equal(closed, scalar_curvature_closed_form(xi, theta, 0.1))
 
 
 def test_small_r_warning_reaches_metric_tables(monkeypatch):
