@@ -3,10 +3,10 @@
 Output format: '# key=value' header lines capturing the full run
 configuration, a '# columns=...' line, then comma-separated numeric rows
 (12 significant digits, LF endings, UTF-8).  Re-running a fixed
-configuration reproduces identical bytes; Monte-Carlo commands are pinned
-by the seed.  Each figure is one sweep call over its whole grid; fig1 and
-fig3 build their Fock cutoff once, and fig2 reads Fock levels {0, 1} only,
-so it takes no cutoff.
+configuration reproduces identical bytes; Monte Carlo (fig2 --samples) is
+pinned by the seed.  Each figure is one sweep call over its whole grid; fig1
+and fig3 build their Fock cutoff once, and fig2 reads Fock levels {0, 1}
+only, so it takes no cutoff; without --samples it draws no sample.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numeric failure
 (truncation/positivity/size/chart, or a LAPACK routine's INFO), 4 I/O failure.
@@ -24,13 +24,13 @@ import numpy as np
 
 from . import __version__
 from .channel import (DEFAULT_TRUNCATION_TOL, MIN_TRUNCATION_TOL, FockCutoff, _as_accel, _encoding_amplitudes,
-                      _shared_deficit, _shared_etas, _shared_levels, _tail_weights, _unit_trace_atol,
+                      _shared_deficit, _shared_etas, _shared_levels, _tail_weights, _unit_trace_atol, _xi_array,
                       unruh_one_particle_amplitudes)
 from .distinguishability import angle_sweep
 from .entanglement import negativity_sweep
 from .errors import RQITError
 from .geometry import metric_cartesian, numeric_metric, scalar_curvature_closed_form, scalar_curvature_numeric
-from .teleportation import average_fidelity_exact, fidelity_sweep
+from .teleportation import _fidelity_columns, average_fidelity_exact, fidelity_sweep
 
 CURVATURE_GEOMETRY = "cartesian_pullback"
 H_OFFDIAG_SYMBOL = "xi_c"
@@ -95,7 +95,7 @@ def _write_csv(args, columns, rows, xi_grid=(0.0, 0.0, 0.0), **extras) -> None:
         ("r", _fmt(getattr(args, "r", 0.0))),
         ("xi_grid", f"{_fmt(lo)}:{_fmt(hi)}:{_fmt(step)}"),
         ("cutoff_tol", _fmt(getattr(args, "cutoff_tol", DEFAULT_TRUNCATION_TOL))),
-        ("samples", getattr(args, "samples", 0)),
+        ("samples", getattr(args, "samples", None) or 0),
         ("seed", getattr(args, "seed", 0)),
         ("output", args.output),
         *extras.items(),
@@ -162,6 +162,14 @@ def _cmd_sweep(args, sweep, *columns: str) -> int:
     if args.svg:
         _write_svg(args.svg, xis, [row[1] for row in rows], "xi", columns[0])
     return 0
+
+
+def _cmd_fig2(args) -> int:
+    if args.samples is None:  # fidelity_exact and sigma, one array expression over the grid: no sample drawn
+        return _cmd_sweep(args, lambda r, xis, _cut: np.rec.fromarrays(
+            _fidelity_columns(_xi_array(xis), r), names="fidelity_exact,sigma"), "fidelity_exact", "sigma")
+    return _cmd_sweep(args, lambda r, xis, _cut: fidelity_sweep(r, xis, samples=args.samples, seed=args.seed),
+                      "fidelity_mc", "std_err", "fidelity_exact")
 
 
 def _cmd_metric(args) -> int:
@@ -289,15 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p1, 0.6)
     p1.set_defaults(func=lambda args: _cmd_sweep(args, negativity_sweep, "log_negativity"))
 
-    p2 = sub.add_parser(
-        "fig2", help="average teleportation fidelity over xi (columns: xi,fidelity_mc,std_err,fidelity_exact)"
-    )
+    p2 = sub.add_parser("fig2", help="average teleportation fidelity over xi (columns: xi,fidelity_exact,sigma; "
+                                     "with --samples: xi,fidelity_mc,std_err,fidelity_exact)")
     common(p2, 0.6, fock=False)
-    p2.add_argument("--samples", type=int, default=200_000, help="Monte-Carlo sample count")
+    p2.add_argument("--samples", type=int, help="Monte-Carlo sample count (default: none drawn)")
     p2.add_argument("--seed", type=int, default=42, help="Monte-Carlo seed")
-    p2.set_defaults(func=lambda args: _cmd_sweep(
-        args, lambda r, xis, _cut: fidelity_sweep(r, xis, samples=args.samples, seed=args.seed),
-        "fidelity_mc", "std_err", "fidelity_exact"))
+    p2.set_defaults(func=_cmd_fig2)
 
     p3 = sub.add_parser("fig3", help="Bures-angle sweep over xi (columns: xi,theta)")
     common(p3, 0.85)
@@ -340,8 +345,8 @@ def _check_args(args) -> None:
     if not MIN_TRUNCATION_TOL <= tol < 1:
         raise UsageError(f"--cutoff-tol must lie in [{MIN_TRUNCATION_TOL!r}, 1), got {tol}")
     for name, minimum in (("n_max", 0), ("samples", 1), ("seed", 0), ("points", 1)):
-        value = getattr(args, name, minimum)
-        if value < minimum:
+        value = getattr(args, name, None)
+        if value is not None and value < minimum:
             flag = "--" + name.replace("_", "-")
             raise UsageError(f"{flag} must be >= {minimum}, got {value}")
 

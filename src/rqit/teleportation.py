@@ -14,21 +14,16 @@ independent) protocol is then driven with the accelerated shared state.
 
 The average fidelity over Haar-random pure inputs |psi> = U|+> is the
 sphere average of a real quadratic form x^T Q x on x = (1, n), n the Bloch
-vector of psi, computed two ways: Monte Carlo over n with counter-based
-sampling (Philox; sample k reads doubles 2k and 2k + 1 of the stream, so one
-counter step of four doubles serves two samples, and any chunked or parallel
-schedule reproduces identical values), and exactly, as Q00 + tr Q_nn / 3
-(<n> = 0 and <n n^T> = 1/3).
-
-Q is known in closed form (``_fidelity_form``).  The receiver's output on
-Fock levels {0, 1}, the only levels the fidelity reads, depends only on
-the levels {0, 1} block of the shared state, and the protocol contracts
-that block into a diagonal Q whose four entries are polynomials in
-1/cosh r with coefficients in sqrt(1 - xi) and sqrt(1 + xi).  The averages
-therefore take no Fock cutoff, run no truncation check and hold up to
-channel.MAX_R; a sample needs only n_z and the azimuth.  The tests keep
-the generic route (the 4x4 channel block contracted with the POVMs and
-corrections, then changed to the Pauli basis) as the oracle for Q.
+vector of psi.  Q is diagonal, in closed form (``_fidelity_form``): the
+fidelity reads the receiver's Fock levels {0, 1} only, which depend only on
+the levels {0, 1} block of the shared state, so the averages take no Fock
+cutoff and hold up to channel.MAX_R.  The exact average, with the standard
+deviation sigma of one sample beside it, is one array expression over a xi
+grid (``_fidelity_columns``).  Monte Carlo, on request, samples n from
+counter-based streams (Philox; sample k reads doubles 2k and 2k + 1 of the
+stream, so any chunked or parallel schedule reproduces identical values).
+The tests keep the generic route (the 4x4 channel block contracted with the
+POVMs and corrections, then changed to the Pauli basis) as the oracle for Q.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import _as_accel, _as_xi, _encoding_amplitudes
+from .channel import _as_accel, _as_xi, _encoding_amplitudes, _xi_array
 from .errors import NumericError, SizeError
 from .linalg import DenseOperator, check_budget
 
@@ -47,8 +42,8 @@ _SQRT2 = math.sqrt(2.0)
 # 0.055-0.07 us a sample on a 2-core x86 host.  Each xi point counts its
 # samples plus MC_POINT_CHARGE for its fixed work (the fidelity form and the
 # sampling set-up, 0.07-0.08 ms a point there); both values date from slower
-# code and are kept, so that the runs they admit stay the same.  The
-# default fig2 run counts 96 x 203 000.
+# code and are kept, so that the runs they admit stay the same.  fig2 at
+# --samples 200000 on its default grid counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
 # Monte-Carlo samples drawn at a time: the sampling temporaries stay cache-sized.
@@ -170,9 +165,9 @@ def apply_protocol(kit: ProtocolKit, shared: DenseOperator, input_op: np.ndarray
     return out
 
 
-def _fidelity_form(xi, r) -> tuple[float, float, float, float]:
-    """(Q00, Qxx, Qyy, Qzz): the real 4x4 Q with <psi| sigma_R(|psi><psi|) |psi>
-    = x^T Q x on x = (1, n), n the Bloch vector of psi, which is diagonal.
+def _fidelity_form(xi, r):
+    """(Q00, Qxx, Qyy, Qzz) at each valid xi of ``xi`` (``channel._xi_array``): the diagonal
+    real 4x4 Q with <psi| sigma_R(|psi><psi|) |psi> = x^T Q x on x = (1, n), n the Bloch vector of psi.
 
     With u = sqrt(1 - xi), v = sqrt(1 + xi) and x = 1/cosh r:
 
@@ -181,8 +176,8 @@ def _fidelity_form(xi, r) -> tuple[float, float, float, float]:
         Qyy = (u + v) x^3/4,
         Qzz = [(1 - uv) x^3 + (1 + uv) x^4]/4.
     """
-    xi, x = _as_xi(xi).xi, 1.0 / _as_accel(r).C
-    u, v = math.sqrt(1.0 - xi), math.sqrt(1.0 + xi)
+    x = 1.0 / _as_accel(r).C
+    u, v = np.sqrt(1.0 - xi), np.sqrt(1.0 + xi)
     uv, x2 = u * v, x * x
     x3, x4 = x2 * x, x2 * x2
     return ((2.0 - xi) * x2 / 4.0 + xi * x4 / 4.0,
@@ -191,10 +186,20 @@ def _fidelity_form(xi, r) -> tuple[float, float, float, float]:
             ((1.0 - uv) * x3 + (1.0 + uv) * x4) / 4.0)
 
 
+def _fidelity_columns(xi, r):
+    """fidelity_exact and sigma at each valid xi of ``xi``: the mean of x^T Q x (``_fidelity_form``)
+    over n uniform on the sphere and its standard deviation per sample.  <n> = 0 and <n n^T> = 1/3
+    leave Q00 + tr Q_nn / 3; <n_i^2 n_j^2> = (1 + 2 d_ij)/15 leaves the sum of squares sigma^2 =
+    (2/45)[(Qxx - Qyy)^2 + (Qxx - Qzz)^2 + (Qyy - Qzz)^2], 0 where Q_nn is a multiple of 1."""
+    q00, qxx, qyy, qzz = _fidelity_form(xi, r)
+    sigma = np.sqrt((2.0 / 45.0) * ((qxx - qyy) ** 2 + (qxx - qzz) ** 2 + (qyy - qzz) ** 2))
+    return q00 + (qxx + qyy + qzz) / 3.0, sigma
+
+
 def average_fidelity_exact(xi, r) -> float:
     """Exact Haar average of <psi| sigma_R(|psi><psi|) |psi>: the sphere
-    average of the Monte-Carlo form x^T Q x (``_sphere_average``)."""
-    return _sphere_average(_fidelity_form(xi, r))
+    average of the Monte-Carlo form x^T Q x (``_fidelity_columns``)."""
+    return float(_fidelity_columns(_as_xi(xi).xi, r)[0])
 
 
 def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
@@ -223,14 +228,12 @@ def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
 
 
 class FidelityEstimate(NamedTuple):
-    """Monte-Carlo average fidelity; ``exact`` is the exact Haar average of the
-    same channel, bit for bit ``average_fidelity_exact`` at the same inputs."""
+    """Monte-Carlo average fidelity."""
 
     mean: float
     std_error: float
     samples: int
     seed: int
-    exact: float
 
 
 def _philox(seed: int, step: int = 0) -> np.random.Generator:
@@ -241,15 +244,7 @@ def _philox(seed: int, step: int = 0) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
-def _sphere_average(form: tuple[float, float, float, float]) -> float:
-    """Average of x^T Q x, x = (1, n), Q = diag(form), over n uniform on the
-    sphere: <n> = 0 and <n n^T> = 1/3 leave Q00 + tr Q_nn / 3."""
-    q00, qxx, qyy, qzz = form
-    return q00 + (qxx + qyy + qzz) / 3.0
-
-
-def _draw_form_values(form: tuple[float, float, float, float], stream: np.random.Generator,
-                      out: np.ndarray) -> None:
+def _draw_form_values(form, stream: np.random.Generator, out: np.ndarray) -> None:
     """x^T Q x, Q = diag(form), at the next ``out.size`` Bloch vectors of ``stream``,
     into ``out``: Q00 + Qzz z^2 + (1 - z)(1 + z)(Qyy + (Qxx - Qyy) cos^2 phi),
     z = 2 u0 - 1 and phi = 2 pi u1 from the next two doubles of the stream, so
@@ -299,7 +294,7 @@ def average_fidelity_mc(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    form = _fidelity_form(xi, r)
+    form = _fidelity_form(_as_xi(xi).xi, r)
     check_budget((samples,), float, "Monte-Carlo overlaps")
     values = np.empty(samples)
     spans = range(0, samples, MC_CHUNK)
@@ -321,7 +316,7 @@ def average_fidelity_mc(
         std_error = math.sqrt(var / samples)
     else:
         std_error = 0.0
-    return FidelityEstimate(mean, std_error, samples, seed, _sphere_average(form))
+    return FidelityEstimate(mean, std_error, samples, seed)
 
 
 class _ExactSum:
@@ -384,19 +379,19 @@ def fidelity_sweep(
 ) -> list[FidelityResult]:
     """One FidelityResult per grid point, in grid order: Monte Carlo and exact.
 
-    Point i is one ``average_fidelity_mc`` call, seeded from
-    ``SeedSequence((seed, i))``, whose one fidelity form also gives the exact
-    average.  (samples + MC_POINT_CHARGE) x points is checked against
-    MC_WORK_BOUND before anything is built (``SizeError``).
+    The exact column is one array over the grid (``_fidelity_columns``), and
+    point i's Monte Carlo one ``average_fidelity_mc`` call, seeded from
+    ``SeedSequence((seed, i))``.  (samples + MC_POINT_CHARGE) x points is
+    checked against MC_WORK_BOUND before anything is built (``SizeError``).
     """
     if (samples + MC_POINT_CHARGE) * len(xi_grid) > MC_WORK_BOUND:
         raise SizeError(f"fig2 needs (samples + {MC_POINT_CHARGE}) x points = "
                         f"{samples + MC_POINT_CHARGE} x {len(xi_grid)}, "
                         f"over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
-    a = _as_accel(r)
+    a, xis = _as_accel(r), _xi_array(xi_grid)
     out = []
-    for i, xi in enumerate(xi_grid):
+    for i, (xi, exact) in enumerate(zip(xis.tolist(), _fidelity_columns(xis, a)[0].tolist())):
         sub = int(np.random.SeedSequence((seed, i)).generate_state(1, dtype=np.uint64)[0])
         est = average_fidelity_mc(xi, a, samples=samples, seed=sub)
-        out.append(FidelityResult(float(xi), a.r, est.mean, est.std_error, est.exact))
+        out.append(FidelityResult(xi, a.r, est.mean, est.std_error, exact))
     return out

@@ -13,7 +13,8 @@ the exact way, and each is defined once, for every test module to import:
   the shared state by rank-one updates, fig3's Bures angle of two dense
   channel images, the protocol run on a given input state, and the
   teleportation channel's blocks on Fock levels {0, 1} with their Bloch
-  form and Haar average;
+  form, Haar average and sampling variance, and the best-frame average
+  fidelity of the shared state's levels {0, 1} block;
 * exact values in mpmath and sympy: fig1 at xi = 0 and, from the partial
   transpose itself, at any xi, fig3 from the factor form, fig2's form and
   average, and the jets and scalar curvature of the closed-form metric.
@@ -193,15 +194,10 @@ def shared_terms(ox, a, cut):
 _UNITS = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
 
 
-def channel_blocks(xi, r):
-    """E[i, j] = top-left 2x2 block of the protocol channel on |i><j|: the
-    generic route, the oracle for teleportation._fidelity_form.
-
-    Only Fock levels {0, 1} of the output are read, and the receiver
-    operations act as the identity above them, so the protocol is applied
-    once, to the stacked matrix units, with the levels {0, 1} block of the
-    shared state alone.  On (qubit, level) in {0, 1} x {0, 1} that block is
-    w_0 |v_0><v_0| + w_1 |v_1'><v_1'|, with v_1' the level-1 part of |v_1>:
+def shared_block(xi, r):
+    """S, the levels {0, 1} block of the shared state on (qubit, level) in
+    {0, 1} x {0, 1}: w_0 |v_0><v_0| + w_1 |v_1'><v_1'|, with v_1' the level-1
+    part of |v_1>:
 
         v_0 = (eta_{+-}, eta_{-+}/C, eta_{--}, eta_{++}/C),  w_0 = 1/(8 C^2),
         v_1' = (0, eta_{+-}, 0, eta_{--}),                    w_1 = t/(8 C^2),
@@ -215,8 +211,39 @@ def channel_blocks(xi, r):
     # t rounded as in channel._shared_levels: exp(ln t) where |ln t| < 1, else tanh r squared
     t = float(np.exp(_log_t(a))) if a.T**2 > math.exp(-1.0) else a.T**2
     w0, w1 = 1.0 / (8.0 * a.C**2), t / (8.0 * a.C**2)
-    shared = DenseOperator(w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1), (2, 2))
-    return apply_protocol(build_protocol(schmidt_decompose(xi)), shared, _UNITS)
+    return w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1)
+
+
+def channel_blocks(xi, r):
+    """E[i, j] = top-left 2x2 block of the protocol channel on |i><j|: the
+    generic route, the oracle for teleportation._fidelity_form.
+
+    Only Fock levels {0, 1} of the output are read, and the receiver
+    operations act as the identity above them, so the protocol is applied
+    once, to the stacked matrix units, with the levels {0, 1} block of the
+    shared state alone (``shared_block``).
+    """
+    shared = DenseOperator(shared_block(xi, r), (2, 2))
+    return apply_protocol(build_protocol(schmidt_decompose(_as_xi(xi).xi)), shared, _UNITS)
+
+
+_PAULIS = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, -1j], [1j, 0.0]]), np.diag([1.0, -1.0]))
+
+
+def best_frame_fidelity(xi, r):
+    """The Haar-average fidelity of standard teleportation through S =
+    ``shared_block(xi, r)``, at the best sender measurement frame and receiver
+    correction: p/2 + tau/6, with p = tr S and tau the sum of the singular
+    values of T_ij = tr(S sigma_i (x) sigma_j) where det T <= 0 (Horodecki,
+    Horodecki & Horodecki, Phys. Lett. A 222, 21 (1996), for a normalised
+    state; the weight p follows by linearity in S).  ValueError where
+    det T > 0, where the optimum takes another form.
+    """
+    s = shared_block(xi, r)
+    t = np.array([[np.trace(s @ np.kron(a, b)).real for b in _PAULIS] for a in _PAULIS])
+    if np.linalg.det(t) > 0:
+        raise ValueError(f"det T > 0 at xi = {xi}, r = {r}")
+    return float(np.trace(s) / 2 + np.linalg.svd(t, compute_uv=False).sum() / 6)
 
 
 def object_channel_blocks(etas, c, t, alice, rob):
@@ -312,6 +339,20 @@ def haar_average(e):
     t1 = sum(np.trace(e[i, i]).real for i in range(2))
     t2 = sum(e[i, j][i, j].real for i in range(2) for j in range(2))
     return float((t1 + t2) / 6.0)
+
+
+def sampling_variance(q):
+    """Variance of x^T Q x, x = (1, n), over n uniform on the sphere, in closed form.
+
+    With b = sym(Q)[0, 1:] and A = sym(Q)[1:, 1:], the value is
+    Q00 + 2 b.n + n^T A n.  The odd moments of n vanish, <n n^T> = 1/3 and
+    <n_i n_j n_k n_l> = (d_ij d_kl + d_ik d_jl + d_il d_jk)/15, so the variance
+    is 4|b|^2/3 + (tr A)^2/15 + 2 tr(A^2)/15 - (tr A)^2/9.
+    """
+    sym = (q + q.T) / 2
+    b, a = sym[0, 1:], sym[1:, 1:]
+    tr = np.trace(a)
+    return 4 * (b @ b) / 3 + tr**2 / 15 + 2 * np.trace(a @ a) / 15 - tr**2 / 9
 
 
 # Exact values in mpmath and sympy.

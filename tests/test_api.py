@@ -35,7 +35,7 @@ VALUES = {
     NegativityResult: (("xi", "r", "log_negativity"), (0.3, 0.6, 0.6455522566968334)),
     AngleResult: (("xi", "r", "theta"), (0.3, 0.85, 0.25)),
     FidelityResult: (("xi", "r", "fidelity_mc", "std_err", "fidelity_exact"), (0.3, 0.6, 0.9, 1e-4, 0.91)),
-    FidelityEstimate: (("mean", "std_error", "samples", "seed", "exact"), (0.9, 1e-4, 1000, 7, 0.91)),
+    FidelityEstimate: (("mean", "std_error", "samples", "seed"), (0.9, 1e-4, 1000, 7)),
     SchmidtDecomposition: (("lambdas", "alice_basis", "rob_basis"), (_A[:2], _C, _C)),
     ProtocolKit: (("povms", "local_ops"), ((_C, _C), (_C,))),
     MetricValue: (("point", "chart", "tensor"), (_A, "bloch", _B)),

@@ -169,12 +169,29 @@ def test_geometry_tables_match_golden_bytes(name, argv, block, tmp_path, monkeyp
     [
         ("fig2-samples1000-seed42.csv", ["fig2", "--samples", "1000", "--seed", "42"]),
         ("fig2-r10-samples1-seed3.csv", ["fig2", "--r", "10", "--samples", "1", "--seed", "3"]),
+        ("fig2-default.csv", ["fig2"]),
     ],
 )
 def test_fig2_tables_match_golden_bytes(name, argv, tmp_path):
-    # written before the teleportation kit was built from the Schmidt
-    # vectors; the Monte-Carlo and exact columns must keep every byte
+    # the --samples files were written before the teleportation kit was built
+    # from the Schmidt vectors; the Monte-Carlo and exact columns must keep every
+    # byte.  The default prints the exact column and sigma and draws no sample
     assert_golden_bytes(name, argv, tmp_path)
+
+
+@pytest.mark.parametrize("r", ["0", "0.6", "10"])
+def test_fig2_default_exact_column_equals_monte_carlo_runs(r, tmp_path):
+    # the default's fidelity_exact column is, byte for byte, the one printed beside the Monte Carlo
+    def column(argv, name):
+        out = tmp_path / "f.csv"
+        assert run_cli(["fig2", "--r", r, *argv, "-o", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        names = next(line for line in lines if line.startswith("# columns="))[len("# columns="):].split(",")
+        return [line.split(",")[names.index(name)] for line in lines if not line.startswith("#")]
+
+    exact = column([], "fidelity_exact")
+    assert len(exact) == 96
+    assert exact == column(["--samples", "1"], "fidelity_exact")
 
 
 @pytest.mark.parametrize(
@@ -335,6 +352,21 @@ def test_cli_runs_no_dense_route(monkeypatch, tmp_path):
         assert run_cli([*argv, "-o", str(tmp_path / f"{argv[0]}.csv")]) == 0, argv
 
 
+def test_default_fig2_draws_no_sample(monkeypatch, tmp_path):
+    # without --samples fig2 prints the exact column and sigma: the Monte Carlo and
+    # its sampler are made to raise, and the default run still exits 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("default fig2 drew a Monte-Carlo sample")
+
+    for name in ("average_fidelity_mc", "_draw_form_values"):
+        monkeypatch.setattr(teleportation, name, refuse)
+    out = tmp_path / "fig2.csv"
+    assert run_cli(["fig2", "-o", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header["columns"] == "xi,fidelity_exact,sigma" and header["samples"] == "0"
+    assert len(rows) == 96 and all(0 < sigma < 0.1 for _, _, sigma in rows)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -396,12 +428,13 @@ _HEADER_KEYS = ["rqit_version", "command", "r", "xi_grid", "cutoff_tol", "sample
     [
         (["fig1", "--xi", "0:0:1"], ["n_max"]),
         (["fig2", "--xi", "0:0:1", "--samples", "10"], ["n_max"]),
+        (["fig2", "--xi", "0:0:1"], ["n_max"]),
         (["fig3", "--xi", "0:0:1"], ["n_max"]),
         (["metric", "--points", "1"], ["points", "max_norm"]),
         (["curvature", "--grid", "2"], ["grid", "curvature_geometry", "h_offdiag_symbol"]),
         (["validate"], []),
     ],
-    ids=["fig1", "fig2", "fig3", "metric", "curvature", "validate"],
+    ids=["fig1", "fig2", "fig2-default", "fig3", "metric", "curvature", "validate"],
 )
 def test_header_keys_and_order(argv, extras, tmp_path, capsys):
     out = tmp_path / "run.csv"
@@ -494,7 +527,11 @@ def test_fig2_builds_one_channel_per_point(monkeypatch, tmp_path):
     for name in ("_fidelity_form", "average_fidelity_mc"):
         monkeypatch.setattr(teleportation, name, counted(name, getattr(teleportation, name)))
     assert run_cli(["fig2", "--xi", "0:0.8:0.2", "--samples", "10", "-o", str(tmp_path / "f.csv")]) == 0
-    assert calls == {"_fidelity_form": 5, "average_fidelity_mc": 5}
+    # one form over the whole grid for the exact column, and one for each Monte-Carlo point
+    assert calls == {"_fidelity_form": 6, "average_fidelity_mc": 5}
+    calls.clear()
+    assert run_cli(["fig2", "--xi", "0:0.8:0.2", "-o", str(tmp_path / "f.csv")]) == 0
+    assert calls == {"_fidelity_form": 1}
 
 
 def test_io_failure_exits_4(tmp_path):
@@ -569,10 +606,11 @@ _OPTIONS = {
     "--grid": (st.integers(2, 4).map(str),
                st.one_of(st.integers(max_value=1).map(str), st.integers(min_value=317).map(str), _BAD)),
 }
-# (always passed, sometimes passed): the sweeps always get a small grid, fig2 a small sample count
+# (always passed, sometimes passed): the sweeps always get a small grid, and fig2 a small sample count
+# when it samples at all
 _COMMAND_OPTIONS = {
     "fig1": (["--xi"], ["--r", "--cutoff-tol", "--n-max"]),
-    "fig2": (["--xi", "--samples"], ["--r", "--seed"]),
+    "fig2": (["--xi"], ["--r", "--seed", "--samples"]),
     "fig3": (["--xi"], ["--r", "--cutoff-tol", "--n-max"]),
     "metric": ([], ["--r", "--points", "--seed", "--max-norm"]),
     "curvature": (["--grid"], ["--r"]),

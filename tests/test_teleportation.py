@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (bloch_form, channel_blocks, eta, full_tower_blocks, haar_average, is_hermitian,
                      min_eigenvalue, mp_exact_fidelity, mp_fidelity_form, object_channel_blocks, overlap_formula,
-                     run_protocol, scatter_crop_channel_blocks, shared_state_vector, state_vector,
-                     svd_schmidt_decompose)
+                     run_protocol, sampling_variance, scatter_crop_channel_blocks, shared_state_vector,
+                     state_vector, svd_schmidt_decompose)
 from rqit import teleportation
-from rqit.channel import MAX_R, FockCutoff, _as_accel, entangled_state
+from rqit.channel import MAX_R, FockCutoff, _as_accel, _xi_array, entangled_state
 from rqit.errors import NumericError, RQITError, SizeError
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
@@ -19,6 +19,7 @@ from rqit.teleportation import (
     SchmidtDecomposition,
     _ExactSum,
     _draw_form_values,
+    _fidelity_columns,
     _fidelity_form,
     _philox,
     apply_protocol,
@@ -633,20 +634,6 @@ def test_exact_sum_refuses_non_finite_and_oversized_chunks():
         _ExactSum().add(np.broadcast_to(1.0, (2**26 + 1,)))
 
 
-def sampling_variance(q):
-    """Variance of x^T Q x, x = (1, n), over n uniform on the sphere, in closed form.
-
-    With b = sym(Q)[0, 1:] and A = sym(Q)[1:, 1:], the value is
-    Q00 + 2 b.n + n^T A n.  The odd moments of n vanish, <n n^T> = 1/3 and
-    <n_i n_j n_k n_l> = (d_ij d_kl + d_ik d_jl + d_il d_jk)/15, so the variance
-    is 4|b|^2/3 + (tr A)^2/15 + 2 tr(A^2)/15 - (tr A)^2/9.
-    """
-    sym = (q + q.T) / 2
-    b, a = sym[0, 1:], sym[1:, 1:]
-    tr = np.trace(a)
-    return 4 * (b @ b) / 3 + tr**2 / 15 + 2 * np.trace(a @ a) / 15 - tr**2 / 9
-
-
 def test_mc_std_error_matches_closed_form_sigma():
     samples = 200_000
     for i, (xi, r) in enumerate(((0.4, 0.6), (0.9, 0.85), (0.3, 1.5), (0.7, 3.0))):
@@ -655,6 +642,51 @@ def test_mc_std_error_matches_closed_form_sigma():
         assert abs(est.std_error * math.sqrt(samples) / sigma - 1.0) <= 0.01, (xi, r)
     assert abs(sampling_variance(np.diag(_fidelity_form(0.0, 0.0)))) <= 1e-15
     assert average_fidelity_mc(0.0, 0.0, samples=samples, seed=30).std_error < 1e-9
+
+
+def test_sigma_column_matches_sampling_variance():
+    # the closed-form variance, evaluated on the 40-digit form, holds the sum of squares
+    # sigma^2 = (2/45)[(Qxx - Qyy)^2 + ...]; in float64 the oracle's (tr A)^2 terms cancel
+    # to about 1.3e-12 relative at r = 0.6, xi = 0.81
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.arange(20) * 0.05
+    with mpmath.workdps(40):
+        for r in (0.6, 0.85, 1.5, 2.5, 3.5):
+            sigma = _fidelity_columns(_xi_array(grid), r)[1]
+            want = [mpmath.sqrt(sampling_variance(np.diag(np.array(mp_fidelity_form(xi, r), dtype=object))))
+                    for xi in grid]
+            for xi, got, w in zip(grid, sigma, want):
+                assert abs(got - w) <= 1e-14 * w, (xi, r)
+    # Q_nn is 1/2 times the identity at the ideal point, so sigma is exactly 0 there
+    assert _fidelity_columns(_xi_array([0.0]), 0.0)[1][0] == 0.0
+
+
+def math_fidelity_form(xi, r):
+    """_fidelity_form at one xi in Python floats and math.sqrt: the point-by-point
+    reference for the array form."""
+    x = 1.0 / math.cosh(r)
+    u, v = math.sqrt(1.0 - xi), math.sqrt(1.0 + xi)
+    uv, x2 = u * v, x * x
+    x3, x4 = x2 * x, x2 * x2
+    return ((2.0 - xi) * x2 / 4.0 + xi * x4 / 4.0,
+            (u + v) * ((1.0 + uv) * x3 + (1.0 - uv) * x4) / 8.0,
+            (u + v) * x3 / 4.0,
+            ((1.0 - uv) * x3 + (1.0 + uv) * x4) / 4.0)
+
+
+def test_exact_column_equals_point_by_point_form():
+    # one array expression over the grid gives the same doubles as the form evaluated
+    # point by point; average_fidelity_exact and fidelity_sweep read the same column
+    grid = np.concatenate([np.arange(96) * 0.01, np.linspace(0.0, 0.999, 2000)])
+    for r in (0.0, 0.1, 0.6, 0.85, 1.5, 3.5, 10.0, 100.0, MAX_R):
+        exact = _fidelity_columns(_xi_array(grid), r)[0]
+        for xi, got in zip(grid.tolist(), exact.tolist()):
+            q00, qxx, qyy, qzz = math_fidelity_form(xi, r)
+            assert got == q00 + (qxx + qyy + qzz) / 3.0, (xi, r)
+        assert exact.tolist() == [average_fidelity_exact(xi, r) for xi in grid]
+    assert type(average_fidelity_exact(0.4, 0.6)) is float
+    assert [p.fidelity_exact for p in fidelity_sweep(0.6, grid[:96], samples=1)] == \
+        _fidelity_columns(_xi_array(grid[:96]), 0.6)[0].tolist()
 
 
 def test_mc_agrees_with_exact():
@@ -737,13 +769,6 @@ def test_trace_preserved_over_random_inputs():
         amps = amps / np.linalg.norm(amps)
         out = run_protocol(amps, rng.uniform(0, 0.9), rng.uniform(0, 0.6))
         assert abs(out.trace().real - 1.0) < 1e-10
-
-
-def test_mc_estimate_carries_exact_average():
-    for xi, r in ((0.0, 0.0), (0.4, 0.6), (0.8, 2.0), (0.3, 0.3)):
-        est = average_fidelity_mc(xi, r, samples=10, seed=5)
-        assert est.exact == average_fidelity_exact(xi, r)
-        assert type(est.exact) is float and type(average_fidelity_exact(xi, r)) is float
 
 
 def per_point_fig2(r, xis, samples, seed):
