@@ -55,24 +55,18 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
         M[n, n] = a1 a2 c_n^2 + b1 b2 d_n^2,
         M[n+1, n] = a1 b2 c_{n+1} d_n,   M[n, n+1] = b1 a2 d_n c_{n+1},
 
-    so its singular values give the angle.  M is written into general band
-    storage (3, n_max + 1); LAPACK ``dgbbrd`` reduces it to bidiagonal form
-    in O(n_max^2), since each bulge it chases runs to the end of the matrix,
-    and ``dlasq1`` then runs dqds on that, which finds every singular value
-    to high relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput.
-    11, 873 (1990); Fernando & Parlett, Numer. Math. 67, 191 (1994)), in
-    O(n_max^2) time and O(n_max) memory, with no square root.
+    so its singular values give the angle.  ``_lapack.band_sums`` fills M
+    from four terms, a coefficient a point times an amplitude product a
+    level, and ``tridiagonal_singular_values`` (``dgbbrd``, then dqds in
+    ``dlasq1``) finds every singular value to high relative accuracy, with
+    no square root, in O(n_max^2) time and O(n_max) memory a point.
     ``bures_angle`` of the two ``effective_qubit`` images is the dense route
     to the same angle, which holds its inputs to unit trace within a fixed
     1e-6.  Here, after the truncation and cost checks, the trace
     Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2 of every image plus its closed-form
     tail a^2 sum_{n > n_max} c_n^2 + b^2 sum_{n > n_max} d_n^2 must be 1
-    within ``_unit_trace_atol``, at any cutoff tolerance.  The grid is
-    one float64 array, its traces checked in one pass; the bands of a block
-    of as many points as ``_lapack.points_per_block`` admits (the whole
-    default grid at once) are filled in one pass and taken by one kernel
-    call; under the cost bound a block holds at most max(128 KiB, one band),
-    340 KB at n_max 14142.
+    within ``_unit_trace_atol``, at any cutoff tolerance, checked in one pass
+    over the grid's float64 array.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
@@ -95,14 +89,8 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
         i = np.argmax(bad)
         raise TruncationError(f"channel image trace {traces[i]:.12g} plus its dropped tail {tails[i]:.6g} "
                               f"misses 1 by {misses[i]:.3g}, more than {atol:.3g}")
-    per = _lapack.points_per_block((cut.n_max + 1, 3))
-    root_fids = np.empty(len(xi))
-    for lo in range(0, len(xi), per):
-        u, v = a2[lo:lo + per, None], b2[lo:lo + per, None]
-        ab = np.zeros((len(u), cut.n_max + 1, 3)).transpose(0, 2, 1)
-        ab[:, 0, 1:] = h * u * cd
-        ab[:, 1] = h * u * cc + h * v * dd
-        ab[:, 2, :-1] = h * v * cd
-        root_fids[lo:lo + per] = np.sum(_lapack.tridiagonal_singular_values(ab), axis=1)
+    hu, hv = h * a2, h * b2
+    root_fids = _lapack.band_sums(_lapack.tridiagonal_singular_values, cut.n_max + 1, [
+        (0, slice(1, None), hu, cd), (1, slice(None), hu, cc), (1, slice(None), hv, dd), (2, slice(0, -1), hv, cd)])
     clipped = np.clip(root_fids, 0.0, 1.0).tolist()
     return [AngleResult(x, a.r, math.acos(fid)) for x, fid in zip(xi.tolist(), clipped)]

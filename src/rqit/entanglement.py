@@ -55,32 +55,22 @@ def negativity_sweep(
     rho^Gamma in O(n_max^2) time and O(n_max) memory;
     ``log_negativity(entangled_state(...))`` is the dense route to the same
     value.  The grid is one float64 array: s_n and w_n are made once a
-    sweep, the four eta of every point in one pass, and ``band_eigvalsh``
-    takes blocks of as many points as ``_lapack.points_per_block`` admits
-    (the whole default grid at once).  The cost bound is checked first, then
-    the grid's values and traces; under the cost bound a block holds at most
-    max(128 KiB, one band), 680 KB at n_max 14142.
+    sweep, the four eta of every point in one pass, and ``_lapack.band_sums``
+    fills the band from six terms, a coefficient a point times a weight a
+    level.  The cost bound is checked first, then the grid's values and traces.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "negativity_sweep")
     xi = _xi_array(xi_grid)
     eta = _shared_etas(xi, a, cut)
-    per = _lapack.points_per_block((2 * cut.levels, 3))
     factors, w = _shared_levels(a, cut)
     ws, wss = w * factors[2], w * factors[2] * factors[2]
-    norms = np.empty(len(xi))
-    for lo in range(0, len(xi), per):
-        x0, x1, y0, y1 = eta[lo:lo + per].T[..., None]
-        xx, xy, xcy = x0 * x0 + x1 * x1, x0 * y0 + x1 * y1, x0 * y1 - x1 * y0
-        alpha, gamma = xy / np.sqrt(xx), xcy / np.sqrt(xx)
-        ab = np.zeros((len(xx), 2 * cut.levels, 3)).transpose(0, 2, 1)
-        here, up = ab[:, :, :2 * len(w)], ab[:, :, 2:]  # levels 0..n_max, and 1..n_max + 1
-        here[:, 0, 0::2] = w * xx
-        here[:, 1, 1::2] = ws * xcy
-        here[:, 2, 0::2] = ws * xy
-        up[:, 0, 0::2] += wss * (alpha * alpha)
-        up[:, 0, 1::2] = wss * (gamma * gamma)
-        up[:, 1, 0::2] = wss * (alpha * gamma)
-        norms[lo:lo + per] = np.sum(np.abs(_lapack.band_eigvalsh(ab)), axis=1)
+    x0, x1, y0, y1 = eta.T
+    xx, xy, xcy = x0 * x0 + x1 * x1, x0 * y0 + x1 * y1, x0 * y1 - x1 * y0
+    alpha, gamma = xy / np.sqrt(xx), xcy / np.sqrt(xx)
+    norms = _lapack.band_sums(_lapack.band_eigvalsh, 2 * cut.levels, [  # levels 0..n_max, then 1..n_max + 1
+        (0, slice(0, -2, 2), xx, w), (1, slice(1, -2, 2), xcy, ws), (2, slice(0, -2, 2), xy, ws),
+        (0, slice(2, None, 2), alpha * alpha, wss), (0, slice(3, None, 2), gamma * gamma, wss),
+        (1, slice(2, None, 2), alpha * gamma, wss)])
     return [NegativityResult(x, a.r, _log_trace_norm(norm)) for x, norm in zip(xi.tolist(), norms.tolist())]

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import mp_bures_angle, mp_log_negativity
-from rqit import cli, geometry, teleportation
+from rqit import _lapack, cli, geometry, teleportation
 from rqit.cli import main
 
 
@@ -194,13 +194,25 @@ def test_fig2_default_exact_column_equals_monte_carlo_runs(r, tmp_path):
     assert exact == column(["--samples", "1"], "fidelity_exact")
 
 
-@pytest.mark.parametrize(
-    "name, argv", [("fig1-default.csv", ["fig1"]), ("fig3-default.csv", ["fig3"])],
-)
-def test_band_figure_tables_match_golden_bytes(name, argv, tmp_path):
-    # before these files only the benchmark's 1e-10 reference guarded fig1
+BAND_GOLDENS = [
+    ("fig1-default.csv", ["fig1"]),
+    ("fig3-default.csv", ["fig3"]),
+    ("fig1-r2-xi0-0.95-0.05.csv", ["fig1", "--r", "2", "--xi", "0:0.95:0.05"]),
+    ("fig3-r2-xi0-0.95-0.05.csv", ["fig3", "--r", "2", "--xi", "0:0.95:0.05"]),
+]
+
+
+@pytest.mark.parametrize("name, argv, block", [
+    pytest.param(name, argv, block, id=("" if block is None else f"{block}-") + f"{name}-argv{i}")
+    for block in (None, 1) for i, (name, argv) in enumerate(BAND_GOLDENS)
+])
+def test_band_figure_tables_match_golden_bytes(name, argv, block, tmp_path, monkeypatch):
+    # before the default files only the benchmark's 1e-10 reference guarded fig1
     # and fig3; test_fallback_csv_is_byte_identical holds the dense fallback
-    # to the same bytes
+    # to the same bytes.  At r = 2 the 20 points span 4 stacks of fig1 bands and
+    # 2 of fig3 bands at the shipped block bytes, and 20 stacks of one at block 1
+    if block is not None:
+        monkeypatch.setattr(_lapack, "_BLOCK_BYTES", block)
     assert_golden_bytes(name, argv, tmp_path)
 
 

@@ -142,23 +142,41 @@ def test_nonzero_info_on_a_middle_band_raises(routine, info_arg, kernel, rows, m
     assert len(calls) == 3
 
 
+SWEEPS = ((negativity_sweep, "band_eigvalsh", 0.6), (angle_sweep, "tridiagonal_singular_values", 0.85))
+
+
+def record_stacks(monkeypatch, kernel):
+    """A list to which each call of ``_lapack.<kernel>`` appends the number of
+    bands in its stack, after running the kernel."""
+    real, stacks = getattr(_lapack, kernel), []
+
+    def recorded(ab):
+        stacks.append(len(ab))
+        return real(ab)
+
+    monkeypatch.setattr(_lapack, kernel, recorded)
+    return stacks
+
+
 def test_sweeps_across_blocks_equal_one_point_sweeps(route, monkeypatch):
-    # blocks of a few points, then of one (a band larger than the block bytes),
-    # so the 35-point grid crosses at least two block boundaries
+    # stacks of a few points, then of one (a band larger than the block bytes),
+    # so the 35-point grid crosses at least two stack boundaries
     xis = np.arange(35) * 0.025
-    sweeps = ((negativity_sweep, 0.6, 2 * FockCutoff.for_acceleration(0.6).levels),
-              (angle_sweep, 0.85, FockCutoff.for_acceleration(0.85).n_max + 1))
     for block_bytes in (16 * 1024, 1):
         monkeypatch.setattr(_lapack, "_BLOCK_BYTES", block_bytes)
-        for sweep, r, n in sweeps:
-            assert _lapack.points_per_block((n, 3)) < len(xis) / 2
-            assert sweep(r, xis) == [sweep(r, [xi])[0] for xi in xis]
+        for sweep, kernel, r in SWEEPS:
+            stacks = record_stacks(monkeypatch, kernel)
+            swept = sweep(r, xis)
+            assert len(stacks) > 2 and sum(stacks) == len(xis), (sweep, block_bytes, stacks)
+            assert swept == [sweep(r, [xi])[0] for xi in xis]
 
 
-def test_default_grids_fit_one_block():
+def test_default_grids_fit_one_block(monkeypatch):
     # the 96-point default fig1 and fig3 grids are one fill and one kernel call
-    assert _lapack.points_per_block((2 * FockCutoff.for_acceleration(0.6).levels, 3)) >= 96
-    assert _lapack.points_per_block((FockCutoff.for_acceleration(0.85).n_max + 1, 3)) >= 96
+    for sweep, kernel, r in SWEEPS:
+        stacks = record_stacks(monkeypatch, kernel)
+        sweep(r, np.arange(96) * 0.01)
+        assert stacks == [96], sweep
 
 
 @pytest.mark.parametrize("sweep", [negativity_sweep, angle_sweep])
@@ -226,17 +244,28 @@ def test_negativity_sweep_builds_the_terms_once(monkeypatch):
 
 def test_band_stacks_stay_under_the_memory_budget():
     # the sweeps check no memory budget for their band stacks: check_cost admits one point
-    # up to n_max = isqrt(WORK_BUDGET), and points_per_block keeps a block at or under
-    # max(_BLOCK_BYTES, one band), 680 KB for fig1 and 340 KB for fig3 there
+    # up to n_max = isqrt(WORK_BUDGET), and band_sums keeps a stack at or under
+    # max(_BLOCK_BYTES, one band), 680 KB for fig1 and 340 KB for fig3 there.  A kernel
+    # that returns the first row of each band stands in for LAPACK
     top = math.isqrt(linalg.WORK_BUDGET)
     linalg.check_cost(top, 1, "one point")
     with pytest.raises(SizeError):
         linalg.check_cost(top + 1, 1, "one point")
+    largest = {}
     for n_max in (1, 24, 1443, top):
-        for rows in (2 * (n_max + 2), n_max + 1):  # negativity_sweep's and angle_sweep's bands
-            band = 8 * rows * 3
-            assert _lapack.points_per_block((rows, 3)) * band <= max(_lapack._BLOCK_BYTES, band), (n_max, rows)
-    assert max(_lapack._BLOCK_BYTES, 8 * 3 * 2 * (top + 2)) <= linalg.MEMORY_BUDGET
+        for n in (2 * (n_max + 2), n_max + 1):  # negativity_sweep's and angle_sweep's bands
+            band, stacks = 8 * 3 * n, []
+
+            def first_rows(ab):
+                stacks.append(ab.nbytes)
+                return ab[:, 0]
+
+            points = 2 * max(1, _lapack._BLOCK_BYTES // band) + 1
+            sums = _lapack.band_sums(first_rows, n, [(0, slice(None), np.zeros(points), np.ones(n))])
+            assert np.array_equal(sums, np.zeros(points)) and len(stacks) == 3, (n_max, n)
+            assert max(stacks) <= max(_lapack._BLOCK_BYTES, band) <= linalg.MEMORY_BUDGET, (n_max, n)
+            largest[n_max, n] = max(stacks)
+    assert (largest[top, 2 * (top + 2)], largest[top, top + 1]) == (678_912, 339_432)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.01])
