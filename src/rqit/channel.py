@@ -216,49 +216,69 @@ def _tail_weights(a: AccelerationParam, n_max: int) -> tuple[float, float]:
 
 
 def _unit_trace_atol(n_max: int) -> float:
-    """How far a trace summed over levels 0..n_max plus its closed-form tail
-    (``_tail_weights``, ``_shared_deficit``) may miss 1: 8 (n_max + 1) eps.
+    """How far an image's trace over levels 0..n_max plus its dropped trace
+    may miss 1 (``_check_images``): 8 (n_max + 1) eps.
 
     Both parts are exact but for rounding, so this holds at any cutoff
-    tolerance.  The residual measured on 2200 xi points, r in [0, 3.5], is
-    at most 1.75 (n_max + 1) eps (at n_max 1), and 0.24 (n_max + 1) eps at
-    the cutoffs ``FockCutoff.for_acceleration`` picks.
+    tolerance.  Measured over towers, fig3 and qubit images and shared states
+    (61 xi, 41 z, 36 r in [0, 3.5]), the residual is at most 1.5 (n_max + 1)
+    eps at n_max 1..39, and 0.24 (n_max + 1) eps at the cutoffs that
+    ``FockCutoff.for_acceleration`` picks at tol 1e-12..0.5 and the smallest normal.
     """
     return 8 * (n_max + 1) * np.finfo(float).eps
 
 
-def unruh_vacuum_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
-    """Coefficients c_n = tanh^n r / cosh r of |0>_M on |n>_I |n>_II.
+def _check_images(p, kept, a: AccelerationParam, cut: FockCutoff, what: str) -> np.ndarray:
+    """The one truncation rule of every Unruh image; returns each image's dropped trace.
 
-    Raises TruncationError when the norm of the dropped terms n > n_max,
-    sum_{n > n_max} c_n^2 (the closed form of ``_tail_weights``), exceeds
-    the cutoff tolerance.
+    Row (p0, p1) of p (images, 2) weighs an image on the vacuum tower c_n and
+    the one-particle tower d_n.  Its dropped trace is p0 sum_{n > n_max} c_n^2
+    + p1 sum_{n > n_max} d_n^2, from ``_tail_weights``, and its kept trace
+    p0 kept[0] + p1 kept[1], ``kept`` being the towers' sums over n <= n_max
+    from the caller's own amplitudes.  TruncationError names the first image
+    whose dropped trace exceeds the cutoff tolerance, then the first whose
+    kept plus dropped trace misses 1 by more than ``_unit_trace_atol``.  So a
+    cutoff is accepted image by image, not tower by tower: at r = 0.85,
+    n_max 20 the one-particle tower drops 2.18e-6, but fig3's images at
+    xi = 0.3 drop at most 1.48e-6, and tol 1.5e-6 passes.
     """
+    p = np.asarray(p, dtype=float)
+    vacuum, one = _tail_weights(a, cut.n_max)
+    dropped, traces = p[:, 0] * vacuum + p[:, 1] * one, p[:, 0] * kept[0] + p[:, 1] * kept[1]
+    bad = dropped > cut.tol
+    if bad.any():
+        i = np.argmax(bad)
+        raise TruncationError(f"{what} trace deficit {dropped[i]:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}")
+    misses, atol = traces + dropped - 1.0, _unit_trace_atol(cut.n_max)
+    bad = np.abs(misses) > atol
+    if bad.any():
+        i = np.argmax(bad)
+        raise TruncationError(f"{what} trace {traces[i]:.12g} plus its dropped tail {dropped[i]:.6g} "
+                              f"misses 1 by {misses[i]:.3g}, more than {atol:.3g}")
+    return dropped
+
+
+def _unruh_towers(r, cutoff, p, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes c_n and d_n over n = 0..n_max, after the memory budget
+    check, for images of the tower weights p checked by ``_check_images``."""
     a, cut = _as_accel(r), _as_cutoff(cutoff, r)
-    deficit = _tail_weights(a, cut.n_max)[0]
-    if deficit > cut.tol:
-        raise TruncationError(
-            f"vacuum norm deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
-        )
+    check_budget((cut.n_max + 1,), float, "unruh_*_amplitudes")
     n = np.arange(cut.n_max + 1)
-    return a.T**n / a.C
+    c, d = a.T**n / a.C, a.T**n * np.sqrt(n + 1.0) / a.C**2
+    _check_images(p, (np.sum(c * c), np.sum(d * d)), a, cut, what)
+    return c, d
+
+
+def unruh_vacuum_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
+    """Coefficients c_n = tanh^n r / cosh r of |0>_M on |n>_I |n>_II, n = 0..n_max;
+    the tower is checked as the image of weights (1, 0) (``_check_images``)."""
+    return _unruh_towers(r, cutoff, [(1.0, 0.0)], "vacuum tower")[0]
 
 
 def unruh_one_particle_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
-    """Coefficients d_n = tanh^n r sqrt(n+1) / cosh^2 r of |1>_M on |n+1>_I |n>_II.
-
-    Raises TruncationError when the norm of the dropped terms n > n_max,
-    sum_{n > n_max} d_n^2 (the closed form of ``_tail_weights``), exceeds
-    the cutoff tolerance.
-    """
-    a, cut = _as_accel(r), _as_cutoff(cutoff, r)
-    deficit = _tail_weights(a, cut.n_max)[1]
-    if deficit > cut.tol:
-        raise TruncationError(
-            f"one-particle norm deficit {deficit:.3e} exceeds tol {cut.tol:.1e} at n_max {cut.n_max}"
-        )
-    n = np.arange(cut.n_max + 1)
-    return a.T**n * np.sqrt(n + 1.0) / a.C**2
+    """Coefficients d_n = tanh^n r sqrt(n+1) / cosh^2 r of |1>_M on |n+1>_I |n>_II,
+    n = 0..n_max; the tower is checked as the image of weights (0, 1) (``_check_images``)."""
+    return _unruh_towers(r, cutoff, [(0.0, 1.0)], "one-particle tower")[1]
 
 
 def _as_bloch(bloch) -> np.ndarray:
@@ -303,7 +323,8 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
     n+1 only; the output is exactly trace preserving up to the geometric
     tail of the truncation.  All amplitudes are real, so the output is
     stored as a real symmetric float64 matrix when the Bloch y is 0, and as
-    complex128 otherwise.
+    complex128 otherwise.  The truncation is checked on the image, of tower
+    weights ((1 + z)/2, (1 - z)/2), by ``_check_images``.
     """
     x, y, z = _as_bloch(bloch)
     cut = _as_cutoff(cutoff, r)
@@ -311,8 +332,7 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
     p01 = (x - 1j * y) / 2.0 if y else x / 2.0
     nlev = cut.levels
     check_budget((nlev, nlev), type(p01), "effective_qubit")
-    c = unruh_vacuum_amplitudes(r, cut)
-    d = unruh_one_particle_amplitudes(r, cut)
+    c, d = _unruh_towers(r, cut, [(p00, p11)], "channel image")
     rho = np.zeros((nlev, nlev), dtype=type(p01))
     idx = np.arange(cut.n_max + 1)
     rho[idx, idx] += p00 * c**2
@@ -327,19 +347,12 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
 _SHARED_COMPONENTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _shared_etas(xi: np.ndarray, a: AccelerationParam, cut: FockCutoff) -> np.ndarray:
+def _shared_etas(xi: np.ndarray) -> np.ndarray:
     """The four eta that scale the components of each term |v_n> (``_SHARED_COMPONENTS``)
     at each xi of a grid, (points, 4): eta_{+-}, eta_{--}, eta_{-+}, eta_{++}, with
-    eta_{s1 s2} = 1 + s1 sqrt(1 + s2 xi); TruncationError for the first point
-    whose dropped trace exceeds the cutoff tolerance."""
+    eta_{s1 s2} = 1 + s1 sqrt(1 + s2 xi)."""
     outer, inner = np.array(((1.0, -1.0, -1.0, 1.0), (-1.0, -1.0, 1.0, 1.0)))  # s1, s2 of each row
-    eta = 1.0 + outer * np.sqrt(1.0 + inner * xi[:, None])
-    deficit = _shared_deficit(eta, a, cut.n_max)
-    bad = deficit > cut.tol
-    if bad.any():
-        raise TruncationError(f"shared-state trace deficit {deficit[np.argmax(bad)]:.3e} exceeds tol "
-                              f"{cut.tol:.1e} at n_max {cut.n_max}")
-    return eta
+    return 1.0 + outer * np.sqrt(1.0 + inner * xi[:, None])
 
 
 def _shared_levels(a: AccelerationParam, cut: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
@@ -358,18 +371,19 @@ def _shared_levels(a: AccelerationParam, cut: FockCutoff) -> tuple[np.ndarray, n
     return np.vstack([np.ones((2, len(n))), s, s]), t_n / (8.0 * a.C**2)
 
 
-def _shared_deficit(eta: np.ndarray, a: AccelerationParam, n_max: int) -> np.ndarray:
-    """Trace sum_{n > n_max} w_n |v_n|^2 of the terms the cutoff drops, for
-    each row of ``_shared_etas`` (points, 4).
+def _check_shared(eta: np.ndarray, factors, w, a: AccelerationParam, cut: FockCutoff) -> np.ndarray:
+    """``_check_images`` of the shared state at each row of ``_shared_etas``,
+    from the terms' own ``_shared_levels``; returns the dropped traces.
 
-    |v_n|^2 = (eta_{+-}^2 + eta_{--}^2) + (eta_{-+}^2 + eta_{++}^2)(n+1)/cosh^2 r,
-    so the dropped trace is (1/8) of the two tails of ``_tail_weights``
-    weighted by those eta sums, which add up to 8.  ``np.float_power``
+    |v_n|^2 = (eta_{+-}^2 + eta_{--}^2) + (eta_{-+}^2 + eta_{++}^2) s_n^2, so the
+    state weighs (eta_{+-}^2 + eta_{--}^2)/8 on the vacuum tower and
+    (eta_{-+}^2 + eta_{++}^2)/8 on the one-particle tower, which add up to 1,
+    and the towers keep 8 sum w_n and 8 sum w_n s_n^2.  ``np.float_power``
     squares round as Python's ``eta ** 2`` (C ``pow``) does, not as eta * eta.
     """
-    vacuum, one = _tail_weights(a, n_max)
     sq = np.float_power(eta, 2)
-    return ((sq[:, 0] + sq[:, 1]) * vacuum + (sq[:, 2] + sq[:, 3]) * one) / 8.0
+    p = np.column_stack([sq[:, 0] + sq[:, 1], sq[:, 2] + sq[:, 3]]) / 8.0
+    return _check_images(p, (8.0 * np.sum(w), 8.0 * np.sum(w * factors[2] ** 2)), a, cut, "shared-state")
 
 
 def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
@@ -390,17 +404,18 @@ def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
     block-tridiagonal in the level.  It is assembled by writing each of the
     16 component pairs of |v_n> into one diagonal, for every n in one array
     operation, with no rank-one update per level; terms n and n-1 share
-    entries on level n, which the scatters add.  The trace check runs on
-    the terms before assembly (``_shared_etas``), and the memory budget
+    entries on level n, which the scatters add.  The truncation is checked
+    on the terms before assembly (``_check_shared``), and the memory budget
     before either.
     """
     cut = _as_cutoff(cutoff, r)
     nlev = cut.levels
     check_budget((2 * nlev, 2 * nlev), float, "entangled_state")
     ox, a = _as_xi(xi), _as_accel(r)
-    eta = _shared_etas(np.array([ox.xi]), a, cut)[0]
+    eta = _shared_etas(np.array([ox.xi]))
     factors, weights = _shared_levels(a, cut)
-    amps = eta[:, None] * factors
+    _check_shared(eta, factors, weights, a, cut)
+    amps = eta[0][:, None] * factors
     rho = np.zeros((2 * nlev, 2 * nlev))
     n = np.arange(cut.n_max + 1)
     offsets = [q * nlev + d for q, d in _SHARED_COMPONENTS]

@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import (DEFAULT_TRUNCATION_TOL, MIN_TRUNCATION_TOL, FockCutoff, _as_accel, _encoding_amplitudes,
-                      _shared_deficit, _shared_etas, _shared_levels, _tail_weights, _unit_trace_atol, _xi_array,
+from .channel import (DEFAULT_TRUNCATION_TOL, MIN_TRUNCATION_TOL, FockCutoff, _as_accel, _check_shared,
+                      _encoding_amplitudes, _shared_etas, _shared_levels, _tail_weights, _unit_trace_atol, _xi_array,
                       unruh_one_particle_amplitudes)
 from .distinguishability import angle_sweep
 from .entanglement import negativity_sweep
@@ -223,12 +223,13 @@ def _cmd_validate(args) -> int:
     d2 = (unruh_one_particle_amplitudes(0.6, cut6.doubled()) ** 2).tolist()
     first = next(n for n in range(len(d2)) if math.fsum(d2[n + 1:]) <= cut6.tol)
     add("cutoff_one_particle_tail", max(16, first), cut6.n_max, 0)
-    # fig1's band terms at xi = 0.5: their trace sum_n w_n |v_n|^2 plus the closed-form dropped trace
+    # fig1's band terms at xi = 0.5: their trace sum_n w_n |v_n|^2 plus the dropped trace fig1 checks
     a6 = _as_accel(0.6)
-    eta = _shared_etas(np.array([0.5]), a6, cut6)
+    eta = _shared_etas(np.array([0.5, 0.0]))
     factors, w = _shared_levels(a6, cut6)
-    trace = float(((eta.T * factors) ** 2).sum(axis=0) @ w)
-    add("state_trace", trace + _shared_deficit(eta, a6, cut6.n_max)[0], 1.0, _unit_trace_atol(cut6.n_max))
+    dropped = _check_shared(eta, factors, w, a6, cut6)
+    trace = float(((eta[:1].T * factors) ** 2).sum(axis=0) @ w)
+    add("state_trace", trace + dropped[0], 1.0, _unit_trace_atol(cut6.n_max))
     add("exact_fidelity_bell", average_fidelity_exact(0.0, 0.0), 1.0, 1e-12)
     sweep0 = angle_sweep(0.0, [0.0])
     add("orthogonal_angle", sweep0[0].theta, math.pi / 2, 1e-10)
@@ -243,9 +244,8 @@ def _cmd_validate(args) -> int:
     add("fig1_xi0_closed_form", en1, exact, 1e-14)
     # doubling adds terms Delta >= 0 with a qubit factor: ||Delta^Gamma||_1 <= 2 tr Delta <= 2 D, D the trace
     # beyond n_max, and both trace norms are >= 1 - D; rounding takes the unit-trace rule at 2 n_max
-    dropped = _shared_deficit(_shared_etas(np.zeros(1), a6, cut6), a6, cut6.n_max)[0]
     add("cutoff_doubling_shift", en1 - en2, 0.0,
-        2 * dropped / ((1 - dropped) * math.log(2)) + _unit_trace_atol(2 * cut6.n_max))
+        2 * dropped[1] / ((1 - dropped[1]) * math.log(2)) + _unit_trace_atol(2 * cut6.n_max))
     add("fig1_xi05_exact", negativity_sweep(0.6, [0.5], FockCutoff(24))[0].log_negativity,
         float(FIG1_XI05_R06_N24), 1e-14)
     # doubling appends columns E, G to angle_sweep's A_+, A_phi: M' = [[M, A_+^T G], [E^T A_phi, E^T G]]; the

@@ -14,9 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import (FockCutoff, _as_accel, _as_cutoff, _encoding_amplitudes, _tail_weights, _unit_trace_atol,
-                      _xi_array, unruh_one_particle_amplitudes, unruh_vacuum_amplitudes)
-from .errors import TruncationError
+from .channel import FockCutoff, _as_accel, _as_cutoff, _encoding_amplitudes, _unruh_towers, _xi_array
 from .geometry import root_fidelity
 from .linalg import DenseOperator, check_cost
 
@@ -62,33 +60,18 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     no square root, in O(n_max^2) time and O(n_max) memory a point.
     ``bures_angle`` of the two ``effective_qubit`` images is the dense route
     to the same angle, which holds its inputs to unit trace within a fixed
-    1e-6.  Here, after the truncation and cost checks, the trace
-    Tr A A^T = sum a^2 c_n^2 + b^2 d_n^2 of every image plus its closed-form
-    tail a^2 sum_{n > n_max} c_n^2 + b^2 sum_{n > n_max} d_n^2 must be 1
-    within ``_unit_trace_atol``, at any cutoff tolerance, checked in one pass
-    over the grid's float64 array.
+    1e-6.  Here, after the cost check, the image of |+> and then that of
+    |phi> at each xi, of tower weights (a^2, b^2), are checked in one pass
+    by ``channel._check_images``.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "angle_sweep")
     xi = _xi_array(xi_grid)
-    c = unruh_vacuum_amplitudes(a, cut)
-    d = unruh_one_particle_amplitudes(a, cut)
-    cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
-    vacuum, one = float(np.sum(cc)), float(np.sum(dd))
     h, a2, b2 = _encoding_amplitudes(xi)  # |+> = h(|0> + |1>), |phi> = a2|0> + b2|1>
-    aa, bb = a2 * a2, b2 * b2
-    if len(xi):  # |+> first, as each point checked it first
-        aa, bb = np.append(h * h, aa), np.append(h * h, bb)
-    tail_vacuum, tail_one = _tail_weights(a, cut.n_max)
-    traces, tails = aa * vacuum + bb * one, aa * tail_vacuum + bb * tail_one
-    misses = traces + tails - 1.0
-    atol = _unit_trace_atol(cut.n_max)
-    bad = np.abs(misses) > atol
-    if bad.any():
-        i = np.argmax(bad)
-        raise TruncationError(f"channel image trace {traces[i]:.12g} plus its dropped tail {tails[i]:.6g} "
-                              f"misses 1 by {misses[i]:.3g}, more than {atol:.3g}")
+    c, d = _unruh_towers(a, cut, np.column_stack([np.append(h * h, a2 * a2), np.append(h * h, b2 * b2)]),
+                         "channel image")
+    cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
     hu, hv = h * a2, h * b2
     root_fids = _lapack.band_sums(_lapack.tridiagonal_singular_values, cut.n_max + 1, [
         (0, slice(1, None), hu, cd), (1, slice(None), hu, cc), (1, slice(None), hv, dd), (2, slice(0, -1), hv, cd)])

@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 
 from rqit import geometry
-from rqit.channel import (_SHARED_COMPONENTS, FockCutoff, _as_accel, _as_cutoff, _as_xi, _log_t, _shared_etas,
-                          _shared_levels, effective_qubit, entangled_state)
+from rqit.channel import (_SHARED_COMPONENTS, FockCutoff, _as_accel, _as_cutoff, _as_xi, _check_shared, _log_t,
+                          _shared_etas, _shared_levels, effective_qubit, entangled_state)
 from rqit.geometry import root_fidelity
 from rqit.linalg import HERMITIAN_ATOL, DenseOperator
 from rqit.teleportation import SchmidtDecomposition, apply_protocol, build_protocol, schmidt_decompose
@@ -183,11 +183,12 @@ def shared_terms(ox, a, cut):
 
     and ``weights`` holds w_n = tanh^{2n} r / (8 cosh^2 r), from the library's
     own ``_shared_etas`` and ``_shared_levels``.  Raises TruncationError when
-    the trace of the terms misses 1 by more than the cutoff tolerance.
+    ``_check_shared`` refuses the cutoff.
     """
-    eta = _shared_etas(np.array([ox.xi]), a, cut)[0]
+    eta = _shared_etas(np.array([ox.xi]))
     factors, weights = _shared_levels(a, cut)
-    return eta[:, None] * factors, weights
+    _check_shared(eta, factors, weights, a, cut)
+    return eta[0][:, None] * factors, weights
 
 
 # the stacked matrix units |i><j| of a qubit, (2, 2, 2, 2)

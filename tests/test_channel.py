@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import time
 import tracemalloc
@@ -8,13 +9,16 @@ import pytest
 
 from oracles import (bloch_pair, dense_entangled_state, eta, is_hermitian, min_eigenvalue, phi_state, plus_state,
                      shared_terms)
+from rqit import linalg
 from rqit.channel import (
     AccelerationParam,
     FockCutoff,
     OrthogonalityParam,
+    _check_images,
+    _check_shared,
     _encoding_amplitudes,
-    _shared_deficit,
     _shared_etas,
+    _shared_levels,
     _tail_weights,
     effective_qubit,
     entangled_state,
@@ -55,10 +59,9 @@ def test_orthogonality_param():
     assert eta(0.5, +1, +1) == pytest.approx(1 + math.sqrt(1.5))
     assert eta(0.5, -1, -1) == pytest.approx(1 - math.sqrt(0.5))
     # the library's one eta formula, rows (+-, --, -+, ++) of the shared terms, rounds as the scalar one
-    a, cut = AccelerationParam(0.6), FockCutoff(24)
     for xi in (0.0, 0.3, 0.5, 0.9):
         want = [eta(xi, s1, s2) for s1, s2 in ((1, -1), (-1, -1), (-1, 1), (1, 1))]
-        assert _shared_etas(np.array([xi]), a, cut)[0].tolist() == want, xi
+        assert _shared_etas(np.array([xi]))[0].tolist() == want, xi
     # the library's encoding amplitudes, which fig3 and the Schmidt data read, are the oracle states'
     for xi in (0.0, 0.3, 0.5, 0.9):
         h, a2, b2 = _encoding_amplitudes(xi)
@@ -171,6 +174,17 @@ def test_one_particle_amplitudes():
     assert abs(np.sum(big**2) - 1.0) < 1e-12
 
 
+def test_amplitude_towers_check_the_memory_budget(monkeypatch):
+    # at r = 10 the default cutoff has 3 772 144 013 levels, about 30 GB a tower: refused
+    # before numpy is asked, as at a 1 KiB budget a cutoff of 1000 levels is
+    with pytest.raises(SizeError, match="unruh_"):
+        unruh_vacuum_amplitudes(10)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1024)
+    for amplitudes in (unruh_vacuum_amplitudes, unruh_one_particle_amplitudes):
+        with pytest.raises(SizeError, match="unruh_"):
+            amplitudes(0.6, FockCutoff(1000))
+
+
 def test_insufficient_cutoff_raises():
     with pytest.raises(TruncationError):
         unruh_vacuum_amplitudes(0.85, FockCutoff(4))
@@ -181,19 +195,60 @@ def test_insufficient_cutoff_raises():
 
 
 def test_truncation_deficits_match_direct_sums():
-    # closed-form weights of the dropped terms against 1 - (sum of the kept ones)
+    # the dropped traces of the one truncation rule, from the closed-form tails, against
+    # 1 - (sum of the kept terms): the two towers, fig3's images of |+> and |phi>, an
+    # effective_qubit image, and fig1's shared states
+    xis = np.array([0.0, 0.3, 0.9])
+    h, a2, b2 = _encoding_amplitudes(xis)
+    p = np.array([(1.0, 0.0), (0.0, 1.0), (h * h, h * h), *zip(a2 * a2, b2 * b2), (0.75, 0.25)])
     for r in (0.0, 0.3, 0.6, 0.85, 1.5):
         a = AccelerationParam(r)
         for n_max in (2, 8, FockCutoff.for_acceleration(r).n_max):
             cut = FockCutoff(n_max, tol=0.999)
-            vacuum, one = _tail_weights(a, n_max)
-            assert abs(vacuum - (1.0 - np.sum(unruh_vacuum_amplitudes(r, cut) ** 2))) <= 1e-14
-            assert abs(one - (1.0 - np.sum(unruh_one_particle_amplitudes(r, cut) ** 2))) <= 1e-14
-            for xi in (0.0, 0.3, 0.9):
-                ox = OrthogonalityParam(xi)
-                amps, weights = shared_terms(ox, a, cut)
+            c, d = unruh_vacuum_amplitudes(r, cut), unruh_one_particle_amplitudes(r, cut)
+            kept = (np.sum(c**2), np.sum(d**2))
+            direct = 1.0 - (p[:, 0] * kept[0] + p[:, 1] * kept[1])
+            direct[-1] = 1.0 - effective_qubit((0.3, 0.0, 0.5), r, cut).trace().real
+            assert np.max(np.abs(_check_images(p, kept, a, cut, "image") - direct)) <= 1e-14
+            for xi in xis:
+                amps, weights = shared_terms(OrthogonalityParam(xi), a, cut)
                 direct = 1.0 - weights @ np.sum(amps**2, axis=0)
-                assert abs(_shared_deficit(_shared_etas(np.array([xi]), a, cut), a, n_max)[0] - direct) <= 1e-14
+                eta = _shared_etas(np.array([xi]))
+                assert abs(_check_shared(eta, *_shared_levels(a, cut), a, cut)[0] - direct) <= 1e-14
+
+
+def test_each_image_is_accepted_by_its_own_dropped_trace():
+    # fig1, fig3 and effective_qubit raise exactly when one of their images drops more than
+    # tol, whatever each tower drops.  With s = eta_{+-}^2 + eta_{--}^2 = 4 - 2 xi, the shared
+    # state weighs (s/8, 1 - s/8) on the two towers; |+> weighs (1/2, 1/2) and |phi>
+    # ((1 - xi)/2, (1 + xi)/2)
+    xis, accepted = [0.0, 0.3], []
+    for r in (0.3, 0.85, 1.5):
+        for n_max in (4, 8, 16, 20, 32):
+            vacuum, one = _tail_weights(AccelerationParam(r), n_max)
+            shared = [((4 - 2 * xi) * vacuum + (4 + 2 * xi) * one) / 8 for xi in xis]
+            images = [(vacuum + one) / 2] + [((1 - xi) * vacuum + (1 + xi) * one) / 2 for xi in xis]
+            for tol in (1e-12, 1e-6, 1.5e-6, 1e-3, 0.1, 0.5):
+                cut = FockCutoff(n_max, tol)
+                for name, call, dropped in (
+                        ("fig1", lambda: negativity_sweep(r, xis, cut), shared),
+                        ("fig3", lambda: angle_sweep(r, xis, cut), images),
+                        ("qubit", lambda: [effective_qubit(n, r, cut) for xi in xis for n in bloch_pair(xi)], images)):
+                    assert not math.isclose(max(dropped), tol, rel_tol=1e-9)
+                    if max(dropped) > tol:
+                        with pytest.raises(TruncationError, match="trace deficit"):
+                            call()
+                    else:
+                        call()
+                        if one > tol:
+                            accepted.append((name, r, n_max, tol))
+    # where the one-particle tower drops more than tol and the images do not
+    assert accepted == [("fig1", 0.85, 20, 1.5e-6), ("fig3", 0.85, 20, 1.5e-6), ("qubit", 0.85, 20, 1.5e-6),
+                        ("fig1", 1.5, 16, 0.1)]
+    # the README's boundary case: both figures print
+    for fig in ("fig1", "fig3"):
+        assert main([fig, "--r", "0.85", "--n-max", "20", "--cutoff-tol", "1.5e-6", "--xi", "0.3:0.3:0",
+                     "-o", os.devnull]) == 0
 
 
 def test_minkowski_qubit_cases():

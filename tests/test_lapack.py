@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_bures_angle
-from rqit import _lapack, channel, distinguishability, entanglement, linalg
+from rqit import _lapack, channel, entanglement, linalg
 from rqit.channel import FockCutoff, entangled_state
 from rqit.cli import main
 from rqit.distinguishability import angle_sweep
@@ -189,17 +189,20 @@ def test_sweeps_name_the_first_bad_xi(sweep, bad, at):
         sweep(0.6, xis)
 
 
+TAIL_WEIGHTS = channel._tail_weights
+
+
 def squared_tail_head(a, n_max):
     """_tail_weights with t^(N+1) squared: both tails far too small."""
-    vacuum, one = channel._tail_weights(a, n_max)
+    vacuum, one = TAIL_WEIGHTS(a, n_max)
     return vacuum * vacuum, one * vacuum
 
 
 def tails_in_the_wrong_tower(a, n_max):
     """_tail_weights with 1e-13 of the one-particle tail booked to the vacuum
-    tail: an image a|0> + b|1> then misses by 1e-13 |a^2 - b^2|, which is 0 at
-    |+> and 1e-13 xi at |phi>."""
-    vacuum, one = channel._tail_weights(a, n_max)
+    tail: an image of tower weights (p0, p1) then misses by 1e-13 (p0 - p1),
+    which is 0 at |+>, -1e-13 xi at |phi> and -5e-14 xi at fig1's state."""
+    vacuum, one = TAIL_WEIGHTS(a, n_max)
     return vacuum + 1e-13, one - 1e-13
 
 
@@ -214,13 +217,19 @@ def tails_in_the_wrong_tower(a, n_max):
     (angle_sweep, 0.85, [0.2, 0.95, 0.1, 0.99], FockCutoff(21, tol=1e-5),
      "channel image trace 0.999998939459 plus its dropped tail 1.06054e-06 misses 1 by -9.57e-14, "
      "more than 3.91e-14", tails_in_the_wrong_tower),
+    (negativity_sweep, 0.9, [0.3, 0.5], FockCutoff(8, tol=0.5),
+     "shared-state trace 0.991326317184 plus its dropped tail 2.13742e-05 misses 1 by -0.00865, more than 1.6e-14",
+     squared_tail_head),
+    (negativity_sweep, 0.9, [0.1, 0.6, 0.2, 0.95], FockCutoff(8, tol=0.5),
+     "shared-state trace 0.990516391988 plus its dropped tail 0.00948361 misses 1 by -2.99e-14, more than 1.6e-14",
+     tails_in_the_wrong_tower),
 ])
 def test_sweeps_name_the_first_truncated_point(sweep, r, xis, cut, message, tails, monkeypatch):
     # the text one-point checks gave; of several failing points the first is named, not the worst.
-    # angle_sweep holds each image trace plus its closed-form tail to 1 at any cutoff
-    # tolerance, so only a wrong tail trips it: here one swapped in for the sweep's
+    # channel._check_images holds each image's trace plus its closed-form tail to 1 at any
+    # cutoff tolerance, so only a wrong tail trips that: here one swapped in for the library's
     if tails:
-        monkeypatch.setattr(distinguishability, "_tail_weights", tails)
+        monkeypatch.setattr(channel, "_tail_weights", tails)
     with pytest.raises(TruncationError) as err:
         sweep(r, xis, cut)
     assert str(err.value) == message
