@@ -258,15 +258,15 @@ def _check_images(p, kept, a: AccelerationParam, cut: FockCutoff, what: str) -> 
     return dropped
 
 
-def _unruh_towers(r, cutoff, p, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _unruh_towers(r, cutoff, p, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The amplitudes c_n and d_n over n = 0..n_max, after the memory budget
-    check, for images of the tower weights p checked by ``_check_images``."""
+    check, for images of the tower weights p checked by ``_check_images``,
+    and each image's dropped trace that the check returns."""
     a, cut = _as_accel(r), _as_cutoff(cutoff, r)
     check_budget((cut.n_max + 1,), float, "unruh_*_amplitudes")
     n = np.arange(cut.n_max + 1)
     c, d = a.T**n / a.C, a.T**n * np.sqrt(n + 1.0) / a.C**2
-    _check_images(p, (np.sum(c * c), np.sum(d * d)), a, cut, what)
-    return c, d
+    return c, d, _check_images(p, (np.sum(c * c), np.sum(d * d)), a, cut, what)
 
 
 def unruh_vacuum_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
@@ -332,7 +332,7 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
     p01 = (x - 1j * y) / 2.0 if y else x / 2.0
     nlev = cut.levels
     check_budget((nlev, nlev), type(p01), "effective_qubit")
-    c, d = _unruh_towers(r, cut, [(p00, p11)], "channel image")
+    c, d, _ = _unruh_towers(r, cut, [(p00, p11)], "channel image")
     rho = np.zeros((nlev, nlev), dtype=type(p01))
     idx = np.arange(cut.n_max + 1)
     rho[idx, idx] += p00 * c**2

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (DEFAULT_TRUNCATION_TOL, MIN_TRUNCATION_TOL, FockCutoff, _as_accel, _check_shared,
-                      _encoding_amplitudes, _shared_etas, _shared_levels, _tail_weights, _unit_trace_atol, _xi_array,
+                      _encoding_amplitudes, _shared_etas, _shared_levels, _unit_trace_atol, _unruh_towers, _xi_array,
                       unruh_one_particle_amplitudes)
 from .distinguishability import angle_sweep
 from .entanglement import negativity_sweep
@@ -250,13 +250,14 @@ def _cmd_validate(args) -> int:
         float(FIG1_XI05_R06_N24), 1e-14)
     # doubling appends columns E, G to angle_sweep's A_+, A_phi: M' = [[M, A_+^T G], [E^T A_phi, E^T G]]; the
     # corners are single entries |b_+ a_phi|, |a_+ b_phi| times c_{N+1} d_N and ||E^T G||_1 <= ||E||_F ||G||_F, the
-    # root of the two dropped traces; with the unit-trace rule for rounding that bounds |dF|, and |dtheta| <= |dF| / sin
-    # theta at the larger F
+    # root of the dropped traces of the images of |+> and |phi> that angle_sweep checks (``_unruh_towers``); with
+    # the unit-trace rule for rounding that bounds |dF|, and |dtheta| <= |dF| / sin theta at the larger F
     a85, cut85 = _as_accel(0.85), FockCutoff.for_acceleration(0.85, args.cutoff_tol)
     th1, th2 = (angle_sweep(a85, [0.3], cut)[0].theta for cut in (cut85, cut85.doubled()))
-    (h, a2, b2), (vac, one), n = _encoding_amplitudes(0.3), _tail_weights(a85, cut85.n_max), cut85.n_max
+    (h, a2, b2), n = _encoding_amplitudes(0.3), cut85.n_max
+    dropped = _unruh_towers(a85, cut85, [(h * h, h * h), (a2 * a2, b2 * b2)], "channel image")[2]
     corners = h * (abs(a2) + abs(b2)) * a85.T ** (2 * n + 1) * math.sqrt(n + 1) / a85.C**3
-    tails = math.sqrt(h * h * (vac + one) * (a2 * a2 * vac + b2 * b2 * one))
+    tails = math.sqrt(dropped[0] * dropped[1])
     add("fig3_cutoff_doubling_shift", th1 - th2, 0.0,
         (corners + tails + _unit_trace_atol(2 * n)) / math.sin(min(th1, th2)))
     add("fig3_xi03_exact", angle_sweep(a85, [0.3], FockCutoff(41))[0].theta, float(FIG3_XI03_R085_N41), 1e-14)

@@ -69,8 +69,8 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
     check_cost(cut.n_max, len(xi_grid), "angle_sweep")
     xi = _xi_array(xi_grid)
     h, a2, b2 = _encoding_amplitudes(xi)  # |+> = h(|0> + |1>), |phi> = a2|0> + b2|1>
-    c, d = _unruh_towers(a, cut, np.column_stack([np.append(h * h, a2 * a2), np.append(h * h, b2 * b2)]),
-                         "channel image")
+    c, d, _ = _unruh_towers(a, cut, np.column_stack([np.append(h * h, a2 * a2), np.append(h * h, b2 * b2)]),
+                            "channel image")
     cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
     hu, hv = h * a2, h * b2
     root_fids = _lapack.band_sums(_lapack.tridiagonal_singular_values, cut.n_max + 1, [

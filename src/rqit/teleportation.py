@@ -19,9 +19,10 @@ fidelity reads the receiver's Fock levels {0, 1} only, which depend only on
 the levels {0, 1} block of the shared state, so the averages take no Fock
 cutoff and hold up to channel.MAX_R.  The exact average, with the standard
 deviation sigma of one sample beside it, is one array expression over a xi
-grid (``_fidelity_columns``).  Monte Carlo, on request, samples n from
-counter-based streams (Philox; sample k reads doubles 2k and 2k + 1 of the
-stream, so any chunked or parallel schedule reproduces identical values).
+grid (``_fidelity_columns``).  Monte Carlo, on request, samples n from one
+counter-based stream a sweep (Philox; sample k reads doubles 2k and 2k + 1 of
+the stream, so any chunked or parallel schedule reproduces identical values),
+and every xi point evaluates its own form on those samples (``_mc_moments``).
 The tests keep the generic route (the 4x4 channel block contracted with the
 POVMs and corrections, then changed to the Pauli basis) as the oracle for Q.
 """
@@ -38,17 +39,19 @@ from .errors import NumericError, SizeError
 from .linalg import DenseOperator, check_budget
 
 _SQRT2 = math.sqrt(2.0)
-# Largest work a fidelity_sweep may take, in samples: about 5.5-7 s at
-# 0.055-0.07 us a sample on a 2-core x86 host.  Each xi point counts its
-# samples plus MC_POINT_CHARGE for its fixed work (the fidelity form and the
-# sampling set-up, 0.07-0.08 ms a point there); both values date from slower
-# code and are kept, so that the runs they admit stay the same.  fig2 at
-# --samples 200000 on its default grid counts 96 x 203 000.
+# Largest work a fidelity_sweep may take, in samples: each xi point counts its
+# samples plus MC_POINT_CHARGE for its fixed work.  On a 2-core x86 host a
+# sample costs 0.016-0.018 us a point on a grid, which shares the draw (96 and
+# 1000 points), so the bound is about 2 s there, and 0.065 us on one point,
+# where the memory budget stops a run first, near 67 million samples (4.4 s);
+# a point's fixed work is 0.025 ms there (30 000 points at one sample).  Both
+# values date from slower code and are kept, so that the runs they admit stay
+# the same.  fig2 at --samples 200000 on its default grid counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
 # Monte-Carlo samples drawn at a time: the sampling temporaries stay cache-sized.
-# Each chunk is also one _ExactSum.add, about 40 us for 8192 values in [0, 1]
-# there (two extraction levels).
+# Each chunk is also one _ExactSum.add a point and a pass, about 40 us for 8192
+# values in [0, 1] there (two extraction levels).
 MC_CHUNK = 8_192
 # Largest array _ExactSum.add takes: its two scratch arrays then hold 1 GiB, and
 # each extraction level still takes 25 bits (about 6 ns a value at 2**20 values
@@ -244,30 +247,91 @@ def _philox(seed: int, step: int = 0) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
-def _draw_form_values(form, stream: np.random.Generator, out: np.ndarray) -> None:
-    """x^T Q x, Q = diag(form), at the next ``out.size`` Bloch vectors of ``stream``,
-    into ``out``: Q00 + Qzz z^2 + (1 - z)(1 + z)(Qyy + (Qxx - Qyy) cos^2 phi),
-    z = 2 u0 - 1 and phi = 2 pi u1 from the next two doubles of the stream, so
-    one counter step of four doubles serves two samples (Archimedes: z is uniform
-    on [-1, 1]).  Draws continue the stream, mid-step too.
+def _draw_bloch(stream: np.random.Generator, n: int, cos2: np.ndarray | None = None):
+    """z^2 and (1 - z)(1 + z) = n_x^2 + n_y^2 at the next ``n`` Bloch vectors of
+    ``stream``, and cos^2 phi into ``cos2`` unless it is None: z = 2 u0 - 1 and
+    phi = 2 pi u1 from the next two doubles of the stream, so one counter step of
+    four doubles serves two samples (Archimedes: z is uniform on [-1, 1]).  Draws
+    continue the stream, mid-step too.
     """
-    q00, qxx, qyy, qzz = form
-    u = stream.random((out.size, 2))
+    u = stream.random((n, 2))
+    if cos2 is not None:
+        np.multiply(u[:, 1], 2.0 * np.pi, out=cos2)
+        np.cos(cos2, out=cos2)
+        cos2 *= cos2
     z = u[:, 0] * 2.0
     z -= 1.0
-    c = u[:, 1] * (2.0 * np.pi)
-    np.cos(c, out=c)
-    c *= c
-    c *= qxx - qyy
+    z2, s = z * z, 1.0 - z
+    z += 1.0
+    s *= z
+    return z2, s
+
+
+def _form_values(form, z2: np.ndarray, s: np.ndarray, cos2: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """x^T Q x, Q = diag(form), at the Bloch vectors of ``_draw_bloch``:
+    Q00 + Qzz z^2 + (1 - z)(1 + z)(Qyy + (Qxx - Qyy) cos^2 phi), into work[0],
+    which it returns, with work[1] as scratch."""
+    q00, qxx, qyy, qzz = form
+    out, c = work
+    np.multiply(cos2, qxx - qyy, out=c)
     c += qyy
-    s = 1.0 - z
-    np.add(z, 1.0, out=out)
-    s *= out  # n_x^2 + n_y^2
     c *= s
-    np.multiply(z, z, out=out)
-    out *= qzz
+    np.multiply(z2, qzz, out=out)
     out += q00
     out += c
+    return out
+
+
+def _mc_moments(form, samples: int, seed: int) -> list[tuple[float, float]]:
+    """Monte-Carlo mean and standard error of x^T Q x at each point of ``form``
+    (Q00, Qxx, Qyy, Qzz as four arrays over the points, or four numbers for one),
+    every point on the same samples of the Philox stream keyed by ``seed``.
+
+    Pass 1 draws the samples ``MC_CHUNK`` at a time (``_sum_chunk``), keeps
+    cos^2 phi, the one costly part, at 8 bytes a sample whatever the number of
+    points, and adds each point's values (``_form_values``) to its exact sum.
+    Pass 2, once every mean is known, draws the stream again for z and adds each
+    point's squared deviations to a second exact sum.  Sample k always reads
+    doubles 2k and 2k + 1 of the stream, words 2(k mod 2) and 2(k mod 2) + 1 of
+    counter step k // 2, and the generator keeps the unread words of a step
+    between chunks; both sums are exact (``_ExactSum``) and rounded once, so
+    they are the correctly rounded sums that math.fsum gives, whatever the
+    chunking or the number of points.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    points = list(zip(*(np.atleast_1d(q).tolist() for q in form)))
+    if not points:
+        return []
+    check_budget((samples,), float, "Monte-Carlo overlaps")
+    cos2, spans = np.empty(samples), range(0, samples, MC_CHUNK)
+    sums, stream = _ExactSum(len(points)), _philox(seed)
+    for start in spans:
+        _sum_chunk(stream, cos2[start:start + MC_CHUNK], points, sums)
+    means = [sums.value(i) / samples for i in range(len(points))]
+    if samples == 1:
+        return [(mean, 0.0) for mean in means]
+    sums, stream = _ExactSum(len(points)), _philox(seed)  # now of the squared deviations
+    for start in spans:
+        _sum_chunk(stream, cos2[start:start + MC_CHUNK], points, sums, means)
+    return [(mean, math.sqrt(sums.value(i) / (samples - 1) / samples)) for i, mean in enumerate(means)]
+
+
+def _sum_chunk(stream: np.random.Generator, cos2: np.ndarray, points, sums: _ExactSum, means=None) -> None:
+    """Draw the next ``cos2.size`` samples of ``stream`` and add each point's values to
+    its slot of ``sums``, or, given the means, its squared deviations.  Without means
+    the chunk's cos^2 phi is written into ``cos2``; with them it is read from there.
+    Every point's values go through one work pair, so the arrays a chunk allocates do
+    not grow with the points, and none outlives the call: one chunk's arrays are live
+    at a time."""
+    z2, s = _draw_bloch(stream, cos2.size, cos2 if means is None else None)
+    work = np.empty((2, cos2.size))
+    for i, q in enumerate(points):
+        v = _form_values(q, z2, s, cos2, work)
+        if means is not None:
+            v -= means[i]
+            v *= v  # squared deviations, in place
+        sums.add(v, i)
 
 
 def average_fidelity_mc(
@@ -281,62 +345,32 @@ def average_fidelity_mc(
     For Haar U the Bloch vector n of U|+> is uniform on the sphere, and the
     fidelity <psi| sigma_R(|psi><psi|) |psi> is x^T Q x on x = (1, n).  Q is
     diagonal, with four closed-form entries (``_fidelity_form``), so a sample
-    needs only n_z and the azimuth (``_draw_form_values``).
-
-    Samples are drawn ``MC_CHUNK`` at a time from one Philox stream, which
-    bounds the working memory and never changes a result: sample k always
-    reads doubles 2k and 2k + 1 of the stream, words 2(k mod 2) and
-    2(k mod 2) + 1 of counter step k // 2, and the generator keeps the unread
-    words of a step between chunks.  The per-sample values are kept at 8 bytes a
-    sample.  The mean and the variance are exact sums of them and of the
-    squared deviations (``_ExactSum``), each rounded once, so they are the
-    correctly rounded sums that math.fsum gives, whatever the chunking.
+    needs only n_z and the azimuth.  This is the one-point case of
+    ``_mc_moments``, which ``fidelity_sweep`` runs over its whole grid.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    form = _fidelity_form(_as_xi(xi).xi, r)
-    check_budget((samples,), float, "Monte-Carlo overlaps")
-    values = np.empty(samples)
-    spans = range(0, samples, MC_CHUNK)
-    stream = _philox(seed)
-    total = _ExactSum()
-    for start in spans:
-        chunk = values[start:start + MC_CHUNK]
-        _draw_form_values(form, stream, chunk)
-        total.add(chunk)
-    mean = total.value() / samples
-    if samples > 1:
-        squares = _ExactSum()
-        for start in spans:
-            d = values[start:start + MC_CHUNK]
-            d -= mean
-            d *= d  # squared deviations, in place
-            squares.add(d)
-        var = squares.value() / (samples - 1)
-        std_error = math.sqrt(var / samples)
-    else:
-        std_error = 0.0
+    (mean, std_error), = _mc_moments(_fidelity_form(_as_xi(xi).xi, r), samples, seed)
     return FidelityEstimate(mean, std_error, samples, seed)
 
 
 class _ExactSum:
-    """Exact running sum of float64 arrays; ``value()`` rounds it once.
+    """Exact running sums of float64 arrays, one a slot; ``value(slot)`` rounds one once.
 
     ``add`` uses error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci.
     Comput. 31, 189 (2008)): for n values below 2^E in magnitude and sigma =
     2^(E + bit_length(n) + 1), q = (x + sigma) - sigma, x - q and ``q.sum()``
     (in any order) are exact, and x - q is extracted again until it is zero.
     Where sigma would overflow, the values of magnitude >= 1 go first, at an
-    exact scale 2^-shift.  The partials add up in one Python int, which
+    exact scale 2^-shift.  A slot's partials add up in one Python int, which
     ``value()`` rounds once: math.fsum's double, in any order and chunking.
+    The slots share one scratch pair, so their number adds no array.
     """
 
-    def __init__(self) -> None:
-        self._total = 0  # in units of 2^-1074
+    def __init__(self, slots: int = 1) -> None:
+        self._totals = [0] * slots  # in units of 2^-1074
         self._scratch = np.empty((2, 0))
 
-    def add(self, x: np.ndarray) -> None:
-        """Add the values of the float64 array ``x``; NumericError on an infinity or a NaN."""
+    def add(self, x: np.ndarray, slot: int = 0) -> None:
+        """Add the values of the float64 array ``x`` to ``slot``; NumericError on an infinity or a NaN."""
         if x.size > _EXACT_CHUNK:
             raise ValueError(f"an exact sum takes at most {_EXACT_CHUNK} values at a time, got {x.size}")
         top = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
@@ -357,13 +391,13 @@ class _ExactSum:
                 np.add(y, sigma, out=q)
                 q -= sigma
                 p, d = float(q.sum()).as_integer_ratio()  # d: a power of 2, at most 2^1074
-                self._total += p << (1075 + scale - d.bit_length())
+                self._totals[slot] += p << (1075 + scale - d.bit_length())
                 y = np.subtract(y, q, out=rest)
                 top = max(float(y.max()), -float(y.min()))
 
-    def value(self) -> float:
-        """The sum of every value added so far, correctly rounded."""
-        return self._total / (1 << 1074)
+    def value(self, slot: int = 0) -> float:
+        """The sum of every value added to ``slot`` so far, correctly rounded."""
+        return self._totals[slot] / (1 << 1074)
 
 
 class FidelityResult(NamedTuple):
@@ -379,19 +413,21 @@ def fidelity_sweep(
 ) -> list[FidelityResult]:
     """One FidelityResult per grid point, in grid order: Monte Carlo and exact.
 
-    The exact column is one array over the grid (``_fidelity_columns``), and
-    point i's Monte Carlo one ``average_fidelity_mc`` call, seeded from
-    ``SeedSequence((seed, i))``.  (samples + MC_POINT_CHARGE) x points is
-    checked against MC_WORK_BOUND before anything is built (``SizeError``).
+    The exact column is one array over the grid (``_fidelity_columns``).  The
+    Monte Carlo draws one sample stream for the whole grid, keyed by
+    ``SeedSequence((seed, 0))``, and every point evaluates its own form on it
+    (``_mc_moments``): common random numbers, so each row keeps its
+    distribution, the rows are correlated, and row 0 is the one-point sweep.
+    (samples + MC_POINT_CHARGE) x points is checked against MC_WORK_BOUND
+    before anything is built (``SizeError``).
     """
     if (samples + MC_POINT_CHARGE) * len(xi_grid) > MC_WORK_BOUND:
         raise SizeError(f"fig2 needs (samples + {MC_POINT_CHARGE}) x points = "
                         f"{samples + MC_POINT_CHARGE} x {len(xi_grid)}, "
                         f"over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
     a, xis = _as_accel(r), _xi_array(xi_grid)
-    out = []
-    for i, (xi, exact) in enumerate(zip(xis.tolist(), _fidelity_columns(xis, a)[0].tolist())):
-        sub = int(np.random.SeedSequence((seed, i)).generate_state(1, dtype=np.uint64)[0])
-        est = average_fidelity_mc(xi, a, samples=samples, seed=sub)
-        out.append(FidelityResult(xi, a.r, est.mean, est.std_error, exact))
-    return out
+    sub = int(np.random.SeedSequence((seed, 0)).generate_state(1, dtype=np.uint64)[0])
+    moments = _mc_moments(_fidelity_form(xis, a), samples, sub)
+    exact = _fidelity_columns(xis, a)[0].tolist()
+    return [FidelityResult(xi, a.r, mean, std_err, ex)
+            for xi, (mean, std_err), ex in zip(xis.tolist(), moments, exact)]

@@ -370,7 +370,7 @@ def test_default_fig2_draws_no_sample(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("default fig2 drew a Monte-Carlo sample")
 
-    for name in ("average_fidelity_mc", "_draw_form_values"):
+    for name in ("_mc_moments", "_draw_bloch"):
         monkeypatch.setattr(teleportation, name, refuse)
     out = tmp_path / "fig2.csv"
     assert run_cli(["fig2", "-o", str(out)]) == 0
@@ -489,11 +489,12 @@ def test_numeric_failure_exits_3(argv, capsys):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_monte_carlo_term_exits_3(bad, monkeypatch, capsys):
     # a term the exact sum cannot bin is a numeric failure, not a NaN in the CSV
-    def poisoned(form, stream, out):
-        out[:] = 0.5
-        out[-1] = bad
+    def poisoned(form, z2, s, cos2, work):
+        work[0] = 0.5
+        work[0, -1] = bad
+        return work[0]
 
-    monkeypatch.setattr(teleportation, "_draw_form_values", poisoned)
+    monkeypatch.setattr(teleportation, "_form_values", poisoned)
     assert run_cli(["fig2", "--xi", "0.4:0.4:0", "--samples", "100"]) == 3
     err = capsys.readouterr().err
     assert err == "numeric failure: a Monte-Carlo sum met an infinity or a NaN\n"
@@ -536,11 +537,12 @@ def test_fig2_builds_one_channel_per_point(monkeypatch, tmp_path):
             return inner(*args, **kwargs)
         return wrapper
 
-    for name in ("_fidelity_form", "average_fidelity_mc"):
+    for name in ("_fidelity_form", "_mc_moments", "_draw_bloch"):
         monkeypatch.setattr(teleportation, name, counted(name, getattr(teleportation, name)))
     assert run_cli(["fig2", "--xi", "0:0.8:0.2", "--samples", "10", "-o", str(tmp_path / "f.csv")]) == 0
-    # one form over the whole grid for the exact column, and one for each Monte-Carlo point
-    assert calls == {"_fidelity_form": 6, "average_fidelity_mc": 5}
+    # one form over the whole grid for the exact column and one for the Monte Carlo, whose
+    # one kernel call draws the samples once in each of its two passes, whatever the grid
+    assert calls == {"_fidelity_form": 2, "_mc_moments": 1, "_draw_bloch": 2}
     calls.clear()
     assert run_cli(["fig2", "--xi", "0:0.8:0.2", "-o", str(tmp_path / "f.csv")]) == 0
     assert calls == {"_fidelity_form": 1}

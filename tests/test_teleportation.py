@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from rqit.teleportation import (
     MC_WORK_BOUND,
     SchmidtDecomposition,
     _ExactSum,
-    _draw_form_values,
+    _draw_bloch,
     _fidelity_columns,
     _fidelity_form,
+    _form_values,
     _philox,
     apply_protocol,
     average_fidelity_exact,
@@ -320,7 +322,7 @@ def raw_doubles(words):
 def bloch_vectors(samples, seed, start=0):
     """The general-form reference sampler: unit vectors n = (s cos phi,
     s sin phi, z), s = sqrt((1 - z)(1 + z)), one a row, from the raw words
-    that _draw_form_values reads: sample k takes u0 and u1 from words 2k and
+    that _draw_bloch reads: sample k takes u0 and u1 from words 2k and
     2k + 1 of the stream keyed by seed, so a counter step serves two samples."""
     words = np.random.Philox(key=seed).random_raw(2 * (start + samples))[2 * start:]
     u = raw_doubles(words).reshape(samples, 2)
@@ -340,14 +342,14 @@ def form_values(q, n):
 
 
 def draw_form_values(form, samples, seed, start=0):
-    """_draw_form_values on samples [start, start + samples) of the stream keyed
-    by seed; an odd start begins halfway through counter step start // 2."""
-    out = np.empty(samples)
+    """_form_values on samples [start, start + samples) of the stream keyed by
+    seed (``_draw_bloch``); an odd start begins halfway through counter step
+    start // 2."""
+    cos2 = np.empty(samples)
     stream = _philox(seed, start // 2)
     if start % 2:
         stream.random(2)
-    _draw_form_values(form, stream, out)
-    return out
+    return _form_values(form, *_draw_bloch(stream, samples, cos2), cos2, np.empty((2, samples)))
 
 
 def test_bloch_form_matches_five_operand_einsum():
@@ -491,10 +493,12 @@ def test_form_values_are_uncorrelated_at_lag_one():
 def test_draw_form_values_continues_the_stream():
     form = _fidelity_form(0.4, 0.6)
     whole = draw_form_values(form, 1000, seed=5)
-    stream, parts = _philox(5), np.empty(1000)
+    # the cosines filled in place, and z^2, (1 - z)(1 + z) returned, chunk by chunk
+    stream, cos2, parts = _philox(5), np.empty(1000), []
     for a, b in ((0, 1), (1, 137), (137, 1000)):
-        _draw_form_values(form, stream, parts[a:b])
-    np.testing.assert_array_equal(parts, whole)
+        parts.append(_draw_bloch(stream, b - a, cos2[a:b]))
+    z2, s = (np.concatenate(p) for p in zip(*parts))
+    np.testing.assert_array_equal(_form_values(form, z2, s, cos2, np.empty((2, 1000))), whole)
     np.testing.assert_array_equal(draw_form_values(form, 37, seed=5, start=963), whole[-37:])
 
 
@@ -771,29 +775,69 @@ def test_trace_preserved_over_random_inputs():
         assert abs(out.trace().real - 1.0) < 1e-10
 
 
-def per_point_fig2(r, xis, samples, seed):
-    """fig2 computed point by point, as the CLI once did: one Monte-Carlo and
-    one exact average per xi, point i seeded from SeedSequence((seed, i))."""
-    rows = []
-    for i, xi in enumerate(xis):
-        sub = int(np.random.SeedSequence((seed, i)).generate_state(1, dtype=np.uint64)[0])
-        est = average_fidelity_mc(xi, r, samples=samples, seed=sub)
-        rows.append((xi, est.mean, est.std_error, average_fidelity_exact(xi, r)))
-    return rows
+def sweep_seed(seed):
+    """The key of fidelity_sweep's one sample stream: point 0's sub-seed of SeedSequence((seed, 0))."""
+    return int(np.random.SeedSequence((seed, 0)).generate_state(1, dtype=np.uint64)[0])
 
 
 def test_fidelity_sweep_equals_per_point_loop():
-    grids = (
-        (0.6, np.arange(3) * 0.4, 3000, 42),
-        (1.5, np.arange(3) * 0.4, 1, 3),
-        (2.0, np.array([0.4]), 1, 3),
-        (0.3, np.arange(10) * 0.1, 500, 1),
-    )
-    for r, xis, samples, seed in grids:
-        results = fidelity_sweep(r, xis, samples=samples, seed=seed)
-        assert all(p.r == r and type(p.fidelity_exact) is float for p in results)
-        got = [(p.xi, p.fidelity_mc, p.std_err, p.fidelity_exact) for p in results]
-        assert got == per_point_fig2(r, xis, samples, seed), (r, samples)
+    # every row reads the sweep's one stream: row i is the one-point Monte Carlo
+    # of xi_i on it, bit for bit, and the exact column is the one-point average
+    grid = np.arange(10) * 0.1
+    for r in (0.3, 0.6, 1.5):
+        for samples in (1, 2, 8191, 8193, 20_000):
+            want = [two_pass_fsum(xi, r, samples, sweep_seed(4)) for xi in grid]
+            for points in (1, 3, 10):
+                results = fidelity_sweep(r, grid[:points], samples=samples, seed=4)
+                assert all(p.r == r and type(p.fidelity_exact) is float for p in results)
+                got = [(p.xi, p.fidelity_mc, p.std_err, p.fidelity_exact) for p in results]
+                assert got == [(xi, *w, average_fidelity_exact(xi, r))
+                               for xi, w in zip(grid[:points].tolist(), want)], (r, samples, points)
+
+
+def test_fidelity_sweep_is_chunk_invariant(monkeypatch):
+    grid = np.arange(10) * 0.1
+    for samples in (8193, 20_000):
+        want = fidelity_sweep(0.6, grid, samples=samples, seed=8)
+        for chunk in (137, 8_192, 65_536):
+            with monkeypatch.context() as m:
+                m.setattr(teleportation, "MC_CHUNK", chunk)
+                assert fidelity_sweep(0.6, grid, samples=samples, seed=8) == want, (samples, chunk)
+
+
+def test_fidelity_sweep_opens_its_streams_once_for_the_grid(monkeypatch):
+    opened = []
+
+    def counted(seed, step=0):
+        opened.append(seed)
+        return _philox(seed, step)
+
+    monkeypatch.setattr(teleportation, "_philox", counted)
+    counts = []
+    for points in (1, 30):
+        opened.clear()
+        fidelity_sweep(0.6, np.arange(points) * 0.03, samples=1000, seed=2)
+        counts.append(len(opened))
+        assert set(opened) == {sweep_seed(2)}
+    # one stream for the sums and one for the squared deviations, whatever the grid
+    assert counts == [2, 2]
+
+
+def test_fidelity_sweep_memory_does_not_grow_with_points():
+    # the one per-sample array (cos^2 phi) is shared by every point; nothing kept
+    # per point grows with the sample count
+    def peak(points):
+        grid = np.arange(points) * 0.03
+        tracemalloc.start()
+        try:
+            fidelity_sweep(0.6, grid, samples=100_000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, thirty = peak(1), peak(30)
+    assert one > 100_000 * 8
+    assert thirty - one < 64 * 1024, (one, thirty)
 
 
 def test_fidelity_sweep_checks_work_bound_before_building(monkeypatch):
