@@ -258,27 +258,40 @@ def _check_images(p, kept, a: AccelerationParam, cut: FockCutoff, what: str) -> 
     return dropped
 
 
-def _unruh_towers(r, cutoff, p, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The amplitudes c_n and d_n over n = 0..n_max, after the memory budget
-    check, for images of the tower weights p checked by ``_check_images``,
-    and each image's dropped trace that the check returns."""
+def _towers(r, cutoff, p, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The level weights that every Unruh image reads, over n = 0..n_max, after
+    the memory budget check: w_n = t^n / (8 cosh^2 r), w_n s_n and w_n s_n^2,
+    with t = tanh^2 r and s_n = sqrt(n+1)/cosh r, so c_n^2 = 8 w_n, c_n d_n =
+    8 w_n s_n and d_n^2 = 8 w_n s_n^2; and the dropped trace of each image of
+    tower weights p, which ``_check_images`` checks against 8 sum w_n and
+    8 sum w_n s_n^2.
+
+    This is the one place that raises tanh r to a power.  Powers of the rounded
+    tanh r give t^n a relative error up to about n ulp; exp(n ln t) with
+    ``_log_t`` gives about eps (1 + n |ln t|), the smaller where |ln t| < 1
+    (r above about 0.7), so it is used there.  Below, r = 0 (where ln t = -inf)
+    included, the powers stay.
+    """
     a, cut = _as_accel(r), _as_cutoff(cutoff, r)
     check_budget((cut.n_max + 1,), float, "unruh_*_amplitudes")
     n = np.arange(cut.n_max + 1)
-    c, d = a.T**n / a.C, a.T**n * np.sqrt(n + 1.0) / a.C**2
-    return c, d, _check_images(p, (np.sum(c * c), np.sum(d * d)), a, cut, what)
+    s = np.sqrt(n + 1.0) / a.C
+    t_n = np.exp(n * _log_t(a)) if a.T**2 > math.exp(-1.0) else np.power(a.T, 2 * n)
+    w = t_n / (8.0 * a.C**2)
+    ws, wss = w * s, w * s * s
+    return w, ws, wss, _check_images(p, (8.0 * np.sum(w), 8.0 * np.sum(wss)), a, cut, what)
 
 
 def unruh_vacuum_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
-    """Coefficients c_n = tanh^n r / cosh r of |0>_M on |n>_I |n>_II, n = 0..n_max;
-    the tower is checked as the image of weights (1, 0) (``_check_images``)."""
-    return _unruh_towers(r, cutoff, [(1.0, 0.0)], "vacuum tower")[0]
+    """Coefficients c_n = tanh^n r / cosh r of |0>_M on |n>_I |n>_II, n = 0..n_max, as
+    sqrt(8 w_n) (``_towers``); the tower is checked as the image of weights (1, 0)."""
+    return np.sqrt(8.0 * _towers(r, cutoff, [(1.0, 0.0)], "vacuum tower")[0])
 
 
 def unruh_one_particle_amplitudes(r, cutoff: FockCutoff | None = None) -> np.ndarray:
-    """Coefficients d_n = tanh^n r sqrt(n+1) / cosh^2 r of |1>_M on |n+1>_I |n>_II,
-    n = 0..n_max; the tower is checked as the image of weights (0, 1) (``_check_images``)."""
-    return _unruh_towers(r, cutoff, [(0.0, 1.0)], "one-particle tower")[1]
+    """Coefficients d_n = tanh^n r sqrt(n+1) / cosh^2 r of |1>_M on |n+1>_I |n>_II, n = 0..n_max,
+    as sqrt(8 w_n s_n^2) (``_towers``); the tower is checked as the image of weights (0, 1)."""
+    return np.sqrt(8.0 * _towers(r, cutoff, [(0.0, 1.0)], "one-particle tower")[2])
 
 
 def _as_bloch(bloch) -> np.ndarray:
@@ -323,8 +336,9 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
     n+1 only; the output is exactly trace preserving up to the geometric
     tail of the truncation.  All amplitudes are real, so the output is
     stored as a real symmetric float64 matrix when the Bloch y is 0, and as
-    complex128 otherwise.  The truncation is checked on the image, of tower
-    weights ((1 + z)/2, (1 - z)/2), by ``_check_images``.
+    complex128 otherwise.  The entries read c_n^2 = 8 w_n, c_n d_n = 8 w_n s_n
+    and d_n^2 = 8 w_n s_n^2 from ``_towers``, which checks the truncation on the
+    image, of tower weights ((1 + z)/2, (1 - z)/2).
     """
     x, y, z = _as_bloch(bloch)
     cut = _as_cutoff(cutoff, r)
@@ -332,13 +346,13 @@ def effective_qubit(bloch, r, cutoff: FockCutoff | None = None) -> DenseOperator
     p01 = (x - 1j * y) / 2.0 if y else x / 2.0
     nlev = cut.levels
     check_budget((nlev, nlev), type(p01), "effective_qubit")
-    c, d, _ = _unruh_towers(r, cut, [(p00, p11)], "channel image")
+    w, ws, wss, _ = _towers(r, cut, [(p00, p11)], "channel image")
     rho = np.zeros((nlev, nlev), dtype=type(p01))
     idx = np.arange(cut.n_max + 1)
-    rho[idx, idx] += p00 * c**2
-    rho[idx + 1, idx + 1] += p11 * d**2
-    rho[idx, idx + 1] += p01 * c * d
-    rho[idx + 1, idx] += np.conj(p01) * c * d
+    rho[idx, idx] += p00 * (8.0 * w)
+    rho[idx + 1, idx + 1] += p11 * (8.0 * wss)
+    rho[idx, idx + 1] += p01 * (8.0 * ws)
+    rho[idx + 1, idx] += np.conj(p01) * (8.0 * ws)
     return DenseOperator._wrap(rho, (nlev,))
 
 
@@ -355,35 +369,17 @@ def _shared_etas(xi: np.ndarray) -> np.ndarray:
     return 1.0 + outer * np.sqrt(1.0 + inner * xi[:, None])
 
 
-def _shared_levels(a: AccelerationParam, cut: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
-    """The xi-free factors of the terms |v_n>: rows (1, 1, s_n, s_n),
-    s_n = sqrt(n+1)/cosh r, that scale the four ``_shared_etas``, and the
-    weights w_n = t^n / (8 cosh^2 r), t = tanh^2 r, for n = 0..n_max.
-
-    Powers of the rounded tanh r give t^n a relative error up to about n ulp;
-    exp(n ln t) with ``_log_t`` gives about eps (1 + n |ln t|), the smaller
-    where |ln t| < 1 (r above about 0.7), so it is used there.  Below, r = 0
-    (where ln t = -inf) included, the powers stay.
-    """
-    n = np.arange(cut.n_max + 1)
-    s = np.sqrt(n + 1.0) / a.C
-    t_n = np.exp(n * _log_t(a)) if a.T**2 > math.exp(-1.0) else np.power(a.T, 2 * n)
-    return np.vstack([np.ones((2, len(n))), s, s]), t_n / (8.0 * a.C**2)
-
-
-def _check_shared(eta: np.ndarray, factors, w, a: AccelerationParam, cut: FockCutoff) -> np.ndarray:
-    """``_check_images`` of the shared state at each row of ``_shared_etas``,
-    from the terms' own ``_shared_levels``; returns the dropped traces.
+def _shared_weights(eta: np.ndarray) -> np.ndarray:
+    """The tower weights (p0, p1) of the shared state at each row of ``_shared_etas``.
 
     |v_n|^2 = (eta_{+-}^2 + eta_{--}^2) + (eta_{-+}^2 + eta_{++}^2) s_n^2, so the
-    state weighs (eta_{+-}^2 + eta_{--}^2)/8 on the vacuum tower and
-    (eta_{-+}^2 + eta_{++}^2)/8 on the one-particle tower, which add up to 1,
-    and the towers keep 8 sum w_n and 8 sum w_n s_n^2.  ``np.float_power``
-    squares round as Python's ``eta ** 2`` (C ``pow``) does, not as eta * eta.
+    state weighs (eta_{+-}^2 + eta_{--}^2)/8 on the vacuum tower c_n^2 = 8 w_n and
+    (eta_{-+}^2 + eta_{++}^2)/8 on the one-particle tower d_n^2 = 8 w_n s_n^2, which
+    add up to 1.  ``np.float_power`` squares round as Python's ``eta ** 2`` (C
+    ``pow``) does, not as eta * eta.
     """
     sq = np.float_power(eta, 2)
-    p = np.column_stack([sq[:, 0] + sq[:, 1], sq[:, 2] + sq[:, 3]]) / 8.0
-    return _check_images(p, (8.0 * np.sum(w), 8.0 * np.sum(w * factors[2] ** 2)), a, cut, "shared-state")
+    return np.column_stack([sq[:, 0] + sq[:, 1], sq[:, 2] + sq[:, 3]]) / 8.0
 
 
 def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
@@ -402,26 +398,23 @@ def entangled_state(xi, r, cutoff: FockCutoff | None = None) -> DenseOperator:
 
     Since |v_n> touches Fock levels n and n+1 only, the matrix is
     block-tridiagonal in the level.  It is assembled by writing each of the
-    16 component pairs of |v_n> into one diagonal, for every n in one array
-    operation, with no rank-one update per level; terms n and n-1 share
-    entries on level n, which the scatters add.  The truncation is checked
-    on the terms before assembly (``_check_shared``), and the memory budget
-    before either.
+    16 component pairs (p, q) of |v_n> into one diagonal, for every n in one
+    array operation, with no rank-one update per level: eta_p eta_q times w_n,
+    w_n s_n or w_n s_n^2 (``_towers``), as the pair's two Fock-level offsets
+    (``_SHARED_COMPONENTS``) add up to 0, 1 or 2.  Terms n and n-1 share
+    entries on level n, which the scatters add.  ``_towers`` checks the
+    truncation on the terms, after the budget of the matrix is checked.
     """
     cut = _as_cutoff(cutoff, r)
     nlev = cut.levels
     check_budget((2 * nlev, 2 * nlev), float, "entangled_state")
-    ox, a = _as_xi(xi), _as_accel(r)
-    eta = _shared_etas(np.array([ox.xi]))
-    factors, weights = _shared_levels(a, cut)
-    _check_shared(eta, factors, weights, a, cut)
-    amps = eta[0][:, None] * factors
+    eta = _shared_etas(np.array([_as_xi(xi).xi]))
+    levels = _towers(r, cut, _shared_weights(eta), "shared-state")[:3]
     rho = np.zeros((2 * nlev, 2 * nlev))
     n = np.arange(cut.n_max + 1)
-    offsets = [q * nlev + d for q, d in _SHARED_COMPONENTS]
-    for p, row in enumerate(offsets):
-        for q, col in enumerate(offsets):
-            rho[row + n, col + n] += weights * (amps[p] * amps[q])
+    for (qp, op), ep in zip(_SHARED_COMPONENTS, eta[0]):
+        for (qq, oq), eq in zip(_SHARED_COMPONENTS, eta[0]):
+            rho[qp * nlev + op + n, qq * nlev + oq + n] += ep * eq * levels[op + oq]
     return DenseOperator._wrap(rho, (2, nlev))
 
 

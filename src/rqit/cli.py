@@ -23,9 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channel import (DEFAULT_TRUNCATION_TOL, MIN_TRUNCATION_TOL, FockCutoff, _as_accel, _check_shared,
-                      _encoding_amplitudes, _shared_etas, _shared_levels, _unit_trace_atol, _unruh_towers, _xi_array,
-                      unruh_one_particle_amplitudes)
+from .channel import (DEFAULT_TRUNCATION_TOL, MIN_TRUNCATION_TOL, FockCutoff, _as_accel, _encoding_amplitudes,
+                      _shared_etas, _shared_weights, _towers, _unit_trace_atol, _xi_array, unruh_one_particle_amplitudes)
 from .distinguishability import angle_sweep
 from .entanglement import negativity_sweep
 from .errors import RQITError
@@ -224,21 +223,19 @@ def _cmd_validate(args) -> int:
     first = next(n for n in range(len(d2)) if math.fsum(d2[n + 1:]) <= cut6.tol)
     add("cutoff_one_particle_tail", max(16, first), cut6.n_max, 0)
     # fig1's band terms at xi = 0.5: their trace sum_n w_n |v_n|^2 plus the dropped trace fig1 checks
-    a6 = _as_accel(0.6)
     eta = _shared_etas(np.array([0.5, 0.0]))
-    factors, w = _shared_levels(a6, cut6)
-    dropped = _check_shared(eta, factors, w, a6, cut6)
-    trace = float(((eta[:1].T * factors) ** 2).sum(axis=0) @ w)
+    w, ws, wss, dropped = _towers(0.6, cut6, _shared_weights(eta), "shared-state")
+    trace = float(np.sum(eta[0] ** 2 @ np.array([w, w, wss, wss])))
     add("state_trace", trace + dropped[0], 1.0, _unit_trace_atol(cut6.n_max))
     add("exact_fidelity_bell", average_fidelity_exact(0.0, 0.0), 1.0, 1e-12)
     sweep0 = angle_sweep(0.0, [0.0])
     add("orthogonal_angle", sweep0[0].theta, math.pi / 2, 1e-10)
     add("metric_origin", numeric_metric((0, 0, 0), 0.0).tensor[0, 0], 0.25, 1e-12)
     add("flat_curvature", scalar_curvature_numeric(0.5, math.pi / 2, 0.0), 24.0, 1e-3)
-    # at xi = 0 rho^Gamma is 4 w_0 and blocks 4 [[w_{m-1} s_{m-1}^2, w_m s_m], [w_m s_m, w_{m+1}]] (PRL 95, 120404)
-    c, m = math.cosh(0.6), np.arange(cut6.n_max + 3)
-    w = np.where(m <= cut6.n_max, math.tanh(0.6) ** (2 * m) / (8 * c * c), 0.0)
-    a, b, d = 4 * np.roll(w * (m + 1) / (c * c), 1), 4 * w * np.sqrt(m + 1.0) / c, 4 * np.append(w[1:], 0.0)
+    # at xi = 0 rho^Gamma is 4 w_0 and blocks 4 [[w_{m-1} s_{m-1}^2, w_m s_m], [w_m s_m, w_{m+1}]] (PRL 95, 120404),
+    # m = 0..n_max + 2, with w_m = 0 above n_max
+    w, ws, wss = (np.append(x, (0.0, 0.0)) for x in (w, ws, wss))
+    a, b, d = 4 * np.roll(wss, 1), 4 * ws, 4 * np.append(w[1:], 0.0)
     exact = math.log2(4 * w[0] + np.sum(np.maximum(a + d, np.hypot(a - d, 2 * b))))
     en1, en2 = (negativity_sweep(0.6, [0.0], cut)[0].log_negativity for cut in (cut6, cut6.doubled()))
     add("fig1_xi0_closed_form", en1, exact, 1e-14)
@@ -250,16 +247,17 @@ def _cmd_validate(args) -> int:
         float(FIG1_XI05_R06_N24), 1e-14)
     # doubling appends columns E, G to angle_sweep's A_+, A_phi: M' = [[M, A_+^T G], [E^T A_phi, E^T G]]; the
     # corners are single entries |b_+ a_phi|, |a_+ b_phi| times c_{N+1} d_N and ||E^T G||_1 <= ||E||_F ||G||_F, the
-    # root of the dropped traces of the images of |+> and |phi> that angle_sweep checks (``_unruh_towers``); with
-    # the unit-trace rule for rounding that bounds |dF|, and |dtheta| <= |dF| / sin theta at the larger F
+    # root of the dropped traces of the images of |+> and |phi> that angle_sweep checks (``_towers``), with
+    # c_{N+1} d_N = 8 tanh r w_N s_N; with the unit-trace rule for rounding that bounds |dF|, and
+    # |dtheta| <= |dF| / sin theta at the larger F
     a85, cut85 = _as_accel(0.85), FockCutoff.for_acceleration(0.85, args.cutoff_tol)
     th1, th2 = (angle_sweep(a85, [0.3], cut)[0].theta for cut in (cut85, cut85.doubled()))
-    (h, a2, b2), n = _encoding_amplitudes(0.3), cut85.n_max
-    dropped = _unruh_towers(a85, cut85, [(h * h, h * h), (a2 * a2, b2 * b2)], "channel image")[2]
-    corners = h * (abs(a2) + abs(b2)) * a85.T ** (2 * n + 1) * math.sqrt(n + 1) / a85.C**3
+    h, a2, b2 = _encoding_amplitudes(0.3)
+    _, ws, _, dropped = _towers(a85, cut85, [(h * h, h * h), (a2 * a2, b2 * b2)], "channel image")
+    corners = h * (abs(a2) + abs(b2)) * 8 * a85.T * ws[-1]
     tails = math.sqrt(dropped[0] * dropped[1])
     add("fig3_cutoff_doubling_shift", th1 - th2, 0.0,
-        (corners + tails + _unit_trace_atol(2 * n)) / math.sin(min(th1, th2)))
+        (corners + tails + _unit_trace_atol(2 * cut85.n_max)) / math.sin(min(th1, th2)))
     add("fig3_xi03_exact", angle_sweep(a85, [0.3], FockCutoff(41))[0].theta, float(FIG3_XI03_R085_N41), 1e-14)
     mc, = fidelity_sweep(0.6, [0.4], samples=200_000, seed=0)
     add("mc_fidelity_shift", mc.fidelity_mc - mc.fidelity_exact, 0.0, 5 * mc.std_err)

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import FockCutoff, _as_accel, _as_cutoff, _encoding_amplitudes, _unruh_towers, _xi_array
+from .channel import FockCutoff, _as_accel, _as_cutoff, _encoding_amplitudes, _towers, _xi_array
 from .geometry import root_fidelity
 from .linalg import DenseOperator, check_cost
 
@@ -53,25 +53,26 @@ def angle_sweep(r, xi_grid: Sequence[float], cutoff: FockCutoff | None = None) -
         M[n, n] = a1 a2 c_n^2 + b1 b2 d_n^2,
         M[n+1, n] = a1 b2 c_{n+1} d_n,   M[n, n+1] = b1 a2 d_n c_{n+1},
 
-    so its singular values give the angle.  ``_lapack.band_sums`` fills M
-    from four terms, a coefficient a point times an amplitude product a
-    level, and ``tridiagonal_singular_values`` (``dgbbrd``, then dqds in
-    ``dlasq1``) finds every singular value to high relative accuracy, with
-    no square root, in O(n_max^2) time and O(n_max) memory a point.
+    so its singular values give the angle.  The amplitude products are the
+    level weights of ``_towers``: c_n^2 = 8 w_n, d_n^2 = 8 w_n s_n^2 and
+    c_{n+1} d_n = 8 tanh r w_n s_n.  ``_lapack.band_sums`` fills M from four
+    terms, a coefficient a point times an amplitude product a level, and
+    ``tridiagonal_singular_values`` (``dgbbrd``, then dqds in ``dlasq1``)
+    finds every singular value to high relative accuracy, with no square
+    root, in O(n_max^2) time and O(n_max) memory a point.
     ``bures_angle`` of the two ``effective_qubit`` images is the dense route
     to the same angle, which holds its inputs to unit trace within a fixed
-    1e-6.  Here, after the cost check, the image of |+> and then that of
-    |phi> at each xi, of tower weights (a^2, b^2), are checked in one pass
-    by ``channel._check_images``.
+    1e-6.  Here, after the cost check, ``_towers`` checks the image of |+>
+    and then that of |phi> at each xi, of tower weights (a^2, b^2), in one pass.
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "angle_sweep")
     xi = _xi_array(xi_grid)
     h, a2, b2 = _encoding_amplitudes(xi)  # |+> = h(|0> + |1>), |phi> = a2|0> + b2|1>
-    c, d, _ = _unruh_towers(a, cut, np.column_stack([np.append(h * h, a2 * a2), np.append(h * h, b2 * b2)]),
+    w, ws, wss, _ = _towers(a, cut, np.column_stack([np.append(h * h, a2 * a2), np.append(h * h, b2 * b2)]),
                             "channel image")
-    cc, dd, cd = c * c, d * d, c[1:] * d[:-1]
+    cc, dd, cd = 8.0 * w, 8.0 * wss, 8.0 * a.T * ws[:-1]
     hu, hv = h * a2, h * b2
     root_fids = _lapack.band_sums(_lapack.tridiagonal_singular_values, cut.n_max + 1, [
         (0, slice(1, None), hu, cd), (1, slice(None), hu, cc), (1, slice(None), hv, dd), (2, slice(0, -1), hv, cd)])

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _lapack
-from .channel import FockCutoff, _as_accel, _as_cutoff, _check_shared, _shared_etas, _shared_levels, _xi_array
+from .channel import FockCutoff, _as_accel, _as_cutoff, _shared_etas, _shared_weights, _towers, _xi_array
 from .linalg import DenseOperator, check_cost, partial_transpose, trace_norm
 
 
@@ -54,19 +54,18 @@ def negativity_sweep(
     orthogonal, so LAPACK ``dsbev`` on that band returns the eigenvalues of
     rho^Gamma in O(n_max^2) time and O(n_max) memory;
     ``log_negativity(entangled_state(...))`` is the dense route to the same
-    value.  The grid is one float64 array: s_n and w_n are made once a
-    sweep, the four eta of every point in one pass, and ``_lapack.band_sums``
-    fills the band from six terms, a coefficient a point times a weight a
-    level.  The cost bound is checked first, then xi, then the states (``_check_shared``).
+    value.  The grid is one float64 array: w_n, w_n s_n and w_n s_n^2 are
+    made once a sweep (``_towers``), the four eta of every point in one pass,
+    and ``_lapack.band_sums`` fills the band from six terms, a coefficient a
+    point times a weight a level.  The cost bound is checked first, then xi,
+    then the states (``_towers``).
     """
     a = _as_accel(r)
     cut = _as_cutoff(cutoff, r)
     check_cost(cut.n_max, len(xi_grid), "negativity_sweep")
     xi = _xi_array(xi_grid)
     eta = _shared_etas(xi)
-    factors, w = _shared_levels(a, cut)
-    _check_shared(eta, factors, w, a, cut)
-    ws, wss = w * factors[2], w * factors[2] * factors[2]
+    w, ws, wss, _ = _towers(a, cut, _shared_weights(eta), "shared-state")
     x0, x1, y0, y1 = eta.T
     xx, xy, xcy = x0 * x0 + x1 * x1, x0 * y0 + x1 * y1, x0 * y1 - x1 * y0
     alpha, gamma = xy / np.sqrt(xx), xcy / np.sqrt(xx)

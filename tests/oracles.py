@@ -26,9 +26,9 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from rqit import geometry
-from rqit.channel import (_SHARED_COMPONENTS, FockCutoff, _as_accel, _as_cutoff, _as_xi, _check_shared, _log_t,
-                          _shared_etas, _shared_levels, effective_qubit, entangled_state)
+from rqit import _lapack, geometry
+from rqit.channel import (_SHARED_COMPONENTS, FockCutoff, _as_accel, _as_cutoff, _as_xi, _encoding_amplitudes, _log_t,
+                          _shared_etas, _shared_weights, _towers, effective_qubit, entangled_state)
 from rqit.geometry import root_fidelity
 from rqit.linalg import HERMITIAN_ATOL, DenseOperator
 from rqit.teleportation import SchmidtDecomposition, apply_protocol, build_protocol, schmidt_decompose
@@ -182,13 +182,13 @@ def shared_terms(ox, a, cut):
         (eta_{+-}, eta_{--}, eta_{-+} s_n, eta_{++} s_n),  s_n = sqrt(n+1)/cosh r,
 
     and ``weights`` holds w_n = tanh^{2n} r / (8 cosh^2 r), from the library's
-    own ``_shared_etas`` and ``_shared_levels``.  Raises TruncationError when
-    ``_check_shared`` refuses the cutoff.
+    own ``_shared_etas`` and ``_towers``.  Raises TruncationError when
+    ``_towers`` refuses the cutoff for the state's ``_shared_weights``.
     """
     eta = _shared_etas(np.array([ox.xi]))
-    factors, weights = _shared_levels(a, cut)
-    _check_shared(eta, factors, weights, a, cut)
-    return eta[0][:, None] * factors, weights
+    weights = _towers(a, cut, _shared_weights(eta), "shared-state")[0]
+    s = np.sqrt(np.arange(cut.n_max + 1) + 1.0) / a.C
+    return eta[0][:, None] * np.vstack([np.ones((2, len(s))), s, s]), weights
 
 
 # the stacked matrix units |i><j| of a qubit, (2, 2, 2, 2)
@@ -206,10 +206,10 @@ def shared_block(xi, r):
     with C = cosh r and t = tanh^2 r (see ``channel.entangled_state``).
     """
     xi, a = _as_xi(xi).xi, _as_accel(r)
-    s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._shared_levels
+    s = 1.0 / a.C  # s_0 = sqrt(1)/cosh r, rounded as in channel._towers
     v0 = np.array([eta(xi, +1, -1), eta(xi, -1, +1) * s, eta(xi, -1, -1), eta(xi, +1, +1) * s])
     v1 = np.array([0.0, eta(xi, +1, -1), 0.0, eta(xi, -1, -1)])
-    # t rounded as in channel._shared_levels: exp(ln t) where |ln t| < 1, else tanh r squared
+    # t rounded as in channel._towers: exp(ln t) where |ln t| < 1, else tanh r squared
     t = float(np.exp(_log_t(a))) if a.T**2 > math.exp(-1.0) else a.T**2
     w0, w1 = 1.0 / (8.0 * a.C**2), t / (8.0 * a.C**2)
     return w0 * np.outer(v0, v0) + w1 * np.outer(v1, v1)
@@ -436,6 +436,27 @@ def mp_bures_angle(xi, r, n_max, dps=50):
 
         m = factor(h, h).T * factor(mpmath.sqrt((1 - xi) / 2), -mpmath.sqrt((1 + xi) / 2))
         return mpmath.acos(sum(mpmath.svd_r(m, compute_uv=False)))
+
+
+def mp_tower_angles(xis, r, n_max, dps=40):
+    """fig3's band kernel fed with amplitude products rounded once: c_n^2, d_n^2
+    and c_{n+1} d_n over n = 0..n_max in mpmath at ``dps`` digits, each rounded
+    to the nearest double, then banded and solved as ``angle_sweep`` does.  The
+    angles, one a value of ``xis``, differ from fig3's only by how fig3 rounds
+    its ``_towers`` weights.  r is read as the double it is.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        ch, th = mpmath.cosh(mpmath.mpf(r)), mpmath.tanh(mpmath.mpf(r))
+        c = [th**n / ch for n in range(n_max + 2)]
+        d = [th**n * mpmath.sqrt(n + 1) / ch**2 for n in range(n_max + 1)]
+        cc, dd, cd = (np.array([float(x) for x in v]) for v in (
+            [x * x for x in c[:-1]], [x * x for x in d], [c[n + 1] * d[n] for n in range(n_max)]))
+    h, a2, b2 = _encoding_amplitudes(np.asarray(xis, dtype=float))
+    hu, hv = h * a2, h * b2
+    fids = _lapack.band_sums(_lapack.tridiagonal_singular_values, n_max + 1, [
+        (0, slice(1, None), hu, cd), (1, slice(None), hu, cc), (1, slice(None), hv, dd), (2, slice(0, -1), hv, cd)])
+    return np.arccos(np.clip(fids, 0.0, 1.0))
 
 
 def mp_fidelity_form(xi, r):

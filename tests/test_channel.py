@@ -15,11 +15,11 @@ from rqit.channel import (
     FockCutoff,
     OrthogonalityParam,
     _check_images,
-    _check_shared,
     _encoding_amplitudes,
     _shared_etas,
-    _shared_levels,
+    _shared_weights,
     _tail_weights,
+    _towers,
     effective_qubit,
     entangled_state,
     minkowski_qubit,
@@ -172,6 +172,11 @@ def test_one_particle_amplitudes():
     assert d[0] == pytest.approx(0.7115777626, abs=1e-9)
     big = unruh_one_particle_amplitudes(0.85, FockCutoff(64))
     assert abs(np.sum(big**2) - 1.0) < 1e-12
+    # both towers are square roots of the level weights every image reads, within 2 ulp
+    for r in (0.0, 0.3, 0.6, 0.85, 1.5, 2.5):
+        w, _, wss, _ = _towers(r, None, [(1.0, 0.0), (0.0, 1.0)], "towers")
+        for amplitudes, weights in ((unruh_vacuum_amplitudes, w), (unruh_one_particle_amplitudes, wss)):
+            assert np.all(np.abs(amplitudes(r) ** 2 / 8 - weights) <= 2 * np.spacing(weights))
 
 
 def test_amplitude_towers_check_the_memory_budget(monkeypatch):
@@ -213,8 +218,8 @@ def test_truncation_deficits_match_direct_sums():
             for xi in xis:
                 amps, weights = shared_terms(OrthogonalityParam(xi), a, cut)
                 direct = 1.0 - weights @ np.sum(amps**2, axis=0)
-                eta = _shared_etas(np.array([xi]))
-                assert abs(_check_shared(eta, *_shared_levels(a, cut), a, cut)[0] - direct) <= 1e-14
+                shared = _shared_weights(_shared_etas(np.array([xi])))
+                assert abs(_towers(a, cut, shared, "shared-state")[3][0] - direct) <= 1e-14
 
 
 def test_each_image_is_accepted_by_its_own_dropped_trace():

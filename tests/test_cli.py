@@ -199,6 +199,9 @@ BAND_GOLDENS = [
     ("fig3-default.csv", ["fig3"]),
     ("fig1-r2-xi0-0.95-0.05.csv", ["fig1", "--r", "2", "--xi", "0:0.95:0.05"]),
     ("fig3-r2-xi0-0.95-0.05.csv", ["fig3", "--r", "2", "--xi", "0:0.95:0.05"]),
+    # n_max 1153; every row's 12 digits are those of oracles.mp_tower_angles, and the row at xi = 0,
+    # 0.7581407565865034 there, lies 3.4e-15 above a rounding tie
+    ("fig3-r2.5-xi0-0.95-0.05.csv", ["fig3", "--r", "2.5", "--xi", "0:0.95:0.05"]),
 ]
 
 

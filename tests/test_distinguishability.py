@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bloch_pair, dense_bures_angle, haar_unitary, mp_bures_angle, overlap_formula, random_density
+from oracles import (bloch_pair, dense_bures_angle, haar_unitary, mp_bures_angle, mp_tower_angles, overlap_formula,
+                     random_density)
 from rqit.channel import FockCutoff, effective_qubit, minkowski_qubit
 from rqit.distinguishability import angle_sweep, bures_angle
 from rqit.errors import SizeError, TruncationError
@@ -128,6 +129,17 @@ def test_factor_form_sweep_matches_mp_oracle(cut):
     xis = [0.0, 0.3, 0.9]
     for xi, res in zip(xis, angle_sweep(1.5, xis, cut)):
         assert abs(res.theta - exact_angle(xi, 1.5, cut.n_max)) <= 1e-14
+
+
+@pytest.mark.parametrize("r", [0.85, 1.5, 2.0, 2.5])
+def test_sweep_rounds_its_amplitude_products_once(r):
+    # the band kernel fed with c_n^2, d_n^2 and c_{n+1} d_n from 40 digits, each rounded once: fig3
+    # differs from it only by the rounding of its tower weights, and powers of the rounded tanh r, which
+    # carry up to n ulp, would be up to 5.2e-15 off at r = 2.5
+    xis = [0.0, 0.3, 0.5, 0.9]
+    cut = FockCutoff.for_acceleration(r)
+    swept = np.array([res.theta for res in angle_sweep(r, xis, cut)])
+    assert np.max(np.abs(swept - mp_tower_angles(xis, r, cut.n_max))) <= 6e-16
 
 
 @pytest.mark.parametrize("r, cut", [

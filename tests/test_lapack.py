@@ -215,7 +215,7 @@ def tails_in_the_wrong_tower(a, n_max):
      "channel image trace 0.893626301934 plus its dropped tail 0.0055336 misses 1 by -0.101, more than 7.11e-15",
      squared_tail_head),
     (angle_sweep, 0.85, [0.2, 0.95, 0.1, 0.99], FockCutoff(21, tol=1e-5),
-     "channel image trace 0.999998939459 plus its dropped tail 1.06054e-06 misses 1 by -9.57e-14, "
+     "channel image trace 0.999998939459 plus its dropped tail 1.06054e-06 misses 1 by -9.5e-14, "
      "more than 3.91e-14", tails_in_the_wrong_tower),
     (negativity_sweep, 0.9, [0.3, 0.5], FockCutoff(8, tol=0.5),
      "shared-state trace 0.991326317184 plus its dropped tail 2.13742e-05 misses 1 by -0.00865, more than 1.6e-14",
@@ -240,15 +240,15 @@ def test_sweeps_of_an_empty_grid(route):
 
 
 def test_negativity_sweep_builds_the_terms_once(monkeypatch):
-    # the xi-free factors once a sweep, and the four eta of every point in one call
+    # the xi-free level weights once a sweep, and the four eta and the tower weights of every point in one call
     xis = np.arange(40) * 0.02
     expected = negativity_sweep(0.6, xis)
     calls = []
-    for name in ("_shared_levels", "_shared_etas"):
+    for name in ("_towers", "_shared_etas", "_shared_weights"):
         built = getattr(channel, name)
         monkeypatch.setattr(entanglement, name, lambda *args, built=built: calls.append(built) or built(*args))
     assert negativity_sweep(0.6, xis) == expected
-    assert calls == [channel._shared_etas, channel._shared_levels]
+    assert calls == [channel._shared_etas, channel._shared_weights, channel._towers]
 
 
 def test_band_stacks_stay_under_the_memory_budget():
