@@ -77,7 +77,7 @@ def _grid_values(grid: tuple[float, float, float]) -> np.ndarray:
         return np.array([lo])
     count = int(round((hi - lo) / step)) + 1
     vals = lo + step * np.arange(count)
-    return vals[vals <= hi + 1e-12]
+    return vals[(vals <= hi + 1e-12) & (vals < 1.0)]  # the slack keeps a rounded max, never xi = 1
 
 
 def _write_csv(args, columns, rows, xi_grid=(0.0, 0.0, 0.0), **extras) -> None:

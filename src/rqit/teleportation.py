@@ -21,8 +21,9 @@ cutoff and hold up to channel.MAX_R.  The exact average, with the standard
 deviation sigma of one sample beside it, is one array expression over a xi
 grid (``_fidelity_columns``).  Monte Carlo, on request, samples n from one
 counter-based stream a sweep (Philox; sample k reads doubles 2k and 2k + 1 of
-the stream, so any chunked or parallel schedule reproduces identical values),
-and every xi point evaluates its own form on those samples (``_mc_moments``).
+the stream, so any chunked or parallel schedule reproduces identical values);
+x^T Q x is linear in s = n_x^2 + n_y^2 and s cos^2 phi, so one pass sums five
+features exactly, and every xi point combines them with its form (``_mc_moments``).
 The tests keep the generic route (the 4x4 channel block contracted with the
 POVMs and corrections, then changed to the Pauli basis) as the oracle for Q.
 """
@@ -36,26 +37,26 @@ import numpy as np
 
 from .channel import _as_accel, _as_xi, _encoding_amplitudes, _xi_array
 from .errors import NumericError, SizeError
-from .linalg import DenseOperator, check_budget
+from .linalg import DenseOperator
 
 _SQRT2 = math.sqrt(2.0)
 # Largest work a fidelity_sweep may take, in samples: each xi point counts its
-# samples plus MC_POINT_CHARGE for its fixed work.  On a 2-core x86 host a
-# sample costs 0.016-0.018 us a point on a grid, which shares the draw (96 and
-# 1000 points), so the bound is about 2 s there, and 0.065 us on one point,
-# where the memory budget stops a run first, near 67 million samples (4.4 s);
-# a point's fixed work is 0.025 ms there (30 000 points at one sample).  Both
-# values date from slower code and are kept, so that the runs they admit stay
-# the same.  fig2 at --samples 200000 on its default grid counts 96 x 203 000.
+# samples plus MC_POINT_CHARGE for its fixed work.  The samples are drawn and
+# summed once a sweep, so this over-counts a grid: on a 2-core x86 host a sweep
+# costs about 0.06 us a sample, whatever the number of points, and 0.02 ms a
+# point (33 000 points at two samples).  The most samples the bound admits on one
+# point, 99 997 000, take about 6 s and 36 MB of peak RSS there.  Both values date
+# from slower code and are kept, so that the runs they admit stay the same.  fig2
+# at --samples 200000 on its default grid counts 96 x 203 000.
 MC_WORK_BOUND = 10**8
 MC_POINT_CHARGE = 3000
-# Monte-Carlo samples drawn at a time: the sampling temporaries stay cache-sized.
-# Each chunk is also one _ExactSum.add a point and a pass, about 40 us for 8192
-# values in [0, 1] there (two extraction levels).
+# Monte-Carlo samples drawn at a time: the five feature rows of a chunk stay
+# cache-sized.  Each chunk is one _ExactSum.add, about 160 us there: two levels on
+# every value, then a few on the 0.4 % whose residuals are still nonzero.
 MC_CHUNK = 8_192
-# Largest array _ExactSum.add takes: its two scratch arrays then hold 1 GiB, and
-# each extraction level still takes 25 bits (about 6 ns a value at 2**20 values
-# in [0, 1] there).
+# Longest row _ExactSum.add takes: its two scratch arrays then hold 1 GiB a row,
+# and each extraction level still takes 25 bits (about 6 ns a value at 2**20
+# values in [0, 1] there).
 _EXACT_CHUNK = 2**26
 
 
@@ -213,7 +214,7 @@ def haar_qubit_unitaries(samples: int, seed: int, start: int = 0) -> np.ndarray:
     Box-Muller gives a complex Ginibre 2x2 draw, and Gram-Schmidt with
     positive-diagonal R (the QR normalization that yields Haar measure)
     unitarizes it.  Monte Carlo needs only n_z and the azimuth of the Bloch
-    vector of U|+>, which ``_draw_form_values`` draws directly; the tests use
+    vector of U|+>, which ``_draw_bloch`` draws directly; the tests use
     this as its reference.
     """
     u = _philox(seed, 2 * start).random((samples, 8))
@@ -247,39 +248,20 @@ def _philox(seed: int, step: int = 0) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
-def _draw_bloch(stream: np.random.Generator, n: int, cos2: np.ndarray | None = None):
-    """z^2 and (1 - z)(1 + z) = n_x^2 + n_y^2 at the next ``n`` Bloch vectors of
-    ``stream``, and cos^2 phi into ``cos2`` unless it is None: z = 2 u0 - 1 and
-    phi = 2 pi u1 from the next two doubles of the stream, so one counter step of
-    four doubles serves two samples (Archimedes: z is uniform on [-1, 1]).  Draws
-    continue the stream, mid-step too.
+def _draw_bloch(stream: np.random.Generator, s: np.ndarray, c: np.ndarray) -> None:
+    """(1 - z)(1 + z) = n_x^2 + n_y^2 into ``s`` and cos^2 phi into ``c`` at the next
+    ``s.size`` Bloch vectors of ``stream``: z = 2 u0 - 1 and phi = 2 pi u1 from the next
+    two doubles of the stream, so one counter step of four doubles serves two samples
+    (Archimedes: z is uniform on [-1, 1]).  1 - z = 2(1 - u0) and 1 + z = 2 u0 are exact,
+    so s is 4 u0 (1 - u0) rounded once.  Draws continue the stream, mid-step too.
     """
-    u = stream.random((n, 2))
-    if cos2 is not None:
-        np.multiply(u[:, 1], 2.0 * np.pi, out=cos2)
-        np.cos(cos2, out=cos2)
-        cos2 *= cos2
-    z = u[:, 0] * 2.0
-    z -= 1.0
-    z2, s = z * z, 1.0 - z
-    z += 1.0
-    s *= z
-    return z2, s
-
-
-def _form_values(form, z2: np.ndarray, s: np.ndarray, cos2: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """x^T Q x, Q = diag(form), at the Bloch vectors of ``_draw_bloch``:
-    Q00 + Qzz z^2 + (1 - z)(1 + z)(Qyy + (Qxx - Qyy) cos^2 phi), into work[0],
-    which it returns, with work[1] as scratch."""
-    q00, qxx, qyy, qzz = form
-    out, c = work
-    np.multiply(cos2, qxx - qyy, out=c)
-    c += qyy
-    c *= s
-    np.multiply(z2, qzz, out=out)
-    out += q00
-    out += c
-    return out
+    u = stream.random((s.size, 2))
+    np.subtract(1.0, u[:, 0], out=s)
+    s *= u[:, 0]
+    s *= 4.0
+    np.multiply(u[:, 1], 2.0 * np.pi, out=c)
+    np.cos(c, out=c)
+    c *= c
 
 
 def _mc_moments(form, samples: int, seed: int) -> list[tuple[float, float]]:
@@ -287,51 +269,45 @@ def _mc_moments(form, samples: int, seed: int) -> list[tuple[float, float]]:
     (Q00, Qxx, Qyy, Qzz as four arrays over the points, or four numbers for one),
     every point on the same samples of the Philox stream keyed by ``seed``.
 
-    Pass 1 draws the samples ``MC_CHUNK`` at a time (``_sum_chunk``), keeps
-    cos^2 phi, the one costly part, at 8 bytes a sample whatever the number of
-    points, and adds each point's values (``_form_values``) to its exact sum.
-    Pass 2, once every mean is known, draws the stream again for z and adds each
-    point's squared deviations to a second exact sum.  Sample k always reads
-    doubles 2k and 2k + 1 of the stream, words 2(k mod 2) and 2(k mod 2) + 1 of
-    counter step k // 2, and the generator keeps the unread words of a step
-    between chunks; both sums are exact (``_ExactSum``) and rounded once, so
-    they are the correctly rounded sums that math.fsum gives, whatever the
-    chunking or the number of points.
+    With s = (1 - z)(1 + z) and c = cos^2 phi (``_draw_bloch``), x^T Q x =
+    A + B s + C s c, A = Q00 + Qzz, B = Qyy - Qzz and C = Qxx - Qyy.  So one pass
+    over the samples, ``MC_CHUNK`` at a time, adds five features, s, s c, s^2,
+    s (s c) and (s c)^2, to one exact sum (``_ExactSum``), whatever the number of
+    points; each point then combines the five totals with its A, B and C in
+    integers on the sum's 2^-1074 grid, and rounds its mean once and its variance
+    once, under the square root.  Sample k always reads doubles 2k and 2k + 1 of the stream, words
+    2(k mod 2) and 2(k mod 2) + 1 of counter step k // 2, and the generator keeps
+    the unread words of a step between chunks, so the values do not depend on the
+    chunking or on the number of points.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     points = list(zip(*(np.atleast_1d(q).tolist() for q in form)))
     if not points:
         return []
-    check_budget((samples,), float, "Monte-Carlo overlaps")
-    cos2, spans = np.empty(samples), range(0, samples, MC_CHUNK)
-    sums, stream = _ExactSum(len(points)), _philox(seed)
-    for start in spans:
-        _sum_chunk(stream, cos2[start:start + MC_CHUNK], points, sums)
-    means = [sums.value(i) / samples for i in range(len(points))]
-    if samples == 1:
-        return [(mean, 0.0) for mean in means]
-    sums, stream = _ExactSum(len(points)), _philox(seed)  # now of the squared deviations
-    for start in spans:
-        _sum_chunk(stream, cos2[start:start + MC_CHUNK], points, sums, means)
-    return [(mean, math.sqrt(sums.value(i) / (samples - 1) / samples)) for i, mean in enumerate(means)]
-
-
-def _sum_chunk(stream: np.random.Generator, cos2: np.ndarray, points, sums: _ExactSum, means=None) -> None:
-    """Draw the next ``cos2.size`` samples of ``stream`` and add each point's values to
-    its slot of ``sums``, or, given the means, its squared deviations.  Without means
-    the chunk's cos^2 phi is written into ``cos2``; with them it is read from there.
-    Every point's values go through one work pair, so the arrays a chunk allocates do
-    not grow with the points, and none outlives the call: one chunk's arrays are live
-    at a time."""
-    z2, s = _draw_bloch(stream, cos2.size, cos2 if means is None else None)
-    work = np.empty((2, cos2.size))
-    for i, q in enumerate(points):
-        v = _form_values(q, z2, s, cos2, work)
-        if means is not None:
-            v -= means[i]
-            v *= v  # squared deviations, in place
-        sums.add(v, i)
+    sums, stream = _ExactSum(5), _philox(seed)
+    features = np.empty((5, min(samples, MC_CHUNK)))
+    for start in range(0, samples, MC_CHUNK):
+        f = features[:, :min(MC_CHUNK, samples - start)]
+        _draw_bloch(stream, f[0], f[1])
+        f[1] *= f[0]
+        np.multiply(f[:2], f[0], out=f[2:4])
+        np.multiply(f[1], f[1], out=f[4])
+        sums.add(f)
+    s1, s2, s3, s4, s5 = sums.totals
+    den = samples * samples * max(samples - 1, 1) << 4296
+    moments = []
+    for q00, qxx, qyy, qzz in points:
+        q00, qxx, qyy, qzz = (_units(q) for q in (q00, qxx, qyy, qzz))
+        a, b, c = q00 + qzz, qyy - qzz, qxx - qyy
+        lin = b * s1 + c * s2  # the sum of x^T Q x - A over the samples, in units of 2^-2148
+        # samples times the sum of squared deviations, in units of 2^-4296: s^2, s (s c) and (s c)^2
+        # are rounded apart from s and s c, so where the deviations vanish it may fall a few units below 0
+        num = max(((b * b * s3 + 2 * b * c * s4 + c * c * s5) * samples << 1074) - lin * lin, 0) if samples > 1 else 0
+        e = max(0, (den.bit_length() - num.bit_length()) // 2)  # keeps num / den off the subnormals
+        moments.append((((a * samples << 1074) + lin) / (samples << 2148),
+                        math.ldexp(math.sqrt((num << 2 * e) / den), -e)))
+    return moments
 
 
 def average_fidelity_mc(
@@ -352,52 +328,74 @@ def average_fidelity_mc(
     return FidelityEstimate(mean, std_error, samples, seed)
 
 
+def _units(x: float) -> int:
+    """The double ``x`` as an integer count of 2^-1074, the spacing of the subnormals."""
+    p, d = x.as_integer_ratio()  # d: a power of 2, at most 2^1074
+    return p << (1075 - d.bit_length())
+
+
+def _on_grid(y: np.ndarray, top: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(y + sigma) - sigma for y below 2^E >= ``top`` in magnitude, sigma = 2^(E + bit_length(n) + 1),
+    n = y.shape[-1]: y rounded to a grid on which y minus it and any sum of n of them are exact."""
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + y.shape[-1].bit_length() + 1)
+    q = np.add(y, sigma, out=out)
+    q -= sigma
+    return q
+
+
 class _ExactSum:
-    """Exact running sums of float64 arrays, one a slot; ``value(slot)`` rounds one once.
+    """Exact running sums of the rows of float64 arrays, one a slot; ``value(slot)`` rounds one once.
 
     ``add`` uses error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci.
-    Comput. 31, 189 (2008)): for n values below 2^E in magnitude and sigma =
-    2^(E + bit_length(n) + 1), q = (x + sigma) - sigma, x - q and ``q.sum()``
-    (in any order) are exact, and x - q is extracted again until it is zero.
-    Where sigma would overflow, the values of magnitude >= 1 go first, at an
-    exact scale 2^-shift.  A slot's partials add up in one Python int, which
-    ``value()`` rounds once: math.fsum's double, in any order and chunking.
-    The slots share one scratch pair, so their number adds no array.
+    Comput. 31, 189 (2008)): it sums each row's values on one grid (``_on_grid``),
+    in any order, and extracts the exact residuals again until they are zero.
+    Once at most 1/16 of the residuals are nonzero, those go on alone, summed into
+    their slots by ``np.bincount``.  A slot's partials add up in one Python int,
+    ``totals[slot]`` in units of 2^-1074: exact in any order and chunking, and
+    divided by 2^1074 it gives math.fsum's double.  The rows share one scratch pair.
     """
 
     def __init__(self, slots: int = 1) -> None:
-        self._totals = [0] * slots  # in units of 2^-1074
-        self._scratch = np.empty((2, 0))
+        self.totals = [0] * slots
+        self._scratch = np.empty(0)
 
-    def add(self, x: np.ndarray, slot: int = 0) -> None:
-        """Add the values of the float64 array ``x`` to ``slot``; NumericError on an infinity or a NaN."""
-        if x.size > _EXACT_CHUNK:
-            raise ValueError(f"an exact sum takes at most {_EXACT_CHUNK} values at a time, got {x.size}")
+    def add(self, x: np.ndarray) -> None:
+        """Add row i of the float64 array ``x`` (a 1-d ``x`` is one row) to slot i.  NumericError
+        on an infinity or a NaN; ValueError where sigma would overflow, within 2^(bit_length(n) + 1)
+        of the largest double."""
+        x = np.atleast_2d(x)
+        slots, n = x.shape
+        if n > _EXACT_CHUNK:
+            raise ValueError(f"an exact sum takes at most {_EXACT_CHUNK} values at a time, got {n}")
         top = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
         if not math.isfinite(top):
             raise NumericError("a Monte-Carlo sum met an infinity or a NaN")
-        if self._scratch.shape[1] < x.size:
-            self._scratch = np.empty((2, x.size))
-        q, rest = self._scratch[:, :x.size]
-        width = x.size.bit_length() + 1
-        parts = [(x, top, 0)]
-        if (shift := math.frexp(top)[1] + width - 1023) > 0:  # sigma = 2^(E + width) would overflow
-            big = np.where(np.abs(x) >= 1.0, x, 0.0)
-            small = x - big
-            parts = [(big * 2.0**-shift, top * 2.0**-shift, shift), (small, float(np.abs(small).max()), 0)]
-        for y, top, scale in parts:
-            while top:
-                sigma = math.ldexp(1.0, math.frexp(top)[1] + width)
-                np.add(y, sigma, out=q)
-                q -= sigma
-                p, d = float(q.sum()).as_integer_ratio()  # d: a power of 2, at most 2^1074
-                self._totals[slot] += p << (1075 + scale - d.bit_length())
-                y = np.subtract(y, q, out=rest)
-                top = max(float(y.max()), -float(y.min()))
+        if math.frexp(top)[1] + n.bit_length() + 1 > 1023:
+            raise ValueError(f"an exact sum of {n} values takes magnitudes below 2^{1022 - n.bit_length()}, "
+                             f"got {top!r}")
+        if self._scratch.size < 2 * x.size:
+            self._scratch = np.empty(2 * x.size)
+        q, y = self._scratch[:2 * x.size].reshape(2, slots, n)
+        np.copyto(y, x)
+        while True:  # on every value
+            self._bank(_on_grid(y, top, q).sum(axis=1))
+            y -= q
+            keep = y != 0.0
+            if np.count_nonzero(keep) <= y.size // 16:
+                break
+            top = max(float(y.max()), -float(y.min()))
+        at = np.flatnonzero(keep)
+        y, slot = y.ravel()[at], at // n
+        while y.size:  # on the nonzero residuals alone
+            q = _on_grid(y, max(float(y.max()), -float(y.min())))
+            self._bank(np.bincount(slot, q, slots))
+            y -= q
+            keep = y != 0.0
+            y, slot = y[keep], slot[keep]
 
-    def value(self, slot: int = 0) -> float:
-        """The sum of every value added to ``slot`` so far, correctly rounded."""
-        return self._totals[slot] / (1 << 1074)
+    def _bank(self, parts: np.ndarray) -> None:
+        for slot, part in enumerate(parts.tolist()):
+            self.totals[slot] += _units(part)
 
 
 class FidelityResult(NamedTuple):
@@ -415,7 +413,7 @@ def fidelity_sweep(
 
     The exact column is one array over the grid (``_fidelity_columns``).  The
     Monte Carlo draws one sample stream for the whole grid, keyed by
-    ``SeedSequence((seed, 0))``, and every point evaluates its own form on it
+    ``SeedSequence((seed, 0))``, and every point reads its five exact sums
     (``_mc_moments``): common random numbers, so each row keeps its
     distribution, the rows are correlated, and row 0 is the one-point sweep.
     (samples + MC_POINT_CHARGE) x points is checked against MC_WORK_BOUND

@@ -17,10 +17,13 @@ the exact way, and each is defined once, for every test module to import:
   fidelity of the shared state's levels {0, 1} block;
 * exact values in mpmath and sympy: fig1 at xi = 0 and, from the partial
   transpose itself, at any xi, fig3 from the factor form, fig2's form and
-  average, and the jets and scalar curvature of the closed-form metric.
+  average, and the jets and scalar curvature of the closed-form metric;
+* fig2's Monte-Carlo mean and standard error on the samples of a Philox
+  stream, evaluated in rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -520,6 +523,38 @@ def mp_exact_fidelity(xi, r):
                 total += (out[0, 0] + out[1, 1] if i == j else 0) + out[i, j]
         return total / 6
 
+
+
+def exact_mc_moments(form, samples, seed):
+    """fig2's Monte-Carlo mean of x^T Q x, Q = diag(form), and the square of its standard error,
+    as Fractions, on samples 0 to samples - 1 of the Philox stream keyed by ``seed``, exactly.
+
+    Sample k reads raw words 2k and 2k + 1 of the stream, whose top 53 bits give the doubles u0
+    and u1.  z = 2 u0 - 1, so z^2 and n_x^2 + n_y^2 = 1 - z^2 are exact rationals; cos^2 phi is
+    the double numpy gives for cos(2 pi u1)^2, computed as the sampler does.  Every value
+    Q00 + (1 - z^2)(Qxx cos^2 phi + Qyy (1 - cos^2 phi)) + Qzz z^2 is then an integer count of
+    2^-2254, and the mean and the sum of squared deviations over samples (samples - 1) follow
+    in two passes.
+    """
+    words = np.random.Philox(key=seed).random_raw(2 * samples).reshape(samples, 2) >> np.uint64(11)
+    cos2 = np.cos(words[:, 1] * 2.0**-53 * (2.0 * np.pi)) ** 2
+    one = 1 << 1074  # every double is an integer count of 2^-1074
+
+    def count(x):
+        p, d = float(x).as_integer_ratio()
+        return p * (one // d)
+
+    q00, qxx, qyy, qzz = (count(q) for q in form)
+    values = []
+    for k, c in zip(words[:, 0].tolist(), cos2.tolist()):
+        z2 = (2 * k - (1 << 53)) ** 2  # in units of 2^-106
+        s, c = (1 << 106) - z2, count(c)
+        values.append((q00 << 1180) + qxx * s * c + qyy * s * (one - c) + (qzz * z2 << 1074))
+    total = sum(values)
+    if samples == 1:
+        return Fraction(total, samples << 2254), Fraction(0)
+    squares = sum((samples * v - total) ** 2 for v in values)  # samples^2 times the squared deviations
+    return Fraction(total, samples << 2254), Fraction(squares, samples**3 * (samples - 1) << 4508)
 
 def exact_curvature_jets(n, r):
     """``metric_cartesian``'s tensor at the Bloch vectors n (k, 3) with its

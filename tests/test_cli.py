@@ -492,12 +492,13 @@ def test_numeric_failure_exits_3(argv, capsys):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_monte_carlo_term_exits_3(bad, monkeypatch, capsys):
     # a term the exact sum cannot bin is a numeric failure, not a NaN in the CSV
-    def poisoned(form, z2, s, cos2, work):
-        work[0] = 0.5
-        work[0, -1] = bad
-        return work[0]
+    draw = teleportation._draw_bloch
 
-    monkeypatch.setattr(teleportation, "_form_values", poisoned)
+    def poisoned(stream, s, c):
+        draw(stream, s, c)
+        s[-1] = bad
+
+    monkeypatch.setattr(teleportation, "_draw_bloch", poisoned)
     assert run_cli(["fig2", "--xi", "0.4:0.4:0", "--samples", "100"]) == 3
     err = capsys.readouterr().err
     assert err == "numeric failure: a Monte-Carlo sum met an infinity or a NaN\n"
@@ -509,9 +510,9 @@ def test_non_finite_monte_carlo_term_exits_3(bad, monkeypatch, capsys):
         (["fig1", "--r", "4", "--xi", "0.4:0.4:0"], "negativity_sweep needs n_max^2 x points"),
         (["fig3", "--r", "4", "--xi", "0.4:0.4:0"], "angle_sweep needs n_max^2 x points"),
         (["fig1", "--r", "20"], "tanh r rounds to 1"),
-        # the most samples the work bound admits on one point, (1e8 - 3000), still
-        # exceed the memory budget
-        (["fig2", "--xi", "0.4:0.4:0", "--samples", "99997000"], "Monte-Carlo overlaps needs"),
+        # the most samples the work bound admits on one point, 1e8 - 3000, run (about 6 s,
+        # 36 MB of peak RSS on a 2-core x86 host, with no per-sample array); one more is refused
+        (["fig2", "--xi", "0.4:0.4:0", "--samples", "99997001"], "over the Monte-Carlo work bound"),
         (["fig2", "--samples", "60000000"], "over the Monte-Carlo work bound"),
         (["fig2", "--xi", "0:0.99999:0.00001", "--samples", "1000"], "over the Monte-Carlo work bound"),
         (["fig2", "--xi", "0:0.99999:0.00001", "--samples", "1"], "over the Monte-Carlo work bound"),
@@ -544,8 +545,8 @@ def test_fig2_builds_one_channel_per_point(monkeypatch, tmp_path):
         monkeypatch.setattr(teleportation, name, counted(name, getattr(teleportation, name)))
     assert run_cli(["fig2", "--xi", "0:0.8:0.2", "--samples", "10", "-o", str(tmp_path / "f.csv")]) == 0
     # one form over the whole grid for the exact column and one for the Monte Carlo, whose
-    # one kernel call draws the samples once in each of its two passes, whatever the grid
-    assert calls == {"_fidelity_form": 2, "_mc_moments": 1, "_draw_bloch": 2}
+    # one kernel call draws the samples once, whatever the grid
+    assert calls == {"_fidelity_form": 2, "_mc_moments": 1, "_draw_bloch": 1}
     calls.clear()
     assert run_cli(["fig2", "--xi", "0:0.8:0.2", "-o", str(tmp_path / "f.csv")]) == 0
     assert calls == {"_fidelity_form": 1}
@@ -599,14 +600,19 @@ _BAD = st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", "", "0x10", "1,5"]
 _NEGATIVE = st.floats(max_value=0, exclude_max=True).map(repr)
 # name: (values the command accepts, values it must reject).  The accepted ones
 # are cheap: r <= 1.5 and cutoff-tol >= 1e-14 keep n_max near 200 at most, and
-# no grid, sample count or table is large.
+# no grid, sample count or table is large.  The r edges, on both sides of 19.06 (where
+# tanh r rounds to 1) and of MAX_R, end at once, most of them with exit 3.
 _OPTIONS = {
-    "--r": (st.floats(0, 1.5).map(repr), st.one_of(_NEGATIVE, _BAD)),
+    "--r": (st.one_of(st.floats(0, 1.5).map(repr), st.sampled_from(["19.06", "19.07", "169.9", "170", "170.1"])),
+            st.one_of(_NEGATIVE, _BAD)),
     "--xi": (
         st.one_of(
             st.builds(lambda lo, span, n: f"{lo!r}:{lo + span!r}:{max(span, 1e-3) / n!r}",
                       st.floats(0, 0.9), st.floats(0, 0.09), st.integers(1, 20)),
-            st.sampled_from(["0:0:1", "0.5:0.5:0", "0:0.9:1e300"]),
+            # a max within 1e-12 below 1, on a step whose last point rounds to 1 or just past the max
+            st.builds(lambda lo, gap, n: f"{lo!r}:{1 - gap!r}:{(1 - lo) / n!r}",
+                      st.floats(0, 0.9), st.floats(1e-15, 1e-12), st.integers(1, 20)),
+            st.sampled_from(["0:0:1", "0.5:0.5:0", "0:0.9:1e300", "0:0.999999999999:0.5"]),
         ),
         st.sampled_from(["0:1:0.5", "0.5:0.1:0.1", "nan:0.5:0.1", "0:0.5:nan", "0:0.9:1e-300", "0:0.9:inf",
                          "1:1:0", "a:b:c", "0:0.5", "-0.1:0.2:0.1", "0:0.5:-0.1"]),

@@ -1,15 +1,17 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bloch_form, channel_blocks, eta, full_tower_blocks, haar_average, is_hermitian,
-                     min_eigenvalue, mp_exact_fidelity, mp_fidelity_form, object_channel_blocks, overlap_formula,
-                     run_protocol, sampling_variance, scatter_crop_channel_blocks, shared_state_vector,
-                     state_vector, svd_schmidt_decompose)
+from oracles import (bloch_form, channel_blocks, eta, exact_mc_moments, full_tower_blocks, haar_average,
+                     is_hermitian, min_eigenvalue, mp_exact_fidelity, mp_fidelity_form, object_channel_blocks,
+                     overlap_formula, run_protocol, sampling_variance, scatter_crop_channel_blocks,
+                     shared_state_vector, state_vector, svd_schmidt_decompose)
 from rqit import teleportation
 from rqit.channel import MAX_R, FockCutoff, _as_accel, _xi_array, entangled_state
 from rqit.errors import NumericError, RQITError, SizeError
@@ -22,7 +24,6 @@ from rqit.teleportation import (
     _draw_bloch,
     _fidelity_columns,
     _fidelity_form,
-    _form_values,
     _philox,
     apply_protocol,
     average_fidelity_exact,
@@ -341,15 +342,23 @@ def form_values(q, n):
     return q[0, 0] + np.einsum("sj,sj->s", n @ q[1:, 1:] + (q[0, 1:] + q[1:, 0]), n)
 
 
-def draw_form_values(form, samples, seed, start=0):
-    """_form_values on samples [start, start + samples) of the stream keyed by
-    seed (``_draw_bloch``); an odd start begins halfway through counter step
-    start // 2."""
-    cos2 = np.empty(samples)
+def draw_bloch(samples, seed, start=0):
+    """``_draw_bloch``'s s = (1 - z)(1 + z) and c = cos^2 phi on samples [start, start + samples)
+    of the stream keyed by seed; an odd start begins halfway through counter step start // 2."""
+    s, c = np.empty(samples), np.empty(samples)
     stream = _philox(seed, start // 2)
     if start % 2:
         stream.random(2)
-    return _form_values(form, *_draw_bloch(stream, samples, cos2), cos2, np.empty((2, samples)))
+    _draw_bloch(stream, s, c)
+    return s, c
+
+
+def draw_form_values(form, samples, seed, start=0):
+    """x^T Q x, Q = diag(form), on the samples of ``draw_bloch``: with z^2 = 1 - s and
+    n_x^2 = s c, Q00 + Qzz + (Qyy - Qzz) s + (Qxx - Qyy) s c."""
+    q00, qxx, qyy, qzz = form
+    s, c = draw_bloch(samples, seed, start)
+    return q00 + qzz + (qyy - qzz) * s + (qxx - qyy) * s * c
 
 
 def test_bloch_form_matches_five_operand_einsum():
@@ -491,21 +500,21 @@ def test_form_values_are_uncorrelated_at_lag_one():
 
 
 def test_draw_form_values_continues_the_stream():
-    form = _fidelity_form(0.4, 0.6)
-    whole = draw_form_values(form, 1000, seed=5)
-    # the cosines filled in place, and z^2, (1 - z)(1 + z) returned, chunk by chunk
-    stream, cos2, parts = _philox(5), np.empty(1000), []
+    whole = draw_bloch(1000, seed=5)
+    # s and c filled in place, chunk by chunk, from one stream
+    stream, s, c = _philox(5), np.empty(1000), np.empty(1000)
     for a, b in ((0, 1), (1, 137), (137, 1000)):
-        parts.append(_draw_bloch(stream, b - a, cos2[a:b]))
-    z2, s = (np.concatenate(p) for p in zip(*parts))
-    np.testing.assert_array_equal(_form_values(form, z2, s, cos2, np.empty((2, 1000))), whole)
-    np.testing.assert_array_equal(draw_form_values(form, 37, seed=5, start=963), whole[-37:])
+        _draw_bloch(stream, s[a:b], c[a:b])
+    np.testing.assert_array_equal(s, whole[0])
+    np.testing.assert_array_equal(c, whole[1])
+    for got, want in zip(draw_bloch(37, seed=5, start=963), whole):
+        np.testing.assert_array_equal(got, want[-37:])
 
 
 def test_mc_zero_variance_at_ideal_point():
+    # every sample is 1, and the form's B = C = 0 leave the mean and the deviations exact
     est = average_fidelity_mc(0.0, 0.0, samples=2000, seed=1)
-    assert est.mean == pytest.approx(1.0, abs=1e-9)
-    assert est.std_error < 1e-9
+    assert (est.mean, est.std_error) == (1.0, 0.0)
 
 
 def test_mc_deterministic_and_chunk_invariant(monkeypatch):
@@ -524,42 +533,81 @@ def test_mc_deterministic_and_chunk_invariant(monkeypatch):
         assert d.mean != a.mean
 
 
-def two_pass_fsum(xi, r, samples, seed):
-    """The Monte-Carlo mean and standard error as two math.fsum passes over
-    the per-sample overlaps, drawn MC_CHUNK at a time: the reference for
-    average_fidelity_mc's exact sums."""
-    form = _fidelity_form(xi, r)
-    chunk = teleportation.MC_CHUNK
-    values = np.concatenate([draw_form_values(form, min(chunk, samples - a), seed, a)
-                             for a in range(0, samples, chunk)])
-    mean = math.fsum(values.tolist()) / samples
+def exact_total(values):
+    """The exact sum of the doubles ``values``, as a Fraction: np.frexp gives each as m 2^e with
+    m 2^53 an integer, and those add up exponent by exponent in Python ints."""
+    m, e = np.frexp(values)
+    m = (m * 2.0**53).astype(np.int64)
+    return Fraction(sum(int(m[e == k].astype(object).sum()) << (k + 1074) for k in np.unique(e).tolist()),
+                    1 << 1127)
+
+
+def feature_sums(samples, seed):
+    """The exact sums of s, s c, s^2, s (s c) and (s c)^2 over ``draw_bloch``'s samples, drawn in
+    one piece, each feature rounded once from the doubles s and s c, as Fractions."""
+    s, c = draw_bloch(samples, seed)
+    sc = s * c
+    return [exact_total(f) for f in (s, sc, s * s, s * sc, sc * sc)]
+
+
+def feature_moments(xi, r, samples, sums):
+    """Mean and standard error of x^T Q x = A + B s + C s c from the exact feature sums, in
+    Fractions, each rounded once: the reference for _mc_moments' integer combination."""
+    q00, qxx, qyy, qzz = map(Fraction, _fidelity_form(xi, r))
+    a, b, c = q00 + qzz, qyy - qzz, qxx - qyy
+    s1, s2, s3, s4, s5 = sums
+    lin = b * s1 + c * s2
     if samples == 1:
-        return mean, 0.0
-    d = values - mean
-    d *= d
-    return mean, math.sqrt(math.fsum(d.tolist()) / (samples - 1) / samples)
+        return float(a + lin), 0.0
+    squares = max(b * b * s3 + 2 * b * c * s4 + c * c * s5 - lin * lin / samples, 0)
+    return float(a + lin / samples), math.sqrt(float(squares / (samples * (samples - 1))))
 
 
-def test_mc_equals_two_pass_fsum(monkeypatch):
+def test_mc_equals_exact_feature_sums(monkeypatch):
     chunk = teleportation.MC_CHUNK
     assert chunk <= teleportation._EXACT_CHUNK == 2**26
     for i, samples in enumerate((1, chunk - 1, chunk + 1, 200_000)):
-        for xi, r in ((0.4, 0.6), (0.9, 3.0), (0.0, 0.0)):
+        sums = feature_sums(samples, 50 + i)
+        for xi, r in ((0.4, 0.6), (0.9, 3.0), (0.0, 0.0), (0.5, 20.0)):
             est = average_fidelity_mc(xi, r, samples=samples, seed=50 + i)
-            assert (est.mean, est.std_error) == two_pass_fsum(xi, r, samples, 50 + i), (samples, xi, r)
+            assert (est.mean, est.std_error) == feature_moments(xi, r, samples, sums), (samples, xi, r)
     for chunk in (137, 8_192, 65_536):
         with monkeypatch.context() as m:
             m.setattr(teleportation, "MC_CHUNK", chunk)
             for samples in (1, chunk - 1, chunk + 1, 20_000):
                 est = average_fidelity_mc(0.7, 1.5, samples=samples, seed=chunk)
-                assert (est.mean, est.std_error) == two_pass_fsum(0.7, 1.5, samples, chunk), (chunk, samples)
+                assert (est.mean, est.std_error) == feature_moments(0.7, 1.5, samples, feature_sums(samples, chunk))
+
+
+def printed(x):
+    return f"{x:.12g}"
+
+
+def printed_root(square):
+    """The CLI's 12 digits of sqrt(square), for a Fraction square."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return printed(float((Decimal(square.numerator) / Decimal(square.denominator)).sqrt()))
+
+
+@pytest.mark.parametrize("samples, seed", [(2, 1), (8193, 5)])
+@pytest.mark.parametrize("r", [0.0, 0.6, 20.0])
+def test_mc_prints_the_exact_rational_moments(samples, seed, r):
+    # the same samples in rational arithmetic (z exact from the stream, cos^2 phi the
+    # stream's double): every printed fidelity_mc and std_err is the exact value's
+    grid = [0.0, 0.3, 0.9] if samples > 2 else np.linspace(0.0, 0.99, 12).tolist()
+    for p in fidelity_sweep(r, grid, samples=samples, seed=seed):
+        mean, square = exact_mc_moments(_fidelity_form(p.xi, r), samples, sweep_seed(seed))
+        assert (printed(p.fidelity_mc), printed(p.std_err)) == (printed(float(mean)), printed_root(square)), p
+    # at r = 0, xi = 0 every sample is 1: the standard error is exactly 0
+    assert r != 0.0 or fidelity_sweep(r, [0.0], samples=samples, seed=seed)[0].std_err == 0.0
 
 
 def exact_sum(chunks):
     acc = _ExactSum()
     for c in chunks:
         acc.add(np.asarray(c, dtype=float))
-    return acc.value()
+    return acc.totals[0] / (1 << 1074)
 
 
 def same_double(a, b):
@@ -592,7 +640,7 @@ def test_exact_sum_matches_fsum_in_any_chunking(values, cuts):
     [2.0**-1022, -(2.0**-1022) + 5e-324],  # normal and subnormal
     [0.1] * 10,
     [2.0**60, 1.0, -(2.0**60)],
-    [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
+    [np.nextafter(2.0**1020, 0.0), -np.nextafter(2.0**1020, 0.0), 1.0],  # the largest magnitudes 3 values take
     list(np.random.default_rng(3).standard_normal(1000) * 10.0 ** np.random.default_rng(4).integers(-300, 300, 1000)),
 ])
 def test_exact_sum_edge_cases(values):
@@ -601,22 +649,20 @@ def test_exact_sum_edge_cases(values):
 
 
 def real_size_chunks(n):
-    """Chunks of n values for the exact sum: exponents over the whole double
-    range, subnormals included, with the largest magnitude within 2^bit_length(n)
-    of overflow (where the extraction's sigma = 2^(E + bit_length(n) + 1) would
-    overflow), then exact cancellations around round-half-even ties."""
+    """Chunks of n values for the exact sum: exponents over the double range that
+    it takes, subnormals included, with the largest magnitude it takes (below
+    2^(1022 - bit_length(n)), where sigma = 2^(E + bit_length(n) + 1) stays finite),
+    then exact cancellations around round-half-even ties."""
     rng = np.random.default_rng(n)
-    edge = 2.0 ** (1024 - n.bit_length())  # n magnitudes below edge sum to at most DBL_MAX
-    wide = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 1025 - n.bit_length(), n))
-    wide[0] = -np.nextafter(edge, 0.0)
+    wide = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 1023 - n.bit_length(), n))
+    wide[0] = -np.nextafter(2.0 ** (1022 - n.bit_length()), 0.0)
     yield wide
     yield np.abs(wide)
     if n == 1:
-        yield from ([v] for v in (1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -(2.0**-1022)))
+        yield from ([v] for v in (5e-324, -(2.0**-1022)))
         return
     pairs = wide[:(n - 2) // 2]
-    for tie in ([1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [-1.0, -(2.0**-53) - 2.0**-105],
-                [np.nextafter(edge / 2, 0.0), edge * 2.0**-55]):
+    for tie in ([1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [-1.0, -(2.0**-53) - 2.0**-105]):
         yield rng.permutation(np.concatenate([pairs, tie, -pairs]))
 
 
@@ -638,6 +684,19 @@ def test_exact_sum_refuses_non_finite_and_oversized_chunks():
         _ExactSum().add(np.broadcast_to(1.0, (2**26 + 1,)))
 
 
+@pytest.mark.parametrize("values", [
+    [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
+    [2.0**1021],  # one value takes magnitudes below 2^1021
+    [1.0] * 7 + [-(2.0**1018)],  # eight take magnitudes below 2^1018
+])
+def test_exact_sum_refuses_magnitudes_whose_sigma_would_overflow(values):
+    acc = _ExactSum(2)
+    acc.add(np.array([[0.5], [0.25]]))
+    with pytest.raises(ValueError, match="takes magnitudes below"):
+        acc.add(np.array([values, np.zeros(len(values))]))
+    assert acc.totals == [1 << 1073, 1 << 1072]  # nothing of the refused rows was added
+
+
 def test_mc_std_error_matches_closed_form_sigma():
     samples = 200_000
     for i, (xi, r) in enumerate(((0.4, 0.6), (0.9, 0.85), (0.3, 1.5), (0.7, 3.0))):
@@ -645,7 +704,14 @@ def test_mc_std_error_matches_closed_form_sigma():
         sigma = math.sqrt(sampling_variance(np.diag(_fidelity_form(xi, r))))
         assert abs(est.std_error * math.sqrt(samples) / sigma - 1.0) <= 0.01, (xi, r)
     assert abs(sampling_variance(np.diag(_fidelity_form(0.0, 0.0)))) <= 1e-15
-    assert average_fidelity_mc(0.0, 0.0, samples=samples, seed=30).std_error < 1e-9
+    assert average_fidelity_mc(0.0, 0.0, samples=samples, seed=30).std_error == 0.0
+    # std_err sqrt(samples) tends to fig2's closed-form sigma column, within 3 / sqrt(samples) relative
+    grid = [0.0, 0.4, 0.9]
+    for r in (0.6, 20.0):
+        sigma = _fidelity_columns(_xi_array(grid), r)[1]
+        for n in (2_000, 200_000, 2_000_000):
+            got = np.array([p.std_err for p in fidelity_sweep(r, grid, samples=n, seed=3)]) * math.sqrt(n)
+            assert np.abs(got / sigma - 1.0).max() <= 3.0 / math.sqrt(n), (r, n)
 
 
 def test_sigma_column_matches_sampling_variance():
@@ -784,9 +850,10 @@ def test_fidelity_sweep_equals_per_point_loop():
     # every row reads the sweep's one stream: row i is the one-point Monte Carlo
     # of xi_i on it, bit for bit, and the exact column is the one-point average
     grid = np.arange(10) * 0.1
-    for r in (0.3, 0.6, 1.5):
-        for samples in (1, 2, 8191, 8193, 20_000):
-            want = [two_pass_fsum(xi, r, samples, sweep_seed(4)) for xi in grid]
+    for samples in (1, 2, 8191, 8193, 20_000):
+        sums = feature_sums(samples, sweep_seed(4))
+        for r in (0.3, 0.6, 1.5):
+            want = [feature_moments(xi, r, samples, sums) for xi in grid]
             for points in (1, 3, 10):
                 results = fidelity_sweep(r, grid[:points], samples=samples, seed=4)
                 assert all(p.r == r and type(p.fidelity_exact) is float for p in results)
@@ -819,25 +886,25 @@ def test_fidelity_sweep_opens_its_streams_once_for_the_grid(monkeypatch):
         fidelity_sweep(0.6, np.arange(points) * 0.03, samples=1000, seed=2)
         counts.append(len(opened))
         assert set(opened) == {sweep_seed(2)}
-    # one stream for the sums and one for the squared deviations, whatever the grid
-    assert counts == [2, 2]
+    # one stream, drawn once for the five sums, whatever the grid
+    assert counts == [1, 1]
 
 
 def test_fidelity_sweep_memory_does_not_grow_with_points():
-    # the one per-sample array (cos^2 phi) is shared by every point; nothing kept
-    # per point grows with the sample count
-    def peak(points):
+    # no array grows with the samples (a chunk's five features and the exact sum's
+    # scratch pair take 0.94 MiB), and nothing kept per point grows with them either
+    def peak(points, samples):
         grid = np.arange(points) * 0.03
         tracemalloc.start()
         try:
-            fidelity_sweep(0.6, grid, samples=100_000)
+            fidelity_sweep(0.6, grid, samples=samples)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    one, thirty = peak(1), peak(30)
-    assert one > 100_000 * 8
+    one, thirty = peak(1, 100_000), peak(30, 100_000)
     assert thirty - one < 64 * 1024, (one, thirty)
+    assert peak(1, 1_000_000) < 2 * 1024**2  # one double a sample would take 8 MB
 
 
 def test_fidelity_sweep_checks_work_bound_before_building(monkeypatch):
