@@ -14,7 +14,7 @@ class RQITError(Exception):
 class SizeError(RQITError):
     """An array or a run would exceed a size limit: the memory budget of an
     operator build, the work budget of a banded sweep, the work bound of a
-    Monte-Carlo figure, or a cutoff that cannot be finite."""
+    Monte-Carlo estimate, or a cutoff that cannot be finite."""
 
 
 class NotPSDError(RQITError):

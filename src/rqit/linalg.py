@@ -62,7 +62,7 @@ def check_cost(n_max: int, points: int, what: str) -> None:
     work = n_max * n_max * points
     if work > WORK_BUDGET:
         raise SizeError(
-            f"{what} needs n_max^2 x points = {n_max}^2 x {points} = {work:.3g}, "
+            f"{what} needs n_max^2 x points = {n_max}^2 x {points}, "
             f"over the work budget of {WORK_BUDGET:.3g}"
         )
 

@@ -40,16 +40,11 @@ from .errors import NumericError, SizeError
 from .linalg import DenseOperator
 
 _SQRT2 = math.sqrt(2.0)
-# Largest work a fidelity_sweep may take, in samples: each xi point counts its
-# samples plus MC_POINT_CHARGE for its fixed work.  The samples are drawn and
-# summed once a sweep, so this over-counts a grid: on a 2-core x86 host a sweep
-# costs about 0.06 us a sample, whatever the number of points, and 0.02 ms a
-# point (33 000 points at two samples).  The most samples the bound admits on one
-# point, 99 997 000, take about 6 s and 36 MB of peak RSS there.  Both values date
-# from slower code and are kept, so that the runs they admit stay the same.  fig2
-# at --samples 200000 on its default grid counts 96 x 203 000.
+# Most samples one Monte-Carlo call draws (``_mc_moments``, under fidelity_sweep and
+# average_fidelity_mc alike): they are drawn once a call, whatever the grid, and each xi
+# point adds a fixed combination.  On a 2-core x86 host 1e8 samples take 6-8 s at 36 MB of
+# peak RSS on one point, and 9-11 s at 76 MB on 100 000 points.
 MC_WORK_BOUND = 10**8
-MC_POINT_CHARGE = 3000
 # Monte-Carlo samples drawn at a time: the five feature rows of a chunk stay
 # cache-sized.  Each chunk is one _ExactSum.add, about 160 us there: two levels on
 # every value, then a few on the 0.4 % whose residuals are still nonzero.
@@ -264,10 +259,11 @@ def _draw_bloch(stream: np.random.Generator, s: np.ndarray, c: np.ndarray) -> No
     c *= c
 
 
-def _mc_moments(form, samples: int, seed: int) -> list[tuple[float, float]]:
-    """Monte-Carlo mean and standard error of x^T Q x at each point of ``form``
-    (Q00, Qxx, Qyy, Qzz as four arrays over the points, or four numbers for one),
-    every point on the same samples of the Philox stream keyed by ``seed``.
+def _mc_moments(xi: np.ndarray, r, samples: int, seed: int) -> list[tuple[float, float]]:
+    """Monte-Carlo mean and standard error of x^T Q x (``_fidelity_form``) at each
+    point of the xi array ``xi``, every point on the same samples of the Philox
+    stream keyed by ``seed``.  More than MC_WORK_BOUND samples raise SizeError
+    before the form is built or a sample drawn.
 
     With s = (1 - z)(1 + z) and c = cos^2 phi (``_draw_bloch``), x^T Q x =
     A + B s + C s c, A = Q00 + Qzz, B = Qyy - Qzz and C = Qxx - Qyy.  So one pass
@@ -282,7 +278,9 @@ def _mc_moments(form, samples: int, seed: int) -> list[tuple[float, float]]:
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    points = list(zip(*(np.atleast_1d(q).tolist() for q in form)))
+    if samples > MC_WORK_BOUND:
+        raise SizeError(f"{samples} samples are over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
+    points = list(zip(*(q.tolist() for q in _fidelity_form(xi, r))))
     if not points:
         return []
     sums, stream = _ExactSum(5), _philox(seed)
@@ -321,10 +319,10 @@ def average_fidelity_mc(
     For Haar U the Bloch vector n of U|+> is uniform on the sphere, and the
     fidelity <psi| sigma_R(|psi><psi|) |psi> is x^T Q x on x = (1, n).  Q is
     diagonal, with four closed-form entries (``_fidelity_form``), so a sample
-    needs only n_z and the azimuth.  This is the one-point case of
-    ``_mc_moments``, which ``fidelity_sweep`` runs over its whole grid.
+    needs only n_z and the azimuth.  This is ``fidelity_sweep``'s kernel and bound
+    (``_mc_moments``) on one point, on the Philox stream keyed by ``seed`` itself.
     """
-    (mean, std_error), = _mc_moments(_fidelity_form(_as_xi(xi).xi, r), samples, seed)
+    (mean, std_error), = _mc_moments(np.array([_as_xi(xi).xi]), r, samples, seed)
     return FidelityEstimate(mean, std_error, samples, seed)
 
 
@@ -416,16 +414,13 @@ def fidelity_sweep(
     ``SeedSequence((seed, 0))``, and every point reads its five exact sums
     (``_mc_moments``): common random numbers, so each row keeps its
     distribution, the rows are correlated, and row 0 is the one-point sweep.
-    (samples + MC_POINT_CHARGE) x points is checked against MC_WORK_BOUND
-    before anything is built (``SizeError``).
+    More than MC_WORK_BOUND samples raise SizeError before anything is built,
+    whatever the grid.
     """
-    if (samples + MC_POINT_CHARGE) * len(xi_grid) > MC_WORK_BOUND:
-        raise SizeError(f"fig2 needs (samples + {MC_POINT_CHARGE}) x points = "
-                        f"{samples + MC_POINT_CHARGE} x {len(xi_grid)}, "
-                        f"over the Monte-Carlo work bound of {MC_WORK_BOUND:.3g}")
-    a, xis = _as_accel(r), _xi_array(xi_grid)
+    xis = _xi_array(xi_grid)
     sub = int(np.random.SeedSequence((seed, 0)).generate_state(1, dtype=np.uint64)[0])
-    moments = _mc_moments(_fidelity_form(xis, a), samples, sub)
+    moments = _mc_moments(xis, r, samples, sub)
+    a = _as_accel(r)
     exact = _fidelity_columns(xis, a)[0].tolist()
     return [FidelityResult(xi, a.r, mean, std_err, ex)
             for xi, (mean, std_err), ex in zip(xis.tolist(), moments, exact)]

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from oracles import mp_bures_angle, mp_log_negativity
 from rqit import _lapack, cli, geometry, teleportation
 from rqit.cli import main
+from rqit.linalg import WORK_BUDGET
+from rqit.teleportation import MC_WORK_BOUND
 
 
 def run_cli(args):
@@ -475,7 +477,7 @@ def test_header_keys_and_order(argv, extras, tmp_path, capsys):
         ["curvature", "--r", "400"],
         ["fig3", "--r", "0.85", "--n-max", "3", "--cutoff-tol", "0.1", "--xi", "0.3:0.3:0"],
         # no cutoff exists at r = 20, and the run is over the fig2 work bound too
-        ["fig2", "--r", "20", "--samples", "60000000"],
+        ["fig2", "--r", "20", "--samples", "100000001"],
     ],
     ids=["cutoff-too-small", "fig1-r-1000", "fig2-r-1000", "fig3-r-1000", "metric-r-1000",
          "curvature-r-400", "fig3-image-trace", "fig2-no-cutoff-and-over-work-bound"],
@@ -509,17 +511,16 @@ def test_non_finite_monte_carlo_term_exits_3(bad, monkeypatch, capsys):
     [
         (["fig1", "--r", "4", "--xi", "0.4:0.4:0"], "negativity_sweep needs n_max^2 x points"),
         (["fig3", "--r", "4", "--xi", "0.4:0.4:0"], "angle_sweep needs n_max^2 x points"),
+        # n_max^2 x points past the largest double is refused as well, not formatted as a float
+        (["fig1", "--n-max", "1" + "0" * 200, "--xi", "0.4:0.4:0"], "negativity_sweep needs n_max^2 x points"),
         (["fig1", "--r", "20"], "tanh r rounds to 1"),
-        # the most samples the work bound admits on one point, 1e8 - 3000, run (about 6 s,
-        # 36 MB of peak RSS on a 2-core x86 host, with no per-sample array); one more is refused
-        (["fig2", "--xi", "0.4:0.4:0", "--samples", "99997001"], "over the Monte-Carlo work bound"),
-        (["fig2", "--samples", "60000000"], "over the Monte-Carlo work bound"),
-        (["fig2", "--xi", "0:0.99999:0.00001", "--samples", "1000"], "over the Monte-Carlo work bound"),
-        (["fig2", "--xi", "0:0.99999:0.00001", "--samples", "1"], "over the Monte-Carlo work bound"),
+        # the most samples the work bound admits, 1e8, run on any grid (about 6-8 s and 36 MB of
+        # peak RSS on one point, on a 2-core x86 host); one more is refused, on one point or 96
+        (["fig2", "--xi", "0.4:0.4:0", "--samples", "100000001"], "over the Monte-Carlo work bound"),
+        (["fig2", "--samples", "100000001"], "over the Monte-Carlo work bound"),
     ],
-    ids=["fig1-state-over-budget", "fig3-qubit-over-budget",
-         "tanh-rounds-to-one", "fig2-samples-over-budget", "fig2-work-over-budget",
-         "fig2-points-over-work-bound", "fig2-points-over-work-bound-one-sample"],
+    ids=["fig1-state-over-budget", "fig3-qubit-over-budget", "fig1-n-max-past-the-doubles",
+         "tanh-rounds-to-one", "fig2-samples-over-budget", "fig2-work-over-budget"],
 )
 def test_size_limit_exits_3(argv, reason, capsys):
     # refused from n_max or the sample count before any large array exists,
@@ -530,6 +531,15 @@ def test_size_limit_exits_3(argv, reason, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and err.count("\n") == 1
     assert reason in err
+
+
+def test_fig2_bound_counts_samples_not_points(tmp_path):
+    # the samples are drawn once a sweep, so 2 million of them on the 96-point default grid
+    # run (about 0.2 s on a 2-core x86 host), though 96 x 2 million is over 1e8
+    out = tmp_path / "fig2.csv"
+    assert run_cli(["fig2", "--samples", "2000000", "-o", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header["samples"] == "2000000" and len(rows) == 96
 
 
 def test_fig2_builds_one_channel_per_point(monkeypatch, tmp_path):
@@ -601,7 +611,8 @@ _NEGATIVE = st.floats(max_value=0, exclude_max=True).map(repr)
 # name: (values the command accepts, values it must reject).  The accepted ones
 # are cheap: r <= 1.5 and cutoff-tol >= 1e-14 keep n_max near 200 at most, and
 # no grid, sample count or table is large.  The r edges, on both sides of 19.06 (where
-# tanh r rounds to 1) and of MAX_R, end at once, most of them with exit 3.
+# tanh r rounds to 1) and of MAX_R, end at once, most of them with exit 3, and so do
+# --n-max from 14143 up, over WORK_BUDGET on any grid, and --samples above MC_WORK_BOUND.
 _OPTIONS = {
     "--r": (st.one_of(st.floats(0, 1.5).map(repr), st.sampled_from(["19.06", "19.07", "169.9", "170", "170.1"])),
             st.one_of(_NEGATIVE, _BAD)),
@@ -619,8 +630,11 @@ _OPTIONS = {
     ),
     "--cutoff-tol": (st.floats(1e-14, 1, exclude_max=True).map(repr),
                      st.one_of(st.floats(min_value=1).map(repr), _NEGATIVE, _BAD)),
-    "--n-max": (st.integers(0, 200).map(str), st.one_of(st.integers(max_value=-1).map(str), _BAD)),
-    "--samples": (st.integers(1, 2000).map(str), st.one_of(st.integers(max_value=0).map(str), _BAD)),
+    "--n-max": (st.one_of(st.integers(0, 200), st.integers(min_value=math.isqrt(WORK_BUDGET) + 1)).map(str),
+                st.one_of(st.integers(max_value=-1).map(str), _BAD)),
+    "--samples": (st.one_of(st.integers(1, 2000), st.just(MC_WORK_BOUND + 1),
+                            st.integers(min_value=MC_WORK_BOUND + 1)).map(str),
+                  st.one_of(st.integers(max_value=0).map(str), _BAD)),
     "--seed": (st.integers(0, 2**70).map(str), st.one_of(st.integers(max_value=-1).map(str), _BAD)),
     "--points": (st.integers(1, 20).map(str),
                  st.one_of(st.integers(max_value=0).map(str), st.integers(min_value=100_001).map(str), _BAD)),

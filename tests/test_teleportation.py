@@ -17,7 +17,6 @@ from rqit.channel import MAX_R, FockCutoff, _as_accel, _xi_array, entangled_stat
 from rqit.errors import NumericError, RQITError, SizeError
 from rqit.linalg import DenseOperator
 from rqit.teleportation import (
-    MC_POINT_CHARGE,
     MC_WORK_BOUND,
     SchmidtDecomposition,
     _ExactSum,
@@ -912,12 +911,31 @@ def test_fidelity_sweep_checks_work_bound_before_building(monkeypatch):
         raise AssertionError("fidelity form built before the work bound was checked")
 
     monkeypatch.setattr(teleportation, "_fidelity_form", refuse)
-    points = MC_WORK_BOUND // (1 + MC_POINT_CHARGE) + 1
     # above MAX_R the channel build itself fails, so the bound must come first
+    for r in (2 * MAX_R, 0.6):
+        with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
+            fidelity_sweep(r, [0.4], samples=MC_WORK_BOUND + 1)
+        with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
+            average_fidelity_mc(0.4, r, samples=MC_WORK_BOUND + 1)
+
+
+def test_average_fidelity_mc_checks_work_bound_before_drawing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sample drawn before the work bound was checked")
+
+    monkeypatch.setattr(teleportation, "_draw_bloch", refuse)
     with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
-        fidelity_sweep(2 * MAX_R, np.zeros(points), samples=1)
-    with pytest.raises(SizeError, match="over the Monte-Carlo work bound"):
-        fidelity_sweep(0.6, [0.4], samples=MC_WORK_BOUND)
+        average_fidelity_mc(0.4, 0.6, samples=MC_WORK_BOUND + 1)
+
+
+def test_average_fidelity_mc_reproduces_sweep_rows():
+    # fidelity_sweep keys its one stream with the first word of SeedSequence((seed, 0)),
+    # average_fidelity_mc with its seed itself: on that key it gives every row, bit for bit
+    grid = [0.0, 0.35, 0.9]
+    for samples, seed, r in ((1, 0, 0.6), (2, 3, 0.0), (8193, 42, 1.5), (20_000, 7, 20.0)):
+        for p in fidelity_sweep(r, grid, samples=samples, seed=seed):
+            est = average_fidelity_mc(p.xi, r, samples=samples, seed=sweep_seed(seed))
+            assert (est.mean, est.std_error) == (p.fidelity_mc, p.std_err), (samples, seed, r, p.xi)
 
 
 def test_exact_column_matches_mpmath():
